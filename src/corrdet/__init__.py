@@ -31,7 +31,7 @@ from .errors import (
     ReferenceError,
     SchemaError,
 )
-from .geometry import Box, GtObject, Match, MatchSet, iou, match_positives, match_tp
+from .geometry import Box, GtObject, Match, MatchSet, iou, match_positives, match_tp, match_tp_multi
 from .gradcheck import GradcheckResult, GradcheckRow, run_gradcheck
 from .ingest import (
     Dataset,
@@ -55,6 +55,7 @@ from .metrics import (
     beta_img,
     coco_ap,
     pr_curve,
+    pr_curves,
 )
 from .pipeline import FinalDetection, PipelineConfig, RawDetection, nms, postprocess
 from .softrank import SoftRankResult, soft_rank, soft_rank_vjp
@@ -110,11 +111,13 @@ __all__ = [
     "loss_from_arrays",
     "match_positives",
     "match_tp",
+    "match_tp_multi",
     "multi_stage_loss",
     "nms",
     "pearson",
     "postprocess",
     "pr_curve",
+    "pr_curves",
     "render_report",
     "rerank_class_level",
     "rerank_image_level",

@@ -23,8 +23,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyEvaluation
-from .geometry import GtObject, MatchSet, match_positives, match_tp
-from .metrics import ApResult, CorrelationReport, beta_cls, beta_img, coco_ap
+from .geometry import GtObject, MatchSet, match_positives
+from .metrics import (
+    COCO_THRESHOLDS,
+    ApResult,
+    CorrelationReport,
+    _beta_cls_from,
+    _coco_ap_from,
+    _match_classes,
+    beta_img,
+    coco_ap,
+)
 from .pipeline import FinalDetection, PipelineConfig, RawDetection, postprocess
 
 if TYPE_CHECKING:
@@ -111,30 +120,12 @@ class BoundReport:
     corr_after: CorrelationReport | None
 
 
-def _beta_cls_or_none(dets, gts, tp_iou: float) -> CorrelationReport | None:
+def _beta_cls_or_none(table) -> CorrelationReport | None:
+    """beta_cls at tp_iou, the last threshold of ``table``."""
     try:
-        return beta_cls(dets, gts, tp_iou)
+        return _beta_cls_from(table, -1)
     except EmptyEvaluation:
         return None
-
-
-def _rerank_dataset_class_level(
-    dets: Sequence[FinalDetection],
-    gts: Sequence[GtObject],
-    direction: int,
-    tp_iou: float,
-) -> list[FinalDetection]:
-    """Apply the class-level re-rank to every class of a pooled det list."""
-    out = list(dets)
-    class_ids = sorted({d.class_id for d in dets})
-    for c in class_ids:
-        idxs = [i for i, d in enumerate(dets) if d.class_id == c]
-        sub = [dets[i] for i in idxs]
-        cgts = [g for g in gts if g.class_id == c]
-        new_sub = rerank_class_level(sub, match_tp(sub, cgts, tp_iou), direction)
-        for i, d in zip(idxs, new_sub):
-            out[i] = d
-    return out
 
 
 def bound_report(
@@ -160,15 +151,23 @@ def bound_report(
     if level == "class":
         if dataset.final_dets is None:
             raise ValueError("class-level bounds need final detections")
-        dets = list(dataset.final_dets)
-        reranked = _rerank_dataset_class_level(dets, gts, direction, tp_iou)
+        # One matching pass per detection list: the COCO thresholds for AP
+        # plus tp_iou (last) for beta_cls and the re-rank itself.
+        thresholds = (*COCO_THRESHOLDS, tp_iou)
+        before = _match_classes(dataset.final_dets, gts, thresholds)
+        reranked_by_class = {
+            c: iter(rerank_class_level(cdets, sets[-1], direction))
+            for c, (cdets, _, sets) in before.items()
+        }
+        reranked = [next(reranked_by_class[d.class_id]) for d in dataset.final_dets]
+        after = _match_classes(reranked, gts, thresholds)
         return BoundReport(
             direction,
             level,
-            ap_before=coco_ap(dets, gts),
-            ap_after=coco_ap(reranked, gts),
-            corr_before=_beta_cls_or_none(dets, gts, tp_iou),
-            corr_after=_beta_cls_or_none(reranked, gts, tp_iou),
+            ap_before=_coco_ap_from(before, COCO_THRESHOLDS),
+            ap_after=_coco_ap_from(after, COCO_THRESHOLDS),
+            corr_before=_beta_cls_or_none(before),
+            corr_after=_beta_cls_or_none(after),
         )
 
     if dataset.raw_dets is None:

@@ -40,7 +40,7 @@ from .ingest import (
     synth,
     write_report,
 )
-from .metrics import COCO_THRESHOLDS, ApResult, beta_cls, beta_img, coco_ap, pr_curve
+from .metrics import COCO_THRESHOLDS, ApResult, beta_cls, beta_img, coco_ap, pr_curves
 from .pipeline import PipelineConfig, postprocess
 
 __all__ = ["build_parser", "main"]
@@ -163,11 +163,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for c in sorted({g.class_id for g in dataset.gts}):
             cdets = [d for d in finals if d.class_id == c]
             cgts = [g for g in dataset.gts if g.class_id == c]
-            for t in COCO_THRESHOLDS:
-                for r, p in pr_curve(cdets, cgts, t):
-                    lines.append(
-                        f"{dataset.categories[c][0]},{_csv_value(t)},{_csv_value(r)},{_csv_value(p)}"
-                    )
+            for t, curve in zip(COCO_THRESHOLDS, pr_curves(cdets, cgts, COCO_THRESHOLDS)):
+                prefix = f"{dataset.categories[c][0]},{_csv_value(t)}"
+                lines.extend(f"{prefix},{_csv_value(r)},{_csv_value(p)}" for r, p in curve)
         _write_text("\n".join(lines) + "\n", args.pr_csv)
     return 0
 

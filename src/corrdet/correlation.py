@@ -9,7 +9,6 @@ the skip policy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInput
 
@@ -36,8 +35,24 @@ def _check_pair(x, y) -> tuple[FloatArray, FloatArray]:
 
 
 def average_ranks(x) -> FloatArray:
-    """Fractional ranks with average tie handling; smallest value gets rank 1."""
-    return rankdata(np.asarray(x, dtype=np.float64), method="average")
+    """Fractional ranks with average tie handling; smallest value gets rank 1.
+
+    Same values as ``scipy.stats.rankdata(x, method="average")``: a tie
+    group spanning sorted positions i..j (1-based) gets (i + j) / 2, which
+    is exact in float64.  Any NaN makes every rank NaN.
+    """
+    a = np.asarray(x, dtype=np.float64).reshape(-1)
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    n = a.shape[0]
+    order = np.argsort(a, kind="stable")
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    ordered = a[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(starts)[inverse]
+    count = np.concatenate((np.flatnonzero(starts), [n]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def pearson(x, y) -> float:

@@ -101,8 +101,13 @@ class DescentTrace:
     final_scores: np.ndarray
 
 
-def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Population Pearson rho(x, y) and d rho / d y."""
+def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Population Pearson rho(x, y) and d rho / d y.
+
+    None when the product of the standard deviations is zero, which a
+    variance that underflows (e.g. scores [0, 5e-324]) makes so even when
+    neither series is constant.
+    """
     n = x.shape[0]
     xc = x - x.mean()
     yc = y - y.mean()
@@ -111,13 +116,16 @@ def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     cov = float(np.mean(xc * yc))
     sx = math.sqrt(var_x)
     sy = math.sqrt(var_y)
+    if sx * sy == 0.0:
+        return None
     rho = cov / (sx * sy)
     grad = xc / (n * sx * sy) - rho * yc / (n * var_y)
     return rho, grad
 
 
-def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Concordance gamma(x, y) and d gamma / d y."""
+def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Concordance gamma(x, y) and d gamma / d y; None when the
+    denominator underflows to zero."""
     n = x.shape[0]
     mu_x = float(x.mean())
     mu_y = float(y.mean())
@@ -127,6 +135,8 @@ def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.nda
     var_y = float(np.mean(yc * yc))
     cov = float(np.mean(xc * yc))
     denom = var_x + var_y + (mu_x - mu_y) ** 2
+    if denom == 0.0:
+        return None
     gamma = 2.0 * cov / denom
     grad = (2.0 / (n * denom)) * (xc - gamma * (yc - (mu_x - mu_y)))
     return gamma, grad
@@ -136,8 +146,9 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     """Correlation Loss on bare (IoU, score) arrays.
 
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
-    held constant.  Degenerate inputs (n < 2, all IoUs equal, or all scores
-    equal) return value 0 and an all-zero gradient.
+    held constant.  Degenerate inputs (n < 2, all IoUs equal, all scores
+    equal, or a spread so small that a variance underflows to zero) return
+    value 0 and an all-zero gradient.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -150,9 +161,9 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
     if cfg.coefficient == "pearson":
-        rho, grad_rho = _pearson_value_grad(x, y)
+        value_grad = _pearson_value_grad(x, y)
     elif cfg.coefficient == "concordance":
-        rho, grad_rho = _concordance_value_grad(x, y)
+        value_grad = _concordance_value_grad(x, y)
     else:
         # Soft Spearman surrogate: hard ranks of the constant IoUs against
         # soft ranks of the scores.  epsilon applies at raw score scale, so
@@ -160,9 +171,13 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         # keeps the landscape smooth; the correlation itself is scale-free.
         rank_x = average_ranks(x)
         soft = soft_rank(y, cfg.epsilon)
-        rho, grad_ranks = _pearson_value_grad(rank_x, soft.ranks)
-        grad_rho = soft_rank_vjp(soft, grad_ranks)
+        value_grad = _pearson_value_grad(rank_x, soft.ranks)
+        if value_grad is not None:
+            value_grad = (value_grad[0], soft_rank_vjp(soft, value_grad[1]))
+    if value_grad is None:
+        return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
+    rho, grad_rho = value_grad
     value = 1.0 - min(1.0, max(-1.0, rho))
     return LossResult(value, -grad_rho)
 

@@ -5,9 +5,14 @@ Two flavours of matching exist side by side:
 * :func:`match_positives` -- training-style assignment of raw detections to
   ground-truth objects (greedy, one-to-one, by descending IoU).  Feeds the
   image-level correlation measure and the Correlation Loss.
-* :func:`match_tp` -- evaluation-style true-positive matching (greedy by
-  descending score, COCO convention).  Feeds PR curves, AP and the
-  class-level correlation measure.
+* :func:`match_tp_multi` -- evaluation-style true-positive matching
+  (greedy by descending score, COCO convention) at several IoU thresholds
+  in one pass.  GTs are grouped per ``(image, class)``, so the cost is
+  linear in the number of images, and each detection's IoUs to its own
+  group are computed once for all thresholds, as pycocotools'
+  ``computeIoU`` + ``evaluateImg`` do.  Feeds PR curves, AP, the
+  class-level correlation measure and the class-level re-rank;
+  :func:`match_tp` is its one-threshold form.
 """
 
 from __future__ import annotations
@@ -19,7 +24,16 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 if TYPE_CHECKING:
     from .pipeline import FinalDetection, RawDetection
 
-__all__ = ["Box", "GtObject", "Match", "MatchSet", "iou", "match_positives", "match_tp"]
+__all__ = [
+    "Box",
+    "GtObject",
+    "Match",
+    "MatchSet",
+    "iou",
+    "match_positives",
+    "match_tp",
+    "match_tp_multi",
+]
 
 
 @dataclass(frozen=True)
@@ -146,35 +160,73 @@ def match_positives(
     return MatchSet(tuple(matches))
 
 
+def _score_order(dets: Sequence["FinalDetection"]) -> list[int]:
+    """Detection indices by descending score, ties by lower index."""
+    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+
+
+def match_tp_multi(
+    dets: Sequence["FinalDetection"],
+    gts: Sequence[GtObject],
+    thresholds: Sequence[float],
+) -> tuple[MatchSet, ...]:
+    """COCO-style true-positive matching at several IoU thresholds at once.
+
+    Returns one MatchSet per threshold, each equal to what
+    :func:`match_tp` gives at that threshold.  GTs are grouped by
+    ``(image_id, class_id)`` and each detection's IoUs to the GTs of its
+    own group are computed once, so the cost is linear in the number of
+    images and shared by all thresholds.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for gi, gt in enumerate(gts):
+        groups.setdefault((gt.image_id, gt.class_id), []).append(gi)
+
+    # Per detection, in matching order: the Match it would make with each
+    # gt of its group at IoU > 0, best first (IoU ties by lower gt index).
+    # Greedy matching at any threshold takes the first candidate whose gt
+    # is unused, unless the IoU falls below the threshold first.
+    table: list[list[Match]] = []
+    for di in _score_order(dets):
+        det = dets[di]
+        group = groups.get((det.image_id, det.class_id), ())
+        score = float(det.score)
+        cands = [
+            Match(di, gi, v, score, det.class_id)
+            for gi in group
+            if (v := iou(det.box, gts[gi].box)) > 0.0
+        ]
+        cands.sort(key=lambda m: (-m.iou, m.gt_index))
+        table.append(cands)
+
+    result = []
+    for thr in thresholds:
+        used_gt: set[int] = set()
+        matches = []
+        for cands in table:
+            for m in cands:
+                if not m.iou >= thr:  # not `<`: a NaN threshold matches nothing
+                    break
+                if m.gt_index not in used_gt:
+                    used_gt.add(m.gt_index)
+                    matches.append(m)
+                    break
+        matches.sort(key=lambda m: m.detection_index)
+        result.append(MatchSet(tuple(matches)))
+    return tuple(result)
+
+
 def match_tp(
     dets: Sequence["FinalDetection"],
     gts: Sequence[GtObject],
     iou_thr: float,
 ) -> MatchSet:
-    """COCO-style true-positive matching for a single class.
+    """COCO-style true-positive matching at one IoU threshold.
 
     Detections are taken in descending score order (ties by lower index);
-    each one matches the still-unmatched gt of the same image with the
-    highest IoU >= ``iou_thr`` (IoU ties by lower gt index).  Unmatched
-    detections are false positives and do not appear in the result.
+    each one matches the still-unmatched gt of the same image and class
+    with the highest IoU >= ``iou_thr`` (IoU ties by lower gt index; IoU 0
+    never matches).  Unmatched detections are false positives and do not
+    appear in the result.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    used_gt: set[int] = set()
-    matches = []
-    for di in order:
-        det = dets[di]
-        best_gi = -1
-        best_iou = 0.0
-        for gi, gt in enumerate(gts):
-            if gi in used_gt or gt.image_id != det.image_id or gt.class_id != det.class_id:
-                continue
-            v = iou(det.box, gt.box)
-            if v >= iou_thr and v > best_iou:
-                best_iou = v
-                best_gi = gi
-        if best_gi >= 0:
-            used_gt.add(best_gi)
-            matches.append(Match(di, best_gi, best_iou, float(det.score), det.class_id))
-
-    matches.sort(key=lambda m: m.detection_index)
-    return MatchSet(tuple(matches))
+    return match_tp_multi(dets, gts, (iou_thr,))[0]

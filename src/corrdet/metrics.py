@@ -22,7 +22,7 @@ import numpy as np
 
 from .correlation import spearman
 from .errors import DegenerateInput, EmptyEvaluation, NoGroundTruth
-from .geometry import GtObject, match_positives, match_tp
+from .geometry import GtObject, MatchSet, _score_order, match_positives, match_tp_multi
 from .pipeline import FinalDetection, RawDetection
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "beta_img",
     "beta_cls",
     "pr_curve",
+    "pr_curves",
     "average_precision",
     "coco_ap",
 ]
@@ -99,24 +100,40 @@ def beta_img(
     return CorrelationReport(beta_img=mean, per_image=tuple(per_image), skipped_images=skipped)
 
 
-def beta_cls(
+def _by_class(items: Sequence) -> dict[int, list]:
+    """Split detections or GTs by class_id, keeping their order."""
+    out: dict[int, list] = {}
+    for item in items:
+        out.setdefault(item.class_id, []).append(item)
+    return out
+
+
+# class_id -> (class dets, class gts, one MatchSet per threshold)
+_ClassMatches = dict[int, tuple[list[FinalDetection], list[GtObject], tuple[MatchSet, ...]]]
+
+
+def _match_classes(
     dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
-    tp_iou: float = 0.5,
-) -> CorrelationReport:
-    """Mean per-class Spearman between TP IoUs and scores, dataset-wide.
+    thresholds: Sequence[float],
+) -> _ClassMatches:
+    """One matching-core call per class (classes of gts and dets alike)."""
+    dets_by_class = _by_class(dets)
+    gts_by_class = _by_class(gts)
+    table: _ClassMatches = {}
+    for c in sorted(dets_by_class.keys() | gts_by_class.keys()):
+        cdets = dets_by_class.get(c, [])
+        cgts = gts_by_class.get(c, [])
+        table[c] = (cdets, cgts, match_tp_multi(cdets, cgts, thresholds))
+    return table
 
-    True positives come from COCO-style matching at ``tp_iou`` within each
-    class, pooled over all images.  Skip policy mirrors beta_img; raises
-    EmptyEvaluation when every class is skipped.
-    """
-    class_ids = sorted({g.class_id for g in gts} | {d.class_id for d in dets})
+
+def _beta_cls_from(table: _ClassMatches, k: int) -> CorrelationReport:
+    """beta_cls over the TPs of threshold number ``k`` of each class."""
     per_class: list[tuple[int, float]] = []
     skipped = 0
-    for c in class_ids:
-        cdets = [d for d in dets if d.class_id == c]
-        cgts = [g for g in gts if g.class_id == c]
-        matches = match_tp(cdets, cgts, tp_iou)
+    for c, (_, _, sets) in table.items():
+        matches = sets[k]
         if len(matches) < 2:
             skipped += 1
             continue
@@ -133,6 +150,55 @@ def beta_cls(
     return CorrelationReport(beta_cls=mean, per_class=tuple(per_class), skipped_classes=skipped)
 
 
+def beta_cls(
+    dets: Sequence[FinalDetection],
+    gts: Sequence[GtObject],
+    tp_iou: float = 0.5,
+) -> CorrelationReport:
+    """Mean per-class Spearman between TP IoUs and scores, dataset-wide.
+
+    True positives come from COCO-style matching at ``tp_iou`` within each
+    class, pooled over all images.  Skip policy mirrors beta_img; raises
+    EmptyEvaluation when every class is skipped.
+    """
+    return _beta_cls_from(_match_classes(dets, gts, (tp_iou,)), 0)
+
+
+def _curves(
+    dets: Sequence[FinalDetection], n_gt: int, match_sets: Sequence[MatchSet]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(recall, precision) arrays of one class's walk per TP set.
+
+    Detections are visited in descending score order (ties by lower
+    index); all sets share that order.
+    """
+    n = len(dets)
+    rank = np.empty(n, dtype=np.intp)
+    rank[_score_order(dets)] = np.arange(n)
+    seen = np.arange(1, n + 1)
+    curves = []
+    for matches in match_sets:
+        is_tp = np.zeros(n, dtype=np.int64)
+        is_tp[rank[matches.detection_indices()]] = 1
+        tp = np.cumsum(is_tp)
+        curves.append((tp / n_gt, tp / seen))
+    return curves
+
+
+def pr_curves(
+    dets: Sequence[FinalDetection],
+    gts: Sequence[GtObject],
+    thresholds: Sequence[float] = COCO_THRESHOLDS,
+) -> list[list[tuple[float, float]]]:
+    """One :func:`pr_curve` per threshold, from a single matching pass."""
+    if len(gts) == 0:
+        raise NoGroundTruth("pr_curve needs at least one ground-truth object")
+    return [
+        list(zip(r.tolist(), p.tolist()))
+        for r, p in _curves(dets, len(gts), match_tp_multi(dets, gts, thresholds))
+    ]
+
+
 def pr_curve(
     dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
@@ -144,17 +210,17 @@ def pr_curve(
     index); TP status comes from COCO-style matching at ``iou_thr``.
     Raises NoGroundTruth when gts is empty.
     """
-    if len(gts) == 0:
-        raise NoGroundTruth("pr_curve needs at least one ground-truth object")
-    tp_indices = set(match_tp(dets, gts, iou_thr).detection_indices())
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    curve: list[tuple[float, float]] = []
-    tp = 0
-    for k, di in enumerate(order, start=1):
-        if di in tp_indices:
-            tp += 1
-        curve.append((tp / len(gts), tp / k))
-    return curve
+    return pr_curves(dets, gts, (iou_thr,))[0]
+
+
+def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """average_precision on a curve given as two arrays."""
+    if recalls.shape[0] == 0:
+        return 0.0
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    idx = np.searchsorted(recalls, _RECALL_GRID, side="left")
+    valid = idx < recalls.shape[0]
+    return float(envelope[idx[valid]].sum() / _RECALL_GRID.shape[0])
 
 
 def average_precision(curve: Sequence[tuple[float, float]]) -> float:
@@ -164,14 +230,26 @@ def average_precision(curve: Sequence[tuple[float, float]]) -> float:
     precision among curve points with recall at or above the grid point;
     grid points beyond the final recall contribute zero.
     """
-    if len(curve) == 0:
-        return 0.0
     recalls = np.asarray([r for r, _ in curve], dtype=np.float64)
     precisions = np.asarray([p for _, p in curve], dtype=np.float64)
-    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
-    idx = np.searchsorted(recalls, _RECALL_GRID, side="left")
-    valid = idx < recalls.shape[0]
-    return float(envelope[idx[valid]].sum() / _RECALL_GRID.shape[0])
+    return _interpolated_ap(recalls, precisions)
+
+
+def _coco_ap_from(table: _ClassMatches, thresholds: Sequence[float]) -> ApResult:
+    """COCO AP from the first len(thresholds) TP sets of each class."""
+    per_class: list[tuple[int, tuple[float, ...]]] = []
+    for c, (cdets, cgts, sets) in table.items():
+        if not cgts:
+            continue
+        curves = _curves(cdets, len(cgts), sets[: len(thresholds)])
+        per_class.append((c, tuple(_interpolated_ap(r, p) for r, p in curves)))
+    if not per_class:
+        raise EmptyEvaluation("no class has ground-truth objects")
+
+    matrix = np.asarray([row for _, row in per_class], dtype=np.float64)
+    threshold_means = matrix.mean(axis=0)
+    per_threshold = tuple((float(t), float(m)) for t, m in zip(thresholds, threshold_means))
+    return ApResult(float(threshold_means.mean()), per_threshold, tuple(per_class))
 
 
 def coco_ap(
@@ -185,18 +263,4 @@ def coco_ap(
     detections scores zero.  Raises EmptyEvaluation when there is no
     ground truth at all.
     """
-    class_ids = sorted({g.class_id for g in gts})
-    if not class_ids:
-        raise EmptyEvaluation("no class has ground-truth objects")
-
-    per_class: list[tuple[int, tuple[float, ...]]] = []
-    for c in class_ids:
-        cdets = [d for d in dets if d.class_id == c]
-        cgts = [g for g in gts if g.class_id == c]
-        row = tuple(average_precision(pr_curve(cdets, cgts, t)) for t in thresholds)
-        per_class.append((c, row))
-
-    matrix = np.asarray([row for _, row in per_class], dtype=np.float64)
-    threshold_means = matrix.mean(axis=0)
-    per_threshold = tuple((float(t), float(m)) for t, m in zip(thresholds, threshold_means))
-    return ApResult(float(threshold_means.mean()), per_threshold, tuple(per_class))
+    return _coco_ap_from(_match_classes(dets, gts, thresholds), thresholds)

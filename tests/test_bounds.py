@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdet import (
+    COCO_THRESHOLDS,
     Box,
+    EmptyEvaluation,
     FinalDetection,
     GtObject,
     Match,
@@ -17,6 +21,8 @@ from corrdet import (
     spearman,
     synth,
 )
+from corrdet.ingest import Dataset
+from match_oracle import achieved_ious, bound_report_class_oracle, detection_sets
 
 
 def final(score, x=0.0, class_id=0, image_id=1):
@@ -154,3 +160,24 @@ def test_bound_report_requires_matching_inputs():
         bound_report(replace(ds, raw_dets=None), 1, level="image")
     with pytest.raises(ValueError):
         bound_report(ds, 1, level="box")
+
+
+@settings(max_examples=150, deadline=None)
+@given(detection_sets(), st.sampled_from((1, -1)), st.data())
+def test_bound_report_class_level_equals_oracle(case, direction, data):
+    dets, gts = case
+    tp_iou = data.draw(st.sampled_from(COCO_THRESHOLDS + tuple(achieved_ious(dets, gts))))
+    ds = Dataset(
+        categories=((1, "a"), (2, "b"), (3, "c")),
+        images=tuple((i, 8, 8) for i in (1, 2, 3)),
+        gts=tuple(gts),
+        final_dets=tuple(dets),
+    )
+    if not gts:
+        with pytest.raises(EmptyEvaluation):
+            bound_report_class_oracle(dets, gts, direction, tp_iou)
+        with pytest.raises(EmptyEvaluation):
+            bound_report(ds, direction, level="class", tp_iou=tp_iou)
+        return
+    got = bound_report(ds, direction, level="class", tp_iou=tp_iou)
+    assert got == bound_report_class_oracle(dets, gts, direction, tp_iou)

@@ -1,6 +1,9 @@
 """CLI: exit codes, report shapes, determinism, flag plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -293,3 +296,12 @@ def test_descend_lr_zero_constant(capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     losses = {line.split(",")[1] for line in lines}
     assert len(losses) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone costs about a second per CLI process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, corrdet.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

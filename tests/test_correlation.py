@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from corrdet import DegenerateInput, average_ranks, concordance, pearson, spearman
 
@@ -9,6 +12,8 @@ def test_average_ranks_handles_ties():
     assert average_ranks([1.0, 2.0, 2.0, 3.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5.0, 5.0, 5.0]).tolist() == [2.0, 2.0, 2.0]
     assert average_ranks([7.0]).tolist() == [1.0]
+    assert average_ranks([]).tolist() == []
+    assert np.isnan(average_ranks([1.0, np.nan])).all()
 
 
 def test_perfect_agreement_and_reversal():
@@ -79,3 +84,27 @@ def test_concordance_single_constant_series_is_zero():
     assert concordance([1.0, 1.0], [3.0, 3.0]) == 0.0
     with pytest.raises(DegenerateInput):
         concordance([2.0, 2.0], [2.0, 2.0])
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# Few distinct values, signed zeros and infinities: ties are the norm.
+_TIED = st.sampled_from((0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TIED | st.floats(allow_nan=False), max_size=80))
+def test_average_ranks_equal_scipy_rankdata(values):
+    assert_same_bits(average_ranks(values), rankdata(values, method="average"))
+
+
+def test_average_ranks_equal_scipy_rankdata_large():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 1000, 5000):
+        for distinct in (1, 3, 50, n + 1):
+            x = rng.integers(0, distinct, size=n).astype(np.float64)
+            assert_same_bits(average_ranks(x), rankdata(x, method="average"))

@@ -102,6 +102,14 @@ def test_degenerate_inputs_return_zero():
             assert res.value == 0.0
             assert res.grad_scores.shape == (len(x),)
             assert np.all(res.grad_scores == 0.0)
+    # neither series is constant, but a variance underflows to zero
+    underflowing = [(coef, [0.3, 0.7], [0.0, 5e-324]) for coef in ("pearson", "spearman")]
+    underflowing += [(coef, [0.2, 0.5, 0.9], [1e-200, 2e-200, 3e-200]) for coef in ("pearson", "spearman")]
+    underflowing += [(coef, [0.0, 5e-324], [0.0, 5e-324]) for coef in ("pearson", "concordance", "spearman")]
+    for coef, x, y in underflowing:
+        res = loss_from_arrays(x, y, LossConfig(coefficient=coef))
+        assert res.value == 0.0
+        assert np.all(res.grad_scores == 0.0)
 
 
 def test_input_validation():

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
-from corrdet import Box, GtObject, iou, match_positives, match_tp
+from corrdet import COCO_THRESHOLDS, Box, GtObject, iou, match_positives, match_tp, match_tp_multi
 from corrdet.pipeline import FinalDetection, RawDetection
+from match_oracle import achieved_ious, detection_sets, match_tp_oracle
 
 
 def test_box_rejects_bad_coordinates():
@@ -115,3 +117,40 @@ def test_match_tp_one_to_one():
     ]
     ms = match_tp(dets, gts, 0.5)
     assert [(m.detection_index, m.gt_index) for m in ms] == [(0, 0)]
+
+
+def test_match_tp_multi_tie_breaks():
+    gts = [
+        GtObject(Box(0, 0, 10, 10), 0, image_id=1),
+        GtObject(Box(0, 0, 10, 10), 0, image_id=1),  # duplicate: equal IoU
+        GtObject(Box(50, 0, 60, 10), 0, image_id=1),
+    ]
+    dets = [
+        FinalDetection(Box(0, 0, 10, 8), 0, 0.5, 1),
+        FinalDetection(Box(0, 0, 10, 9), 0, 0.5, 1),  # equal score, higher index
+        FinalDetection(Box(0, 0, 10, 10), 0, 0.2, 1),
+        FinalDetection(Box(80, 0, 90, 10), 0, 0.9, 1),  # disjoint from every gt
+    ]
+    at_half, at_zero, strict = match_tp_multi(dets, gts, (0.5, 0.0, 0.85))
+    # det0 goes first on the score tie and takes the lower of two equal-IoU gts
+    assert [(m.detection_index, m.gt_index) for m in at_half] == [(0, 0), (1, 1)]
+    # IoU 0 never matches, even at threshold 0
+    assert at_zero == at_half
+    # det0 (IoU 0.8) fails 0.85, so det1 and det2 take gts 0 and 1 in score order
+    assert [(m.detection_index, m.gt_index) for m in strict] == [(1, 0), (2, 1)]
+    assert match_tp_multi(dets, gts, ()) == ()
+    for thr, ms in zip((0.5, 0.0, 0.85), (at_half, at_zero, strict)):
+        assert match_tp(dets, gts, thr) == ms
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_sets())
+def test_match_tp_multi_equals_oracle(case):
+    dets, gts = case
+    thresholds = COCO_THRESHOLDS + tuple(achieved_ious(dets, gts))
+    got = match_tp_multi(dets, gts, thresholds)
+    assert len(got) == len(thresholds)
+    for thr, ms in zip(thresholds, got):
+        expected = match_tp_oracle(dets, gts, thr)
+        assert ms == expected
+        assert match_tp(dets, gts, thr) == expected

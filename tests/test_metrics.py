@@ -1,6 +1,7 @@
 """Evaluation metrics: PR curves, interpolated AP, correlation summaries."""
 
 import pytest
+from hypothesis import given, settings
 
 from corrdet import (
     Box,
@@ -15,7 +16,15 @@ from corrdet import (
     beta_img,
     coco_ap,
     pr_curve,
+    pr_curves,
     synth,
+)
+from match_oracle import (
+    achieved_ious,
+    beta_cls_oracle,
+    coco_ap_oracle,
+    detection_sets,
+    pr_curve_oracle,
 )
 
 
@@ -171,3 +180,28 @@ def test_beta_cls_counts_skipped_classes():
     rep = beta_cls(d1 + d2, g1 + g2)
     assert rep.skipped_classes == 1
     assert [c for c, _ in rep.per_class] == [0]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the EmptyEvaluation it raised."""
+    try:
+        return fn(*args)
+    except EmptyEvaluation as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(detection_sets())
+def test_pr_ap_and_beta_cls_equal_oracle(case):
+    dets, gts = case
+    thresholds = COCO_THRESHOLDS + tuple(achieved_ious(dets, gts))
+    for thr_set in (COCO_THRESHOLDS, thresholds):
+        assert outcome(coco_ap, dets, gts, thr_set) == outcome(coco_ap_oracle, dets, gts, thr_set)
+    for thr in thresholds:
+        assert outcome(beta_cls, dets, gts, thr) == outcome(beta_cls_oracle, dets, gts, thr)
+    for c in {g.class_id for g in gts}:
+        cdets = [d for d in dets if d.class_id == c]
+        cgts = [g for g in gts if g.class_id == c]
+        expected = [pr_curve_oracle(cdets, cgts, t) for t in thresholds]
+        assert pr_curves(cdets, cgts, thresholds) == expected
+        assert [pr_curve(cdets, cgts, t) for t in thresholds] == expected
