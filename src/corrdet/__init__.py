@@ -31,7 +31,17 @@ from .errors import (
     ReferenceError,
     SchemaError,
 )
-from .geometry import Box, GtObject, Match, MatchSet, iou, match_positives, match_tp, match_tp_multi
+from .geometry import (
+    Box,
+    GtObject,
+    Match,
+    MatchSet,
+    iou,
+    iou_matrix,
+    match_positives,
+    match_tp,
+    match_tp_multi,
+)
 from .gradcheck import GradcheckResult, GradcheckRow, run_gradcheck
 from .ingest import (
     Dataset,
@@ -104,6 +114,7 @@ __all__ = [
     "emit_gt",
     "emit_raw_dets",
     "iou",
+    "iou_matrix",
     "load_final_dets",
     "load_gt",
     "load_raw_dets",

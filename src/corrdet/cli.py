@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -46,19 +45,6 @@ from .pipeline import PipelineConfig, postprocess
 __all__ = ["build_parser", "main"]
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("CORRDET_THREADS", "1")))
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         score_thr=args.score_thr,
@@ -68,17 +54,12 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _finals_from_raw(dataset: Dataset, pcfg: PipelineConfig, threads: int):
+def _finals_from_raw(dataset: Dataset, pcfg: PipelineConfig):
     if dataset.raw_dets is None:
         raise ValueError("raw detections required; pass --raw-dets")
-
-    def one_image(image):
-        image_id = image[0]
-        return postprocess(dataset.raw_dets.get(image_id, ()), pcfg, image_id)
-
     finals: list = []
-    for per_image in _map_ordered(one_image, dataset.images, threads):
-        finals.extend(per_image)
+    for image_id, _, _ in dataset.images:
+        finals.extend(postprocess(dataset.raw_dets.get(image_id, ()), pcfg, image_id))
     return tuple(finals)
 
 
@@ -146,7 +127,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         finals = dataset.final_dets
     else:
         mode = "pipeline" if not args.nms_free else "pipeline-nms-free"
-        finals = _finals_from_raw(dataset, _pipeline_config(args), _threads(args))
+        finals = _finals_from_raw(dataset, _pipeline_config(args))
 
     ap = coco_ap(finals, dataset.gts)
     payload = {
@@ -187,7 +168,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
     else:
         finals = dataset.final_dets
         if finals is None:
-            finals = _finals_from_raw(dataset, _pipeline_config(args), _threads(args))
+            finals = _finals_from_raw(dataset, _pipeline_config(args))
         report = beta_cls(finals, dataset.gts, tp_iou=args.tp_iou)
         payload = {
             "level": "class",
@@ -209,9 +190,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args, "either")
     pcfg = _pipeline_config(args)
     if args.level == "class" and dataset.final_dets is None:
-        dataset = replace(
-            dataset, final_dets=_finals_from_raw(dataset, pcfg, _threads(args))
-        )
+        dataset = replace(dataset, final_dets=_finals_from_raw(dataset, pcfg))
 
     direction = 1 if args.direction == "+1" else -1
     report = bound_report(
@@ -327,8 +306,6 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gt", required=True, help="COCO-form ground-truth JSON")
     p.add_argument("--dets", default=None, help="final detections JSON (COCO results form)")
     p.add_argument("--raw-dets", default=None, help="raw per-class score-vector detections JSON")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for per-image steps (default CORRDET_THREADS or 1)")
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:

@@ -3,10 +3,15 @@
 All three coefficients use population (divide-by-n) moments; both arguments
 always come from the same paired sample, so only internal consistency
 matters.  Degenerate inputs raise :class:`DegenerateInput` -- callers decide
-the skip policy.
+the skip policy.  The coefficients do not depend on the scale of the
+input: a moment that would overflow (or lose precision as a subnormal) is
+recomputed on the series divided by a power of two.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -15,6 +20,8 @@ from .errors import DegenerateInput
 __all__ = ["pearson", "spearman", "concordance", "average_ranks"]
 
 FloatArray = np.ndarray
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
 
 
 def _as_series(x, name: str) -> FloatArray:
@@ -55,19 +62,56 @@ def average_ranks(x) -> FloatArray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
+def _is_normal(v: float) -> bool:
+    """True for a positive float in the normal (full-precision, finite) range."""
+    return _NORMAL_MIN <= v <= _NORMAL_MAX
+
+
+def _square(v: float) -> float:
+    """``v ** 2``, but inf instead of an OverflowError."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _unit_exponent(*series: FloatArray) -> int:
+    """The e with 2**(e-1) <= max |value| < 2**e (0 when all are zero).
+
+    Dividing by 2**e (``np.ldexp(a, -e)``) is exact and brings the largest
+    magnitude into [0.5, 1), where no moment of an n-sample series can
+    overflow and the variance of a non-constant one stays a normal float.
+    """
+    return math.frexp(max(float(np.max(np.abs(a))) for a in series))[1]
+
+
+def _unit_scaled(a: FloatArray) -> FloatArray:
+    return np.ldexp(a, -_unit_exponent(a))
+
+
+def _pearson_terms(a: FloatArray, b: FloatArray):
+    """Centered series, population variances and covariance of a and b."""
+    ac = a - a.mean()
+    bc = b - b.mean()
+    return ac, bc, float(np.mean(ac * ac)), float(np.mean(bc * bc)), float(np.mean(ac * bc))
+
+
 def pearson(x, y) -> float:
     """Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
 
-    Raises DegenerateInput when either variance is zero or n < 2.
+    Raises DegenerateInput when either variance is zero (also when it
+    underflows to zero) or n < 2.  When a moment leaves the normal float
+    range (magnitudes beyond about 1e77, or spreads below about 1e-77),
+    each series is first divided by a power of two, which is exact and
+    leaves r unchanged; other inputs are computed as they come.
     """
     a, b = _check_pair(x, y)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    var_a = float(np.mean(ac * ac))
-    var_b = float(np.mean(bc * bc))
+    _, _, var_a, var_b, cov = _pearson_terms(a, b)
     if var_a == 0.0 or var_b == 0.0:
         raise DegenerateInput("zero variance in at least one series")
-    r = float(np.mean(ac * bc)) / float(np.sqrt(var_a * var_b))
+    if not (_is_normal(var_a * var_b) and math.isfinite(cov)):
+        _, _, var_a, var_b, cov = _pearson_terms(_unit_scaled(a), _unit_scaled(b))
+    r = cov / float(np.sqrt(var_a * var_b))
     return min(1.0, max(-1.0, r))
 
 
@@ -80,22 +124,35 @@ def spearman(x, y) -> float:
     return pearson(average_ranks(a), average_ranks(b))
 
 
-def concordance(x, y) -> float:
-    """Concordance correlation: 2*cov(x, y) / (var_x + var_y + (mu_x - mu_y)^2).
-
-    Stricter than Pearson -- maximized only when the two series agree in
-    value, not merely in trend.  Raises DegenerateInput when the denominator
-    is zero (both series constant and equal) or n < 2.
-    """
-    a, b = _check_pair(x, y)
+def _concordance_terms(a: FloatArray, b: FloatArray):
+    """Centered series, mean gap mu_a - mu_b, covariance and the
+    concordance denominator var_a + var_b + gap^2."""
     mu_a = float(a.mean())
     mu_b = float(b.mean())
     ac = a - mu_a
     bc = b - mu_b
     var_a = float(np.mean(ac * ac))
     var_b = float(np.mean(bc * bc))
-    denom = var_a + var_b + (mu_a - mu_b) ** 2
+    gap = mu_a - mu_b
+    return ac, bc, gap, float(np.mean(ac * bc)), var_a + var_b + _square(gap)
+
+
+def concordance(x, y) -> float:
+    """Concordance correlation: 2*cov(x, y) / (var_x + var_y + (mu_x - mu_y)^2).
+
+    Stricter than Pearson -- maximized only when the two series agree in
+    value, not merely in trend.  Raises DegenerateInput when the denominator
+    is zero (both series constant and equal, or so close that it
+    underflows) or n < 2.  When a term leaves the normal float range, both
+    series are first divided by the same power of two, which is exact and
+    leaves the coefficient unchanged.
+    """
+    a, b = _check_pair(x, y)
+    _, _, _, cov, denom = _concordance_terms(a, b)
     if denom == 0.0:
         raise DegenerateInput("zero denominator: both series constant and equal")
-    g = 2.0 * float(np.mean(ac * bc)) / denom
+    if not (_is_normal(denom) and math.isfinite(cov)):
+        e = _unit_exponent(a, b)
+        _, _, _, cov, denom = _concordance_terms(np.ldexp(a, -e), np.ldexp(b, -e))
+    g = 2.0 * cov / denom
     return min(1.0, max(-1.0, g))

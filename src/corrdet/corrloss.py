@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import average_ranks, spearman
+from .correlation import (
+    _concordance_terms,
+    _is_normal,
+    _pearson_terms,
+    _unit_exponent,
+    _unit_scaled,
+    average_ranks,
+    spearman,
+)
 from .errors import DegenerateInput
 from .geometry import MatchSet
 from .softrank import soft_rank, soft_rank_vjp
@@ -104,41 +112,48 @@ class DescentTrace:
 def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Population Pearson rho(x, y) and d rho / d y.
 
-    None when the product of the standard deviations is zero, which a
-    variance that underflows (e.g. scores [0, 5e-324]) makes so even when
-    neither series is constant.
+    None when a variance is zero, which one that underflows (e.g. scores
+    [0, 5e-324]) makes so even when neither series is constant.  When a
+    moment or denominator leaves the normal float range, x and y are each
+    divided by a power of two: rho does not change and the gradient scales
+    back exactly.
     """
     n = x.shape[0]
-    xc = x - x.mean()
-    yc = y - y.mean()
-    var_x = float(np.mean(xc * xc))
-    var_y = float(np.mean(yc * yc))
-    cov = float(np.mean(xc * yc))
+    xc, yc, var_x, var_y, cov = _pearson_terms(x, y)
+    if var_x == 0.0 or var_y == 0.0:
+        return None
     sx = math.sqrt(var_x)
     sy = math.sqrt(var_y)
-    if sx * sy == 0.0:
-        return None
+    shift = 0
+    if not (_is_normal(sx * sy) and _is_normal(n * sx * sy) and _is_normal(n * var_y) and math.isfinite(cov)):
+        shift = _unit_exponent(y)
+        xc, yc, var_x, var_y, cov = _pearson_terms(_unit_scaled(x), np.ldexp(y, -shift))
+        sx = math.sqrt(var_x)
+        sy = math.sqrt(var_y)
     rho = cov / (sx * sy)
     grad = xc / (n * sx * sy) - rho * yc / (n * var_y)
+    if shift:
+        grad = np.ldexp(grad, -shift)
     return rho, grad
 
 
 def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Concordance gamma(x, y) and d gamma / d y; None when the
-    denominator underflows to zero."""
+    denominator underflows to zero.  When it or the covariance leaves the
+    normal float range, both series are divided by the same power of two:
+    gamma does not change and the gradient scales back exactly."""
     n = x.shape[0]
-    mu_x = float(x.mean())
-    mu_y = float(y.mean())
-    xc = x - mu_x
-    yc = y - mu_y
-    var_x = float(np.mean(xc * xc))
-    var_y = float(np.mean(yc * yc))
-    cov = float(np.mean(xc * yc))
-    denom = var_x + var_y + (mu_x - mu_y) ** 2
+    xc, yc, gap, cov, denom = _concordance_terms(x, y)
     if denom == 0.0:
         return None
+    shift = 0
+    if not (_is_normal(denom) and _is_normal(n * denom) and math.isfinite(cov)):
+        shift = _unit_exponent(x, y)
+        xc, yc, gap, cov, denom = _concordance_terms(np.ldexp(x, -shift), np.ldexp(y, -shift))
     gamma = 2.0 * cov / denom
-    grad = (2.0 / (n * denom)) * (xc - gamma * (yc - (mu_x - mu_y)))
+    grad = (2.0 / (n * denom)) * (xc - gamma * (yc - gap))
+    if shift:
+        grad = np.ldexp(grad, -shift)
     return gamma, grad
 
 
@@ -148,7 +163,8 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
     held constant.  Degenerate inputs (n < 2, all IoUs equal, all scores
     equal, or a spread so small that a variance underflows to zero) return
-    value 0 and an all-zero gradient.
+    value 0 and an all-zero gradient.  Any other finite input gives a value
+    in [0, 2] and a finite gradient, also at magnitudes near 1e300.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)

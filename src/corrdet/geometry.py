@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .pipeline import FinalDetection, RawDetection
 
@@ -30,6 +32,7 @@ __all__ = [
     "Match",
     "MatchSet",
     "iou",
+    "iou_matrix",
     "match_positives",
     "match_tp",
     "match_tp_multi",
@@ -122,6 +125,27 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def iou_matrix(boxes) -> np.ndarray:
+    """Pairwise IoU of ``n`` corner-form boxes given as an ``(n, 4)`` array.
+
+    Entry ``[i, j]`` equals ``iou(box_i, box_j)`` bit for bit: the same
+    float operations run in the same order, so a threshold compares the
+    same way on both, and the matrix is symmetric.  Where ``iou`` would
+    divide by zero (an area that underflows to 0) the entry is NaN, which
+    no ``>`` threshold passes.
+    """
+    b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    x1, y1, x2, y2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    with np.errstate(all="ignore"):
+        area = (x2 - x1) * (y2 - y1)
+        ix = np.minimum(x2[:, None], x2) - np.maximum(x1[:, None], x1)
+        iy = np.minimum(y2[:, None], y2) - np.maximum(y1[:, None], y1)
+        inter = ix * iy
+        out = inter / (area[:, None] + area - inter)
+    out[(ix <= 0.0) | (iy <= 0.0)] = 0.0
+    return out
 
 
 def match_positives(

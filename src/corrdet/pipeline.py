@@ -4,6 +4,16 @@ Raw detections carry a score vector over all classes; the pipeline expands
 them into per-class candidates, prunes, and returns scalar-scored final
 detections sorted by descending score.  An NMS-free mode skips the middle
 step (useful for NMS-free detector outputs).
+
+The work is columnar: one image's boxes become an ``(n, 4)`` array and its
+scores an ``(n, C)`` array, the score filter is one comparison over that
+array, each class's NMS reads one thresholded IoU matrix
+(:func:`~corrdet.geometry.iou_matrix`, bit-identical to ``iou``), and
+``FinalDetection`` objects are built for the top-k survivors only.  The
+contract is that of a plain loop over candidates: the filter keeps scores
+strictly above ``score_thr``, NMS suppresses overlaps strictly above
+``nms_iou``, and every tie breaks by ``(-score, detection index, class
+index)``.
 """
 
 from __future__ import annotations
@@ -12,7 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import Box, iou
+import numpy as np
+
+from .geometry import Box, iou_matrix
 
 __all__ = ["RawDetection", "FinalDetection", "PipelineConfig", "nms", "postprocess"]
 
@@ -67,33 +79,50 @@ class PipelineConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def _nms_keep(boxes: Sequence[Box], scores: Sequence[float], iou_thr: float) -> list[int]:
-    """Indices surviving greedy NMS, in keep (descending score) order.
+def _box_array(boxes: Sequence[Box]) -> np.ndarray:
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
-    Score ties break by lower index.  Suppression is strict: overlap must
-    exceed iou_thr.
+
+def _score_array(dets: Sequence[RawDetection]) -> np.ndarray:
+    """(n, C) class scores; a shorter score vector is padded with 0, which
+    no filter lets through (score_thr >= 0, comparison strict)."""
+    rows = [d.class_scores for d in dets]
+    width = max(map(len, rows), default=0)
+    if all(len(r) == width for r in rows):
+        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    scores = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        scores[i, : len(r)] = r
+    return scores
+
+
+def _nms_core(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> np.ndarray:
+    """Positions surviving greedy NMS, in keep order.
+
+    Boxes are visited by descending score, ties by lower position; each
+    one still alive is kept and suppresses every later box whose IoU with
+    it exceeds iou_thr.  Only boxes with such a neighbour need that row
+    update.
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    alive = [True] * len(boxes)
-    kept = []
-    for i in order:
-        if not alive[i]:
-            continue
-        kept.append(i)
-        for j in order:
-            if alive[j] and j != i and iou(boxes[i], boxes[j]) > iou_thr:
-                alive[j] = False
-    return kept
+    order = np.argsort(-scores, kind="stable")
+    over = np.triu(iou_matrix(boxes[order]) > iou_thr, 1)
+    keep = np.ones(order.size, dtype=bool)
+    for i in np.flatnonzero(over.any(axis=1)).tolist():
+        if keep[i]:
+            keep &= ~over[i]
+    return order[keep]
 
 
 def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
     """Greedy non-maximum suppression over single-class detections.
 
-    Repeatedly keeps the highest-scoring remaining detection and removes
-    every remaining one overlapping it with IoU > iou_thr.
+    Repeatedly keeps the highest-scoring remaining detection (score ties
+    by lower index) and removes every remaining one overlapping it with
+    IoU > iou_thr.  Returns the kept detections in keep order.
     """
-    kept = _nms_keep([d.box for d in dets], [d.score for d in dets], iou_thr)
-    return [dets[i] for i in kept]
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    kept = _nms_core(_box_array([d.box for d in dets]), scores, iou_thr)
+    return [dets[i] for i in kept.tolist()]
 
 
 def postprocess(
@@ -109,26 +138,25 @@ def postprocess(
     score.  All ties break by candidate enumeration order (detection
     index, then class index), which makes the output deterministic.
     """
-    candidates: list[FinalDetection] = []
-    for det in dets:
-        for c, s in enumerate(det.class_scores):
-            if s > cfg.score_thr:
-                candidates.append(FinalDetection(det.box, c, s, image_id))
+    scores = _score_array(dets)
+    # Row-major, so candidates come in (detection index, class index) order.
+    rows, cols = np.nonzero(scores > cfg.score_thr)
+    if rows.size == 0:
+        return []
+    cand_scores = scores[rows, cols]
 
     if cfg.nms_enabled:
-        survivors: list[tuple[int, FinalDetection]] = []
-        by_class: dict[int, list[int]] = {}
-        for seq, cand in enumerate(candidates):
-            by_class.setdefault(cand.class_id, []).append(seq)
-        for _, seqs in sorted(by_class.items()):
-            kept = _nms_keep(
-                [candidates[s].box for s in seqs],
-                [candidates[s].score for s in seqs],
-                cfg.nms_iou,
-            )
-            survivors.extend((seqs[k], candidates[seqs[k]]) for k in kept)
+        boxes = _box_array([d.box for d in dets])
+        by_class = np.argsort(cols, kind="stable")
+        groups = np.split(by_class, np.flatnonzero(np.diff(cols[by_class])) + 1)
+        kept = np.concatenate(
+            [g[_nms_core(boxes[rows[g]], cand_scores[g], cfg.nms_iou)] for g in groups]
+        )
     else:
-        survivors = list(enumerate(candidates))
+        kept = np.arange(rows.size)
 
-    survivors.sort(key=lambda item: (-item[1].score, item[0]))
-    return [det for _, det in survivors[: cfg.top_k]]
+    top = kept[np.lexsort((kept, -cand_scores[kept]))[: cfg.top_k]]
+    return [
+        FinalDetection(dets[r].box, c, dets[r].class_scores[c], image_id)
+        for r, c in zip(rows[top].tolist(), cols[top].tolist())
+    ]

@@ -120,22 +120,6 @@ def test_eval_reports_are_byte_identical(synth_dir, tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_threads_do_not_change_output(synth_dir, tmp_path, monkeypatch):
-    base = [
-        "eval",
-        "--gt", str(synth_dir / "gt.json"),
-        "--raw-dets", str(synth_dir / "raw_dets.json"),
-    ]
-    one = tmp_path / "one.json"
-    four = tmp_path / "four.json"
-    env = tmp_path / "env.json"
-    assert cli.main(base + ["--out", str(one)]) == 0
-    assert cli.main(base + ["--threads", "4", "--out", str(four)]) == 0
-    monkeypatch.setenv("CORRDET_THREADS", "3")
-    assert cli.main(base + ["--out", str(env)]) == 0
-    assert one.read_bytes() == four.read_bytes() == env.read_bytes()
-
-
 def test_corr_levels(synth_dir, tmp_path):
     img = tmp_path / "img.json"
     cls = tmp_path / "cls.json"

@@ -108,3 +108,49 @@ def test_average_ranks_equal_scipy_rankdata_large():
         for distinct in (1, 3, 50, n + 1):
             x = rng.integers(0, distinct, size=n).astype(np.float64)
             assert_same_bits(average_ranks(x), rankdata(x, method="average"))
+
+
+_HUGE = [1e200, 2e200, 3e200]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coefficients_survive_overflow():
+    assert pearson(_HUGE, _HUGE) == pytest.approx(1.0, abs=1e-15)
+    assert spearman(_HUGE, _HUGE) == 1.0
+    assert concordance(_HUGE, _HUGE) == pytest.approx(1.0, abs=1e-15)
+    assert pearson([0.1, 0.5, 0.9], _HUGE) == pytest.approx(1.0, abs=1e-15)
+    # same trend, values 2e200 apart: 2 cov / (var_x + var_y + gap^2) = 1.6 / 14 * 1e-200
+    assert concordance([0.1, 0.5, 0.9], _HUGE) == pytest.approx(1.6 / 14 * 1e-200, rel=1e-12)
+    # finite variances whose product overflows, or underflows to zero
+    assert pearson([1e100, 2e100, 3e100], [3e100, 2e100, 1e100]) == pytest.approx(-1.0, abs=1e-15)
+    assert pearson([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 3e-100]) == pytest.approx(1.0, abs=1e-15)
+
+
+_GRID = st.integers(-64000, 64000).map(lambda v: v / 64.0)
+_PAIRS = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(st.lists(_GRID, min_size=n, max_size=n), st.lists(_GRID, min_size=n, max_size=n))
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS, st.integers(-300, 900), st.integers(-300, 900))
+def test_coefficients_do_not_depend_on_scale(pair, j, k):
+    # Multiplying by a power of two is exact, so Pearson and Spearman must
+    # not move at all, for each series scaled on its own; Concordance
+    # (both series scaled alike) may move by the last-bit rounding of the
+    # squared mean gap, which pow() does not round the same at every scale.
+    x, y = (np.array(v) for v in pair)
+    cases = (
+        (pearson, np.ldexp(x, j), np.ldexp(y, k), 0.0),
+        (spearman, np.ldexp(x, j), np.ldexp(y, k), 0.0),
+        (concordance, np.ldexp(x, j), np.ldexp(y, j), 4 * np.finfo(float).eps),
+    )
+    for coef, xs, ys, rel in cases:
+        try:
+            want = coef(x, y)
+        except DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                coef(xs, ys)
+            continue
+        assert coef(xs, ys) == pytest.approx(want, rel=rel, abs=0.0)

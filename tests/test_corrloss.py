@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdet import (
+    COEFFICIENTS,
     Box,
     GtObject,
     LossConfig,
@@ -185,3 +188,66 @@ def test_descend_demo_validation():
         descend_demo([0.1], [0.2], cfg, steps=1, lr=0.1)
     with pytest.raises(ValueError):
         descend_demo([0.1, 0.2], [0.2, 0.3], cfg, steps=-1, lr=0.1)
+
+
+_HUGE = [1e200, 2e200, 3e200]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loss_survives_overflow():
+    for coef in COEFFICIENTS:
+        cfg = LossConfig(coefficient=coef)
+        for x, y in ((_HUGE, _HUGE), ([0.1, 0.5, 0.9], _HUGE), (_HUGE, [0.1, 0.5, 0.9])):
+            res = loss_from_arrays(x, y, cfg)
+            assert 0.0 <= res.value <= 2.0
+            assert np.all(np.isfinite(res.grad_scores))
+    for coef in ("pearson", "concordance"):
+        assert loss_from_arrays(_HUGE, _HUGE, LossConfig(coefficient=coef)).value == pytest.approx(0.0, abs=1e-15)
+    # value and gradient at scale 2^700 are those at scale 1, the gradient scaled by 2^-700
+    x, y = np.array([1.0, 2.0, 3.0, 5.0]), np.array([1.0, 3.0, 2.0, 4.0])
+    for coef, rel in (("pearson", 0.0), ("concordance", 4 * np.finfo(float).eps)):
+        cfg = LossConfig(coefficient=coef)
+        unit = loss_from_arrays(x, y, cfg)
+        big = loss_from_arrays(np.ldexp(x, 700), np.ldexp(y, 700), cfg)
+        assert big.value == pytest.approx(unit.value, rel=rel, abs=0.0)
+        assert big.grad_scores == pytest.approx(np.ldexp(unit.grad_scores, -700), rel=rel, abs=0.0)
+
+
+_FINITE = st.floats(-1e300, 1e300)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 24).flatmap(
+        lambda n: st.tuples(st.lists(_FINITE, min_size=n, max_size=n), st.lists(_FINITE, min_size=n, max_size=n))
+    ),
+    st.sampled_from(COEFFICIENTS),
+)
+def test_loss_bounded_with_finite_gradient(pair, coef):
+    res = loss_from_arrays(pair[0], pair[1], LossConfig(coefficient=coef))
+    assert 0.0 <= res.value <= 2.0
+    assert res.grad_scores.shape == (len(pair[0]),)
+    assert np.all(np.isfinite(res.grad_scores))
+
+
+_GRID = st.integers(-64000, 64000).map(lambda v: v / 64.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(st.lists(_GRID, min_size=n, max_size=n), st.lists(_GRID, min_size=n, max_size=n))
+    ),
+    st.integers(-300, 900),
+)
+def test_loss_value_does_not_depend_on_scale(pair, k):
+    # Pearson and Concordance read no scale; Spearman's soft ranks do
+    # (epsilon).  Concordance may move by the last-bit rounding of the
+    # squared mean gap, a few ulps of a coefficient in [-1, 1].
+    x, y = (np.array(v) for v in pair)
+    for coef, tol in (("pearson", 0.0), ("concordance", 4 * np.finfo(float).eps)):
+        cfg = LossConfig(coefficient=coef)
+        want = loss_from_arrays(x, y, cfg).value
+        assert loss_from_arrays(np.ldexp(x, k), np.ldexp(y, k), cfg).value == pytest.approx(want, rel=0.0, abs=tol)

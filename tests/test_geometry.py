@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrdet import COCO_THRESHOLDS, Box, GtObject, iou, match_positives, match_tp, match_tp_multi
+from corrdet import COCO_THRESHOLDS, Box, GtObject, iou, iou_matrix, match_positives, match_tp, match_tp_multi
 from corrdet.pipeline import FinalDetection, RawDetection
 from match_oracle import achieved_ious, detection_sets, match_tp_oracle
 
@@ -154,3 +156,61 @@ def test_match_tp_multi_equals_oracle(case):
         expected = match_tp_oracle(dets, gts, thr)
         assert ms == expected
         assert match_tp(dets, gts, thr) == expected
+
+
+@st.composite
+def box_sets(draw):
+    """Boxes with 1/64-px corners, plus identical copies and boxes that
+    touch another along an edge or at a corner."""
+    px = st.integers(-640, 640).map(lambda v: v / 64.0)
+    extent = st.integers(1, 640).map(lambda v: v / 64.0)
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "copy", "touch"])) if boxes else "new"
+        if kind == "new":
+            x, y = draw(px), draw(px)
+            boxes.append(Box(x, y, x + draw(extent), y + draw(extent)))
+        else:
+            b = draw(st.sampled_from(boxes))
+            if kind == "copy":
+                boxes.append(Box(b.x1, b.y1, b.x2, b.y2))
+            else:
+                y = draw(st.sampled_from([b.y1, b.y2, b.y1 - 1.0]))
+                boxes.append(Box(b.x2, y, b.x2 + draw(extent), y + draw(extent)))
+    return boxes
+
+
+def _float_box(x, y, w, h):
+    return Box(x, y, x + w, y + h)
+
+
+# arbitrary float corners, where the order of the float operations shows
+_FLOAT_BOXES = st.lists(
+    st.builds(_float_box, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    max_size=6,
+)
+
+
+def _corners(boxes):
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets() | _FLOAT_BOXES)
+def test_iou_matrix_equals_iou_bitwise(boxes):
+    m = iou_matrix(_corners(boxes))
+    assert m.shape == (len(boxes), len(boxes)) and m.dtype == np.float64
+    for i, a in enumerate(boxes):
+        for j, b in enumerate(boxes):
+            assert m[i, j].tobytes() == np.float64(iou(a, b)).tobytes()
+    # symmetric bit for bit
+    assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+
+
+def test_iou_matrix_hand_values():
+    boxes = [Box(0, 0, 2, 2), Box(1, 1, 3, 3), Box(2, 0, 4, 2), Box(0, 0, 2, 2)]
+    m = iou_matrix(_corners(boxes))
+    assert m[0, 1] == 1.0 / 7.0
+    assert m[0, 2] == 0.0  # shared edge
+    assert m[0, 3] == m[0, 0] == 1.0  # identical boxes
+    assert iou_matrix(np.empty((0, 4))).shape == (0, 0)

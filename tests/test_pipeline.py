@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrdet import Box, FinalDetection, PipelineConfig, RawDetection, nms, postprocess
+import pipeline_oracle as oracle
+from corrdet import Box, FinalDetection, PipelineConfig, RawDetection, iou, nms, postprocess
 
 
 def box_at(x, size=10.0):
@@ -112,3 +116,125 @@ def test_postprocess_empty():
     assert postprocess([], PipelineConfig()) == []
     # nothing clears the default threshold
     assert postprocess([RawDetection(box_at(0), (0.01,))], PipelineConfig()) == []
+
+
+# Inputs for the differential and property tests.  Boxes on a small integer
+# grid, drawn from a short pool, give duplicate boxes and IoUs that repeat
+# and equal simple fractions; scores drawn from a short list tie and hit
+# the filter threshold exactly.  Thresholds are drawn from the values the
+# input actually achieves as well as from the edges 0 and 1.
+_SCORES = st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _box_pools(draw):
+    def box(x, y, w, h):
+        return Box(float(x), float(y), float(x + w), float(y + h))
+
+    cell = st.integers(0, 6)
+    side = st.integers(1, 5)
+    return draw(st.lists(st.builds(box, cell, cell, side, side), min_size=1, max_size=5))
+
+
+@st.composite
+def raw_cases(draw):
+    pool = draw(_box_pools())
+    n_classes = draw(st.integers(1, 3))
+    # a few score vectors are shorter than the rest: the old loop accepted them
+    width = st.integers(1, n_classes) if draw(st.booleans()) else st.just(n_classes)
+    dets = [
+        RawDetection(draw(st.sampled_from(pool)), draw(st.lists(_SCORES, min_size=w, max_size=w)))
+        for w in draw(st.lists(width, max_size=12))
+    ]
+    return dets, pool
+
+
+def _threshold(draw, achieved):
+    return draw(st.sampled_from(sorted(set(achieved) | {0.0, 0.5, 1.0})) | st.floats(0.0, 1.0))
+
+
+def _ious(boxes):
+    return [iou(a, b) for a in boxes for b in boxes]
+
+
+def _assert_python_fields(dets):
+    assert all(type(d.class_id) is int and type(d.score) is float for d in dets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_postprocess_equals_oracle(data):
+    dets, pool = data.draw(raw_cases())
+    cfg = PipelineConfig(
+        score_thr=_threshold(data.draw, [s for d in dets for s in d.class_scores]),
+        nms_iou=_threshold(data.draw, _ious(pool)),
+        top_k=data.draw(st.integers(1, 15)),
+        nms_enabled=data.draw(st.booleans()),
+    )
+    image_id = data.draw(st.integers(0, 3))
+    got = postprocess(dets, cfg, image_id)
+    assert got == oracle.postprocess(dets, cfg, image_id)
+    _assert_python_fields(got)
+    boxes = {id(d.box) for d in dets}
+    assert all(id(d.box) in boxes for d in got)
+
+
+@st.composite
+def final_cases(draw):
+    pool = draw(_box_pools())
+    dets = draw(st.lists(st.builds(FinalDetection, st.sampled_from(pool), st.just(0), _SCORES), max_size=12))
+    return dets, _threshold(draw, _ious(pool))
+
+
+@settings(max_examples=400, deadline=None)
+@given(final_cases())
+def test_nms_equals_oracle(case):
+    dets, thr = case
+    kept = nms(dets, thr)
+    want = oracle.nms(dets, thr)
+    assert [id(d) for d in kept] == [id(d) for d in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(final_cases())
+def test_nms_properties(case):
+    dets, thr = case
+    kept = nms(dets, thr)
+    kept_ids = {id(d) for d in kept}
+    # a subsequence of the input taken in (-score, index) order
+    by_score = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    assert [id(d) for d in kept] == [id(dets[i]) for i in by_score if id(dets[i]) in kept_ids]
+    assert len(kept_ids) == len(kept)
+    # a second pass changes nothing
+    assert nms(kept, thr) == kept
+    # no two kept boxes overlap above the threshold ...
+    assert all(not iou(a.box, b.box) > thr for i, a in enumerate(kept) for b in kept[i + 1 :])
+    # ... and every suppressed box overlaps a kept box ranked above it
+    rank = {id(dets[i]): r for r, i in enumerate(by_score)}
+    for d in dets:
+        if id(d) not in kept_ids:
+            assert any(rank[id(k)] < rank[id(d)] and iou(k.box, d.box) > thr for k in kept)
+
+
+def test_postprocess_equals_oracle_detector_shaped():
+    # ~200 boxes x 12 classes jittered around 4 objects, 1/64-px corners
+    rng = np.random.default_rng(11)
+    n, n_classes = 200, 12
+    centers = rng.uniform(100.0, 500.0, size=(4, 2))
+    sizes = rng.uniform(40.0, 160.0, size=(4, 2))
+    obj = rng.integers(0, 4, size=n)
+    center = centers[obj] + rng.normal(0.0, 6.0, size=(n, 2))
+    half = 0.5 * sizes[obj] * rng.uniform(0.8, 1.25, size=(n, 2))
+    corners = np.round(np.hstack([center - half, center + half]) * 64.0) / 64.0
+    scores = np.minimum(rng.exponential(0.05, size=(n, n_classes)), 1.0)
+    scores[np.arange(n), obj] = rng.uniform(0.05, 1.0, size=n)
+    dets = [RawDetection(Box(*map(float, c)), s) for c, s in zip(corners, scores)]
+    for cfg in (
+        PipelineConfig(),
+        PipelineConfig(score_thr=0.0, nms_iou=0.3, top_k=1000),
+        PipelineConfig(score_thr=0.1, nms_iou=0.8, top_k=50),
+        PipelineConfig(nms_enabled=False, top_k=400),
+    ):
+        got = postprocess(dets, cfg, 5)
+        assert got == oracle.postprocess(dets, cfg, 5)
+        _assert_python_fields(got)
