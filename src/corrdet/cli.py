@@ -87,13 +87,6 @@ def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
     }
 
 
-def _deliver(payload: dict, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(render_report(payload))
-    else:
-        write_report(payload, out)
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -106,13 +99,13 @@ def _csv_value(v: float) -> str:
     return fmt_float(float(v)) if np.isfinite(v) else "nan"
 
 
-def _load_dataset(args: argparse.Namespace, need: str) -> Dataset:
+def _load_dataset(args: argparse.Namespace) -> Dataset:
     dataset = load_gt(args.gt)
-    if getattr(args, "raw_dets", None):
+    if args.raw_dets:
         dataset = load_raw_dets(args.raw_dets, dataset)
-    if getattr(args, "dets", None):
+    if args.dets:
         dataset = load_final_dets(args.dets, dataset)
-    if need == "either" and dataset.raw_dets is None and dataset.final_dets is None:
+    if dataset.raw_dets is None and dataset.final_dets is None:
         raise ValueError("pass --dets or --raw-dets")
     return dataset
 
@@ -120,7 +113,7 @@ def _load_dataset(args: argparse.Namespace, need: str) -> Dataset:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.dets is None) == (args.raw_dets is None):
         raise ValueError("pass exactly one of --dets or --raw-dets")
-    dataset = _load_dataset(args, "either")
+    dataset = _load_dataset(args)
 
     if dataset.final_dets is not None:
         mode = "final"
@@ -137,7 +130,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "n_detections": len(finals),
     }
     payload.update(_ap_payload(ap, dataset))
-    _deliver(payload, args.out)
+    _write_text(render_report(payload), args.out)
 
     if args.pr_csv is not None:
         lines = ["category_id,iou_thr,recall,precision"]
@@ -152,7 +145,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args, "either")
+    dataset = _load_dataset(args)
 
     if args.level == "image":
         report = beta_img(_image_pairs(dataset), iou_floor=args.iou_floor)
@@ -180,14 +173,14 @@ def _cmd_corr(args: argparse.Namespace) -> int:
             ],
             "skipped_classes": report.skipped_classes,
         }
-    _deliver(payload, args.out)
+    _write_text(render_report(payload), args.out)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     from .bounds import bound_report
 
-    dataset = _load_dataset(args, "either")
+    dataset = _load_dataset(args)
     pcfg = _pipeline_config(args)
     if args.level == "class" and dataset.final_dets is None:
         dataset = replace(dataset, final_dets=_finals_from_raw(dataset, pcfg))
@@ -219,7 +212,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if report.corr_before is None:
         payload["warning"] = "no positives to rerank; report is an identity comparison"
         print("warning: no positives to rerank; report is an identity comparison", file=sys.stderr)
-    _deliver(payload, args.out)
+    _write_text(render_report(payload), args.out)
     return 0
 
 
@@ -272,24 +265,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     emit_gt(dataset, paths["gt"])
     emit_raw_dets(dataset, paths["raw_dets"])
     emit_final_dets(dataset, paths["final_dets"])
-    _deliver(
-        {
-            "seed": args.seed,
-            "knob": args.knob,
-            "n_images": args.n_images,
-            "n_classes": args.n_classes,
-            "n_ground_truths": len(dataset.gts),
-            "files": paths,
-        },
-        args.out,
-    )
+    summary = {
+        "seed": args.seed,
+        "knob": args.knob,
+        "n_images": args.n_images,
+        "n_classes": args.n_classes,
+        "n_ground_truths": len(dataset.gts),
+        "files": paths,
+    }
+    _write_text(render_report(summary), args.out)
     return 0
 
 
 def _cmd_descend(args: argparse.Namespace) -> int:
-    cfg = LossConfig(
-        coefficient=args.coef, lambda_corr=args.lambda_corr, epsilon=args.epsilon
-    )
+    cfg = LossConfig(coefficient=args.coef, epsilon=args.epsilon)
     rng = np.random.default_rng(args.seed)
     ious = rng.uniform(0.0, 1.0, size=args.n)
     init = rng.uniform(0.0, 1.0, size=args.n)
@@ -313,12 +302,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nms-iou", type=float, default=0.6)
     p.add_argument("--top-k", type=int, default=100)
     p.add_argument("--nms-free", action="store_true", help="skip the NMS step")
-
-
-def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coef", choices=COEFFICIENTS, default="spearman")
-    p.add_argument("--lambda", dest="lambda_corr", type=float, default=0.2)
-    p.add_argument("--epsilon", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("descend", help="gradient-descent trace on the correlation loss")
-    _add_loss_flags(p)
+    p.add_argument("--coef", choices=COEFFICIENTS, default="spearman")
+    p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.1)

@@ -4,7 +4,9 @@ All three coefficients use population (divide-by-n) moments; both arguments
 always come from the same paired sample, so only internal consistency
 matters.  Degenerate inputs raise :class:`DegenerateInput` -- callers decide
 the skip policy.  The coefficients do not depend on the scale of the
-input: a moment that would overflow (or lose precision as a subnormal) is
+input: a series whose largest magnitude reaches 2**200 is divided by a
+power of two before any moment is formed, so no moment overflows (or
+warns), and a moment that would lose precision as a subnormal is
 recomputed on the series divided by a power of two.
 """
 
@@ -21,24 +23,41 @@ __all__ = ["pearson", "spearman", "concordance", "average_ranks"]
 
 FloatArray = np.ndarray
 _NORMAL_MIN = sys.float_info.min
-_NORMAL_MAX = sys.float_info.max
+# Below this magnitude no moment can overflow: a variance stays under
+# 2**402, a product of two under 2**804, an n-sample sum under n * 2**402.
+_PRESCALE_AT = 2.0**200
 
 
-def _as_series(x, name: str) -> FloatArray:
+def _peak(a: FloatArray) -> float:
+    """Largest magnitude in a (0 when empty); non-finite exactly when an entry is."""
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _prescale(a: FloatArray, peak: float) -> tuple[FloatArray, int]:
+    """``(a / 2**e, e)``: e = 0 below _PRESCALE_AT, else the e that brings
+    ``peak`` into [0.5, 1).  Exact, so no coefficient changes."""
+    if peak < _PRESCALE_AT:
+        return a, 0
+    e = math.frexp(peak)[1]
+    return np.ldexp(a, -e), e
+
+
+def _as_series(x, name: str) -> tuple[FloatArray, float]:
     a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(a)):
+    peak = _peak(a)
+    if not math.isfinite(peak):
         raise DegenerateInput(f"{name} contains non-finite values")
-    return a
+    return a, peak
 
 
-def _check_pair(x, y) -> tuple[FloatArray, FloatArray]:
-    a = _as_series(x, "x")
-    b = _as_series(y, "y")
+def _check_pair(x, y) -> tuple[FloatArray, FloatArray, float, float]:
+    a, peak_a = _as_series(x, "x")
+    b, peak_b = _as_series(y, "y")
     if a.size != b.size:
         raise DegenerateInput(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise DegenerateInput(f"need at least 2 samples, got {a.size}")
-    return a, b
+    return a, b, peak_a, peak_b
 
 
 def average_ranks(x) -> FloatArray:
@@ -60,19 +79,6 @@ def average_ranks(x) -> FloatArray:
     dense = np.cumsum(starts)[inverse]
     count = np.concatenate((np.flatnonzero(starts), [n]))
     return 0.5 * (count[dense] + count[dense - 1] + 1)
-
-
-def _is_normal(v: float) -> bool:
-    """True for a positive float in the normal (full-precision, finite) range."""
-    return _NORMAL_MIN <= v <= _NORMAL_MAX
-
-
-def _square(v: float) -> float:
-    """``v ** 2``, but inf instead of an OverflowError."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
 
 
 def _unit_exponent(*series: FloatArray) -> int:
@@ -100,16 +106,16 @@ def pearson(x, y) -> float:
     """Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
 
     Raises DegenerateInput when either variance is zero (also when it
-    underflows to zero) or n < 2.  When a moment leaves the normal float
-    range (magnitudes beyond about 1e77, or spreads below about 1e-77),
-    each series is first divided by a power of two, which is exact and
-    leaves r unchanged; other inputs are computed as they come.
+    underflows to zero) or n < 2.  A series with magnitudes from 2**200
+    up, or one whose variance product falls below the normal float range
+    (spreads below about 1e-77), is divided by a power of two, which is
+    exact and leaves r unchanged; other inputs are computed as they come.
     """
-    a, b = _check_pair(x, y)
-    _, _, var_a, var_b, cov = _pearson_terms(a, b)
+    a, b, peak_a, peak_b = _check_pair(x, y)
+    _, _, var_a, var_b, cov = _pearson_terms(_prescale(a, peak_a)[0], _prescale(b, peak_b)[0])
     if var_a == 0.0 or var_b == 0.0:
         raise DegenerateInput("zero variance in at least one series")
-    if not (_is_normal(var_a * var_b) and math.isfinite(cov)):
+    if var_a * var_b < _NORMAL_MIN:
         _, _, var_a, var_b, cov = _pearson_terms(_unit_scaled(a), _unit_scaled(b))
     r = cov / float(np.sqrt(var_a * var_b))
     return min(1.0, max(-1.0, r))
@@ -120,7 +126,7 @@ def spearman(x, y) -> float:
 
     Raises DegenerateInput when all values tie in either series or n < 2.
     """
-    a, b = _check_pair(x, y)
+    a, b, _, _ = _check_pair(x, y)
     return pearson(average_ranks(a), average_ranks(b))
 
 
@@ -134,7 +140,7 @@ def _concordance_terms(a: FloatArray, b: FloatArray):
     var_a = float(np.mean(ac * ac))
     var_b = float(np.mean(bc * bc))
     gap = mu_a - mu_b
-    return ac, bc, gap, float(np.mean(ac * bc)), var_a + var_b + _square(gap)
+    return ac, bc, gap, float(np.mean(ac * bc)), var_a + var_b + gap**2
 
 
 def concordance(x, y) -> float:
@@ -143,15 +149,18 @@ def concordance(x, y) -> float:
     Stricter than Pearson -- maximized only when the two series agree in
     value, not merely in trend.  Raises DegenerateInput when the denominator
     is zero (both series constant and equal, or so close that it
-    underflows) or n < 2.  When a term leaves the normal float range, both
-    series are first divided by the same power of two, which is exact and
-    leaves the coefficient unchanged.
+    underflows) or n < 2.  When either series has magnitudes from 2**200
+    up, or the denominator falls below the normal float range, both series
+    are divided by the same power of two, which is exact and leaves the
+    coefficient unchanged.
     """
-    a, b = _check_pair(x, y)
+    a, b, peak_a, peak_b = _check_pair(x, y)
+    peak = max(peak_a, peak_b)
+    a, b = _prescale(a, peak)[0], _prescale(b, peak)[0]
     _, _, _, cov, denom = _concordance_terms(a, b)
     if denom == 0.0:
         raise DegenerateInput("zero denominator: both series constant and equal")
-    if not (_is_normal(denom) and math.isfinite(cov)):
+    if denom < _NORMAL_MIN:
         e = _unit_exponent(a, b)
         _, _, _, cov, denom = _concordance_terms(np.ldexp(a, -e), np.ldexp(b, -e))
     g = 2.0 * cov / denom

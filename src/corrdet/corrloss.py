@@ -22,9 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import (
+    _NORMAL_MIN,
     _concordance_terms,
-    _is_normal,
+    _peak,
     _pearson_terms,
+    _prescale,
     _unit_exponent,
     _unit_scaled,
     average_ranks,
@@ -52,28 +54,22 @@ COEFFICIENTS = ("spearman", "concordance", "pearson")
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Choice of coefficient plus the knobs that govern it.
+    """Choice of coefficient plus the soft-rank regularization strength
+    ``epsilon``, which the Spearman variant alone reads.
 
-    ``lambda_corr`` weights the term inside a total loss (default 0.2,
-    commonly swept over {0.1, ..., 0.6}); ``epsilon`` is the soft-rank
-    regularization strength, used by the Spearman variant only.
-    ``degenerate_policy`` currently admits only "skip".
+    Degenerate batches always yield zero loss and zero gradient; the
+    weight of the term inside a total loss is :func:`total_loss`'s
+    argument (commonly swept over {0.1, ..., 0.6}).
     """
 
     coefficient: str = "spearman"
-    lambda_corr: float = 0.2
     epsilon: float = 1.0
-    degenerate_policy: str = "skip"
 
     def __post_init__(self) -> None:
         if self.coefficient not in COEFFICIENTS:
             raise ValueError(f"unknown coefficient {self.coefficient!r}, expected one of {COEFFICIENTS}")
-        if not (math.isfinite(self.lambda_corr) and self.lambda_corr >= 0.0):
-            raise ValueError(f"lambda_corr must be finite and >= 0, got {self.lambda_corr}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.degenerate_policy != "skip":
-            raise ValueError(f"unsupported degenerate_policy {self.degenerate_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,10 @@ def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     """Population Pearson rho(x, y) and d rho / d y.
 
     None when a variance is zero, which one that underflows (e.g. scores
-    [0, 5e-324]) makes so even when neither series is constant.  When a
-    moment or denominator leaves the normal float range, x and y are each
-    divided by a power of two: rho does not change and the gradient scales
-    back exactly.
+    [0, 5e-324]) makes so even when neither series is constant.  x and y
+    stay below ``_PRESCALE_AT`` in magnitude.  When a denominator falls
+    below the normal float range, x and y are each divided by a power of
+    two: rho does not change and the gradient scales back exactly.
     """
     n = x.shape[0]
     xc, yc, var_x, var_y, cov = _pearson_terms(x, y)
@@ -125,7 +121,7 @@ def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     sx = math.sqrt(var_x)
     sy = math.sqrt(var_y)
     shift = 0
-    if not (_is_normal(sx * sy) and _is_normal(n * sx * sy) and _is_normal(n * var_y) and math.isfinite(cov)):
+    if sx * sy < _NORMAL_MIN or n * var_y < _NORMAL_MIN:
         shift = _unit_exponent(y)
         xc, yc, var_x, var_y, cov = _pearson_terms(_unit_scaled(x), np.ldexp(y, -shift))
         sx = math.sqrt(var_x)
@@ -139,15 +135,16 @@ def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
 
 def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Concordance gamma(x, y) and d gamma / d y; None when the
-    denominator underflows to zero.  When it or the covariance leaves the
-    normal float range, both series are divided by the same power of two:
-    gamma does not change and the gradient scales back exactly."""
+    denominator underflows to zero.  x and y stay below ``_PRESCALE_AT``
+    in magnitude.  When the denominator falls below the normal float range,
+    both series are divided by the same power of two: gamma does not
+    change and the gradient scales back exactly."""
     n = x.shape[0]
     xc, yc, gap, cov, denom = _concordance_terms(x, y)
     if denom == 0.0:
         return None
     shift = 0
-    if not (_is_normal(denom) and _is_normal(n * denom) and math.isfinite(cov)):
+    if denom < _NORMAL_MIN:
         shift = _unit_exponent(x, y)
         xc, yc, gap, cov, denom = _concordance_terms(np.ldexp(x, -shift), np.ldexp(y, -shift))
     gamma = 2.0 * cov / denom
@@ -164,22 +161,29 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     held constant.  Degenerate inputs (n < 2, all IoUs equal, all scores
     equal, or a spread so small that a variance underflows to zero) return
     value 0 and an all-zero gradient.  Any other finite input gives a value
-    in [0, 2] and a finite gradient, also at magnitudes near 1e300.
+    in [0, 2] and a finite gradient, also at magnitudes near 1e300, where
+    the Pearson and Concordance variants first divide the series by a power
+    of two (exact), so no step overflows.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"length mismatch: {x.shape[0]} ious vs {y.shape[0]} scores")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    peak_x, peak_y = _peak(x), _peak(y)
+    if not (math.isfinite(peak_x) and math.isfinite(peak_y)):
         raise ValueError("ious and scores must be finite")
     n = x.shape[0]
-    if n < 2 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    if n < 2 or x.min() == x.max() or y.min() == y.max():
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
+    shift = 0  # scores divided by 2**shift, so the gradient is scaled back by it
     if cfg.coefficient == "pearson":
-        value_grad = _pearson_value_grad(x, y)
+        y, shift = _prescale(y, peak_y)
+        value_grad = _pearson_value_grad(_prescale(x, peak_x)[0], y)
     elif cfg.coefficient == "concordance":
-        value_grad = _concordance_value_grad(x, y)
+        peak = max(peak_x, peak_y)
+        y, shift = _prescale(y, peak)
+        value_grad = _concordance_value_grad(_prescale(x, peak)[0], y)
     else:
         # Soft Spearman surrogate: hard ranks of the constant IoUs against
         # soft ranks of the scores.  epsilon applies at raw score scale, so
@@ -194,6 +198,8 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
     rho, grad_rho = value_grad
+    if shift:
+        grad_rho = np.ldexp(grad_rho, -shift)
     value = 1.0 - min(1.0, max(-1.0, rho))
     return LossResult(value, -grad_rho)
 

@@ -41,7 +41,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in corner form (x1, y1, x2, y2), pixel units."""
+    """Axis-aligned rectangle in corner form (x1, y1, x2, y2), pixel units:
+    finite corners and an area above 0, so :func:`iou` never divides by 0."""
 
     x1: float
     y1: float
@@ -52,7 +53,7 @@ class Box:
         coords = (self.x1, self.y1, self.x2, self.y2)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"box coordinates must be finite, got {coords}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
+        if not (self.x2 > self.x1 and self.y2 > self.y1 and self.area > 0.0):
             raise ValueError(f"box must have positive area, got {coords}")
 
     @property
@@ -132,9 +133,9 @@ def iou_matrix(boxes) -> np.ndarray:
 
     Entry ``[i, j]`` equals ``iou(box_i, box_j)`` bit for bit: the same
     float operations run in the same order, so a threshold compares the
-    same way on both, and the matrix is symmetric.  Where ``iou`` would
-    divide by zero (an area that underflows to 0) the entry is NaN, which
-    no ``>`` threshold passes.
+    same way on both, and the matrix is symmetric.  A box of area 0,
+    which no ``Box`` has, gives NaN entries, which no ``>`` threshold
+    passes.
     """
     b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     x1, y1, x2, y2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]

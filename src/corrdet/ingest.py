@@ -63,22 +63,6 @@ class Dataset:
     raw_dets: dict[int, tuple[RawDetection, ...]] | None = None
     final_dets: tuple[FinalDetection, ...] | None = None
 
-    def class_index(self, category_id: int) -> int:
-        for idx, (cid, _) in enumerate(self.categories):
-            if cid == category_id:
-                return idx
-        raise ReferenceError(f"unknown category id {category_id}")
-
-
-def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-
 
 def _field(obj: Any, key: str, where: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
@@ -86,10 +70,30 @@ def _field(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _real(v: Any, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise SchemaError(f"{where}: expected a finite number, got {v!r}")
-    return float(v)
+# What json.load makes of a JSON number; bool is a subclass of int, not listed.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _number(v: Any, where: str) -> float:
+    """A JSON number (not a bool, string or null) as a float."""
+    if type(v) not in _NUMBER_TYPES:
+        raise SchemaError(f"{where}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as e:  # an integer literal beyond the float range
+        raise SchemaError(f"{where}: number out of float range") from e
+
+
+def _bbox(record: Any, where: str, form: str) -> list[float]:
+    """The record's four bbox numbers, finite: clipping would silently turn
+    an infinite corner into an image edge."""
+    bbox = _field(record, "bbox", where)
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise SchemaError(f"{where}: bbox must be {form}")
+    coords = [_number(v, where) for v in bbox]
+    if not all(map(math.isfinite, coords)):
+        raise SchemaError(f"{where}: bbox must be finite, got {bbox!r}")
+    return coords
 
 
 def _integer(v: Any, where: str) -> int:
@@ -98,12 +102,11 @@ def _integer(v: Any, where: str) -> int:
     return v
 
 
-def _clip_box(x1: float, y1: float, x2: float, y2: float, size: tuple[int, int], where: str) -> Box:
+def _clip_box(x1: float, y1: float, x2: float, y2: float, size: tuple[int, int]) -> Box:
+    """The box clipped to the image; ``Box`` rejects what clipping leaves empty."""
     w, h = size
     x1, x2 = min(max(x1, 0.0), float(w)), min(max(x2, 0.0), float(w))
     y1, y2 = min(max(y1, 0.0), float(h)), min(max(y2, 0.0), float(h))
-    if x2 <= x1 or y2 <= y1:
-        raise SchemaError(f"{where}: box degenerate after clipping to image bounds")
     return Box(x1, y1, x2, y2)
 
 
@@ -114,7 +117,7 @@ def load_gt(path: str) -> Dataset:
     or malformed fields (including degenerate boxes and iscrowd != 0),
     ReferenceError on dangling image/category ids.
     """
-    doc = _read_json(path)
+    doc = load_report(path)
     cats_raw = _field(doc, "categories", path)
     images_raw = _field(doc, "images", path)
     anns_raw = _field(doc, "annotations", path)
@@ -157,13 +160,11 @@ def load_gt(path: str) -> Dataset:
             raise ReferenceError(f"{where}: unknown category id {cid}")
         if "iscrowd" in a and _integer(a["iscrowd"], where) != 0:
             raise SchemaError(f"{where}: crowd annotations are not supported")
-        bbox = _field(a, "bbox", where)
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-        x, y, w, h = (_real(v, where) for v in bbox)
-        if w <= 0 or h <= 0:
-            raise SchemaError(f"{where}: bbox width/height must be positive")
-        box = _clip_box(x, y, x + w, y + h, size_of[iid], where)
+        x, y, w, h = _bbox(a, where, "[x, y, w, h]")
+        try:
+            box = _clip_box(x, y, x + w, y + h, size_of[iid])
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from e
         gts.append(GtObject(box, class_of[cid], iid))
 
     return Dataset(tuple(categories), tuple(images), tuple(gts))
@@ -175,7 +176,7 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
     Every detection's score vector must have exactly one entry per
     category (else DimensionError) and reference a known image id.
     """
-    doc = _read_json(path)
+    doc = load_report(path)
     dets_raw = _field(doc, "detections", path)
     n_classes = len(dataset.categories)
     size_of = {iid: (w, h) for iid, w, h in dataset.images}
@@ -186,32 +187,28 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
         iid = _integer(_field(d, "image_id", where), where)
         if iid not in size_of:
             raise ReferenceError(f"{where}: unknown image id {iid}")
-        bbox = _field(d, "bbox", where)
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise SchemaError(f"{where}: bbox must be [x1, y1, x2, y2]")
-        x1, y1, x2, y2 = (_real(v, where) for v in bbox)
-        if x2 <= x1 or y2 <= y1:
-            raise SchemaError(f"{where}: bbox must have positive extent")
-        box = _clip_box(x1, y1, x2, y2, size_of[iid], where)
-        scores_raw = _field(d, "scores", where)
-        if not isinstance(scores_raw, list):
-            raise SchemaError(f"{where}: scores must be a list")
-        if len(scores_raw) != n_classes:
-            raise DimensionError(f"{where}: got {len(scores_raw)} scores for {n_classes} categories")
-        scores = []
-        for s in scores_raw:
-            v = _real(s, where)
-            if not 0.0 <= v <= 1.0:
-                raise SchemaError(f"{where}: score {v} outside [0, 1]")
-            scores.append(v)
-        grouped.setdefault(iid, []).append(RawDetection(box, tuple(scores)))
+        x1, y1, x2, y2 = _bbox(d, where, "[x1, y1, x2, y2]")
+        try:
+            box = _clip_box(x1, y1, x2, y2, size_of[iid])
+            scores = _field(d, "scores", where)
+            if not isinstance(scores, list):
+                raise SchemaError(f"{where}: scores must be a list")
+            if len(scores) != n_classes:
+                raise DimensionError(f"{where}: got {len(scores)} scores for {n_classes} categories")
+            if not set(map(type, scores)) <= _NUMBER_TYPES:
+                bad = next(s for s in scores if type(s) not in _NUMBER_TYPES)
+                raise SchemaError(f"{where}: expected a number, got {bad!r}")
+            det = RawDetection(box, scores)
+        except (ValueError, OverflowError) as e:  # OverflowError: an integer beyond the float range
+            raise SchemaError(f"{where}: {e}") from e
+        grouped.setdefault(iid, []).append(det)
 
     return replace(dataset, raw_dets={iid: tuple(lst) for iid, lst in grouped.items()})
 
 
 def load_final_dets(path: str, dataset: Dataset) -> Dataset:
     """Read a COCO results list into a copy of ``dataset``."""
-    doc = _read_json(path)
+    doc = load_report(path)
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: expected a top-level list of results")
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
@@ -226,17 +223,13 @@ def load_final_dets(path: str, dataset: Dataset) -> Dataset:
             raise ReferenceError(f"{where}: unknown image id {iid}")
         if cid not in class_of:
             raise ReferenceError(f"{where}: unknown category id {cid}")
-        bbox = _field(d, "bbox", where)
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise SchemaError(f"{where}: bbox must be [x, y, w, h]")
-        x, y, w, h = (_real(v, where) for v in bbox)
-        if w <= 0 or h <= 0:
-            raise SchemaError(f"{where}: bbox width/height must be positive")
-        score = _real(_field(d, "score", where), where)
-        if not 0.0 <= score <= 1.0:
-            raise SchemaError(f"{where}: score {score} outside [0, 1]")
-        box = _clip_box(x, y, x + w, y + h, size_of[iid], where)
-        finals.append(FinalDetection(box, class_of[cid], score, iid))
+        x, y, w, h = _bbox(d, where, "[x, y, w, h]")
+        score = _number(_field(d, "score", where), where)
+        try:
+            det = FinalDetection(_clip_box(x, y, x + w, y + h, size_of[iid]), class_of[cid], score, iid)
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from e
+        finals.append(det)
 
     return replace(dataset, final_dets=tuple(finals))
 
@@ -281,23 +274,25 @@ def render_report(payload: Any) -> str:
     return _fmt(payload, 0) + "\n"
 
 
-def _write_json(payload: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(render_report(payload))
-
-
-def write_report(report: dict, path: str) -> None:
-    """Serialize a report dict: sorted keys, 17-significant-digit floats.
+def write_report(report: Any, path: str) -> None:
+    """Serialize a report (or any JSON document): sorted keys, 17-digit floats.
 
     The output is deterministic for identical content, and every float
     parses back to the same bits.
     """
-    _write_json(report, path)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(render_report(report))
 
 
 def load_report(path: str) -> Any:
-    """Parse a report (or any JSON document) written by write_report."""
-    return _read_json(path)
+    """Parse a report (or any JSON document); ParseError if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from e
 
 
 def emit_gt(dataset: Dataset, path: str) -> None:
@@ -316,7 +311,7 @@ def emit_gt(dataset: Dataset, path: str) -> None:
             for k, g in enumerate(dataset.gts)
         ],
     }
-    _write_json(payload, path)
+    write_report(payload, path)
 
 
 def emit_raw_dets(dataset: Dataset, path: str) -> None:
@@ -328,7 +323,7 @@ def emit_raw_dets(dataset: Dataset, path: str) -> None:
         for det in dataset.raw_dets.get(iid, ()):
             b = det.box
             dets.append({"image_id": iid, "bbox": [b.x1, b.y1, b.x2, b.y2], "scores": list(det.class_scores)})
-    _write_json({"detections": dets}, path)
+    write_report({"detections": dets}, path)
 
 
 def emit_final_dets(dataset: Dataset, path: str) -> None:
@@ -344,12 +339,16 @@ def emit_final_dets(dataset: Dataset, path: str) -> None:
         }
         for d in dataset.final_dets
     ]
-    _write_json(payload, path)
+    write_report(payload, path)
 
 
 _GRID = 8
 _CELL = 64.0
 _IMAGE_SIZE = int(_GRID * _CELL)
+_MAX_GTS = 4
+_MAX_DUPS = 3
+_MAX_RAW_FPS = 2
+_MAX_FINAL_FPS = 2
 
 
 def _quant(v: float) -> float:
@@ -383,26 +382,18 @@ def _cell_box(rng: np.random.Generator, cell: int, min_side: float, max_side: fl
     return Box(x1, y1, x1 + w, y1 + h)
 
 
-def synth(
-    seed: int,
-    n_images: int = 16,
-    n_classes: int = 3,
-    knob: float = 0.0,
-    max_gts_per_image: int = 4,
-    max_dups_per_gt: int = 3,
-    max_raw_fps: int = 2,
-    max_final_fps: int = 2,
-) -> Dataset:
+def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) -> Dataset:
     """Deterministic synthetic dataset with a score-IoU correlation knob.
 
-    Every GT sits alone in an 8x8-grid cell of a 512x512 image, so no
-    detection overlaps a foreign GT: matching outcomes are forced and do
-    not depend on score order.  Raw detections are 1..max_dups copies
-    clustered around a randomly shifted anchor per GT, spanning a wide
-    IoU range against the GT while overlapping each other tightly enough
-    that NMS at the default threshold always collapses them to one
-    survivor.  Background false positives fill empty cells; final
-    detections are one jittered copy per GT plus separate background FPs.
+    Every image holds 1-4 GTs, each alone in an 8x8-grid cell of a
+    512x512 image, so no detection overlaps a foreign GT: matching
+    outcomes are forced and do not depend on score order.  Raw detections
+    are 1-3 copies clustered around a randomly shifted anchor per GT,
+    spanning a wide IoU range against the GT while overlapping each other
+    tightly enough that NMS at the default threshold always collapses them
+    to one survivor.  Background false positives (0-2 raw and 0-2 final
+    per image) fill empty cells; final detections are one jittered copy
+    per GT plus those background FPs.
 
     ``knob`` in [-1, 1] blends GT-class scores between a strictly
     increasing function of the detection's IoU (+1), pure noise (0), and
@@ -432,9 +423,9 @@ def synth(
     finals: list[FinalDetection] = []
 
     for image_id, _, _ in images:
-        n_g = int(rng.integers(1, max_gts_per_image + 1))
-        n_rf = int(rng.integers(0, max_raw_fps + 1))
-        n_ff = int(rng.integers(0, max_final_fps + 1))
+        n_g = int(rng.integers(1, _MAX_GTS + 1))
+        n_rf = int(rng.integers(0, _MAX_RAW_FPS + 1))
+        n_ff = int(rng.integers(0, _MAX_FINAL_FPS + 1))
         cells = rng.permutation(_GRID * _GRID)[: n_g + n_rf + n_ff]
 
         img_gts: list[GtObject] = []
@@ -448,7 +439,7 @@ def synth(
             # the GT over roughly [0.4, 1.0]; 6 + 1.25 + rounding stays
             # inside the 8 px cell margin
             anchor = _translated(rng, gt_box, 6.0)
-            for _ in range(int(rng.integers(1, max_dups_per_gt + 1))):
+            for _ in range(int(rng.integers(1, _MAX_DUPS + 1))):
                 # <= 1.25 px jitter on >= 24 px sides keeps pairwise
                 # duplicate IoU >= (21.5/26.5)^2 > 0.6, so default NMS
                 # always collapses one GT's duplicates to a single final

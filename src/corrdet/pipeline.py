@@ -18,7 +18,6 @@ index)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,25 +33,26 @@ class RawDetection:
     """Pre-post-processing detection: one box, one score per class.
 
     ``class_scores`` accepts any iterable of reals and is stored as a
-    tuple, so instances stay hashable and safely shareable.
+    tuple of floats, so instances stay hashable and safely shareable.
+    There is at least one score, and each lies in [0, 1].
     """
 
     box: Box
     class_scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.class_scores)
-        if len(scores) < 1:
+        scores = tuple(map(float, self.class_scores))
+        if not scores:
             raise ValueError("class_scores must have at least one entry")
         for s in scores:
-            if not (math.isfinite(s) and 0.0 <= s <= 1.0):
+            if not 0.0 <= s <= 1.0:  # rejects NaN too
                 raise ValueError(f"class scores must lie in [0, 1], got {s}")
         object.__setattr__(self, "class_scores", scores)
 
 
 @dataclass(frozen=True)
 class FinalDetection:
-    """Post-processing detection: box, class id, scalar score."""
+    """Post-processing detection: box, class id, scalar score in [0, 1]."""
 
     box: Box
     class_id: int
@@ -60,7 +60,7 @@ class FinalDetection:
     image_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        if not 0.0 <= self.score <= 1.0:  # rejects NaN too
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 

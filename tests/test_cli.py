@@ -268,8 +268,8 @@ def test_descend_csv(tmp_path):
     assert last_loss < first_loss
 
 
-def test_descend_stdout_and_lambda_flag(capsys):
-    code = cli.main(["descend", "--n", "6", "--steps", "2", "--lambda", "0.4", "--epsilon", "0.5"])
+def test_descend_stdout_and_flag(capsys):
+    code = cli.main(["descend", "--n", "6", "--steps", "2", "--epsilon", "0.5"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("step,loss,spearman")

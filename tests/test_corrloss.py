@@ -36,13 +36,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LossConfig(coefficient="kendall")
     with pytest.raises(ValueError):
-        LossConfig(lambda_corr=-0.1)
-    with pytest.raises(ValueError):
         LossConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(degenerate_policy="zero")
     assert LossConfig().coefficient == "spearman"
-    assert LossConfig().lambda_corr == 0.2
 
 
 def test_pearson_loss_hand_values():
@@ -193,7 +188,6 @@ def test_descend_demo_validation():
 _HUGE = [1e200, 2e200, 3e200]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_loss_survives_overflow():
     for coef in COEFFICIENTS:
         cfg = LossConfig(coefficient=coef)
@@ -216,7 +210,6 @@ def test_loss_survives_overflow():
 _FINITE = st.floats(-1e300, 1e300)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 24).flatmap(
@@ -234,7 +227,6 @@ def test_loss_bounded_with_finite_gradient(pair, coef):
 _GRID = st.integers(-64000, 64000).map(lambda v: v / 64.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 30).flatmap(

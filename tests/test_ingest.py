@@ -1,10 +1,12 @@
 """Loaders, writers, the deterministic JSON form, synthetic data."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import corrdet.cli as cli
 from corrdet import (
     Box,
     DimensionError,
@@ -52,7 +54,6 @@ def test_load_gt_basic(tmp_path):
     assert ds.gts[0].class_id == 1
     assert ds.gts[0].box == Box(10.0, 10.0, 30.0, 40.0)
     assert ds.raw_dets is None and ds.final_dets is None
-    assert ds.class_index(7) == 0 and ds.class_index(3) == 1
 
 
 def test_load_gt_clips_to_image_bounds(tmp_path):
@@ -137,6 +138,64 @@ def test_load_final_dets(tmp_path):
         load_final_dets(
             write(tmp_path, "bad2.json", [dict(results[0], score=-0.1)]), ds
         )
+
+
+_RAW = {"image_id": 1, "bbox": [0.0, 0.0, 10.0, 10.0], "scores": [0.5, 0.25]}
+_FINAL = {"image_id": 1, "category_id": 3, "bbox": [10.0, 10.0, 20.0, 30.0], "score": 0.8}
+_HUGE_INT = 10**400  # a JSON integer literal beyond the float range
+
+# (file, field, bad value) on gt_doc()'s 100x80 image; every row is a SchemaError
+_MALFORMED = [
+    pytest.param("raw", "scores", [1.5, 0.25], id="raw-score-above-1"),
+    pytest.param("raw", "scores", [-0.1, 0.25], id="raw-score-below-0"),
+    pytest.param("raw", "scores", [math.nan, 0.25], id="raw-score-nan"),
+    pytest.param("raw", "scores", [math.inf, 0.25], id="raw-score-inf"),
+    pytest.param("raw", "scores", [True, 0.25], id="raw-score-bool"),
+    pytest.param("raw", "scores", [None, 0.25], id="raw-score-null"),
+    pytest.param("raw", "scores", ["0.5", 0.25], id="raw-score-string"),
+    pytest.param("raw", "scores", [_HUGE_INT, 0.25], id="raw-score-huge-int"),
+    pytest.param("raw", "bbox", [10.0, 0.0, 10.0, 10.0], id="raw-bbox-x2-at-x1"),
+    pytest.param("raw", "bbox", [0.0, 0.0, math.inf, 10.0], id="raw-bbox-inf"),
+    pytest.param("raw", "bbox", [200.0, 0.0, 300.0, 10.0], id="raw-bbox-outside"),
+    pytest.param("raw", "bbox", [0.0, 0.0, _HUGE_INT, 10.0], id="raw-bbox-huge-int"),
+    pytest.param("gt", "bbox", [10.0, 10.0, 0.0, 30.0], id="gt-bbox-w-0"),
+    pytest.param("gt", "bbox", [10.0, 10.0, 20.0, -1.0], id="gt-bbox-h-negative"),
+    pytest.param("gt", "bbox", [200.0, 10.0, 20.0, 30.0], id="gt-bbox-outside"),
+    pytest.param("gt", "bbox", [0.0, 0.0, 1e-200, 1e-200], id="gt-bbox-area-underflows"),
+    pytest.param("gt", "bbox", [0.0, 0.0, _HUGE_INT, 30.0], id="gt-bbox-huge-int"),
+    pytest.param("final", "score", -0.1, id="final-score-below-0"),
+    pytest.param("final", "score", 1.5, id="final-score-above-1"),
+    pytest.param("final", "score", math.nan, id="final-score-nan"),
+    pytest.param("final", "score", True, id="final-score-bool"),
+    pytest.param("final", "score", _HUGE_INT, id="final-score-huge-int"),
+]
+
+
+@pytest.mark.parametrize(("kind", "key", "value"), _MALFORMED)
+def test_malformed_record_is_a_schema_error(tmp_path, capsys, kind, key, value):
+    gt = gt_doc()
+    dets_flag, dets = "--dets", [_FINAL]
+    if kind == "gt":
+        gt["annotations"][0][key] = value
+    elif kind == "raw":
+        dets_flag, dets = "--raw-dets", {"detections": [dict(_RAW, **{key: value})]}
+    else:
+        dets = [dict(_FINAL, **{key: value})]
+    gt_path = write(tmp_path, "gt.json", gt)
+    dets_path = write(tmp_path, "dets.json", dets)
+
+    with pytest.raises(SchemaError):
+        if kind == "gt":
+            load_gt(gt_path)
+        elif kind == "raw":
+            load_raw_dets(dets_path, load_gt(gt_path))
+        else:
+            load_final_dets(dets_path, load_gt(gt_path))
+
+    capsys.readouterr()
+    assert cli.main(["eval", "--gt", gt_path, dets_flag, dets_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_fmt_float():
