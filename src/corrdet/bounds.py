@@ -19,8 +19,8 @@ deduplicated regime, not of arbitrary detection sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EmptyEvaluation
 from .geometry import GtObject, MatchSet, match_positives
@@ -29,9 +29,9 @@ from .metrics import (
     ApResult,
     CorrelationReport,
     _beta_cls_from,
+    _beta_img_from,
     _coco_ap_from,
     _match_classes,
-    beta_img,
     coco_ap,
 )
 from .pipeline import FinalDetection, PipelineConfig, RawDetection, postprocess
@@ -120,10 +120,10 @@ class BoundReport:
     corr_after: CorrelationReport | None
 
 
-def _beta_cls_or_none(table) -> CorrelationReport | None:
-    """beta_cls at tp_iou, the last threshold of ``table``."""
+def _or_none(report: Callable[..., CorrelationReport], *args) -> CorrelationReport | None:
+    """``report(*args)``, or None when every group is skipped."""
     try:
-        return _beta_cls_from(table, -1)
+        return report(*args)
     except EmptyEvaluation:
         return None
 
@@ -166,8 +166,9 @@ def bound_report(
             level,
             ap_before=_coco_ap_from(before, COCO_THRESHOLDS),
             ap_after=_coco_ap_from(after, COCO_THRESHOLDS),
-            corr_before=_beta_cls_or_none(before),
-            corr_after=_beta_cls_or_none(after),
+            # beta_cls at tp_iou, the last threshold of each table
+            corr_before=_or_none(_beta_cls_from, before, -1),
+            corr_after=_or_none(_beta_cls_from, after, -1),
         )
 
     if dataset.raw_dets is None:
@@ -177,31 +178,29 @@ def bound_report(
     for g in gts:
         by_image.setdefault(g.image_id, []).append(g)
 
-    pairs_before: list[tuple[list[RawDetection], list[GtObject]]] = []
-    pairs_after: list[tuple[list[RawDetection], list[GtObject]]] = []
+    # Matching reads only the boxes, so the re-ranked detections pair up
+    # exactly as before; only the matched scores change.
+    positives_before: list[tuple[int, MatchSet]] = []
+    positives_after: list[tuple[int, MatchSet]] = []
     finals_before: list[FinalDetection] = []
     finals_after: list[FinalDetection] = []
     for image_id, _, _ in dataset.images:
         raw = list(dataset.raw_dets.get(image_id, ()))
-        img_gts = by_image.get(image_id, [])
-        matches = match_positives(raw, img_gts, iou_floor)
+        matches = match_positives(raw, by_image.get(image_id, []), iou_floor)
         raw_after = rerank_image_level(raw, matches, direction)
-        pairs_before.append((raw, img_gts))
-        pairs_after.append((raw_after, img_gts))
+        rescored = MatchSet(
+            tuple(replace(m, score=raw_after[m.detection_index].class_scores[m.class_id]) for m in matches)
+        )
+        positives_before.append((image_id, matches))
+        positives_after.append((image_id, rescored))
         finals_before.extend(postprocess(raw, cfg, image_id))
         finals_after.extend(postprocess(raw_after, cfg, image_id))
-
-    def _beta_img_or_none(pairs):
-        try:
-            return beta_img(pairs, iou_floor)
-        except EmptyEvaluation:
-            return None
 
     return BoundReport(
         direction,
         level,
         ap_before=coco_ap(finals_before, gts),
         ap_after=coco_ap(finals_after, gts),
-        corr_before=_beta_img_or_none(pairs_before),
-        corr_after=_beta_img_or_none(pairs_after),
+        corr_before=_or_none(_beta_img_from, positives_before),
+        corr_after=_or_none(_beta_img_from, positives_after),
     )

@@ -39,7 +39,7 @@ from .ingest import (
     synth,
     write_report,
 )
-from .metrics import COCO_THRESHOLDS, ApResult, beta_cls, beta_img, coco_ap, pr_curves
+from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _curves, _match_classes, beta_cls, beta_img
 from .pipeline import PipelineConfig, postprocess
 
 __all__ = ["build_parser", "main"]
@@ -122,7 +122,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         mode = "pipeline" if not args.nms_free else "pipeline-nms-free"
         finals = _finals_from_raw(dataset, _pipeline_config(args))
 
-    ap = coco_ap(finals, dataset.gts)
+    # One matching pass per class serves AP and the PR curves alike.
+    table = _match_classes(finals, dataset.gts, COCO_THRESHOLDS)
+    ap = _coco_ap_from(table, COCO_THRESHOLDS)
     payload = {
         "mode": mode,
         "n_images": len(dataset.images),
@@ -134,12 +136,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     if args.pr_csv is not None:
         lines = ["category_id,iou_thr,recall,precision"]
-        for c in sorted({g.class_id for g in dataset.gts}):
-            cdets = [d for d in finals if d.class_id == c]
-            cgts = [g for g in dataset.gts if g.class_id == c]
-            for t, curve in zip(COCO_THRESHOLDS, pr_curves(cdets, cgts, COCO_THRESHOLDS)):
+        for c, (cdets, cgts, sets) in table.items():
+            if not cgts:
+                continue
+            for t, (recalls, precisions) in zip(COCO_THRESHOLDS, _curves(cdets, len(cgts), sets)):
                 prefix = f"{dataset.categories[c][0]},{_csv_value(t)}"
-                lines.extend(f"{prefix},{_csv_value(r)},{_csv_value(p)}" for r, p in curve)
+                points = zip(recalls.tolist(), precisions.tolist())
+                lines.extend(f"{prefix},{_csv_value(r)},{_csv_value(p)}" for r, p in points)
         _write_text("\n".join(lines) + "\n", args.pr_csv)
     return 0
 

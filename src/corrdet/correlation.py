@@ -7,7 +7,8 @@ the skip policy.  The coefficients do not depend on the scale of the
 input: a series whose largest magnitude reaches 2**200 is divided by a
 power of two before any moment is formed, so no moment overflows (or
 warns), and a moment that would lose precision as a subnormal is
-recomputed on the series divided by a power of two.
+recomputed on the series divided by a power of two.  The Correlation
+Loss reads its coefficient and gradient terms from the same two kernels.
 """
 
 from __future__ import annotations
@@ -33,13 +34,23 @@ def _peak(a: FloatArray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _prescale(a: FloatArray, peak: float) -> tuple[FloatArray, int]:
-    """``(a / 2**e, e)``: e = 0 below _PRESCALE_AT, else the e that brings
+def _scaled(a: FloatArray, peak: float, at: float) -> tuple[FloatArray, int]:
+    """``(a / 2**e, e)``: e = 0 when ``peak < at``, else the e that brings
     ``peak`` into [0.5, 1).  Exact, so no coefficient changes."""
-    if peak < _PRESCALE_AT:
+    if peak < at:
         return a, 0
     e = math.frexp(peak)[1]
     return np.ldexp(a, -e), e
+
+
+def _constant(a: FloatArray) -> bool:
+    """All entries equal.  Not a variance test: the mean of [0.1] * 3 rounds,
+    which leaves a variance near 1e-34, not 0."""
+    return bool(a.min() == a.max())
+
+
+def _clip(r: float) -> float:
+    return min(1.0, max(-1.0, r))
 
 
 def _as_series(x, name: str) -> tuple[FloatArray, float]:
@@ -58,6 +69,13 @@ def _check_pair(x, y) -> tuple[FloatArray, FloatArray, float, float]:
     if a.size < 2:
         raise DegenerateInput(f"need at least 2 samples, got {a.size}")
     return a, b, peak_a, peak_b
+
+
+def _coefficient(terms) -> float:
+    """The clipped coefficient of a kernel result; raises on None."""
+    if terms is None:
+        raise DegenerateInput("a variance or the denominator is zero")
+    return _clip(terms[0])
 
 
 def average_ranks(x) -> FloatArray:
@@ -81,44 +99,46 @@ def average_ranks(x) -> FloatArray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _unit_exponent(*series: FloatArray) -> int:
-    """The e with 2**(e-1) <= max |value| < 2**e (0 when all are zero).
-
-    Dividing by 2**e (``np.ldexp(a, -e)``) is exact and brings the largest
-    magnitude into [0.5, 1), where no moment of an n-sample series can
-    overflow and the variance of a non-constant one stays a normal float.
-    """
-    return math.frexp(max(float(np.max(np.abs(a))) for a in series))[1]
-
-
-def _unit_scaled(a: FloatArray) -> FloatArray:
-    return np.ldexp(a, -_unit_exponent(a))
-
-
-def _pearson_terms(a: FloatArray, b: FloatArray):
+def _pearson_moments(a: FloatArray, b: FloatArray):
     """Centered series, population variances and covariance of a and b."""
     ac = a - a.mean()
     bc = b - b.mean()
     return ac, bc, float(np.mean(ac * ac)), float(np.mean(bc * bc)), float(np.mean(ac * bc))
 
 
+def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
+    """``(r, ac, bc, var_a, var_b, e_b)``: unclipped Pearson r and the
+    centered series and variances it came from, b divided by 2**e_b.
+
+    ``peak_a``/``peak_b`` bound the magnitudes.  A series whose peak
+    reaches 2**200 is divided by a power of two first; when a variance or
+    their product falls below the normal range, both are recomputed with
+    their peaks in [0.5, 1).  Exact, so r does not change.  None when a
+    variance is zero, as an underflow makes it for [0, 5e-324].
+    """
+    b_s, e_b = _scaled(b, peak_b, _PRESCALE_AT)
+    ac, bc, var_a, var_b, cov = _pearson_moments(_scaled(a, peak_a, _PRESCALE_AT)[0], b_s)
+    if var_a == 0.0 or var_b == 0.0:
+        return None
+    if min(var_a, var_b, var_a * var_b) < _NORMAL_MIN:
+        b_s, e_b = _scaled(b, peak_b, 0.0)
+        ac, bc, var_a, var_b, cov = _pearson_moments(_scaled(a, peak_a, 0.0)[0], b_s)
+    return cov / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
+
+
 def pearson(x, y) -> float:
     """Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
 
-    Raises DegenerateInput when either variance is zero (also when it
-    underflows to zero) or n < 2.  A series with magnitudes from 2**200
-    up, or one whose variance product falls below the normal float range
-    (spreads below about 1e-77), is divided by a power of two, which is
+    Raises DegenerateInput when either series is constant, when a variance
+    underflows to zero, or when n < 2.  A series with magnitudes from
+    2**200 up, or one whose variance falls below the normal float range
+    (spreads below about 1e-154), is divided by a power of two, which is
     exact and leaves r unchanged; other inputs are computed as they come.
     """
     a, b, peak_a, peak_b = _check_pair(x, y)
-    _, _, var_a, var_b, cov = _pearson_terms(_prescale(a, peak_a)[0], _prescale(b, peak_b)[0])
-    if var_a == 0.0 or var_b == 0.0:
-        raise DegenerateInput("zero variance in at least one series")
-    if var_a * var_b < _NORMAL_MIN:
-        _, _, var_a, var_b, cov = _pearson_terms(_unit_scaled(a), _unit_scaled(b))
-    r = cov / float(np.sqrt(var_a * var_b))
-    return min(1.0, max(-1.0, r))
+    if _constant(a) or _constant(b):
+        raise DegenerateInput("at least one series is constant")
+    return _coefficient(_pearson_kernel(a, b, peak_a, peak_b))
 
 
 def spearman(x, y) -> float:
@@ -127,10 +147,13 @@ def spearman(x, y) -> float:
     Raises DegenerateInput when all values tie in either series or n < 2.
     """
     a, b, _, _ = _check_pair(x, y)
-    return pearson(average_ranks(a), average_ranks(b))
+    # Ranks lie in [1, n], so n bounds their peaks.  All-tied ranks equal
+    # (n + 1) / 2, whose mean is exact: their variance is 0.
+    n = float(a.size)
+    return _coefficient(_pearson_kernel(average_ranks(a), average_ranks(b), n, n))
 
 
-def _concordance_terms(a: FloatArray, b: FloatArray):
+def _concordance_moments(a: FloatArray, b: FloatArray):
     """Centered series, mean gap mu_a - mu_b, covariance and the
     concordance denominator var_a + var_b + gap^2."""
     mu_a = float(a.mean())
@@ -143,25 +166,40 @@ def _concordance_terms(a: FloatArray, b: FloatArray):
     return ac, bc, gap, float(np.mean(ac * bc)), var_a + var_b + gap**2
 
 
+def _concordance_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
+    """``(gamma, ac, bc, gap, denom, e)``: unclipped Concordance and the
+    terms it came from, both series divided by 2**e.
+
+    e brings the larger peak into [0.5, 1) when that peak reaches 2**200
+    or the denominator falls below the normal range, else e = 0; exact, so
+    gamma does not change.  None when the denominator is zero.
+    """
+    peak = max(peak_a, peak_b)
+    a_s, e = _scaled(a, peak, _PRESCALE_AT)
+    ac, bc, gap, cov, denom = _concordance_moments(a_s, _scaled(b, peak, _PRESCALE_AT)[0])
+    if denom == 0.0:
+        return None
+    if denom < _NORMAL_MIN:
+        a_s, e = _scaled(a, peak, 0.0)
+        ac, bc, gap, cov, denom = _concordance_moments(a_s, _scaled(b, peak, 0.0)[0])
+    return 2.0 * cov / denom, ac, bc, gap, denom, e
+
+
 def concordance(x, y) -> float:
     """Concordance correlation: 2*cov(x, y) / (var_x + var_y + (mu_x - mu_y)^2).
 
     Stricter than Pearson -- maximized only when the two series agree in
-    value, not merely in trend.  Raises DegenerateInput when the denominator
-    is zero (both series constant and equal, or so close that it
-    underflows) or n < 2.  When either series has magnitudes from 2**200
-    up, or the denominator falls below the normal float range, both series
-    are divided by the same power of two, which is exact and leaves the
-    coefficient unchanged.
+    value, not merely in trend.  Raises DegenerateInput when both series
+    are constant and equal, when the denominator underflows to zero, or
+    when n < 2; a single constant series gives 0.  When either series has
+    magnitudes from 2**200 up, or the denominator falls below the normal
+    float range, both series are divided by the same power of two, which
+    is exact and leaves the coefficient unchanged.
     """
     a, b, peak_a, peak_b = _check_pair(x, y)
-    peak = max(peak_a, peak_b)
-    a, b = _prescale(a, peak)[0], _prescale(b, peak)[0]
-    _, _, _, cov, denom = _concordance_terms(a, b)
-    if denom == 0.0:
-        raise DegenerateInput("zero denominator: both series constant and equal")
-    if denom < _NORMAL_MIN:
-        e = _unit_exponent(a, b)
-        _, _, _, cov, denom = _concordance_terms(np.ldexp(a, -e), np.ldexp(b, -e))
-    g = 2.0 * cov / denom
-    return min(1.0, max(-1.0, g))
+    constant_a, constant_b = _constant(a), _constant(b)
+    if constant_a and constant_b and a[0] == b[0]:
+        raise DegenerateInput("both series constant and equal")
+    if constant_a or constant_b:
+        return 0.0  # cov is 0; a mean that rounds would leave a residue near 1e-32
+    return _coefficient(_concordance_kernel(a, b, peak_a, peak_b))

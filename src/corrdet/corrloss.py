@@ -5,7 +5,11 @@ Three coefficient variants share one contract: the loss value is
 are treated as constants (no localization gradient exists, by design).
 The Spearman variant pairs hard average ranks of the IoUs with soft ranks
 of the scores, so its gradient flows through the soft-rank operator; the
-Pearson and Concordance variants differentiate their closed forms.
+Pearson and Concordance variants differentiate their closed forms.  The
+loss reuses the coefficients of :mod:`corrdet.correlation`: rho and the
+terms of its gradient come from the Pearson or Concordance kernel that
+``pearson``/``spearman``/``concordance`` use, so the Pearson and
+Concordance variants' value is ``1 - coefficient`` bit for bit.
 
 Degenerate batches (fewer than two positives, or a constant series) yield
 zero loss and zero gradient rather than an error: a training-loop plug-in
@@ -22,13 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import (
-    _NORMAL_MIN,
-    _concordance_terms,
+    _clip,
+    _concordance_kernel,
+    _constant,
     _peak,
-    _pearson_terms,
-    _prescale,
-    _unit_exponent,
-    _unit_scaled,
+    _pearson_kernel,
     average_ranks,
     spearman,
 )
@@ -105,55 +107,6 @@ class DescentTrace:
     final_scores: np.ndarray
 
 
-def _pearson_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Population Pearson rho(x, y) and d rho / d y.
-
-    None when a variance is zero, which one that underflows (e.g. scores
-    [0, 5e-324]) makes so even when neither series is constant.  x and y
-    stay below ``_PRESCALE_AT`` in magnitude.  When a denominator falls
-    below the normal float range, x and y are each divided by a power of
-    two: rho does not change and the gradient scales back exactly.
-    """
-    n = x.shape[0]
-    xc, yc, var_x, var_y, cov = _pearson_terms(x, y)
-    if var_x == 0.0 or var_y == 0.0:
-        return None
-    sx = math.sqrt(var_x)
-    sy = math.sqrt(var_y)
-    shift = 0
-    if sx * sy < _NORMAL_MIN or n * var_y < _NORMAL_MIN:
-        shift = _unit_exponent(y)
-        xc, yc, var_x, var_y, cov = _pearson_terms(_unit_scaled(x), np.ldexp(y, -shift))
-        sx = math.sqrt(var_x)
-        sy = math.sqrt(var_y)
-    rho = cov / (sx * sy)
-    grad = xc / (n * sx * sy) - rho * yc / (n * var_y)
-    if shift:
-        grad = np.ldexp(grad, -shift)
-    return rho, grad
-
-
-def _concordance_value_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Concordance gamma(x, y) and d gamma / d y; None when the
-    denominator underflows to zero.  x and y stay below ``_PRESCALE_AT``
-    in magnitude.  When the denominator falls below the normal float range,
-    both series are divided by the same power of two: gamma does not
-    change and the gradient scales back exactly."""
-    n = x.shape[0]
-    xc, yc, gap, cov, denom = _concordance_terms(x, y)
-    if denom == 0.0:
-        return None
-    shift = 0
-    if denom < _NORMAL_MIN:
-        shift = _unit_exponent(x, y)
-        xc, yc, gap, cov, denom = _concordance_terms(np.ldexp(x, -shift), np.ldexp(y, -shift))
-    gamma = 2.0 * cov / denom
-    grad = (2.0 / (n * denom)) * (xc - gamma * (yc - gap))
-    if shift:
-        grad = np.ldexp(grad, -shift)
-    return gamma, grad
-
-
 def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     """Correlation Loss on bare (IoU, score) arrays.
 
@@ -162,8 +115,7 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     equal, or a spread so small that a variance underflows to zero) return
     value 0 and an all-zero gradient.  Any other finite input gives a value
     in [0, 2] and a finite gradient, also at magnitudes near 1e300, where
-    the Pearson and Concordance variants first divide the series by a power
-    of two (exact), so no step overflows.
+    the coefficient kernels divide the series by a power of two (exact).
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -173,35 +125,36 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     if not (math.isfinite(peak_x) and math.isfinite(peak_y)):
         raise ValueError("ious and scores must be finite")
     n = x.shape[0]
-    if n < 2 or x.min() == x.max() or y.min() == y.max():
+    if n < 2 or _constant(x) or _constant(y):
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
-    shift = 0  # scores divided by 2**shift, so the gradient is scaled back by it
-    if cfg.coefficient == "pearson":
-        y, shift = _prescale(y, peak_y)
-        value_grad = _pearson_value_grad(_prescale(x, peak_x)[0], y)
-    elif cfg.coefficient == "concordance":
-        peak = max(peak_x, peak_y)
-        y, shift = _prescale(y, peak)
-        value_grad = _concordance_value_grad(_prescale(x, peak)[0], y)
+    if cfg.coefficient == "concordance":
+        terms = _concordance_kernel(x, y, peak_x, peak_y)
+        if terms is None:
+            return LossResult(0.0, np.zeros(n, dtype=np.float64))
+        rho, xc, yc, gap, denom, shift = terms
+        grad_rho = (2.0 / (n * denom)) * (xc - rho * (yc - gap))
     else:
-        # Soft Spearman surrogate: hard ranks of the constant IoUs against
-        # soft ranks of the scores.  epsilon applies at raw score scale, so
-        # the default 1.0 pools [0,1]-valued scores into broad blocks and
-        # keeps the landscape smooth; the correlation itself is scale-free.
-        rank_x = average_ranks(x)
-        soft = soft_rank(y, cfg.epsilon)
-        value_grad = _pearson_value_grad(rank_x, soft.ranks)
-        if value_grad is not None:
-            value_grad = (value_grad[0], soft_rank_vjp(soft, value_grad[1]))
-    if value_grad is None:
-        return LossResult(0.0, np.zeros(n, dtype=np.float64))
-
-    rho, grad_rho = value_grad
+        soft = None
+        if cfg.coefficient == "spearman":
+            # Soft Spearman surrogate: hard ranks of the constant IoUs
+            # against soft ranks of the scores.  epsilon applies at raw score
+            # scale, so the default 1.0 pools [0,1]-valued scores into broad
+            # blocks and keeps the landscape smooth; the correlation itself
+            # is scale-free.  Both rank series lie in [1, n].
+            soft = soft_rank(y, cfg.epsilon)
+            x, y, peak_x, peak_y = average_ranks(x), soft.ranks, float(n), float(n)
+        terms = _pearson_kernel(x, y, peak_x, peak_y)
+        if terms is None:
+            return LossResult(0.0, np.zeros(n, dtype=np.float64))
+        rho, xc, yc, var_x, var_y, shift = terms
+        grad_rho = xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y)
+        if soft is not None:
+            grad_rho = soft_rank_vjp(soft, grad_rho)
+    # The kernel divided the scores by 2**shift; scale the gradient back.
     if shift:
         grad_rho = np.ldexp(grad_rho, -shift)
-    value = 1.0 - min(1.0, max(-1.0, rho))
-    return LossResult(value, -grad_rho)
+    return LossResult(1.0 - _clip(rho), -grad_rho)
 
 
 def correlation_loss(matches: MatchSet, cfg: LossConfig) -> LossResult:

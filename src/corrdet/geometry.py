@@ -42,7 +42,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in corner form (x1, y1, x2, y2), pixel units:
-    finite corners and an area above 0, so :func:`iou` never divides by 0."""
+    finite corners and a finite area above 0, so :func:`iou` never divides
+    by 0 or returns NaN."""
 
     x1: float
     y1: float
@@ -53,8 +54,8 @@ class Box:
         coords = (self.x1, self.y1, self.x2, self.y2)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"box coordinates must be finite, got {coords}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1 and self.area > 0.0):
-            raise ValueError(f"box must have positive area, got {coords}")
+        if not (self.x2 > self.x1 and self.y2 > self.y1 and 0.0 < self.area < math.inf):
+            raise ValueError(f"box must have a positive, finite area, got {coords}")
 
     @property
     def area(self) -> float:

@@ -16,7 +16,7 @@ and counted; the averages cover the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,38 @@ class ApResult:
     per_class: tuple[tuple[int, tuple[float, ...]], ...]
 
 
+def _spearman_mean(
+    groups: Iterable[tuple[int, MatchSet]], unit: str
+) -> tuple[float, tuple[tuple[int, float], ...], int]:
+    """Mean Spearman between IoUs and scores over ``(group id, matches)``.
+
+    Returns the mean, the per-group values and the number of groups
+    skipped: those with fewer than two matches or degenerate ranks.
+    Raises EmptyEvaluation when every group is skipped (``unit`` names a
+    group in the message).
+    """
+    per_group: list[tuple[int, float]] = []
+    skipped = 0
+    for group_id, matches in groups:
+        if len(matches) < 2:
+            skipped += 1
+            continue
+        try:
+            per_group.append((group_id, spearman(matches.ious(), matches.scores())))
+        except DegenerateInput:
+            skipped += 1
+
+    if not per_group:
+        raise EmptyEvaluation(f"no {unit} yielded a correlation ({skipped} skipped)")
+    return float(np.mean([b for _, b in per_group])), tuple(per_group), skipped
+
+
+def _beta_img_from(groups: Iterable[tuple[int, MatchSet]]) -> CorrelationReport:
+    """beta_img over ``(image id, positives)`` pairs."""
+    mean, per_image, skipped = _spearman_mean(groups, "image")
+    return CorrelationReport(beta_img=mean, per_image=per_image, skipped_images=skipped)
+
+
 def beta_img(
     images: Sequence[tuple[Sequence[RawDetection], Sequence[GtObject]]],
     iou_floor: float = 0.5,
@@ -79,25 +111,10 @@ def beta_img(
     positives or degenerate ranks are skipped and counted.  Raises
     EmptyEvaluation when every image is skipped.
     """
-    per_image: list[tuple[int, float]] = []
-    skipped = 0
-    for idx, (dets, gts) in enumerate(images):
-        image_id = gts[0].image_id if len(gts) > 0 else idx
-        matches = match_positives(dets, gts, iou_floor)
-        if len(matches) < 2:
-            skipped += 1
-            continue
-        try:
-            b = spearman(matches.ious(), matches.scores())
-        except DegenerateInput:
-            skipped += 1
-            continue
-        per_image.append((image_id, b))
-
-    if not per_image:
-        raise EmptyEvaluation(f"no image yielded a correlation ({skipped} skipped)")
-    mean = float(np.mean([b for _, b in per_image]))
-    return CorrelationReport(beta_img=mean, per_image=tuple(per_image), skipped_images=skipped)
+    return _beta_img_from(
+        (gts[0].image_id if len(gts) > 0 else idx, match_positives(dets, gts, iou_floor))
+        for idx, (dets, gts) in enumerate(images)
+    )
 
 
 def _by_class(items: Sequence) -> dict[int, list]:
@@ -130,24 +147,8 @@ def _match_classes(
 
 def _beta_cls_from(table: _ClassMatches, k: int) -> CorrelationReport:
     """beta_cls over the TPs of threshold number ``k`` of each class."""
-    per_class: list[tuple[int, float]] = []
-    skipped = 0
-    for c, (_, _, sets) in table.items():
-        matches = sets[k]
-        if len(matches) < 2:
-            skipped += 1
-            continue
-        try:
-            b = spearman(matches.ious(), matches.scores())
-        except DegenerateInput:
-            skipped += 1
-            continue
-        per_class.append((c, b))
-
-    if not per_class:
-        raise EmptyEvaluation(f"no class yielded a correlation ({skipped} skipped)")
-    mean = float(np.mean([b for _, b in per_class]))
-    return CorrelationReport(beta_cls=mean, per_class=tuple(per_class), skipped_classes=skipped)
+    mean, per_class, skipped = _spearman_mean(((c, sets[k]) for c, (_, _, sets) in table.items()), "class")
+    return CorrelationReport(beta_cls=mean, per_class=per_class, skipped_classes=skipped)
 
 
 def beta_cls(

@@ -5,8 +5,12 @@ score order, scans every gt and skips those of another image or class.
 The other references rebuild PR curves, AP, beta_cls and the class-level
 bound report from it the way the library did before matching was grouped
 per image, filtering the full lists once per class and matching once per
-threshold.  ``detection_sets`` draws inputs that stress the tie-breaks:
-several images and classes, duplicate boxes, equal scores, equal IoUs.
+threshold.  ``image_corr_oracle`` gives the image-level bound report's
+correlation halves as they were computed before each image was matched
+once: ``beta_img`` matches the re-ranked detections again.
+``detection_sets`` and ``raw_detection_sets`` draw inputs that stress the
+tie-breaks: several images and classes, duplicate boxes, equal scores,
+equal IoUs.
 """
 
 import numpy as np
@@ -24,9 +28,13 @@ from corrdet import (
     GtObject,
     Match,
     MatchSet,
+    RawDetection,
     average_precision,
+    beta_img,
     iou,
+    match_positives,
     rerank_class_level,
+    rerank_image_level,
     spearman,
 )
 
@@ -127,6 +135,17 @@ def bound_report_class_oracle(dets, gts, direction, tp_iou=0.5):
     )
 
 
+def image_corr_oracle(dataset, direction, iou_floor=0.5):
+    """(corr_before, corr_after) of ``bound_report(level="image")``."""
+    before, after = [], []
+    for image_id, _, _ in dataset.images:
+        raw = list(dataset.raw_dets.get(image_id, ()))
+        gts = [g for g in dataset.gts if g.image_id == image_id]
+        before.append((raw, gts))
+        after.append((rerank_image_level(raw, match_positives(raw, gts, iou_floor), direction), gts))
+    return _or_none(beta_img, before, iou_floor), _or_none(beta_img, after, iou_floor)
+
+
 def achieved_ious(dets, gts):
     """Every IoU value some (det, gt) pair reaches, 0 included."""
     return sorted({iou(d.box, g.box) for d in dets for g in gts})
@@ -153,3 +172,14 @@ def detection_sets(draw, max_gts=10, max_dets=14):
     gts = draw(st.lists(st.builds(GtObject, box, class_id, image_id), max_size=max_gts))
     dets = draw(st.lists(st.builds(FinalDetection, box, class_id, _SCORE, image_id), max_size=max_dets))
     return dets, gts
+
+
+@st.composite
+def raw_detection_sets(draw, max_gts=8, max_dets=10):
+    """(raw detections by image id, gts) over 3 images and 3 classes."""
+    pool = draw(st.lists(_BOX, min_size=1, max_size=4))
+    box = st.sampled_from(pool) | _BOX
+    gts = draw(st.lists(st.builds(GtObject, box, st.integers(0, 2), st.integers(1, 3)), max_size=max_gts))
+    det = st.builds(RawDetection, box, st.tuples(_SCORE, _SCORE, _SCORE))
+    raw = {i: tuple(draw(st.lists(det, max_size=max_dets))) for i in (1, 2, 3)}
+    return raw, gts

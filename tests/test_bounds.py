@@ -22,7 +22,13 @@ from corrdet import (
     synth,
 )
 from corrdet.ingest import Dataset
-from match_oracle import achieved_ious, bound_report_class_oracle, detection_sets
+from match_oracle import (
+    achieved_ious,
+    bound_report_class_oracle,
+    detection_sets,
+    image_corr_oracle,
+    raw_detection_sets,
+)
 
 
 def final(score, x=0.0, class_id=0, image_id=1):
@@ -131,6 +137,14 @@ def test_bound_report_image_level_on_synth():
     assert rep_minus.corr_after.beta_img == -1.0
 
 
+def test_bound_report_image_level_equals_rematching_on_synth():
+    for seed, knob in ((22, 0.0), (24, 0.3)):
+        ds = synth(seed, knob=knob)
+        for direction in (1, -1):
+            rep = bound_report(ds, direction, level="image")
+            assert (rep.corr_before, rep.corr_after) == image_corr_oracle(ds, direction)
+
+
 def test_bound_report_identity_without_positives():
     # detections exist but none overlaps any gt
     from corrdet.ingest import Dataset
@@ -181,3 +195,25 @@ def test_bound_report_class_level_equals_oracle(case, direction, data):
         return
     got = bound_report(ds, direction, level="class", tp_iou=tp_iou)
     assert got == bound_report_class_oracle(dets, gts, direction, tp_iou)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_detection_sets(), st.sampled_from((1, -1)), st.data())
+def test_bound_report_image_level_equals_rematching(case, direction, data):
+    # Duplicate boxes and equal IoUs: matching the re-ranked detections
+    # again must pair them exactly as the one matching pass did.
+    raw, gts = case
+    all_raw = [d for dets in raw.values() for d in dets]
+    iou_floor = data.draw(st.sampled_from((0.5,) + tuple(v for v in achieved_ious(all_raw, gts) if v > 0.0)))
+    ds = Dataset(
+        categories=((1, "a"), (2, "b"), (3, "c")),
+        images=tuple((i, 8, 8) for i in (1, 2, 3)),
+        gts=tuple(gts),
+        raw_dets=raw,
+    )
+    if not gts:
+        with pytest.raises(EmptyEvaluation):
+            bound_report(ds, direction, level="image", iou_floor=iou_floor)
+        return
+    rep = bound_report(ds, direction, level="image", iou_floor=iou_floor)
+    assert (rep.corr_before, rep.corr_after) == image_corr_oracle(ds, direction, iou_floor)

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import corrdet.cli as cli
+from corrdet import COCO_THRESHOLDS, pr_curves, synth
 from corrdet.gradcheck import GradcheckResult, GradcheckRow
-from corrdet.ingest import load_report
+from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_report
 
 
 @pytest.fixture()
@@ -95,6 +97,28 @@ def test_eval_pr_csv(synth_dir, tmp_path):
     first = lines[1].split(",")
     assert len(first) == 4
     float(first[1]), float(first[2]), float(first[3])
+
+
+def test_eval_pr_csv_holds_the_curves_of_classes_with_gts(tmp_path):
+    # class 2 keeps its detections but loses its GTs: it has no PR curve
+    ds = synth(4, knob=0.5)
+    ds = replace(ds, gts=tuple(g for g in ds.gts if g.class_id != 2))
+    gt_p, dets_p, csv_p = tmp_path / "gt.json", tmp_path / "dets.json", tmp_path / "pr.csv"
+    emit_gt(ds, str(gt_p))
+    emit_final_dets(ds, str(dets_p))
+    argv = ["eval", "--gt", str(gt_p), "--dets", str(dets_p), "--out", str(tmp_path / "r.json"), "--pr-csv", str(csv_p)]
+    assert cli.main(argv) == 0
+
+    loaded = load_final_dets(str(dets_p), load_gt(str(gt_p)))
+    assert any(d.class_id == 2 for d in loaded.final_dets)
+    expected = ["category_id,iou_thr,recall,precision"]
+    for c in (0, 1):
+        cdets = [d for d in loaded.final_dets if d.class_id == c]
+        cgts = [g for g in loaded.gts if g.class_id == c]
+        for t, curve in zip(COCO_THRESHOLDS, pr_curves(cdets, cgts)):
+            prefix = f"{loaded.categories[c][0]},{cli._csv_value(t)}"
+            expected.extend(f"{prefix},{cli._csv_value(r)},{cli._csv_value(p)}" for r, p in curve)
+    assert csv_p.read_text() == "\n".join(expected) + "\n"
 
 
 def test_eval_missing_file_exits_2(tmp_path, capsys):

@@ -75,6 +75,14 @@ def test_degenerate_inputs_raise():
             f([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
     with pytest.raises(DegenerateInput):
         pearson([1.0, 2.0], [1.0, float("nan")])
+    # constant series whose mean rounds (0.1 * 3 / 3 != 0.1): the
+    # variance is about 1e-34, not 0, yet the series is constant
+    with pytest.raises(DegenerateInput):
+        pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateInput):
+        pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
+    with pytest.raises(DegenerateInput):
+        concordance([0.1, 0.1, 0.1], [0.1, 0.1, 0.1])
 
 
 def test_concordance_single_constant_series_is_zero():
@@ -82,6 +90,8 @@ def test_concordance_single_constant_series_is_zero():
     # and-equal case is undefined
     assert concordance([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
     assert concordance([1.0, 1.0], [3.0, 3.0]) == 0.0
+    assert concordance([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) == 0.0
+    assert concordance([0.1, 0.1, 0.1], [0.2, 0.2, 0.2]) == 0.0
     with pytest.raises(DegenerateInput):
         concordance([2.0, 2.0], [2.0, 2.0])
 
@@ -123,6 +133,10 @@ def test_coefficients_survive_overflow():
     # finite variances whose product overflows, or underflows to zero
     assert pearson([1e100, 2e100, 3e100], [3e100, 2e100, 1e100]) == pytest.approx(-1.0, abs=1e-15)
     assert pearson([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 3e-100]) == pytest.approx(1.0, abs=1e-15)
+    # one variance below the normal range, their product inside it: r is
+    # still that of the unscaled series, bit for bit
+    x, y = np.array([0.2, 0.5, 0.9, 0.4]), np.array([0.1, 0.4, 0.9, 0.3])
+    assert pearson(np.ldexp(x, 40), np.ldexp(y, -530)) == pearson(x, y)
 
 
 _GRID = st.integers(-64000, 64000).map(lambda v: v / 64.0)

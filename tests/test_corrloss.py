@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrdet import (
     COEFFICIENTS,
     Box,
+    DegenerateInput,
     GtObject,
     LossConfig,
+    concordance,
     correlation_loss,
     descend_demo,
     loss_from_arrays,
     match_positives,
     multi_stage_loss,
+    pearson,
     spearman,
     total_loss,
 )
@@ -243,3 +246,29 @@ def test_loss_value_does_not_depend_on_scale(pair, k):
         cfg = LossConfig(coefficient=coef)
         want = loss_from_arrays(x, y, cfg).value
         assert loss_from_arrays(np.ldexp(x, k), np.ldexp(y, k), cfg).value == pytest.approx(want, rel=0.0, abs=tol)
+
+
+# Unit-range values as a trainer sees them, plus any finite float and
+# values whose moments underflow.
+_VALUE = st.floats(0.0, 1.0) | _FINITE | st.sampled_from((0.0, 5e-324, 1e-200, 2e-200, 0.1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(st.lists(_VALUE, min_size=n, max_size=n), st.lists(_VALUE, min_size=n, max_size=n))
+    ),
+    st.sampled_from(((pearson, "pearson"), (concordance, "concordance"))),
+)
+def test_loss_value_is_one_minus_coefficient(pair, coef):
+    x, y = (np.array(v) for v in pair)
+    assume(x.min() != x.max() and y.min() != y.max())
+    coefficient, name = coef
+    res = loss_from_arrays(x, y, LossConfig(coefficient=name))
+    try:
+        want = 1.0 - coefficient(x, y)
+    except DegenerateInput:  # a variance or the denominator underflows to zero
+        assert res.value == 0.0
+        assert np.all(res.grad_scores == 0.0)
+        return
+    assert res.value == want

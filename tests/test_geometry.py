@@ -19,6 +19,8 @@ def test_box_rejects_bad_coordinates():
         Box(0.0, 0.0, float("inf"), 1.0)
     with pytest.raises(ValueError):  # positive sides, but the area underflows to 0
         Box(0.0, 0.0, 1e-200, 1e-200)
+    with pytest.raises(ValueError):  # finite corners, but the width and area overflow
+        Box(-1e308, 0.0, 1e308, 1.0)
 
 
 def test_box_conversions_and_area():
