@@ -96,6 +96,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _csv_value(v: float) -> str:
+    """A trace value for the ``descend`` CSV, where rho may be NaN."""
     return fmt_float(float(v)) if np.isfinite(v) else "nan"
 
 
@@ -140,9 +141,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if not cgts:
                 continue
             for t, (recalls, precisions) in zip(COCO_THRESHOLDS, _curves(cdets, len(cgts), sets)):
-                prefix = f"{dataset.categories[c][0]},{_csv_value(t)}"
+                # Recalls, precisions and thresholds are always finite.
+                prefix = f"{dataset.categories[c][0]},{fmt_float(t)}"
                 points = zip(recalls.tolist(), precisions.tolist())
-                lines.extend(f"{prefix},{_csv_value(r)},{_csv_value(p)}" for r, p in points)
+                lines.extend(f"{prefix},{fmt_float(r)},{fmt_float(p)}" for r, p in points)
         _write_text("\n".join(lines) + "\n", args.pr_csv)
     return 0
 

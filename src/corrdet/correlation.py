@@ -2,19 +2,20 @@
 
 All three coefficients use population (divide-by-n) moments; both arguments
 always come from the same paired sample, so only internal consistency
-matters.  Degenerate inputs raise :class:`DegenerateInput` -- callers decide
-the skip policy.  The coefficients do not depend on the scale of the
-input: a series whose largest magnitude reaches 2**200 is divided by a
-power of two before any moment is formed, so no moment overflows (or
-warns), and a moment that would lose precision as a subnormal is
-recomputed on the series divided by a power of two.  The Correlation
-Loss reads its coefficient and gradient terms from the same two kernels.
+matters.  Degenerate inputs (n < 2 or a constant series) raise
+:class:`DegenerateInput` -- callers decide the skip policy.  The
+coefficients do not depend on the scale of the input: a series whose
+largest magnitude lies outside [2**-100, 2**100] is divided by the power
+of two that brings it into [0.5, 1) before any moment is formed.  That is
+exact, and inside the window every moment of a non-constant series is a
+normal float, so one pass never overflows, underflows to zero or warns.
+The Correlation Loss reads its coefficient and gradient terms from the
+same two kernels.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from .errors import DegenerateInput
 __all__ = ["pearson", "spearman", "concordance", "average_ranks"]
 
 FloatArray = np.ndarray
-_NORMAL_MIN = sys.float_info.min
-# Below this magnitude no moment can overflow: a variance stays under
-# 2**402, a product of two under 2**804, an n-sample sum under n * 2**402.
-_PRESCALE_AT = 2.0**200
+# A non-constant series whose peak lies in this window has a variance in
+# about [2**-306 / n, 2**202]: its peak differs from some other entry by at
+# least an ulp of 2**-101.  No moment, product or sum of two then leaves
+# the normal range.
+_WINDOW = (2.0**-100, 2.0**100)
 
 
 def _peak(a: FloatArray) -> float:
@@ -34,10 +36,10 @@ def _peak(a: FloatArray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _scaled(a: FloatArray, peak: float, at: float) -> tuple[FloatArray, int]:
-    """``(a / 2**e, e)``: e = 0 when ``peak < at``, else the e that brings
-    ``peak`` into [0.5, 1).  Exact, so no coefficient changes."""
-    if peak < at:
+def _scaled(a: FloatArray, peak: float) -> tuple[FloatArray, int]:
+    """``(a / 2**e, e)``: e = 0 when ``peak`` lies in ``_WINDOW``, else the
+    e that brings ``peak`` into [0.5, 1).  Exact, so no coefficient changes."""
+    if _WINDOW[0] <= peak <= _WINDOW[1]:
         return a, 0
     e = math.frexp(peak)[1]
     return np.ldexp(a, -e), e
@@ -71,13 +73,6 @@ def _check_pair(x, y) -> tuple[FloatArray, FloatArray, float, float]:
     return a, b, peak_a, peak_b
 
 
-def _coefficient(terms) -> float:
-    """The clipped coefficient of a kernel result; raises on None."""
-    if terms is None:
-        raise DegenerateInput("a variance or the denominator is zero")
-    return _clip(terms[0])
-
-
 def average_ranks(x) -> FloatArray:
     """Fractional ranks with average tie handling; smallest value gets rank 1.
 
@@ -99,46 +94,37 @@ def average_ranks(x) -> FloatArray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _pearson_moments(a: FloatArray, b: FloatArray):
-    """Centered series, population variances and covariance of a and b."""
-    ac = a - a.mean()
-    bc = b - b.mean()
-    return ac, bc, float(np.mean(ac * ac)), float(np.mean(bc * bc)), float(np.mean(ac * bc))
-
-
 def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
     """``(r, ac, bc, var_a, var_b, e_b)``: unclipped Pearson r and the
-    centered series and variances it came from, b divided by 2**e_b.
+    centered series and population variances it came from.  Each series
+    goes through ``_scaled`` on its own; b is divided by 2**e_b.
 
-    ``peak_a``/``peak_b`` bound the magnitudes.  A series whose peak
-    reaches 2**200 is divided by a power of two first; when a variance or
-    their product falls below the normal range, both are recomputed with
-    their peaks in [0.5, 1).  Exact, so r does not change.  None when a
-    variance is zero, as an underflow makes it for [0, 5e-324].
+    ``peak_a``/``peak_b`` bound the magnitudes.  None when a variance is
+    zero: all-tied ranks, or soft ranks pooled into one block (callers
+    rule out other constant series first).
     """
-    b_s, e_b = _scaled(b, peak_b, _PRESCALE_AT)
-    ac, bc, var_a, var_b, cov = _pearson_moments(_scaled(a, peak_a, _PRESCALE_AT)[0], b_s)
+    a_s = _scaled(a, peak_a)[0]
+    b_s, e_b = _scaled(b, peak_b)
+    ac = a_s - a_s.mean()
+    bc = b_s - b_s.mean()
+    var_a = float(np.mean(ac * ac))
+    var_b = float(np.mean(bc * bc))
     if var_a == 0.0 or var_b == 0.0:
         return None
-    if min(var_a, var_b, var_a * var_b) < _NORMAL_MIN:
-        b_s, e_b = _scaled(b, peak_b, 0.0)
-        ac, bc, var_a, var_b, cov = _pearson_moments(_scaled(a, peak_a, 0.0)[0], b_s)
-    return cov / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
+    return float(np.mean(ac * bc)) / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
 
 
 def pearson(x, y) -> float:
     """Pearson correlation: cov(x, y) / (sigma_x * sigma_y).
 
-    Raises DegenerateInput when either series is constant, when a variance
-    underflows to zero, or when n < 2.  A series with magnitudes from
-    2**200 up, or one whose variance falls below the normal float range
-    (spreads below about 1e-154), is divided by a power of two, which is
-    exact and leaves r unchanged; other inputs are computed as they come.
+    Raises DegenerateInput when either series is constant or n < 2.  Each
+    series is scaled on its own by a power of two (see the module
+    docstring), which is exact and leaves r unchanged.
     """
     a, b, peak_a, peak_b = _check_pair(x, y)
     if _constant(a) or _constant(b):
         raise DegenerateInput("at least one series is constant")
-    return _coefficient(_pearson_kernel(a, b, peak_a, peak_b))
+    return _clip(_pearson_kernel(a, b, peak_a, peak_b)[0])
 
 
 def spearman(x, y) -> float:
@@ -150,39 +136,31 @@ def spearman(x, y) -> float:
     # Ranks lie in [1, n], so n bounds their peaks.  All-tied ranks equal
     # (n + 1) / 2, whose mean is exact: their variance is 0.
     n = float(a.size)
-    return _coefficient(_pearson_kernel(average_ranks(a), average_ranks(b), n, n))
-
-
-def _concordance_moments(a: FloatArray, b: FloatArray):
-    """Centered series, mean gap mu_a - mu_b, covariance and the
-    concordance denominator var_a + var_b + gap^2."""
-    mu_a = float(a.mean())
-    mu_b = float(b.mean())
-    ac = a - mu_a
-    bc = b - mu_b
-    var_a = float(np.mean(ac * ac))
-    var_b = float(np.mean(bc * bc))
-    gap = mu_a - mu_b
-    return ac, bc, gap, float(np.mean(ac * bc)), var_a + var_b + gap**2
+    terms = _pearson_kernel(average_ranks(a), average_ranks(b), n, n)
+    if terms is None:
+        raise DegenerateInput("all values tie in at least one series")
+    return _clip(terms[0])
 
 
 def _concordance_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
-    """``(gamma, ac, bc, gap, denom, e)``: unclipped Concordance and the
-    terms it came from, both series divided by 2**e.
+    """``(gamma, ac, bc, gap, denom, e)``: unclipped Concordance, the
+    centered series, mean gap mu_a - mu_b and denominator
+    var_a + var_b + gap^2 it came from, both series divided by 2**e.
 
-    e brings the larger peak into [0.5, 1) when that peak reaches 2**200
-    or the denominator falls below the normal range, else e = 0; exact, so
-    gamma does not change.  None when the denominator is zero.
+    e is the ``_scaled`` exponent of the larger peak, so the series stay
+    in proportion.  Callers rule out a constant series first; the larger
+    peak's series then keeps the denominator normal.
     """
     peak = max(peak_a, peak_b)
-    a_s, e = _scaled(a, peak, _PRESCALE_AT)
-    ac, bc, gap, cov, denom = _concordance_moments(a_s, _scaled(b, peak, _PRESCALE_AT)[0])
-    if denom == 0.0:
-        return None
-    if denom < _NORMAL_MIN:
-        a_s, e = _scaled(a, peak, 0.0)
-        ac, bc, gap, cov, denom = _concordance_moments(a_s, _scaled(b, peak, 0.0)[0])
-    return 2.0 * cov / denom, ac, bc, gap, denom, e
+    a_s, e = _scaled(a, peak)
+    b_s = _scaled(b, peak)[0]
+    mu_a = float(a_s.mean())
+    mu_b = float(b_s.mean())
+    ac = a_s - mu_a
+    bc = b_s - mu_b
+    gap = mu_a - mu_b
+    denom = float(np.mean(ac * ac)) + float(np.mean(bc * bc)) + gap**2
+    return 2.0 * float(np.mean(ac * bc)) / denom, ac, bc, gap, denom, e
 
 
 def concordance(x, y) -> float:
@@ -190,11 +168,9 @@ def concordance(x, y) -> float:
 
     Stricter than Pearson -- maximized only when the two series agree in
     value, not merely in trend.  Raises DegenerateInput when both series
-    are constant and equal, when the denominator underflows to zero, or
-    when n < 2; a single constant series gives 0.  When either series has
-    magnitudes from 2**200 up, or the denominator falls below the normal
-    float range, both series are divided by the same power of two, which
-    is exact and leaves the coefficient unchanged.
+    are constant and equal, or when n < 2; a single constant series
+    gives 0.  Both series are scaled by the same power of two (see the
+    module docstring), which is exact and leaves the coefficient unchanged.
     """
     a, b, peak_a, peak_b = _check_pair(x, y)
     constant_a, constant_b = _constant(a), _constant(b)
@@ -202,4 +178,4 @@ def concordance(x, y) -> float:
         raise DegenerateInput("both series constant and equal")
     if constant_a or constant_b:
         return 0.0  # cov is 0; a mean that rounds would leave a residue near 1e-32
-    return _coefficient(_concordance_kernel(a, b, peak_a, peak_b))
+    return _clip(_concordance_kernel(a, b, peak_a, peak_b)[0])

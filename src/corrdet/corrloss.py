@@ -14,7 +14,10 @@ Concordance variants' value is ``1 - coefficient`` bit for bit.
 Degenerate batches (fewer than two positives, or a constant series) yield
 zero loss and zero gradient rather than an error: a training-loop plug-in
 must never crash mid-epoch, and a degenerate batch simply carries no
-correlation signal.
+correlation signal.  The kernels' one scaling rule (a series whose peak
+lies outside [2**-100, 2**100] is divided by the power of two that brings
+it into [0.5, 1)) holds here too, so the Pearson and Concordance values do
+not depend on scale.
 """
 
 from __future__ import annotations
@@ -111,11 +114,13 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     """Correlation Loss on bare (IoU, score) arrays.
 
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
-    held constant.  Degenerate inputs (n < 2, all IoUs equal, all scores
-    equal, or a spread so small that a variance underflows to zero) return
-    value 0 and an all-zero gradient.  Any other finite input gives a value
-    in [0, 2] and a finite gradient, also at magnitudes near 1e300, where
-    the coefficient kernels divide the series by a power of two (exact).
+    held constant.  Degenerate inputs (n < 2, all IoUs equal or all scores
+    equal) return value 0 and an all-zero gradient, as does a Spearman
+    batch whose soft ranks pool into one block.  Any other finite input
+    gives a value in [0, 2] and a finite gradient at any magnitude: the
+    coefficient kernels divide a series outside [2**-100, 2**100] by a
+    power of two (exact), and the gradient is scaled back by it, with 0
+    for an entry that would leave the float range.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -129,10 +134,7 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
 
     if cfg.coefficient == "concordance":
-        terms = _concordance_kernel(x, y, peak_x, peak_y)
-        if terms is None:
-            return LossResult(0.0, np.zeros(n, dtype=np.float64))
-        rho, xc, yc, gap, denom, shift = terms
+        rho, xc, yc, gap, denom, shift = _concordance_kernel(x, y, peak_x, peak_y)
         grad_rho = (2.0 / (n * denom)) * (xc - rho * (yc - gap))
     else:
         soft = None
@@ -145,15 +147,20 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
             soft = soft_rank(y, cfg.epsilon)
             x, y, peak_x, peak_y = average_ranks(x), soft.ranks, float(n), float(n)
         terms = _pearson_kernel(x, y, peak_x, peak_y)
-        if terms is None:
+        if terms is None:  # soft ranks pooled into one block
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
         rho, xc, yc, var_x, var_y, shift = terms
         grad_rho = xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y)
         if soft is not None:
             grad_rho = soft_rank_vjp(soft, grad_rho)
     # The kernel divided the scores by 2**shift; scale the gradient back.
+    # Scores whose peak lies below 2**-100 scale it up, which can push an
+    # entry past the float range; such an entry carries no usable step, so
+    # it becomes 0.
     if shift:
-        grad_rho = np.ldexp(grad_rho, -shift)
+        with np.errstate(over="ignore"):
+            grad_rho = np.ldexp(grad_rho, -shift)
+        grad_rho[np.isinf(grad_rho)] = 0.0
     return LossResult(1.0 - _clip(rho), -grad_rho)
 
 

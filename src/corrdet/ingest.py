@@ -291,8 +291,10 @@ def load_report(path: str) -> Any:
             return json.load(f)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path} nests too deeply to parse") from e
 
 
 def emit_gt(dataset: Dataset, path: str) -> None:

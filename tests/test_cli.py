@@ -9,9 +9,9 @@ from dataclasses import replace
 import pytest
 
 import corrdet.cli as cli
-from corrdet import COCO_THRESHOLDS, pr_curves, synth
+from corrdet import COCO_THRESHOLDS, PipelineConfig, beta_cls, bound_report, postprocess, pr_curves, synth
 from corrdet.gradcheck import GradcheckResult, GradcheckRow
-from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_report
+from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_raw_dets, load_report
 
 
 @pytest.fixture()
@@ -177,6 +177,37 @@ def test_corr_levels(synth_dir, tmp_path):
     assert b["level"] == "class" and "per_class" in b
     assert -1.0 <= a["beta"] <= 1.0
     assert -1.0 <= b["beta"] <= 1.0
+
+
+def _finals_per_image(dataset):
+    finals = []
+    for image_id, _, _ in dataset.images:
+        finals.extend(postprocess(dataset.raw_dets.get(image_id, ()), PipelineConfig(), image_id))
+    return tuple(finals)
+
+
+def test_class_level_from_raw_dets_post_processes_each_image(synth_dir, tmp_path):
+    dataset = load_raw_dets(str(synth_dir / "raw_dets.json"), load_gt(str(synth_dir / "gt.json")))
+    dataset = replace(dataset, final_dets=_finals_per_image(dataset))
+    io = ["--gt", str(synth_dir / "gt.json"), "--raw-dets", str(synth_dir / "raw_dets.json"), "--level", "class"]
+
+    out = tmp_path / "corr.json"
+    assert cli.main(["corr", *io, "--out", str(out)]) == 0
+    rep = load_report(str(out))
+    want = beta_cls(dataset.final_dets, dataset.gts, tp_iou=0.5)
+    assert rep["beta"] == want.beta_cls
+    assert [(c["category_id"], c["spearman"]) for c in rep["per_class"]] == [
+        (dataset.categories[c][0], b) for c, b in want.per_class
+    ]
+
+    out = tmp_path / "bounds.json"
+    assert cli.main(["bounds", *io, "--direction", "+1", "--out", str(out)]) == 0
+    rep = load_report(str(out))
+    want = bound_report(dataset, 1, level="class")
+    assert rep["beta_before"] == want.corr_before.beta_cls
+    assert rep["beta_after"] == want.corr_after.beta_cls
+    assert rep["ap_before"]["ap_c"] == want.ap_before.ap_c
+    assert rep["ap_after"]["per_threshold_ap"] == [v for _, v in want.ap_after.per_threshold]
 
 
 def test_corr_image_level_needs_raw(synth_dir, capsys):

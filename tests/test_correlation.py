@@ -137,6 +137,9 @@ def test_coefficients_survive_overflow():
     # still that of the unscaled series, bit for bit
     x, y = np.array([0.2, 0.5, 0.9, 0.4]), np.array([0.1, 0.4, 0.9, 0.3])
     assert pearson(np.ldexp(x, 40), np.ldexp(y, -530)) == pearson(x, y)
+    # both variances underflow to zero at raw scale
+    assert pearson(np.ldexp(x, -600), y) == pearson(x, y)
+    assert concordance(np.ldexp(x, -600), np.ldexp(y, -600)) == pytest.approx(concordance(x, y), rel=0.0, abs=4 * np.finfo(float).eps)
 
 
 _GRID = st.integers(-64000, 64000).map(lambda v: v / 64.0)
@@ -146,7 +149,7 @@ _PAIRS = st.integers(2, 30).flatmap(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_PAIRS, st.integers(-300, 900), st.integers(-300, 900))
+@given(_PAIRS, st.integers(-1000, 1000), st.integers(-1000, 1000))
 def test_coefficients_do_not_depend_on_scale(pair, j, k):
     # Multiplying by a power of two is exact, so Pearson and Spearman must
     # not move at all, for each series scaled on its own; Concordance

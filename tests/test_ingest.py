@@ -24,7 +24,7 @@ from corrdet import (
     write_report,
 )
 from corrdet.errors import ReferenceError as DanglingReference
-from corrdet.ingest import fmt_float
+from corrdet.ingest import emit_final_dets, emit_raw_dets, fmt_float
 
 
 def write(tmp_path, name, payload):
@@ -70,6 +70,12 @@ def test_load_gt_errors(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ParseError):
         load_gt(str(p))
+    p.write_bytes(b'{"categories": "\xff"}')  # not UTF-8
+    with pytest.raises(ParseError):
+        load_gt(str(p))
+    p.write_text("[" * 200_000)  # deeper than the parser recurses
+    with pytest.raises(ParseError):
+        load_gt(str(p))
 
     cases = [
         ({"categories": [{"id": 7}]}, SchemaError),                      # missing name
@@ -95,6 +101,14 @@ def test_load_gt_errors(tmp_path):
         doc["annotations"][0].update(patch)
         with pytest.raises(exc):
             load_gt(write(tmp_path, "bad_ann.json", doc))
+
+
+def test_too_deep_json_exits_2_without_traceback(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli.main(["eval", "--gt", str(deep), "--dets", str(deep)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "nests too deeply" in err[0]
 
 
 def test_load_raw_dets(tmp_path):
@@ -196,6 +210,52 @@ def test_malformed_record_is_a_schema_error(tmp_path, capsys, kind, key, value):
     assert cli.main(["eval", "--gt", gt_path, dets_flag, dets_path]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# (file, patch, error type, message) for records whose checks no row above reaches
+_BAD_RECORDS = [
+    pytest.param("gt", {"categories": [{"id": 7, "name": 7}, {"id": 3, "name": "dog"}]}, SchemaError,
+                 "categories[0]: name must be a string", id="gt-category-name-not-string"),
+    pytest.param("raw", {"scores": 0.5}, SchemaError, "detections[0]: scores must be a list", id="raw-scores-not-list"),
+    pytest.param("final", {"image_id": 4}, DanglingReference, "results[0]: unknown image id 4", id="final-unknown-image"),
+    pytest.param("final", {"category_id": 99}, DanglingReference, "results[0]: unknown category id 99",
+                 id="final-unknown-category"),
+]
+
+
+@pytest.mark.parametrize(("kind", "patch", "exc", "message"), _BAD_RECORDS)
+def test_bad_record_has_typed_error_and_exits_2(tmp_path, capsys, kind, patch, exc, message):
+    gt = gt_doc(**patch) if kind == "gt" else gt_doc()
+    dets_flag, dets = "--dets", [_FINAL]
+    if kind == "raw":
+        dets_flag, dets = "--raw-dets", {"detections": [dict(_RAW, **patch)]}
+    elif kind == "final":
+        dets = [dict(_FINAL, **patch)]
+    gt_path = write(tmp_path, "gt.json", gt)
+    dets_path = write(tmp_path, "dets.json", dets)
+
+    with pytest.raises(exc) as caught:
+        if kind == "gt":
+            load_gt(gt_path)
+        elif kind == "raw":
+            load_raw_dets(dets_path, load_gt(gt_path))
+        else:
+            load_final_dets(dets_path, load_gt(gt_path))
+    assert message in str(caught.value)
+
+    capsys.readouterr()
+    assert cli.main(["eval", "--gt", gt_path, dets_flag, dets_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_emit_without_detections_is_an_error(tmp_path):
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    with pytest.raises(ValueError, match="no raw detections"):
+        emit_raw_dets(ds, str(tmp_path / "raw.json"))
+    with pytest.raises(ValueError, match="no final detections"):
+        emit_final_dets(ds, str(tmp_path / "final.json"))
+    assert not (tmp_path / "raw.json").exists() and not (tmp_path / "final.json").exists()
 
 
 def test_fmt_float():
@@ -309,7 +369,7 @@ def test_synth_duplicates_collapse_under_default_nms():
 
 
 def test_synth_round_trip(tmp_path):
-    from corrdet import emit_final_dets, emit_gt, emit_raw_dets
+    from corrdet import emit_gt
 
     ds = synth(31, knob=-0.5)
     gt_p, raw_p, fin_p = (str(tmp_path / n) for n in ("gt.json", "raw.json", "fin.json"))

@@ -130,6 +130,8 @@ def test_invalid_inputs():
         soft_rank([], 1.0)
     with pytest.raises(DegenerateInput):
         soft_rank([1.0, float("nan")], 1.0)
+    with pytest.raises(ValueError, match="upstream length 2"):
+        soft_rank_vjp(soft_rank([1.0, 2.0, 3.0], 1.0), [1.0, 2.0])
 
 
 def test_result_is_sized():
