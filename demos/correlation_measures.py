@@ -9,13 +9,6 @@ degrade smoothly.
 from corrdet import beta_cls, beta_img, concordance, pearson, spearman, synth
 
 
-def image_pairs(ds):
-    by_image = {image_id: [] for image_id, _, _ in ds.images}
-    for g in ds.gts:
-        by_image[g.image_id].append(g)
-    return [(ds.raw_dets.get(i, ()), tuple(by_image[i])) for i, _, _ in ds.images]
-
-
 def main():
     print("The three coefficients on a hand example")
     print("  x = [1, 2, 3] against:")
@@ -35,7 +28,7 @@ def main():
         bis, bcs = [], []
         for seed in range(10):
             ds = synth(seed, knob=knob)
-            bis.append(beta_img(image_pairs(ds)).beta_img)
+            bis.append(beta_img([(raw, gts) for _, raw, gts in ds.per_image()]).beta_img)
             bcs.append(beta_cls(ds.final_dets, ds.gts).beta_cls)
         print(f"  {knob:+5.1f}  {sum(bis) / len(bis):+9.3f}  {sum(bcs) / len(bcs):+9.3f}")
     print("\nknob = +1 wires scores to IoU, knob = -1 inverts them;")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EmptyEvaluation
-from .geometry import GtObject, MatchSet, match_positives
+from .geometry import MatchSet, match_positives
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -171,22 +171,15 @@ def bound_report(
             corr_after=_or_none(_beta_cls_from, after, -1),
         )
 
-    if dataset.raw_dets is None:
-        raise ValueError("image-level bounds need raw detections")
     cfg = pipeline if pipeline is not None else PipelineConfig()
-    by_image: dict[int, list[GtObject]] = {}
-    for g in gts:
-        by_image.setdefault(g.image_id, []).append(g)
-
     # Matching reads only the boxes, so the re-ranked detections pair up
     # exactly as before; only the matched scores change.
     positives_before: list[tuple[int, MatchSet]] = []
     positives_after: list[tuple[int, MatchSet]] = []
     finals_before: list[FinalDetection] = []
     finals_after: list[FinalDetection] = []
-    for image_id, _, _ in dataset.images:
-        raw = list(dataset.raw_dets.get(image_id, ()))
-        matches = match_positives(raw, by_image.get(image_id, []), iou_floor)
+    for image_id, raw, image_gts in dataset.per_image():
+        matches = match_positives(raw, image_gts, iou_floor)
         raw_after = rerank_image_level(raw, matches, direction)
         rescored = MatchSet(
             tuple(replace(m, score=raw_after[m.detection_index].class_scores[m.class_id]) for m in matches)

@@ -55,24 +55,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _finals_from_raw(dataset: Dataset, pcfg: PipelineConfig):
-    if dataset.raw_dets is None:
-        raise ValueError("raw detections required; pass --raw-dets")
-    finals: list = []
-    for image_id, _, _ in dataset.images:
-        finals.extend(postprocess(dataset.raw_dets.get(image_id, ()), pcfg, image_id))
-    return tuple(finals)
-
-
-def _image_pairs(dataset: Dataset):
-    if dataset.raw_dets is None:
-        raise ValueError("image-level correlation needs raw detections; pass --raw-dets")
-    by_image: dict[int, list] = {image_id: [] for image_id, _, _ in dataset.images}
-    for gt in dataset.gts:
-        by_image[gt.image_id].append(gt)
-    return [
-        (dataset.raw_dets.get(image_id, ()), tuple(by_image[image_id]))
-        for image_id, _, _ in dataset.images
-    ]
+    return tuple(f for iid, raw, _ in dataset.per_image() for f in postprocess(raw, pcfg, iid))
 
 
 def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
@@ -153,7 +136,8 @@ def _cmd_corr(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
 
     if args.level == "image":
-        report = beta_img(_image_pairs(dataset), iou_floor=args.iou_floor)
+        pairs = [(raw, gts) for _, raw, gts in dataset.per_image()]
+        report = beta_img(pairs, iou_floor=args.iou_floor)
         payload = {
             "level": "image",
             "iou_floor": args.iou_floor,

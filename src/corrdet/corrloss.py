@@ -116,11 +116,13 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
     held constant.  Degenerate inputs (n < 2, all IoUs equal or all scores
     equal) return value 0 and an all-zero gradient, as does a Spearman
-    batch whose soft ranks pool into one block.  Any other finite input
-    gives a value in [0, 2] and a finite gradient at any magnitude: the
-    coefficient kernels divide a series outside [2**-100, 2**100] by a
-    power of two (exact), and the gradient is scaled back by it, with 0
-    for an entry that would leave the float range.
+    batch whose soft ranks pool into one block.  At n = 2 the Pearson and
+    Spearman gradients are exactly 0, since rho is +-1 for every
+    non-constant pair.  Any other finite input gives a value in [0, 2]
+    and a finite gradient at any magnitude: the coefficient kernels
+    divide a series outside [2**-100, 2**100] by a power of two (exact),
+    and the gradient is scaled back by it, with 0 for an entry that would
+    leave the float range.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -150,9 +152,12 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         if terms is None:  # soft ranks pooled into one block
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
         rho, xc, yc, var_x, var_y, shift = terms
-        grad_rho = xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y)
-        if soft is not None:
-            grad_rho = soft_rank_vjp(soft, grad_rho)
+        if n == 2:  # r is +-1 for every non-constant pair: exactly flat, not rounding residue
+            grad_rho = np.zeros(n, dtype=np.float64)
+        else:
+            grad_rho = xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y)
+            if soft is not None:
+                grad_rho = soft_rank_vjp(soft, grad_rho)
     # The kernel divided the scores by 2**shift; scale the gradient back.
     # Scores whose peak lies below 2**-100 scale it up, which can push an
     # entry past the float range; such an entry carries no usable step, so

@@ -3,8 +3,9 @@
 Two flavours of matching exist side by side:
 
 * :func:`match_positives` -- training-style assignment of raw detections to
-  ground-truth objects (greedy, one-to-one, by descending IoU).  Feeds the
-  image-level correlation measure and the Correlation Loss.
+  ground-truth objects (greedy, one-to-one, by descending IoU), read from
+  one :func:`iou_matrix` of the image's detections against its GTs.  Feeds
+  the image-level correlation measure and the Correlation Loss.
 * :func:`match_tp_multi` -- evaluation-style true-positive matching
   (greedy by descending score, COCO convention) at several IoU thresholds
   in one pass.  GTs are grouped per ``(image, class)``, so the cost is
@@ -129,23 +130,29 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def iou_matrix(boxes) -> np.ndarray:
-    """Pairwise IoU of ``n`` corner-form boxes given as an ``(n, 4)`` array.
+def _box_array(boxes: Sequence[Box]) -> np.ndarray:
+    """Corners of ``boxes`` as an ``(n, 4)`` float64 array."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
-    Entry ``[i, j]`` equals ``iou(box_i, box_j)`` bit for bit: the same
-    float operations run in the same order, so a threshold compares the
-    same way on both, and the matrix is symmetric.  A box of area 0,
-    which no ``Box`` has, gives NaN entries, which no ``>`` threshold
-    passes.
+
+def iou_matrix(a, b) -> np.ndarray:
+    """IoU of every corner-form box in ``a`` with every one in ``b``, given
+    as ``(n, 4)`` and ``(m, 4)`` arrays.
+
+    Entry ``[i, j]`` equals ``iou(a_i, b_j)`` bit for bit: the same float
+    operations run in the same order, so a threshold compares the same
+    way on both, and ``iou_matrix(a, a)`` is symmetric.  A box whose area
+    is not positive, which no ``Box`` has, gives entries of 0 or NaN.
     """
-    b = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    x1, y1, x2, y2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     with np.errstate(all="ignore"):
-        area = (x2 - x1) * (y2 - y1)
-        ix = np.minimum(x2[:, None], x2) - np.maximum(x1[:, None], x1)
-        iy = np.minimum(y2[:, None], y2) - np.maximum(y1[:, None], y1)
+        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        ix = np.minimum(a[:, 2, None], b[:, 2]) - np.maximum(a[:, 0, None], b[:, 0])
+        iy = np.minimum(a[:, 3, None], b[:, 3]) - np.maximum(a[:, 1, None], b[:, 1])
         inter = ix * iy
-        out = inter / (area[:, None] + area - inter)
+        out = inter / (area_a[:, None] + area_b - inter)
     out[(ix <= 0.0) | (iy <= 0.0)] = 0.0
     return out
 
@@ -163,24 +170,21 @@ def match_positives(
     recorded alongside the IoU.  Detections and gts must come from the same
     image.  Returns an empty MatchSet when nothing clears the floor.
     """
-    candidates = []
-    for di, det in enumerate(dets):
-        for gi, gt in enumerate(gts):
-            v = iou(det.box, gt.box)
-            if v >= iou_floor:
-                candidates.append((-v, di, gi))
-    candidates.sort()
+    ious = iou_matrix(_box_array([d.box for d in dets]), _box_array([g.box for g in gts]))
+    det_idx, gt_idx = np.nonzero(ious >= iou_floor)
+    v = ious[det_idx, gt_idx]
+    order = np.lexsort((gt_idx, det_idx, -v))  # by (-IoU, det index, gt index)
 
     used_det: set[int] = set()
     used_gt: set[int] = set()
     matches = []
-    for neg_iou, di, gi in candidates:
+    for di, gi, value in zip(det_idx[order].tolist(), gt_idx[order].tolist(), v[order].tolist()):
         if di in used_det or gi in used_gt:
             continue
         used_det.add(di)
         used_gt.add(gi)
         score = float(dets[di].class_scores[gts[gi].class_id])
-        matches.append(Match(di, gi, -neg_iou, score, gts[gi].class_id))
+        matches.append(Match(di, gi, value, score, gts[gi].class_id))
 
     matches.sort(key=lambda m: m.detection_index)
     return MatchSet(tuple(matches))

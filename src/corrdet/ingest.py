@@ -63,6 +63,19 @@ class Dataset:
     raw_dets: dict[int, tuple[RawDetection, ...]] | None = None
     final_dets: tuple[FinalDetection, ...] | None = None
 
+    def per_image(self) -> list[tuple[int, tuple[RawDetection, ...], tuple[GtObject, ...]]]:
+        """``(image id, raw detections, GTs)`` for every image in file order,
+        with ``()`` where an image has no detections or no GTs.
+
+        Raises ValueError when the dataset holds no raw detections.
+        """
+        if self.raw_dets is None:
+            raise ValueError("dataset has no raw detections; pass --raw-dets")
+        gts_of: dict[int, list[GtObject]] = {}
+        for g in self.gts:
+            gts_of.setdefault(g.image_id, []).append(g)
+        return [(iid, self.raw_dets.get(iid, ()), tuple(gts_of.get(iid, ()))) for iid, _, _ in self.images]
+
 
 def _field(obj: Any, key: str, where: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
@@ -318,13 +331,11 @@ def emit_gt(dataset: Dataset, path: str) -> None:
 
 def emit_raw_dets(dataset: Dataset, path: str) -> None:
     """Write raw detections in the schema load_raw_dets reads."""
-    if dataset.raw_dets is None:
-        raise ValueError("dataset has no raw detections to emit")
-    dets = []
-    for iid, _, _ in dataset.images:
-        for det in dataset.raw_dets.get(iid, ()):
-            b = det.box
-            dets.append({"image_id": iid, "bbox": [b.x1, b.y1, b.x2, b.y2], "scores": list(det.class_scores)})
+    dets = [
+        {"image_id": iid, "bbox": [d.box.x1, d.box.y1, d.box.x2, d.box.y2], "scores": list(d.class_scores)}
+        for iid, raw, _ in dataset.per_image()
+        for d in raw
+    ]
     write_report({"detections": dets}, path)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import Box, _box_array, iou_matrix
 
 __all__ = ["RawDetection", "FinalDetection", "PipelineConfig", "nms", "postprocess"]
 
@@ -79,10 +79,6 @@ class PipelineConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def _box_array(boxes: Sequence[Box]) -> np.ndarray:
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 def _score_array(dets: Sequence[RawDetection]) -> np.ndarray:
     """(n, C) class scores; a shorter score vector is padded with 0, which
     no filter lets through (score_thr >= 0, comparison strict)."""
@@ -105,7 +101,8 @@ def _nms_core(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> np.ndarr
     update.
     """
     order = np.argsort(-scores, kind="stable")
-    over = np.triu(iou_matrix(boxes[order]) > iou_thr, 1)
+    ranked = boxes[order]
+    over = np.triu(iou_matrix(ranked, ranked) > iou_thr, 1)
     keep = np.ones(order.size, dtype=bool)
     for i in np.flatnonzero(over.any(axis=1)).tolist():
         if keep[i]:

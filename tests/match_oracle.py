@@ -1,5 +1,8 @@
-"""Brute-force references for COCO-style TP matching and what builds on it.
+"""Brute-force references for matching and what builds on it.
 
+``match_positives_oracle`` is the original positive matcher: a scalar
+``iou`` for every (detection, gt) pair, candidates sorted as
+``(-IoU, detection index, gt index)`` tuples, then the greedy pass.
 ``match_tp_oracle`` is the original all-pairs matcher: every detection, in
 score order, scans every gt and skips those of another image or class.
 The other references rebuild PR curves, AP, beta_cls and the class-level
@@ -37,6 +40,29 @@ from corrdet import (
     rerank_image_level,
     spearman,
 )
+
+
+def match_positives_oracle(dets, gts, iou_floor):
+    candidates = []
+    for di, det in enumerate(dets):
+        for gi, gt in enumerate(gts):
+            v = iou(det.box, gt.box)
+            if v >= iou_floor:
+                candidates.append((-v, di, gi))
+    candidates.sort()
+
+    used_det = set()
+    used_gt = set()
+    matches = []
+    for neg_iou, di, gi in candidates:
+        if di in used_det or gi in used_gt:
+            continue
+        used_det.add(di)
+        used_gt.add(gi)
+        score = float(dets[di].class_scores[gts[gi].class_id])
+        matches.append(Match(di, gi, -neg_iou, score, gts[gi].class_id))
+    matches.sort(key=lambda m: m.detection_index)
+    return MatchSet(tuple(matches))
 
 
 def match_tp_oracle(dets, gts, iou_thr):

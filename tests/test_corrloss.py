@@ -107,6 +107,23 @@ def test_degenerate_inputs_return_zero():
             assert np.all(res.grad_scores == 0.0)
 
 
+def test_two_point_pearson_and_spearman_gradients_are_zero():
+    # r is +-1 for every non-constant pair, so the true gradient is 0: not
+    # rounding residue, nor that residue scaled back from tiny scores
+    rows = [
+        ("pearson", [0.3, 0.7], [0.0, 0.5]),
+        ("pearson", [0.3, 0.7], [0.0, 5e-324]),
+        ("pearson", [0.3, 0.7], [0.5, 0.0]),
+        ("spearman", [0.3, 0.7], [0.0, 0.5]),
+        # soft ranks pool into one block but differ in the last bit
+        ("spearman", [0.6313498709755809, 0.04782189696230421], [4.3385401614841626e-10, 2.472187266802347e-10]),
+    ]
+    for coef, x, y in rows:
+        res = loss_from_arrays(x, y, LossConfig(coefficient=coef))
+        assert res.grad_scores.shape == (2,)
+        assert np.all(res.grad_scores == 0.0)
+
+
 _COEFFICIENT = {"pearson": pearson, "spearman": spearman, "concordance": concordance}
 
 

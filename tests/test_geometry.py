@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from corrdet import COCO_THRESHOLDS, Box, GtObject, iou, iou_matrix, match_positives, match_tp, match_tp_multi
 from corrdet.pipeline import FinalDetection, RawDetection
-from match_oracle import achieved_ious, detection_sets, match_tp_oracle
+from match_oracle import achieved_ious, detection_sets, match_positives_oracle, match_tp_oracle, raw_detection_sets
 
 
 def test_box_rejects_bad_coordinates():
@@ -81,6 +81,18 @@ def test_match_positives_prefers_higher_iou_pair():
 def test_match_positives_empty_inputs():
     assert len(match_positives([], [], 0.5)) == 0
     assert len(match_positives([], [GtObject(Box(0, 0, 1, 1), 0)], 0.5)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_detection_sets())
+def test_match_positives_equals_oracle(case):
+    raw, gts = case
+    for image_id, dets in raw.items():
+        # per image, as callers match, and against every image's gts at once
+        for cand_gts in ([g for g in gts if g.image_id == image_id], gts):
+            floors = [0.0, -0.5, 1.0 + 2.0**-52, 1.5, float("nan"), *achieved_ious(dets, cand_gts)]
+            for floor in floors:
+                assert match_positives(dets, cand_gts, floor) == match_positives_oracle(dets, cand_gts, floor)
 
 
 def test_match_tp_score_order_wins():
@@ -199,22 +211,31 @@ def _corners(boxes):
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-@settings(max_examples=300, deadline=None)
-@given(box_sets() | _FLOAT_BOXES)
-def test_iou_matrix_equals_iou_bitwise(boxes):
-    m = iou_matrix(_corners(boxes))
-    assert m.shape == (len(boxes), len(boxes)) and m.dtype == np.float64
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes):
+def _assert_bitwise(m, rows, cols):
+    assert m.shape == (len(rows), len(cols)) and m.dtype == np.float64
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
             assert m[i, j].tobytes() == np.float64(iou(a, b)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets() | _FLOAT_BOXES, box_sets() | _FLOAT_BOXES, st.data())
+def test_iou_matrix_equals_iou_bitwise(boxes, others, data):
+    # the second set shares a tail of the first, so copies and touching
+    # boxes also meet across the two operands
+    others = others + boxes[data.draw(st.integers(0, len(boxes))):]
+    _assert_bitwise(iou_matrix(_corners(boxes), _corners(others)), boxes, others)
+    m = iou_matrix(_corners(boxes), _corners(boxes))
+    _assert_bitwise(m, boxes, boxes)
     # symmetric bit for bit
     assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
 
 
 def test_iou_matrix_hand_values():
     boxes = [Box(0, 0, 2, 2), Box(1, 1, 3, 3), Box(2, 0, 4, 2), Box(0, 0, 2, 2)]
-    m = iou_matrix(_corners(boxes))
+    m = iou_matrix(_corners(boxes), _corners(boxes))
     assert m[0, 1] == 1.0 / 7.0
     assert m[0, 2] == 0.0  # shared edge
     assert m[0, 3] == m[0, 0] == 1.0  # identical boxes
-    assert iou_matrix(np.empty((0, 4))).shape == (0, 0)
+    assert iou_matrix(np.empty((0, 4)), np.empty((0, 4))).shape == (0, 0)
+    assert iou_matrix(np.empty((0, 4)), _corners(boxes)).shape == (0, 4)

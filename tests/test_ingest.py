@@ -258,6 +258,33 @@ def test_emit_without_detections_is_an_error(tmp_path):
     assert not (tmp_path / "raw.json").exists() and not (tmp_path / "final.json").exists()
 
 
+def test_per_image_walks_every_image_in_file_order(tmp_path):
+    size = {"width": 100, "height": 80}
+    ann = {"category_id": 3, "bbox": [10.0, 10.0, 20.0, 30.0], "iscrowd": 0}
+    doc = gt_doc(
+        images=[dict(size, id=5), dict(size, id=1), dict(size, id=3)],
+        annotations=[
+            dict(ann, id=1, image_id=1),
+            dict(ann, id=2, image_id=5),
+            dict(ann, id=3, image_id=1, bbox=[40.0, 10.0, 20.0, 30.0]),
+        ],
+    )
+    ds = load_gt(write(tmp_path, "gt.json", doc))
+    with pytest.raises(ValueError, match="no raw detections"):
+        ds.per_image()
+    det = {"bbox": [0.0, 0.0, 10.0, 10.0], "scores": [0.5, 0.25]}
+    raw = {"detections": [dict(det, image_id=3), dict(det, image_id=1), dict(det, image_id=3)]}
+    ds = load_raw_dets(write(tmp_path, "raw.json", raw), ds)
+
+    walk = ds.per_image()
+    assert [iid for iid, _, _ in walk] == [5, 1, 3]
+    # image 5 has GTs but no detections, image 3 detections but no GTs
+    assert walk[0] == (5, (), (ds.gts[1],))
+    assert walk[1] == (1, ds.raw_dets[1], (ds.gts[0], ds.gts[2]))
+    assert walk[2] == (3, ds.raw_dets[3], ())
+    assert len(ds.raw_dets[3]) == 2
+
+
 def test_fmt_float():
     assert fmt_float(0.5) == "0.5"
     assert fmt_float(1.0) == "1.0"
