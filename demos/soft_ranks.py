@@ -21,8 +21,10 @@ def main():
     print("tiny epsilon gives the hard ranks [4, 1, 2, 3];")
     print("huge epsilon pools everything toward 2.5\n")
 
-    print("Exact ties pool to their average rank at any epsilon:")
-    print(f"  soft_rank([5, 1, 5]) -> {soft_rank([5.0, 1.0, 5.0], 1e-4).ranks}\n")
+    print("Exact ties share their average rank at any epsilon, also where")
+    print("v / epsilon is so large that subtracting the hard ranks rounds away:")
+    print(f"  soft_rank([5, 1, 5], 1e-4)      -> {soft_rank([5.0, 1.0, 5.0], 1e-4).ranks}")
+    print(f"  soft_rank([1e17, 1e17, 0], 1.0) -> {soft_rank([1e17, 1e17, 0.0], 1.0).ranks}\n")
 
     print("The backward pass against finite differences (eps = 1.0):")
     u = np.array([1.0, -0.5, 2.0, 0.25])

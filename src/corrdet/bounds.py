@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EmptyEvaluation
-from .geometry import MatchSet, match_positives
+from .geometry import MatchSet, match_positives, match_tp_multi
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -155,12 +155,10 @@ def bound_report(
         # plus tp_iou (last) for beta_cls and the re-rank itself.
         thresholds = (*COCO_THRESHOLDS, tp_iou)
         before = _match_classes(dataset.final_dets, gts, thresholds)
-        reranked_by_class = {
-            c: iter(rerank_class_level(cdets, sets[-1], direction))
-            for c, (cdets, _, sets) in before.items()
-        }
-        reranked = [next(reranked_by_class[d.class_id]) for d in dataset.final_dets]
-        after = _match_classes(reranked, gts, thresholds)
+        after = {}
+        for c, (cdets, cgts, sets) in before.items():
+            reranked = rerank_class_level(cdets, sets[-1], direction)
+            after[c] = (reranked, cgts, match_tp_multi(reranked, cgts, thresholds))
         return BoundReport(
             direction,
             level,

@@ -95,8 +95,11 @@ def run_gradcheck(
     """Run ``trials`` finite-difference comparisons at sample size ``n``.
 
     n < 2 inputs are degenerate by contract: each trial just asserts the
-    zero-loss/zero-gradient/no-NaN behaviour and reports "skip".
+    zero-loss/zero-gradient/no-NaN behaviour and reports "skip".  Raises
+    ValueError for trials < 1: a run that checks nothing must not pass.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cfg = LossConfig(coefficient=coefficient, epsilon=epsilon)
     tol = TOLERANCES[coefficient]
     h = _FD_STEPS[coefficient]

@@ -3,9 +3,12 @@
 ``soft_rank(values, epsilon)`` is the Euclidean projection of
 ``values / epsilon`` onto the permutahedron generated by (1, ..., n): sort
 descending, run pool-adjacent-violators isotonic regression against the
-hard-rank vector, undo the sort.  As epsilon shrinks the result converges
-to hard fractional ranks; as it grows, all ranks flatten toward the common
-mean (n+1)/2.  Exact ties reproduce average ranks at any epsilon.
+hard-rank vector, undo the sort.  Each run of equal scaled values enters
+PAV as one point at its mean hard rank, so tied entries always share one
+block and one rank, at any epsilon.  As epsilon shrinks the result
+converges to hard fractional ranks; as it grows, all ranks flatten toward
+the common mean (n+1)/2.  The largest value gets rank n; ``soft_rank(-v)``
+flips the order, so the largest gets rank 1.
 
 The projection is piecewise affine, so the backward pass is exact inside
 each linear piece: within a PAV block the Jacobian is the centered
@@ -33,56 +36,21 @@ class SoftRankResult:
     permutation  stable descending sort of the scaled input
     blocks       PAV block id per sorted position (non-decreasing)
     epsilon      regularization strength used
-    sign         -1.0 when ``descending`` flipped the input, else +1.0
     """
 
     ranks: np.ndarray
     permutation: np.ndarray
     blocks: np.ndarray
     epsilon: float
-    sign: float
 
     def __len__(self) -> int:
         return int(self.ranks.shape[0])
 
 
-def _pav_decreasing(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares non-increasing fit of y; returns (fit, block ids).
-
-    Classic stack-based pool-adjacent-violators: adjacent blocks merge
-    (weighted mean) while they violate the non-increasing order.
-    """
-    n = y.shape[0]
-    means = np.empty(n, dtype=np.float64)
-    counts = np.empty(n, dtype=np.int64)
-    starts = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        means[top] = y[i]
-        counts[top] = 1
-        starts[top] = i
-        top += 1
-        while top > 1 and means[top - 2] < means[top - 1]:
-            total = counts[top - 2] + counts[top - 1]
-            means[top - 2] += counts[top - 1] * (means[top - 1] - means[top - 2]) / total
-            counts[top - 2] = total
-            top -= 1
-
-    fit = np.empty(n, dtype=np.float64)
-    blocks = np.empty(n, dtype=np.int64)
-    for b in range(top):
-        lo = starts[b]
-        hi = lo + counts[b]
-        fit[lo:hi] = means[b]
-        blocks[lo:hi] = b
-    return fit, blocks
-
-
-def soft_rank(values, epsilon: float = 1.0, descending: bool = False) -> SoftRankResult:
+def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
     """Differentiable ranks of ``values``; the largest value gets rank n.
 
-    With ``descending=True`` the convention flips: the largest value gets
-    rank 1.  Requires n >= 1 and epsilon > 0.
+    Requires n >= 1 and epsilon > 0.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -90,22 +58,44 @@ def soft_rank(values, epsilon: float = 1.0, descending: bool = False) -> SoftRan
     n = v.shape[0]
     if n == 0:
         raise DegenerateInput("need at least 1 value to rank")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DegenerateInput("values contain non-finite entries")
 
-    sign = -1.0 if descending else 1.0
-    theta = (sign / epsilon) * v
+    theta = (1.0 / epsilon) * v
     perm = np.argsort(-theta, kind="stable")
-    s = theta[perm]
-    w = np.arange(n, 0, -1, dtype=np.float64)
-    y = s - w
-    fit, blocks = _pav_decreasing(y)
+    s = theta[perm].tolist()
+    s.append(None)  # ends the last run
+    # PAV: least-squares non-increasing fit of y = s - w, w = (n, ..., 1) the
+    # hard ranks.  Each run of equal s enters as one point (entries, mean
+    # hard rank w, y there); adjacent blocks (mean y, entries, runs) pool
+    # into their weighted mean while they violate the order.
+    points: list[tuple[int, float, float]] = []
+    stack: list[tuple[float, int, int]] = []
+    start = 0
+    for end in range(1, n + 1):
+        if s[end] == s[start]:
+            continue
+        count = end - start
+        w = n - start - 0.5 * (count - 1)
+        y = s[start] - w
+        points.append((count, w, y))
+        mean, runs = y, 1
+        while stack and stack[-1][0] < mean:
+            lower, size, lower_runs = stack.pop()
+            total = size + count
+            mean = lower + count * (mean - lower) / total
+            count = total
+            runs += lower_runs
+        stack.append((mean, count, runs))
+        start = end
+    fit = [mean for mean, _, runs in stack for _ in range(runs)]
     # w + (y - fit) equals s - fit but is bit-exact in the hard-rank limit,
     # where fit == y within each singleton block.
-    ranks_sorted = w + (y - fit)
+    run_ranks = np.array([w + (y - f) for (_, w, y), f in zip(points, fit)])
     ranks = np.empty(n, dtype=np.float64)
-    ranks[perm] = ranks_sorted
-    return SoftRankResult(ranks, perm, blocks, float(epsilon), sign)
+    ranks[perm] = run_ranks.repeat([p[0] for p in points])
+    blocks = np.arange(len(stack)).repeat([b[1] for b in stack])
+    return SoftRankResult(ranks, perm, blocks, float(epsilon))
 
 
 def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:
@@ -113,8 +103,8 @@ def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:
 
     In sorted coordinates the Jacobian is block-diagonal with centered
     averaging blocks, so the pullback of ``upstream`` is its per-block
-    centering, rescaled by sign/epsilon and scattered back through the
-    sort permutation.
+    centering, rescaled by 1/epsilon and scattered back through the sort
+    permutation.
     """
     g = np.asarray(upstream, dtype=np.float64).reshape(-1)
     n = len(result)
@@ -125,5 +115,5 @@ def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:
     counts = np.bincount(result.blocks)
     centered = gs - (sums / counts)[result.blocks]
     out = np.empty(n, dtype=np.float64)
-    out[result.permutation] = centered * (result.sign / result.epsilon)
+    out[result.permutation] = centered * (1.0 / result.epsilon)
     return out

@@ -1,0 +1,120 @@
+"""Brute-force reference for soft ranks.
+
+``soft_rank``, ``_pav_decreasing`` and ``soft_rank_vjp`` are the original
+implementation: pool-adjacent-violators over one point per sorted entry,
+on a stack of numpy scalars, with a second loop that fills each block and
+a ``descending`` flag that negates the scaled input.  On every input whose
+scaled values have no ties the library must return the same bits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from corrdet import DegenerateInput
+
+
+@dataclass(frozen=True)
+class SoftRankResult:
+    """Soft ranks plus everything the backward pass needs.
+
+    ranks        soft ranks in input order; sum is always n(n+1)/2
+    permutation  stable descending sort of the scaled input
+    blocks       PAV block id per sorted position (non-decreasing)
+    epsilon      regularization strength used
+    sign         -1.0 when ``descending`` flipped the input, else +1.0
+    """
+
+    ranks: np.ndarray
+    permutation: np.ndarray
+    blocks: np.ndarray
+    epsilon: float
+    sign: float
+
+    def __len__(self) -> int:
+        return int(self.ranks.shape[0])
+
+
+def _pav_decreasing(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares non-increasing fit of y; returns (fit, block ids).
+
+    Classic stack-based pool-adjacent-violators: adjacent blocks merge
+    (weighted mean) while they violate the non-increasing order.
+    """
+    n = y.shape[0]
+    means = np.empty(n, dtype=np.float64)
+    counts = np.empty(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        means[top] = y[i]
+        counts[top] = 1
+        starts[top] = i
+        top += 1
+        while top > 1 and means[top - 2] < means[top - 1]:
+            total = counts[top - 2] + counts[top - 1]
+            means[top - 2] += counts[top - 1] * (means[top - 1] - means[top - 2]) / total
+            counts[top - 2] = total
+            top -= 1
+
+    fit = np.empty(n, dtype=np.float64)
+    blocks = np.empty(n, dtype=np.int64)
+    for b in range(top):
+        lo = starts[b]
+        hi = lo + counts[b]
+        fit[lo:hi] = means[b]
+        blocks[lo:hi] = b
+    return fit, blocks
+
+
+def soft_rank(values, epsilon: float = 1.0, descending: bool = False) -> SoftRankResult:
+    """Differentiable ranks of ``values``; the largest value gets rank n.
+
+    With ``descending=True`` the convention flips: the largest value gets
+    rank 1.  Requires n >= 1 and epsilon > 0.
+    """
+    if epsilon <= 0.0 or not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = v.shape[0]
+    if n == 0:
+        raise DegenerateInput("need at least 1 value to rank")
+    if not np.all(np.isfinite(v)):
+        raise DegenerateInput("values contain non-finite entries")
+
+    sign = -1.0 if descending else 1.0
+    theta = (sign / epsilon) * v
+    perm = np.argsort(-theta, kind="stable")
+    s = theta[perm]
+    w = np.arange(n, 0, -1, dtype=np.float64)
+    y = s - w
+    fit, blocks = _pav_decreasing(y)
+    # w + (y - fit) equals s - fit but is bit-exact in the hard-rank limit,
+    # where fit == y within each singleton block.
+    ranks_sorted = w + (y - fit)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[perm] = ranks_sorted
+    return SoftRankResult(ranks, perm, blocks, float(epsilon), sign)
+
+
+def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:
+    """Jacobian-transpose product of soft_rank at the forward-pass point.
+
+    In sorted coordinates the Jacobian is block-diagonal with centered
+    averaging blocks, so the pullback of ``upstream`` is its per-block
+    centering, rescaled by sign/epsilon and scattered back through the
+    sort permutation.
+    """
+    g = np.asarray(upstream, dtype=np.float64).reshape(-1)
+    n = len(result)
+    if g.shape[0] != n:
+        raise ValueError(f"upstream length {g.shape[0]} does not match n={n}")
+    gs = g[result.permutation]
+    sums = np.bincount(result.blocks, weights=gs)
+    counts = np.bincount(result.blocks)
+    centered = gs - (sums / counts)[result.blocks]
+    out = np.empty(n, dtype=np.float64)
+    out[result.permutation] = centered * (result.sign / result.epsilon)
+    return out

@@ -287,6 +287,15 @@ def test_gradcheck_skips_degenerate(capsys):
     assert "3 skip" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_exits_2(trials, capsys):
+    code = cli.main(["gradcheck", "--coef", "pearson", "--trials", trials])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "trials must be at least 1" in captured.err
+
+
 def test_gradcheck_failure_exits_1(monkeypatch, capsys):
     rows = (GradcheckRow(0, 5, 0.5, "fail"),)
     monkeypatch.setattr(

@@ -1,6 +1,9 @@
 """Correlation Loss: values, analytic gradients, degenerate handling."""
 
+import json
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -235,6 +238,30 @@ def test_descend_demo_validation():
         descend_demo([0.1], [0.2], cfg, steps=1, lr=0.1)
     with pytest.raises(ValueError):
         descend_demo([0.1, 0.2], [0.2, 0.3], cfg, steps=-1, lr=0.1)
+
+
+def test_train_loss_fixed_sample_matches_the_bench_reference():
+    # The train-loss benchmark checks these recorded rows before it times
+    # anything; this holds them with its own sample, configs and rule.
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        import train_loss
+    finally:
+        sys.path.remove(bench)
+    with open(train_loss.REFERENCE_PATH, encoding="utf-8") as f:
+        rows = json.load(f)["train-loss"]["fixed_sample"]
+    sample = train_loss.fixed_sample()
+    cfgs = train_loss.loss_configs()
+    tol = train_loss.FIXED_SAMPLE_TOL
+    assert len(rows) == len(sample)
+    for row, (family, x, y) in zip(rows, sample):
+        res = loss_from_arrays(x, y, cfgs[family])
+        grad = np.asarray(row["grad"])
+        assert row["family"] == family
+        assert grad.shape == res.grad_scores.shape
+        assert abs(res.value - row["value"]) <= tol
+        assert np.max(np.abs(grad - res.grad_scores), initial=0.0) <= tol
 
 
 _HUGE = [1e200, 2e200, 3e200]

@@ -2,13 +2,18 @@
 
 The small-epsilon limit must reproduce hard average ranks bit-exactly,
 ties must pool to their average rank at any epsilon, and the VJP must
-agree with finite differences away from block-structure kinks.
+agree with finite differences away from block-structure kinks.  Where
+the scaled values have no ties, the result equals the original
+implementation in ``softrank_oracle`` bit for bit.
 """
 
 import numpy as np
 import pytest
+import softrank_oracle as oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from corrdet import DegenerateInput, soft_rank, soft_rank_vjp
+from corrdet import DegenerateInput, average_ranks, soft_rank, soft_rank_vjp
 
 
 def test_hard_limit_matches_average_ranks():
@@ -28,10 +33,14 @@ def test_exact_ties_pool_to_average_rank():
     for eps in (1e-4, 1.0, 100.0):
         assert soft_rank([2.0, 2.0, 2.0], eps).ranks.tolist() == [2.0, 2.0, 2.0]
         assert soft_rank([5.0, 1.0, 5.0], 1e-4).ranks.tolist() == [2.5, 1.0, 2.5]
+    # |v| / epsilon beyond 2**53: theta minus the hard ranks rounds away the
+    # order between tied entries, so ties must not rely on PAV to pool them
+    assert soft_rank([1e17, 1e17, 0.0], 1.0).ranks.tolist() == [2.5, 2.5, 1.0]
+    assert soft_rank([5.0, 1.0, 5.0], 1e-16).ranks.tolist() == [2.5, 1.0, 2.5]
 
 
-def test_descending_reverses_order():
-    r = soft_rank([0.9, 0.1, 0.5], 1e-4, descending=True)
+def test_negated_values_reverse_order():
+    r = soft_rank(-np.array([0.9, 0.1, 0.5]), 1e-4)
     assert r.ranks.tolist() == [1.0, 3.0, 2.0]
 
 
@@ -79,12 +88,13 @@ def test_vjp_all_tied_centers_upstream():
     assert np.allclose(soft_rank_vjp(r, u), expected, atol=1e-12)
 
 
-def test_vjp_descending_flips_sign():
+def test_vjp_of_negated_values_flips_sign():
     v = np.array([0.3, 0.9, 0.6])
     u = np.array([1.0, -2.0, 0.5])
     eps = 1.0
     asc = soft_rank_vjp(soft_rank(v, eps), u)
-    desc = soft_rank_vjp(soft_rank(v, eps, descending=True), u)
+    # d/dv of soft_rank(-v): the chain rule negates the pullback
+    desc = -soft_rank_vjp(soft_rank(-v, eps), u)
     assert np.allclose(desc, -asc, atol=1e-12)
 
 
@@ -136,3 +146,76 @@ def test_invalid_inputs():
 
 def test_result_is_sized():
     assert len(soft_rank([1.0, 2.0, 3.0], 1.0)) == 3
+
+
+# Values up to 1e300 keep |v| / epsilon inside the float range for every
+# epsilon drawn here.
+_finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_epsilons = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _values_with_ties(draw):
+    """1..40 values drawn from a pool of at most 10, small integers and
+    values in [-1, 1] among them, so repeated entries and pooled blocks
+    are common."""
+    values = st.one_of(_finite, st.integers(-5, 5).map(float), st.floats(-1.0, 1.0))
+    pool = draw(st.lists(values, min_size=1, max_size=10))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_with_ties(), _epsilons, st.booleans(), st.data())
+def test_soft_rank_equals_oracle_without_ties(v, eps, flip, data):
+    # Ties are equal scaled values: distinct values whose scaled values
+    # round together pool like equal ones.  soft_rank(-v) stands for the
+    # oracle's descending=True.
+    assume(np.unique((1.0 / eps) * v).shape[0] == v.shape[0])
+    new = soft_rank(-v if flip else v, eps)
+    old = oracle.soft_rank(v, eps, descending=flip)
+    assert np.array_equal(new.ranks, old.ranks)
+    assert np.array_equal(new.permutation, old.permutation)
+    assert np.array_equal(new.blocks, old.blocks)
+    u = np.array(data.draw(st.lists(_finite, min_size=v.shape[0], max_size=v.shape[0])))
+    pullback = soft_rank_vjp(new, u)
+    assert np.array_equal(-pullback if flip else pullback, oracle.soft_rank_vjp(old, u))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_with_ties(), _epsilons)
+def test_tied_values_share_one_rank(v, eps):
+    r = soft_rank(v, eps).ranks
+    n = v.shape[0]
+    for value in np.unique(v):
+        assert np.unique(r[v == value]).shape[0] == 1
+    # Beyond |v| / epsilon = 2**14 a block of close values carries the
+    # rounding of v / epsilon into its ranks (the rank sum drifts by tens
+    # at 1e17); that waits for solving each segment relative to its first
+    # value.
+    if float(np.abs((1.0 / eps) * v).max()) <= 2.0**14:
+        assert abs(float(r.sum()) - n * (n + 1) / 2.0) <= 1e-9
+        order = np.argsort(v, kind="stable")
+        assert np.all(np.diff(r[order]) >= -1e-12)
+
+
+@st.composite
+def _gapped_with_ties(draw):
+    """(v, epsilon): values on integer levels, repeats allowed, whose
+    scaled levels lie at least 2n apart, up to |v| / epsilon = 1e300."""
+    eps = draw(_epsilons)
+    pool = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+    levels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    spacing = draw(st.floats(2.0 * len(levels), 2e298))
+    return np.array(levels) * (spacing * eps), eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gapped_with_ties())
+def test_wide_gaps_give_average_ranks(case):
+    # No PAV block can cross a gap of n or more in v / epsilon, so every
+    # run of equal values is its own block at its average rank.
+    v, eps = case
+    theta = np.unique((1.0 / eps) * v)
+    assume(theta.shape[0] == np.unique(v).shape[0])
+    assume(np.all(np.diff(theta) >= 2.0 * v.shape[0]))
+    assert np.array_equal(soft_rank(v, eps).ranks, average_ranks(v))
