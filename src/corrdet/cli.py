@@ -8,9 +8,9 @@ Subcommands cover the workflows the library supports end to end:
 (synthetic dataset generation), and ``descend`` (gradient-descent trace
 on the correlation loss).
 
-Every subcommand is deterministic given its flags and seed.  JSON
-reports go to --out or stdout; exit status is 0 on success, 1 when
-gradcheck finds a failing trial, 2 on input or usage errors.
+Every subcommand is deterministic given its flags and seed.  JSON reports
+go to --out or stdout; exit status is 0 on success, 1 when gradcheck finds a
+failing trial, 2 on bad input, bad usage or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .bounds import bound_report
 from .corrloss import COEFFICIENTS, LossConfig, descend_demo
 from .errors import CorrdetError
 from .gradcheck import run_gradcheck
@@ -40,7 +41,7 @@ from .ingest import (
     write_report,
 )
 from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _curves, _match_classes, beta_cls, beta_img
-from .pipeline import PipelineConfig, postprocess
+from .pipeline import FinalDetection, PipelineConfig, postprocess
 
 __all__ = ["build_parser", "main"]
 
@@ -54,7 +55,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _finals_from_raw(dataset: Dataset, pcfg: PipelineConfig):
+def _finals(dataset: Dataset, args: argparse.Namespace) -> tuple[FinalDetection, ...]:
+    """The loaded final detections, else the raw ones post-processed image by image."""
+    if dataset.final_dets is not None:
+        return dataset.final_dets
+    pcfg = _pipeline_config(args)
     return tuple(f for iid, raw, _ in dataset.per_image() for f in postprocess(raw, pcfg, iid))
 
 
@@ -98,13 +103,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.dets is None) == (args.raw_dets is None):
         raise ValueError("pass exactly one of --dets or --raw-dets")
     dataset = _load_dataset(args)
-
-    if dataset.final_dets is not None:
-        mode = "final"
-        finals = dataset.final_dets
-    else:
-        mode = "pipeline" if not args.nms_free else "pipeline-nms-free"
-        finals = _finals_from_raw(dataset, _pipeline_config(args))
+    finals = _finals(dataset, args)
+    mode = "final" if dataset.final_dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
 
     # One matching pass per class serves AP and the PR curves alike.
     table = _match_classes(finals, dataset.gts, COCO_THRESHOLDS)
@@ -148,10 +148,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
             "skipped_images": report.skipped_images,
         }
     else:
-        finals = dataset.final_dets
-        if finals is None:
-            finals = _finals_from_raw(dataset, _pipeline_config(args))
-        report = beta_cls(finals, dataset.gts, tp_iou=args.tp_iou)
+        report = beta_cls(_finals(dataset, args), dataset.gts, tp_iou=args.tp_iou)
         payload = {
             "level": "class",
             "tp_iou": args.tp_iou,
@@ -167,12 +164,9 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    from .bounds import bound_report
-
     dataset = _load_dataset(args)
-    pcfg = _pipeline_config(args)
-    if args.level == "class" and dataset.final_dets is None:
-        dataset = replace(dataset, final_dets=_finals_from_raw(dataset, pcfg))
+    if args.level == "class":
+        dataset = replace(dataset, final_dets=_finals(dataset, args))
 
     direction = 1 if args.direction == "+1" else -1
     report = bound_report(
@@ -181,7 +175,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         level=args.level,
         tp_iou=args.tp_iou,
         iou_floor=args.iou_floor,
-        pipeline=pcfg,
+        pipeline=_pipeline_config(args),
     )
 
     def beta_of(corr):
@@ -362,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorrdetError, ValueError) as e:
+    except (CorrdetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -115,12 +116,23 @@ def _integer(v: Any, where: str) -> int:
     return v
 
 
-def _clip_box(x1: float, y1: float, x2: float, y2: float, size: tuple[int, int]) -> Box:
-    """The box clipped to the image; ``Box`` rejects what clipping leaves empty."""
+def _records(items: Any, where: str) -> Iterator[tuple[str, Any]]:
+    """``(where[k], item)`` for each entry of the JSON list ``items``."""
+    if not isinstance(items, list):
+        raise SchemaError(f"{where} must be a list")
+    for k, item in enumerate(items):
+        yield f"{where}[{k}]", item
+
+
+def _clip_box(x1: float, y1: float, x2: float, y2: float, size: tuple[int, int], where: str) -> Box:
+    """The box clipped to the image; an empty clip is the record's SchemaError."""
     w, h = size
     x1, x2 = min(max(x1, 0.0), float(w)), min(max(x2, 0.0), float(w))
     y1, y2 = min(max(y1, 0.0), float(h)), min(max(y2, 0.0), float(h))
-    return Box(x1, y1, x2, y2)
+    try:
+        return Box(x1, y1, x2, y2)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def load_gt(path: str) -> Dataset:
@@ -136,34 +148,31 @@ def load_gt(path: str) -> Dataset:
     anns_raw = _field(doc, "annotations", path)
 
     categories: list[tuple[int, str]] = []
-    for k, c in enumerate(cats_raw):
-        where = f"{path}: categories[{k}]"
+    class_of: dict[int, int] = {}
+    for where, c in _records(cats_raw, f"{path}: categories"):
         cid = _integer(_field(c, "id", where), where)
         name = _field(c, "name", where)
         if not isinstance(name, str):
             raise SchemaError(f"{where}: name must be a string")
-        if any(cid == other for other, _ in categories):
+        if cid in class_of:
             raise SchemaError(f"{where}: duplicate category id {cid}")
+        class_of[cid] = len(categories)
         categories.append((cid, name))
-    class_of = {cid: idx for idx, (cid, _) in enumerate(categories)}
 
-    images: list[tuple[int, int, int]] = []
     size_of: dict[int, tuple[int, int]] = {}
-    for k, im in enumerate(images_raw):
-        where = f"{path}: images[{k}]"
+    for where, im in _records(images_raw, f"{path}: images"):
         iid = _integer(_field(im, "id", where), where)
         w = _integer(_field(im, "width", where), where)
         h = _integer(_field(im, "height", where), where)
         if w <= 0 or h <= 0:
             raise SchemaError(f"{where}: width/height must be positive")
+        _number(max(w, h), where)  # clipping to a side beyond the float range would overflow
         if iid in size_of:
             raise SchemaError(f"{where}: duplicate image id {iid}")
-        images.append((iid, w, h))
         size_of[iid] = (w, h)
 
     gts: list[GtObject] = []
-    for k, a in enumerate(anns_raw):
-        where = f"{path}: annotations[{k}]"
+    for where, a in _records(anns_raw, f"{path}: annotations"):
         _integer(_field(a, "id", where), where)
         iid = _integer(_field(a, "image_id", where), where)
         cid = _integer(_field(a, "category_id", where), where)
@@ -174,13 +183,9 @@ def load_gt(path: str) -> Dataset:
         if "iscrowd" in a and _integer(a["iscrowd"], where) != 0:
             raise SchemaError(f"{where}: crowd annotations are not supported")
         x, y, w, h = _bbox(a, where, "[x, y, w, h]")
-        try:
-            box = _clip_box(x, y, x + w, y + h, size_of[iid])
-        except ValueError as e:
-            raise SchemaError(f"{where}: {e}") from e
-        gts.append(GtObject(box, class_of[cid], iid))
+        gts.append(GtObject(_clip_box(x, y, x + w, y + h, size_of[iid], where), class_of[cid], iid))
 
-    return Dataset(tuple(categories), tuple(images), tuple(gts))
+    return Dataset(tuple(categories), tuple((iid, w, h) for iid, (w, h) in size_of.items()), tuple(gts))
 
 
 def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
@@ -195,14 +200,13 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
     size_of = {iid: (w, h) for iid, w, h in dataset.images}
 
     grouped: dict[int, list[RawDetection]] = {}
-    for k, d in enumerate(dets_raw):
-        where = f"{path}: detections[{k}]"
+    for where, d in _records(dets_raw, f"{path}: detections"):
         iid = _integer(_field(d, "image_id", where), where)
         if iid not in size_of:
             raise ReferenceError(f"{where}: unknown image id {iid}")
         x1, y1, x2, y2 = _bbox(d, where, "[x1, y1, x2, y2]")
         try:
-            box = _clip_box(x1, y1, x2, y2, size_of[iid])
+            box = _clip_box(x1, y1, x2, y2, size_of[iid], where)
             scores = _field(d, "scores", where)
             if not isinstance(scores, list):
                 raise SchemaError(f"{where}: scores must be a list")
@@ -222,14 +226,11 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
 def load_final_dets(path: str, dataset: Dataset) -> Dataset:
     """Read a COCO results list into a copy of ``dataset``."""
     doc = load_report(path)
-    if not isinstance(doc, list):
-        raise SchemaError(f"{path}: expected a top-level list of results")
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     size_of = {iid: (w, h) for iid, w, h in dataset.images}
 
     finals: list[FinalDetection] = []
-    for k, d in enumerate(doc):
-        where = f"{path}: results[{k}]"
+    for where, d in _records(doc, f"{path}: results"):
         iid = _integer(_field(d, "image_id", where), where)
         cid = _integer(_field(d, "category_id", where), where)
         if iid not in size_of:
@@ -238,8 +239,9 @@ def load_final_dets(path: str, dataset: Dataset) -> Dataset:
             raise ReferenceError(f"{where}: unknown category id {cid}")
         x, y, w, h = _bbox(d, where, "[x, y, w, h]")
         score = _number(_field(d, "score", where), where)
+        box = _clip_box(x, y, x + w, y + h, size_of[iid], where)
         try:
-            det = FinalDetection(_clip_box(x, y, x + w, y + h, size_of[iid]), class_of[cid], score, iid)
+            det = FinalDetection(box, class_of[cid], score, iid)
         except ValueError as e:
             raise SchemaError(f"{where}: {e}") from e
         finals.append(det)
@@ -417,6 +419,8 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
     """
     if not -1.0 <= knob <= 1.0:
         raise ValueError(f"knob must lie in [-1, 1], got {knob}")
+    if n_images < 0 or n_classes < 1:
+        raise ValueError(f"need n_images >= 0 and n_classes >= 1, got {n_images} and {n_classes}")
     rng = np.random.default_rng(seed)
 
     def gt_class_score(iou_value: float) -> float:

@@ -346,6 +346,39 @@ def test_descend_lr_zero_constant(capsys):
     assert len(losses) == 1
 
 
+# argv templates; {data} is a synth directory, {tmp} an empty scratch directory
+# and {file} an existing regular file
+_REFUSED_RUNS = [
+    pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {tmp}/missing/r.json",
+                 "No such file or directory", id="eval-out-in-missing-dir"),
+    pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {tmp}/r.json --pr-csv {tmp}",
+                 "Is a directory", id="eval-pr-csv-is-a-dir"),
+    pytest.param("synth --out-dir {file}", "File exists", id="synth-out-dir-is-a-file"),
+    pytest.param("gradcheck --coef pearson --n 4 --trials 1 --out {tmp}/missing/gc.json",
+                 "No such file or directory", id="gradcheck-out-in-missing-dir"),
+    pytest.param("synth --n-images -3 --out-dir {tmp}/synth", "n_images >= 0", id="synth-negative-images"),
+    pytest.param("synth --n-classes 0 --out-dir {tmp}/synth", "n_classes >= 1", id="synth-no-classes"),
+]
+
+
+@pytest.mark.parametrize(("argv", "reason"), _REFUSED_RUNS)
+def test_refused_run_exits_2_with_one_error_line(synth_dir, tmp_path, argv, reason):
+    # a real process, so the exit code is the one a shell sees
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    args = [a.format(data=synth_dir, tmp=scratch, file=existing) for a in argv.split()]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "corrdet.cli", *args], env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+    assert "Traceback" not in run.stderr
+    assert not (scratch / "synth").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.stats alone costs about a second per CLI process
     src = os.path.dirname(os.path.dirname(cli.__file__))

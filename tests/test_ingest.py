@@ -249,6 +249,46 @@ def test_bad_record_has_typed_error_and_exits_2(tmp_path, capsys, kind, patch, e
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+_HUGE_IMAGE = [{"id": 1, "width": _HUGE_INT, "height": 80}]
+
+# (GT patch, detections flag, detections file, message) for list fields that
+# are not lists and for image sizes beyond the float range; every row is a
+# SchemaError, and "{gt}"/"{dets}" stand for the two file paths
+_BAD_DOCUMENTS = [
+    pytest.param({"categories": 5}, "--dets", [_FINAL], "{gt}: categories must be a list", id="categories-number"),
+    pytest.param({"categories": {"x": 1}}, "--dets", [_FINAL], "{gt}: categories must be a list",
+                 id="categories-object"),
+    pytest.param({"images": 5}, "--dets", [_FINAL], "{gt}: images must be a list", id="images-number"),
+    pytest.param({"annotations": None}, "--dets", [_FINAL], "{gt}: annotations must be a list", id="annotations-null"),
+    pytest.param({}, "--raw-dets", {"detections": 7}, "{dets}: detections must be a list", id="detections-number"),
+    pytest.param({}, "--raw-dets", {"detections": {"x": 1}}, "{dets}: detections must be a list",
+                 id="detections-object"),
+    pytest.param({}, "--dets", {"x": 1}, "{dets}: results must be a list", id="results-object"),
+    pytest.param({"images": _HUGE_IMAGE}, "--dets", [_FINAL], "{gt}: images[0]: number out of float range",
+                 id="huge-width-with-annotation"),
+    pytest.param({"images": _HUGE_IMAGE, "annotations": []}, "--dets", [_FINAL],
+                 "{gt}: images[0]: number out of float range", id="huge-width-with-results"),
+    pytest.param({"images": _HUGE_IMAGE, "annotations": []}, "--raw-dets", {"detections": [_RAW]},
+                 "{gt}: images[0]: number out of float range", id="huge-width-with-raw-detections"),
+]
+
+
+@pytest.mark.parametrize(("patch", "dets_flag", "dets", "message"), _BAD_DOCUMENTS)
+def test_bad_document_names_its_field_and_exits_2(tmp_path, capsys, patch, dets_flag, dets, message):
+    gt_path = write(tmp_path, "gt.json", gt_doc(**patch))
+    dets_path = write(tmp_path, "dets.json", dets)
+    message = message.format(gt=gt_path, dets=dets_path)
+    load_dets = load_raw_dets if dets_flag == "--raw-dets" else load_final_dets
+
+    with pytest.raises(SchemaError) as caught:
+        load_dets(dets_path, load_gt(gt_path))
+    assert str(caught.value) == message
+
+    capsys.readouterr()
+    assert cli.main(["eval", "--gt", gt_path, dets_flag, dets_path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_emit_without_detections_is_an_error(tmp_path):
     ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
     with pytest.raises(ValueError, match="no raw detections"):
@@ -361,6 +401,17 @@ def test_synth_shapes_and_ranges():
 def test_synth_knob_validation():
     with pytest.raises(ValueError):
         synth(0, knob=1.5)
+
+
+def test_synth_count_validation(tmp_path):
+    with pytest.raises(ValueError, match="n_images >= 0"):
+        synth(0, n_images=-3)
+    with pytest.raises(ValueError, match="n_classes >= 1"):
+        synth(0, n_classes=0)
+    empty = synth(0, n_images=0)
+    assert empty.images == () and empty.gts == () and empty.final_dets == ()
+    emit_raw_dets(empty, str(tmp_path / "raw.json"))
+    assert load_report(str(tmp_path / "raw.json")) == {"detections": []}
 
 
 def test_synth_objects_are_isolated():
