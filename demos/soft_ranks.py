@@ -4,11 +4,16 @@ Soft ranks come from a regularized projection onto the permutahedron.
 Small epsilon reproduces ordinary ranks bit-exactly; large epsilon pools
 everything toward the average rank, and in between the ranks move
 smoothly, which is what makes gradient descent through them possible.
+
+At the default epsilon = 1, scores in [0, 1] (all but the pair {0, 1})
+pool into one block, where the soft ranks are the scores shifted by a
+constant: the Spearman loss there is 1 - pearson(average_ranks(iou),
+score), equal up to rounding.
 """
 
 import numpy as np
 
-from corrdet import soft_rank, soft_rank_vjp
+from corrdet import LossConfig, average_ranks, loss_from_arrays, pearson, soft_rank, soft_rank_vjp
 
 
 def main():
@@ -39,7 +44,20 @@ def main():
         fd[i] = (u @ soft_rank(vp, 1.0).ranks - u @ soft_rank(vm, 1.0).ranks) / (2 * h)
     print(f"  analytic: {np.round(analytic, 6)}")
     print(f"  numeric:  {np.round(fd, 6)}")
-    print(f"  max abs difference: {np.abs(analytic - fd).max():.2e}")
+    print(f"  max abs difference: {np.abs(analytic - fd).max():.2e}\n")
+
+    print("At epsilon = 1, scores in [0, 1] form one block: soft ranks are the")
+    print("scores plus a constant, so the Spearman loss is a Pearson loss on")
+    print("the IoU ranks against the raw scores:")
+    rng = np.random.default_rng(0)
+    ious = rng.uniform(0.5, 1.0, 512)
+    scores = 0.5 * (ious - 0.5) / 0.5 + 0.5 * rng.uniform(0.0, 1.0, 512)
+    res = soft_rank(scores, 1.0)
+    shift = res.ranks - scores
+    print(f"  blocks: {res.blocks.max() + 1}, ranks - scores spans {np.ptp(shift):.1e}")
+    loss = loss_from_arrays(ious, scores, LossConfig("spearman", 1.0)).value
+    print(f"  {'Spearman loss:':<40} {loss!r}")
+    print(f"  {'1 - pearson(average_ranks(iou), score):':<40} {1.0 - pearson(average_ranks(ious), scores)!r}")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ failing trial, 2 on bad input, bad usage or an output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Sequence
@@ -119,15 +120,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _write_text(render_report(payload), args.out)
 
     if args.pr_csv is not None:
-        lines = ["category_id,iou_thr,recall,precision"]
+        prefixes, recalls, precisions = [], [], []
         for c, (cdets, cgts, sets) in table.items():
             if not cgts:
                 continue
-            for t, (recalls, precisions) in zip(COCO_THRESHOLDS, _curves(cdets, len(cgts), sets)):
-                # Recalls, precisions and thresholds are always finite.
+            for t, (r, p) in zip(COCO_THRESHOLDS, _curves(cdets, len(cgts), sets)):
                 prefix = f"{dataset.categories[c][0]},{fmt_float(t)}"
-                points = zip(recalls.tolist(), precisions.tolist())
-                lines.extend(f"{prefix},{fmt_float(r)},{fmt_float(p)}" for r, p in points)
+                prefixes.extend([prefix] * r.shape[0])
+                recalls.append(r)
+                precisions.append(p)
+        # Recalls, precisions and thresholds are always finite.  Each distinct
+        # value is formatted once, keyed by its bits so 0.0 and -0.0 stay apart.
+        values = np.concatenate(recalls + precisions)
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        text = [fmt_float(v) for v in bits.view(np.float64).tolist()]
+        rows = zip(prefixes, index[: len(prefixes)].tolist(), index[len(prefixes) :].tolist())
+        lines = ["category_id,iou_thr,recall,precision"]
+        lines.extend(f"{prefix},{text[r]},{text[p]}" for prefix, r, p in rows)
         _write_text("\n".join(lines) + "\n", args.pr_csv)
     return 0
 
@@ -352,9 +361,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise the OSError that writing an output would raise, before any
+    work or output starts and without creating anything: a file path that
+    is a directory or lies in no writable directory, an output directory
+    that is a file."""
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
+    for path in (getattr(args, "out", None), getattr(args, "pr_csv", None)):
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (CorrdetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

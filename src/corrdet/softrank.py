@@ -10,6 +10,15 @@ converges to hard fractional ranks; as it grows, all ranks flatten toward
 the common mean (n+1)/2.  The largest value gets rank n; ``soft_rank(-v)``
 flips the order, so the largest gets rank 1.
 
+From 128 entries on, most inputs never reach the PAV loop: when PAV
+would pool every entry into one block, which a spread of
+``values / epsilon`` below n / 2 always does (scores in [0, 1] at the
+default epsilon = 1, or at 0.01 above 200 entries), a few array passes
+decide so and fit that block, and the ranks are the scaled values shifted
+by one constant.  The loop runs for
+shorter inputs, for inputs with several blocks, and where that decision
+lies within rounding.
+
 The projection is piecewise affine, so the backward pass is exact inside
 each linear piece: within a PAV block the Jacobian is the centered
 identity (I - 1/|B|), across blocks it is zero.  At block boundaries the
@@ -23,9 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlation import average_ranks
 from .errors import DegenerateInput
 
 __all__ = ["SoftRankResult", "soft_rank", "soft_rank_vjp"]
+
+# Smaller inputs stay on the PAV loop, so their ranks keep the loop's bits;
+# ROADMAP open item 1 has the measured gain of lowering this and what that
+# waits on.
+_ONE_BLOCK_MIN_N = 128
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,57 @@ def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
 
     theta = (1.0 / epsilon) * v
     perm = np.argsort(-theta, kind="stable")
-    s = theta[perm].tolist()
+    s = theta[perm]
+    ranks_sorted, blocks = _one_block(s) or _pav(s)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[perm] = ranks_sorted
+    return SoftRankResult(ranks, perm, blocks, float(epsilon))
+
+
+def _one_block(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(ranks, blocks)`` in sorted order when PAV pools all of the
+    descending ``s`` into one block, else None; decided without the loop.
+
+    With ``y = s - w`` (``w`` the hard ranks n..1, a run's mean for tied
+    entries), PAV returns one block exactly when every prefix of whole runs
+    sums to at most ``k * mean(y)``, k its length.  The ends settle most
+    inputs: such a prefix falls short of the chord by at least
+    ``(n - k) * (1/2 - spread / n)`` per entry, so a spread below n / 2 is
+    one block; and one block puts the first run at or below ``mean(y)`` and
+    the last at or above it, so a spread above n - 1 is not.  Only a
+    decision clear of rounding counts: ``tol`` bounds, per entry, the
+    rounding of the block means the loop forms and of the prefix sums here
+    (32 n u max|y|, u = 2**-53).  An input within it, one so large that
+    ``tol`` reaches 1 (max|y| near 2**48 / n), or one shorter than
+    ``_ONE_BLOCK_MIN_N`` is left to the loop.
+    """
+    n = s.shape[0]
+    if n < _ONE_BLOCK_MIN_N:
+        return None
+    first, last = float(s[0]), float(s[-1])
+    spread = first - last
+    tol = n * (max(abs(first), abs(last)) + n) * 2.0**-48
+    if spread > n - 1 or not tol < 1.0:
+        return None
+    new_run = s[1:] != s[:-1]
+    w = np.arange(n, 0, -1.0) if np.count_nonzero(new_run) == n - 1 else average_ranks(s)
+    y = s - w
+    d = y - y[0]
+    mean = float(d.sum()) / n
+    if spread >= n * (0.5 - tol):
+        chord = np.arange(1, n) * (mean - tol)
+        if not (np.cumsum(d[:-1]) < chord)[new_run].all():
+            return None
+    # The fit relative to the first run keeps an all-tied input at w exactly.
+    fit = y[0] + mean
+    return w + (y - fit), np.zeros(n, dtype=np.intp)
+
+
+def _pav(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, blocks)`` in sorted order: the pool-adjacent-violators loop
+    over the runs of equal values in the descending ``s``."""
+    n = s.shape[0]
+    s = s.tolist()
     s.append(None)  # ends the last run
     # PAV: least-squares non-increasing fit of y = s - w, w = (n, ..., 1) the
     # hard ranks.  Each run of equal s enters as one point (entries, mean
@@ -92,10 +157,9 @@ def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
     # w + (y - fit) equals s - fit but is bit-exact in the hard-rank limit,
     # where fit == y within each singleton block.
     run_ranks = np.array([w + (y - f) for (_, w, y), f in zip(points, fit)])
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[perm] = run_ranks.repeat([p[0] for p in points])
+    ranks = run_ranks.repeat([p[0] for p in points]) if len(points) < n else run_ranks
     blocks = np.arange(len(stack)).repeat([b[1] for b in stack])
-    return SoftRankResult(ranks, perm, blocks, float(epsilon))
+    return ranks, blocks
 
 
 def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:

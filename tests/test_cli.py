@@ -358,6 +358,10 @@ _REFUSED_RUNS = [
                  "No such file or directory", id="gradcheck-out-in-missing-dir"),
     pytest.param("synth --n-images -3 --out-dir {tmp}/synth", "n_images >= 0", id="synth-negative-images"),
     pytest.param("synth --n-classes 0 --out-dir {tmp}/synth", "n_classes >= 1", id="synth-no-classes"),
+    pytest.param("synth --out-dir {tmp}/synth --out {tmp}/missing/s.json",
+                 "No such file or directory", id="synth-out-in-missing-dir"),
+    pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {tmp}/r.json --pr-csv {file}/pr.csv",
+                 "Not a directory", id="eval-pr-csv-under-a-file"),
 ]
 
 
@@ -376,7 +380,9 @@ def test_refused_run_exits_2_with_one_error_line(synth_dir, tmp_path, argv, reas
     err = run.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
     assert "Traceback" not in run.stderr
-    assert not (scratch / "synth").exists()
+    # refused before any work: no output anywhere
+    assert run.stdout == ""
+    assert list(scratch.iterdir()) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -4,7 +4,9 @@ The small-epsilon limit must reproduce hard average ranks bit-exactly,
 ties must pool to their average rank at any epsilon, and the VJP must
 agree with finite differences away from block-structure kinks.  Where
 the scaled values have no ties, the result equals the original
-implementation in ``softrank_oracle`` bit for bit.
+implementation in ``softrank_oracle`` bit for bit below 128 entries, and
+in permutation and blocks above; there the one-block path agrees with
+the PAV loop it skips, ranks within rounding.
 """
 
 import numpy as np
@@ -13,7 +15,31 @@ import softrank_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrdet import DegenerateInput, average_ranks, soft_rank, soft_rank_vjp
+import corrdet.softrank as softrank
+from corrdet import (
+    DegenerateInput,
+    LossConfig,
+    average_ranks,
+    loss_from_arrays,
+    soft_rank,
+    soft_rank_vjp,
+)
+
+
+def _rank_ulps(v, eps) -> float:
+    """How far two correct soft ranks of ``v`` may differ: n ulps of the
+    largest |y| = |v / eps - w| the fit handles.  PAV's running means and
+    the one-block path's single sum round differently, each by O(n) ulps
+    of that magnitude at worst; measured differences stay below n / 2."""
+    n = v.shape[0]
+    return n * float(np.spacing(np.abs((1.0 / eps) * v).max() + n))
+
+
+def _train_loss_batch(rng, n):
+    """IoUs in [0.5, 1] and scores in [0, 1] rising with them, as in a
+    training batch."""
+    ious = rng.uniform(0.5, 1.0, n)
+    return ious, 0.5 * (ious - 0.5) / 0.5 + 0.5 * rng.uniform(0.0, 1.0, n)
 
 
 def test_hard_limit_matches_average_ranks():
@@ -37,6 +63,14 @@ def test_exact_ties_pool_to_average_rank():
     # order between tied entries, so ties must not rely on PAV to pool them
     assert soft_rank([1e17, 1e17, 0.0], 1.0).ranks.tolist() == [2.5, 2.5, 1.0]
     assert soft_rank([5.0, 1.0, 5.0], 1e-16).ranks.tolist() == [2.5, 1.0, 2.5]
+
+
+def test_long_all_tied_input_gets_the_average_rank():
+    # The one-block path fits relative to the first run, so the rank is
+    # (n + 1) / 2 exactly, as on the loop.
+    for n in (128, 2047):
+        for eps in (1e-4, 1.0, 100.0):
+            assert soft_rank(np.full(n, 0.3), eps).ranks.tolist() == [(n + 1) / 2] * n
 
 
 def test_negated_values_reverse_order():
@@ -219,3 +253,86 @@ def test_wide_gaps_give_average_ranks(case):
     assume(theta.shape[0] == np.unique(v).shape[0])
     assume(np.all(np.diff(theta) >= 2.0 * v.shape[0]))
     assert np.array_equal(soft_rank(v, eps).ranks, average_ranks(v))
+
+
+@st.composite
+def _train_loss_shaped(draw):
+    """(v, epsilon): a training batch at n 2..2048 and epsilon 1 or 0.01 --
+    its scores as drawn, rounded into tie runs, or rebuilt so that a prefix
+    of ``y`` has the mean of the whole, within rounding -- shifted by an
+    offset that leaves the scaled values small, large or too large for the
+    one-block test."""
+    n = draw(st.one_of(st.integers(2, 300), st.integers(300, 2048)))
+    eps = draw(st.sampled_from((1.0, 0.01)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("scores", "ties", "chord")))
+    if kind == "chord":
+        # y = s - (n, ..., 1) repeats its first half; steps of at most 1
+        # keep s descending.
+        half = np.cumsum(rng.uniform(0.0, 1.0, max(1, n // 2)))
+        y = np.concatenate([half, half])
+        v = rng.permutation(y + np.arange(y.shape[0], 0, -1.0)) * eps
+    else:
+        v = _train_loss_batch(rng, n)[1]
+        if kind == "ties":
+            v = np.round(v, draw(st.integers(1, 3)))
+    return v + draw(st.sampled_from((0.0, -1e3, 1e9, 2.0**40))) * eps, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_train_loss_shaped(), st.data())
+def test_one_block_path_agrees_with_the_loop(case, data):
+    v, eps = case
+    n = v.shape[0]
+    new = soft_rank(v, eps)
+    s = ((1.0 / eps) * v)[new.permutation]
+    loop_ranks, loop_blocks = softrank._pav(s)
+    assert np.array_equal(new.blocks, loop_blocks)
+    ranks = new.ranks[new.permutation]
+    assert np.abs(ranks - loop_ranks).max() <= _rank_ulps(v, eps)
+    tied = s[1:] == s[:-1]
+    assert np.array_equal(ranks[1:][tied], ranks[:-1][tied])
+    old = oracle.soft_rank(v, eps)
+    assert np.array_equal(new.permutation, old.permutation)
+    if not tied.any():
+        u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+        assert np.array_equal(new.blocks, old.blocks)
+        assert np.array_equal(soft_rank_vjp(new, u), oracle.soft_rank_vjp(old, u))
+
+
+def test_pooled_batches_skip_the_loop(monkeypatch):
+    # A pooled training batch (n 512..2048, epsilon 1 or 0.01, scores
+    # drifting under the loss gradient) is one PAV block, decided without
+    # the loop.
+    def loop(s):
+        raise AssertionError(f"PAV loop ran at n = {s.shape[0]}")
+
+    monkeypatch.setattr(softrank, "_pav", loop)
+    rng = np.random.default_rng(6)
+    for n in (512, 600, 2048, *rng.integers(512, 2049, 6)):
+        ious, scores = _train_loss_batch(rng, int(n))
+        for eps in (1.0, 0.01):
+            cfg = LossConfig("spearman", eps)
+            y = scores.copy()
+            for _ in range(4):
+                assert not soft_rank(y, eps).blocks.any()
+                y -= 1e-3 * loss_from_arrays(ious, y, cfg).grad_scores
+
+
+@pytest.mark.parametrize("n, eps", [(3, 1.0), (64, 1.0), (512, 1.0), (2048, 1.0), (512, 0.01), (2048, 0.01)])
+def test_vjp_matches_finite_differences_on_one_block(n, eps):
+    rng = np.random.default_rng(n)
+    v = _train_loss_batch(rng, n)[1]
+    base = soft_rank(v, eps)
+    assert not base.blocks.any()
+    h = 1e-3 * eps
+    for _ in range(3):
+        # d rises with v, so v + h * d keeps the sort order: one linear piece
+        d = np.empty(n)
+        d[np.argsort(v)] = np.sort(rng.standard_normal(n))
+        step = soft_rank(v + h * d, eps)
+        assert np.array_equal(step.permutation, base.permutation)
+        assert not step.blocks.any()
+        u = rng.standard_normal(n)
+        fd = (u @ step.ranks - u @ base.ranks) / h
+        assert fd == pytest.approx(soft_rank_vjp(base, u) @ d, rel=1e-6)
