@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -117,8 +118,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "n_detections": len(finals),
     }
     payload.update(_ap_payload(ap, dataset))
-    _write_text(render_report(payload), args.out)
+    report = render_report(payload)
 
+    # Both outputs are built before either is written.
+    csv = None
     if args.pr_csv is not None:
         prefixes, recalls, precisions = [], [], []
         for c, (cdets, cgts, sets) in table.items():
@@ -137,7 +140,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rows = zip(prefixes, index[: len(prefixes)].tolist(), index[len(prefixes) :].tolist())
         lines = ["category_id,iou_thr,recall,precision"]
         lines.extend(f"{prefix},{text[r]},{text[p]}" for prefix, r, p in rows)
-        _write_text("\n".join(lines) + "\n", args.pr_csv)
+        csv = "\n".join(lines) + "\n"
+    _write_text(report, args.out)
+    if csv is not None:
+        _write_text(csv, args.pr_csv)
     return 0
 
 
@@ -362,26 +368,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Raise the OSError that writing an output would raise, before any
-    work or output starts and without creating anything: a file path that
-    is a directory or lies in no writable directory, an output directory
-    that is a file."""
+    """Refuse, before any work or output starts and without creating
+    anything, an output path whose place rules it out: a file path that is
+    a directory or whose directory does not exist (synth creates --out-dir
+    and its parents), an output directory that is a file.  Any other error,
+    such as a permission, is open()'s own."""
     out_dir = getattr(args, "out_dir", None)
     if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
     for path in (getattr(args, "out", None), getattr(args, "pr_csv", None)):
         if path is None:
             continue
-        parent = os.path.dirname(path) or os.curdir
         if os.path.isdir(path):
-            code = errno.EISDIR
-        elif not os.path.isdir(parent):
-            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-            code = errno.EACCES
-        else:
-            continue
-        raise OSError(code, os.strerror(code), path)
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(path) or os.curdir
+        if out_dir is not None:
+            # os.makedirs(out_dir) makes out_dir and every directory above it
+            above = os.path.abspath(parent)
+            if os.path.commonpath([above, os.path.abspath(out_dir)]) == above:
+                continue
+        # stat raises the ENOENT or ENOTDIR that open() would
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

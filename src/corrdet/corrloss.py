@@ -116,7 +116,11 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
     held constant.  Degenerate inputs (n < 2, all IoUs equal or all scores
     equal) return value 0 and an all-zero gradient, as does a Spearman
-    batch whose soft ranks pool into one block.  At n = 2 the Pearson and
+    batch whose soft ranks all round to one value (an epsilon so large
+    that the spread of scores / epsilon vanishes against n).  Soft ranks
+    pooled into one block are the scaled scores shifted by one constant,
+    so such a batch keeps the loss 1 - pearson(average_ranks(ious),
+    scores), up to rounding.  At n = 2 the Pearson and
     Spearman gradients are exactly 0, since rho is +-1 for every
     non-constant pair.  Any other finite input gives a value in [0, 2]
     and a finite gradient at any magnitude: the coefficient kernels
@@ -143,13 +147,14 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         if cfg.coefficient == "spearman":
             # Soft Spearman surrogate: hard ranks of the constant IoUs
             # against soft ranks of the scores.  epsilon applies at raw score
-            # scale, so the default 1.0 pools [0,1]-valued scores into broad
-            # blocks and keeps the landscape smooth; the correlation itself
-            # is scale-free.  Both rank series lie in [1, n].
+            # scale, so the default 1.0 pools [0,1]-valued scores into one
+            # block, where the soft ranks are the scores plus a constant and
+            # the landscape is smooth; the correlation itself is scale-free.
+            # Both rank series lie in [1, n].
             soft = soft_rank(y, cfg.epsilon)
             x, y, peak_x, peak_y = average_ranks(x), soft.ranks, float(n), float(n)
         terms = _pearson_kernel(x, y, peak_x, peak_y)
-        if terms is None:  # soft ranks pooled into one block
+        if terms is None:  # soft ranks that all round to one value
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
         rho, xc, yc, var_x, var_y, shift = terms
         if n == 2:  # r is +-1 for every non-constant pair: exactly flat, not rounding residue

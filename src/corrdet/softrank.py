@@ -37,9 +37,11 @@ from .errors import DegenerateInput
 
 __all__ = ["SoftRankResult", "soft_rank", "soft_rank_vjp"]
 
-# Smaller inputs stay on the PAV loop, so their ranks keep the loop's bits;
-# ROADMAP open item 1 has the measured gain of lowering this and what that
-# waits on.
+# Smaller inputs stay on the PAV loop.  The one-block path is no slower
+# there, but the train-loss bench keeps a time for every call, so its peak
+# RSS grows with the calls that fit into a run, and without this floor it
+# grew past its 10% bound; ROADMAP open item 1 has the numbers.  Drop the
+# floor once the bench stops growing with throughput.
 _ONE_BLOCK_MIN_N = 128
 
 

@@ -35,6 +35,16 @@ def test_synth_is_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("out_dir, out", [("d", "d/s.json"), ("a/b/c", "a/b/s.json"), ("d", "s.json")])
+def test_synth_summary_may_go_where_synth_makes_directories(tmp_path, out_dir, out):
+    # synth makes --out-dir and the directories above it before it writes
+    # the summary, so --out may lie in any of them
+    code = cli.main(["synth", "--n-images", "2", "--out-dir", str(tmp_path / out_dir), "--out", str(tmp_path / out)])
+    assert code == 0
+    summary = json.loads((tmp_path / out).read_text())
+    assert summary["files"]["gt"] == str(tmp_path / out_dir / "gt.json")
+
+
 def test_eval_final_dets(synth_dir, tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(
@@ -362,6 +372,10 @@ _REFUSED_RUNS = [
                  "No such file or directory", id="synth-out-in-missing-dir"),
     pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {tmp}/r.json --pr-csv {file}/pr.csv",
                  "Not a directory", id="eval-pr-csv-under-a-file"),
+    pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {file}/x/r.json",
+                 "Not a directory", id="eval-out-below-a-file"),
+    pytest.param("synth --out-dir {tmp}/synth --out {tmp}/synth/sub/s.json",
+                 "No such file or directory", id="synth-out-below-out-dir"),
 ]
 
 
