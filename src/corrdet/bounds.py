@@ -162,8 +162,8 @@ def bound_report(
         return BoundReport(
             direction,
             level,
-            ap_before=_coco_ap_from(before, COCO_THRESHOLDS),
-            ap_after=_coco_ap_from(after, COCO_THRESHOLDS),
+            ap_before=_coco_ap_from(before, COCO_THRESHOLDS)[0],
+            ap_after=_coco_ap_from(after, COCO_THRESHOLDS)[0],
             # beta_cls at tp_iou, the last threshold of each table
             corr_before=_or_none(_beta_cls_from, before, -1),
             corr_after=_or_none(_beta_cls_from, after, -1),

@@ -42,7 +42,7 @@ from .ingest import (
     synth,
     write_report,
 )
-from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _curves, _match_classes, beta_cls, beta_img
+from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _match_classes, beta_cls, beta_img
 from .pipeline import FinalDetection, PipelineConfig, postprocess
 
 __all__ = ["build_parser", "main"]
@@ -57,11 +57,10 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _finals(dataset: Dataset, args: argparse.Namespace) -> tuple[FinalDetection, ...]:
+def _finals(dataset: Dataset, pcfg: PipelineConfig) -> tuple[FinalDetection, ...]:
     """The loaded final detections, else the raw ones post-processed image by image."""
     if dataset.final_dets is not None:
         return dataset.final_dets
-    pcfg = _pipeline_config(args)
     return tuple(f for iid, raw, _ in dataset.per_image() for f in postprocess(raw, pcfg, iid))
 
 
@@ -102,15 +101,16 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    pcfg = _pipeline_config(args)
     if (args.dets is None) == (args.raw_dets is None):
         raise ValueError("pass exactly one of --dets or --raw-dets")
     dataset = _load_dataset(args)
-    finals = _finals(dataset, args)
+    finals = _finals(dataset, pcfg)
     mode = "final" if dataset.final_dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
 
     # One matching pass per class serves AP and the PR curves alike.
     table = _match_classes(finals, dataset.gts, COCO_THRESHOLDS)
-    ap = _coco_ap_from(table, COCO_THRESHOLDS)
+    ap, curves = _coco_ap_from(table, COCO_THRESHOLDS)
     payload = {
         "mode": mode,
         "n_images": len(dataset.images),
@@ -124,10 +124,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     csv = None
     if args.pr_csv is not None:
         prefixes, recalls, precisions = [], [], []
-        for c, (cdets, cgts, sets) in table.items():
-            if not cgts:
-                continue
-            for t, (r, p) in zip(COCO_THRESHOLDS, _curves(cdets, len(cgts), sets)):
+        for (c, _), class_curves in zip(ap.per_class, curves):
+            for t, (r, p) in zip(COCO_THRESHOLDS, class_curves):
                 prefix = f"{dataset.categories[c][0]},{fmt_float(t)}"
                 prefixes.extend([prefix] * r.shape[0])
                 recalls.append(r)
@@ -148,6 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
+    pcfg = _pipeline_config(args)
     dataset = _load_dataset(args)
 
     if args.level == "image":
@@ -163,7 +162,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
             "skipped_images": report.skipped_images,
         }
     else:
-        report = beta_cls(_finals(dataset, args), dataset.gts, tp_iou=args.tp_iou)
+        report = beta_cls(_finals(dataset, pcfg), dataset.gts, tp_iou=args.tp_iou)
         payload = {
             "level": "class",
             "tp_iou": args.tp_iou,
@@ -179,9 +178,10 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    pcfg = _pipeline_config(args)
     dataset = _load_dataset(args)
     if args.level == "class":
-        dataset = replace(dataset, final_dets=_finals(dataset, args))
+        dataset = replace(dataset, final_dets=_finals(dataset, pcfg))
 
     direction = 1 if args.direction == "+1" else -1
     report = bound_report(
@@ -190,7 +190,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         level=args.level,
         tp_iou=args.tp_iou,
         iou_floor=args.iou_floor,
-        pipeline=_pipeline_config(args),
+        pipeline=pcfg,
     )
 
     def beta_of(corr):

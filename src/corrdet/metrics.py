@@ -236,21 +236,27 @@ def average_precision(curve: Sequence[tuple[float, float]]) -> float:
     return _interpolated_ap(recalls, precisions)
 
 
-def _coco_ap_from(table: _ClassMatches, thresholds: Sequence[float]) -> ApResult:
-    """COCO AP from the first len(thresholds) TP sets of each class."""
+def _coco_ap_from(
+    table: _ClassMatches, thresholds: Sequence[float]
+) -> tuple[ApResult, list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """COCO AP from the first len(thresholds) TP sets of each class, and the
+    (recall, precision) curves it was read from: one list per entry of
+    ``per_class``, one curve per threshold."""
     per_class: list[tuple[int, tuple[float, ...]]] = []
+    class_curves = []
     for c, (cdets, cgts, sets) in table.items():
         if not cgts:
             continue
         curves = _curves(cdets, len(cgts), sets[: len(thresholds)])
         per_class.append((c, tuple(_interpolated_ap(r, p) for r, p in curves)))
+        class_curves.append(curves)
     if not per_class:
         raise EmptyEvaluation("no class has ground-truth objects")
 
     matrix = np.asarray([row for _, row in per_class], dtype=np.float64)
     threshold_means = matrix.mean(axis=0)
     per_threshold = tuple((float(t), float(m)) for t, m in zip(thresholds, threshold_means))
-    return ApResult(float(threshold_means.mean()), per_threshold, tuple(per_class))
+    return ApResult(float(threshold_means.mean()), per_threshold, tuple(per_class)), class_curves
 
 
 def coco_ap(
@@ -264,4 +270,4 @@ def coco_ap(
     detections scores zero.  Raises EmptyEvaluation when there is no
     ground truth at all.
     """
-    return _coco_ap_from(_match_classes(dets, gts, thresholds), thresholds)
+    return _coco_ap_from(_match_classes(dets, gts, thresholds), thresholds)[0]

@@ -6,14 +6,17 @@ detections sorted by descending score.  An NMS-free mode skips the middle
 step (useful for NMS-free detector outputs).
 
 The work is columnar: one image's boxes become an ``(n, 4)`` array and its
-scores an ``(n, C)`` array, the score filter is one comparison over that
-array, each class's NMS reads one thresholded IoU matrix
-(:func:`~corrdet.geometry.iou_matrix`, bit-identical to ``iou``), and
-``FinalDetection`` objects are built for the top-k survivors only.  The
-contract is that of a plain loop over candidates: the filter keeps scores
-strictly above ``score_thr``, NMS suppresses overlaps strictly above
-``nms_iou``, and every tie breaks by ``(-score, detection index, class
-index)``.
+scores an ``(n, C)`` array, and the score filter is one comparison over
+that array.  NMS and top-k are then one greedy walk over the candidates
+by descending score: each candidate still alive is kept, a kept box
+suppresses its class's overlaps through one IoU row
+(:func:`~corrdet.geometry.iou_matrix`, bit-identical to ``iou``), and the
+walk stops at top_k kept.  So the IoU work is at most top_k rows of the
+largest class, and ``FinalDetection`` objects are built for the kept
+candidates only.  The contract is that of a plain loop over candidates:
+the filter keeps scores strictly above ``score_thr``, NMS suppresses
+overlaps strictly above ``nms_iou``, and every tie breaks by ``(-score,
+detection index, class index)``.
 """
 
 from __future__ import annotations
@@ -92,22 +95,36 @@ def _score_array(dets: Sequence[RawDetection]) -> np.ndarray:
     return scores
 
 
-def _nms_core(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> np.ndarray:
-    """Positions surviving greedy NMS, in keep order.
+def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[int]:
+    """Positions kept by greedy class-wise NMS cut at ``limit``, in keep order.
 
-    Boxes are visited by descending score, ties by lower position; each
-    one still alive is kept and suppresses every later box whose IoU with
-    it exceeds iou_thr.  Only boxes with such a neighbour need that row
-    update.
+    Candidate ``i`` is box ``boxes[i]`` (an ``(n, 4)`` array) of class
+    ``classes[i]`` scored ``scores[i]``.  One walk visits the candidates
+    by descending score, ties by lower position; each one still alive is
+    kept, until ``limit`` are (None: no limit).  Unless ``boxes`` is None
+    (no NMS), a kept box then suppresses every candidate of its class
+    whose IoU with it exceeds ``iou_thr``, from one ``iou_matrix(kept box,
+    class boxes)`` row; a class's candidates are found the first time the
+    walk reaches it.  So the IoU work is at most ``limit`` times the
+    largest class.
     """
     order = np.argsort(-scores, kind="stable")
-    ranked = boxes[order]
-    over = np.triu(iou_matrix(ranked, ranked) > iou_thr, 1)
-    keep = np.ones(order.size, dtype=bool)
-    for i in np.flatnonzero(over.any(axis=1)).tolist():
-        if keep[i]:
-            keep &= ~over[i]
-    return order[keep]
+    alive = np.ones(order.size, dtype=bool)
+    members: dict[int, np.ndarray] = {}
+    kept: list[int] = []
+    for i in order.tolist():
+        if not alive[i]:
+            continue
+        kept.append(i)
+        if len(kept) == limit:
+            break
+        if boxes is not None:
+            c = int(classes[i])
+            if c not in members:
+                members[c] = np.flatnonzero(classes == c)
+            same = members[c]
+            alive[same[iou_matrix(boxes[i], boxes[same])[0] > iou_thr]] = False
+    return kept
 
 
 def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
@@ -115,11 +132,13 @@ def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
 
     Repeatedly keeps the highest-scoring remaining detection (score ties
     by lower index) and removes every remaining one overlapping it with
-    IoU > iou_thr.  Returns the kept detections in keep order.
+    IoU > iou_thr.  Returns the kept detections in keep order.  This is
+    :func:`postprocess`'s walk with one class and no top-k: one IoU row
+    per kept detection.
     """
     scores = np.array([d.score for d in dets], dtype=np.float64)
-    kept = _nms_core(_box_array([d.box for d in dets]), scores, iou_thr)
-    return [dets[i] for i in kept.tolist()]
+    kept = _greedy(_box_array([d.box for d in dets]), np.zeros(len(dets), dtype=np.intp), scores, iou_thr, None)
+    return [dets[i] for i in kept]
 
 
 def postprocess(
@@ -134,26 +153,17 @@ def postprocess(
     highest-scoring candidates overall are kept, sorted by descending
     score.  All ties break by candidate enumeration order (detection
     index, then class index), which makes the output deterministic.
+
+    Steps (ii) and (iii) are one walk by descending score that stops at
+    top_k kept, so each kept candidate reads one IoU row over its class's
+    candidates and nothing else is compared.
     """
     scores = _score_array(dets)
     # Row-major, so candidates come in (detection index, class index) order.
     rows, cols = np.nonzero(scores > cfg.score_thr)
-    if rows.size == 0:
-        return []
-    cand_scores = scores[rows, cols]
-
-    if cfg.nms_enabled:
-        boxes = _box_array([d.box for d in dets])
-        by_class = np.argsort(cols, kind="stable")
-        groups = np.split(by_class, np.flatnonzero(np.diff(cols[by_class])) + 1)
-        kept = np.concatenate(
-            [g[_nms_core(boxes[rows[g]], cand_scores[g], cfg.nms_iou)] for g in groups]
-        )
-    else:
-        kept = np.arange(rows.size)
-
-    top = kept[np.lexsort((kept, -cand_scores[kept]))[: cfg.top_k]]
+    boxes = _box_array([d.box for d in dets])[rows] if cfg.nms_enabled else None
+    kept = _greedy(boxes, cols, scores[rows, cols], cfg.nms_iou, cfg.top_k)
     return [
         FinalDetection(dets[r].box, c, dets[r].class_scores[c], image_id)
-        for r, c in zip(rows[top].tolist(), cols[top].tolist())
+        for r, c in zip(rows[kept].tolist(), cols[kept].tolist())
     ]

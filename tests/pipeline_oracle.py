@@ -2,8 +2,10 @@
 
 ``_nms_keep``, ``nms`` and ``postprocess`` are the original per-object
 implementations: every kept box rescans the whole class list with the
-scalar ``iou``, and candidates are ``FinalDetection`` objects from the
-start.  The library's columnar versions must return equal results.
+scalar ``iou``, every class runs NMS to the end before one sort picks the
+top-k, and candidates are ``FinalDetection`` objects from the start.  The
+library's single greedy walk over numpy arrays, which stops at top-k kept,
+must return equal results.
 """
 
 from typing import Sequence

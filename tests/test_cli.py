@@ -71,6 +71,22 @@ def test_eval_requires_exactly_one_det_source(synth_dir, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, reason", [("--top-k 0", "top_k"), ("--nms-iou 7", "nms_iou")])
+@pytest.mark.parametrize("source", ["--dets final_dets.json", "--raw-dets raw_dets.json"])
+@pytest.mark.parametrize("command", ["eval", *(f"{cmd} --level {level}" for cmd in ("corr", "bounds --direction=+1")
+                                                for level in ("class", "image"))])
+def test_invalid_pipeline_flags_exit_2_on_every_command(synth_dir, tmp_path, capsys, command, source, flag, reason):
+    # refused even where the detections never reach the pipeline
+    flag_name, path = source.split()
+    out = tmp_path / "r.json"
+    argv = [*command.split(), "--gt", str(synth_dir / "gt.json"), flag_name, str(synth_dir / path),
+            *flag.split(), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+    assert not out.exists()
+
+
 def test_eval_pipeline_and_nms_free(synth_dir, tmp_path):
     args = [
         "eval",

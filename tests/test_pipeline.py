@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipeline_oracle as oracle
-from corrdet import Box, FinalDetection, PipelineConfig, RawDetection, iou, nms, postprocess
+import corrdet.pipeline as pipeline
+from corrdet import Box, FinalDetection, PipelineConfig, RawDetection, iou, iou_matrix, nms, postprocess
 
 
 def box_at(x, size=10.0):
@@ -216,7 +217,7 @@ def test_nms_properties(case):
             assert any(rank[id(k)] < rank[id(d)] and iou(k.box, d.box) > thr for k in kept)
 
 
-def test_postprocess_equals_oracle_detector_shaped():
+def _detector_shaped():
     # ~200 boxes x 12 classes jittered around 4 objects, 1/64-px corners
     rng = np.random.default_rng(11)
     n, n_classes = 200, 12
@@ -228,7 +229,11 @@ def test_postprocess_equals_oracle_detector_shaped():
     corners = np.round(np.hstack([center - half, center + half]) * 64.0) / 64.0
     scores = np.minimum(rng.exponential(0.05, size=(n, n_classes)), 1.0)
     scores[np.arange(n), obj] = rng.uniform(0.05, 1.0, size=n)
-    dets = [RawDetection(Box(*map(float, c)), s) for c, s in zip(corners, scores)]
+    return [RawDetection(Box(*map(float, c)), s) for c, s in zip(corners, scores)]
+
+
+def test_postprocess_equals_oracle_detector_shaped():
+    dets = _detector_shaped()
     for cfg in (
         PipelineConfig(),
         PipelineConfig(score_thr=0.0, nms_iou=0.3, top_k=1000),
@@ -238,3 +243,21 @@ def test_postprocess_equals_oracle_detector_shaped():
         got = postprocess(dets, cfg, 5)
         assert got == oracle.postprocess(dets, cfg, 5)
         _assert_python_fields(got)
+
+
+@pytest.mark.parametrize("cfg", [PipelineConfig(score_thr=0.0), PipelineConfig()], ids=["all", "defaults"])
+def test_postprocess_iou_work_is_top_k_rows_of_one_class(monkeypatch, cfg):
+    # Each kept box reads one IoU row over its class's candidates, so the
+    # work is at most top_k rows of the largest class, not each class squared.
+    entries = []
+
+    def counted(a, b):
+        out = iou_matrix(a, b)
+        entries.append(out.size)
+        return out
+
+    dets = _detector_shaped()
+    monkeypatch.setattr(pipeline, "iou_matrix", counted)
+    postprocess(dets, cfg)
+    largest = max(sum(s > cfg.score_thr for s in column) for column in zip(*(d.class_scores for d in dets)))
+    assert 0 < sum(entries) <= cfg.top_k * largest

@@ -336,3 +336,32 @@ def test_vjp_matches_finite_differences_on_one_block(n, eps):
         u = rng.standard_normal(n)
         fd = (u @ step.ranks - u @ base.ranks) / h
         assert fd == pytest.approx(soft_rank_vjp(base, u) @ d, rel=1e-6)
+
+
+def test_vjp_matches_finite_differences_inside_a_multi_block_piece():
+    # Values spread over about [0, 3 n eps] pool into many blocks, some of
+    # them wider than one entry.  A step along a direction rising with v
+    # keeps the sort order; where it keeps the blocks too, it stays in one
+    # linear piece.
+    rng = np.random.default_rng(9)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 201))
+        eps = float(rng.choice([1.0, 0.1, 0.01]))
+        v = rng.uniform(0.0, 3.0 * n * eps, size=n)
+        base = soft_rank(v, eps)
+        d = np.empty(n)
+        d[np.argsort(v)] = np.sort(rng.standard_normal(n))
+        h = 1e-3 * eps
+        step = soft_rank(v + h * d, eps)
+        if not (
+            np.array_equal(step.permutation, base.permutation)
+            and np.array_equal(step.blocks, base.blocks)
+            and 0 < base.blocks[-1] < n - 1
+        ):
+            continue
+        u = rng.standard_normal(n)
+        fd = (u @ step.ranks - u @ base.ranks) / h
+        assert fd == pytest.approx(soft_rank_vjp(base, u) @ d, rel=1e-6)
+        checked += 1
+    assert checked >= 200
