@@ -15,6 +15,11 @@ stricter thresholds the pattern does shuffle, which is exactly what the
 bounds measure.  With duplicate candidates above the threshold the 0.50
 matching itself can flip, so the invariance is a property of the usual
 deduplicated regime, not of arbitrary detection sets.
+
+Both levels assign scores through one rule (:func:`_ranked_scores`).  The
+class-level report matches the whole final list once, re-ranks every
+class from that table's arrays, and matches the re-ranked list once more:
+two matching passes per report, whatever the number of classes.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from .errors import EmptyEvaluation
-from .geometry import MatchSet, match_positives, match_tp_multi
+from .geometry import MatchSet, match_positives
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -32,6 +39,7 @@ from .metrics import (
     _beta_img_from,
     _coco_ap_from,
     _match_classes,
+    _MatchTable,
     coco_ap,
 )
 from .pipeline import FinalDetection, PipelineConfig, RawDetection, postprocess
@@ -47,15 +55,32 @@ def _check_direction(direction: int) -> None:
         raise ValueError(f"direction must be +1 or -1, got {direction}")
 
 
-def _assign_scores(matches: MatchSet, direction: int) -> dict[int, float]:
-    """Map detection index -> re-ranked score.
+def _ranked_scores(
+    det_idx: np.ndarray, ious: np.ndarray, scores: np.ndarray, classes: np.ndarray, direction: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-ranked scores of positives: ``(detection indices, new scores)``.
 
-    Positives sorted by descending IoU (ties by lower detection index)
-    receive the score multiset sorted descending (+1) or ascending (-1).
+    Within each class, the positives sorted by descending IoU (ties by
+    lower detection index) receive the class's score multiset sorted
+    descending (+1) or ascending (-1), equal scores by lower detection
+    index.  The arrays are aligned: entry j of each describes one positive.
     """
-    order = sorted(matches, key=lambda m: (-m.iou, m.detection_index))
-    ranked = sorted((m.score for m in matches), reverse=(direction == 1))
-    return {m.detection_index: s for m, s in zip(order, ranked)}
+    by_iou = np.lexsort((det_idx, -ious, classes))
+    by_score = np.lexsort((det_idx, -direction * scores, classes))
+    return det_idx[by_iou], scores[by_score]
+
+
+def _assign_scores(matches: MatchSet, direction: int) -> dict[int, float]:
+    """Map detection index -> re-ranked score, for one group of positives."""
+    det_idx = np.array(matches.detection_indices(), dtype=np.intp)
+    targets, values = _ranked_scores(
+        det_idx,
+        np.array(matches.ious(), dtype=np.float64),
+        np.array(matches.scores(), dtype=np.float64),
+        np.zeros_like(det_idx),
+        direction,
+    )
+    return dict(zip(targets.tolist(), values.tolist()))
 
 
 def rerank_image_level(
@@ -102,6 +127,18 @@ def rerank_class_level(
         FinalDetection(d.box, d.class_id, new_scores[di], d.image_id) if di in new_scores else d
         for di, d in enumerate(dets)
     ]
+
+
+def _reranked(table: _MatchTable, direction: int) -> list[FinalDetection]:
+    """The table's detections with every class's TPs at its last threshold
+    re-ranked as :func:`rerank_class_level` does one class."""
+    tp = np.flatnonzero(table.gt[-1] >= 0)
+    targets, values = _ranked_scores(tp, table.iou[-1, tp], table.scores[tp], table.class_ids[tp], direction)
+    out = list(table.dets)
+    for di, score in zip(targets.tolist(), values.tolist()):
+        d = out[di]
+        out[di] = FinalDetection(d.box, d.class_id, score, d.image_id)
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,10 +192,7 @@ def bound_report(
         # plus tp_iou (last) for beta_cls and the re-rank itself.
         thresholds = (*COCO_THRESHOLDS, tp_iou)
         before = _match_classes(dataset.final_dets, gts, thresholds)
-        after = {}
-        for c, (cdets, cgts, sets) in before.items():
-            reranked = rerank_class_level(cdets, sets[-1], direction)
-            after[c] = (reranked, cgts, match_tp_multi(reranked, cgts, thresholds))
+        after = _match_classes(_reranked(before, direction), gts, thresholds)
         return BoundReport(
             direction,
             level,

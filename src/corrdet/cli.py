@@ -43,9 +43,15 @@ from .ingest import (
     write_report,
 )
 from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _match_classes, beta_cls, beta_img
-from .pipeline import FinalDetection, PipelineConfig, postprocess
+from .pipeline import FinalDetection, PipelineConfig, _check_unit_interval, postprocess
 
 __all__ = ["build_parser", "main"]
+
+
+def _check_iou_flags(args: argparse.Namespace) -> None:
+    """--tp-iou and --iou-floor lie in [0, 1], by the rule --nms-iou follows."""
+    _check_unit_interval("tp_iou", args.tp_iou)
+    _check_unit_interval("iou_floor", args.iou_floor)
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -147,6 +153,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_corr(args: argparse.Namespace) -> int:
     pcfg = _pipeline_config(args)
+    _check_iou_flags(args)
     dataset = _load_dataset(args)
 
     if args.level == "image":
@@ -179,6 +186,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     pcfg = _pipeline_config(args)
+    _check_iou_flags(args)
     dataset = _load_dataset(args)
     if args.level == "class":
         dataset = replace(dataset, final_dets=_finals(dataset, pcfg))

@@ -8,12 +8,19 @@ Two flavours of matching exist side by side:
   the image-level correlation measure and the Correlation Loss.
 * :func:`match_tp_multi` -- evaluation-style true-positive matching
   (greedy by descending score, COCO convention) at several IoU thresholds
-  in one pass.  GTs are grouped per ``(image, class)``, so the cost is
-  linear in the number of images, and each detection's IoUs to its own
-  group are computed once for all thresholds, as pycocotools'
-  ``computeIoU`` + ``evaluateImg`` do.  Feeds PR curves, AP, the
-  class-level correlation measure and the class-level re-rank;
-  :func:`match_tp` is its one-threshold form.
+  in one pass over a whole detection list.  GTs are grouped per
+  ``(image, class)``, and the IoU of every detection with every GT of its
+  own group is computed in one elementwise array pass, as pycocotools'
+  ``computeIoU`` does per image.  Groups are independent, so the greedy
+  runs by step: step k lets the k-th detection (in score order) of every
+  group take its best unused GT, at all thresholds at once.  Feeds PR
+  curves, AP, the class-level correlation measure and the class-level
+  re-rank, which read its arrays directly.  :func:`match_tp` is its
+  one-threshold form, and only these two build ``Match`` objects.
+
+:func:`iou`, :func:`iou_matrix` and the matching pass share one IoU
+formula with the same float operations, so a threshold compares the same
+way on all three.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ class Box:
 
     def __post_init__(self) -> None:
         coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise ValueError(f"box coordinates must be finite, got {coords}")
         if not (self.x2 > self.x1 and self.y2 > self.y1 and 0.0 < self.area < math.inf):
             raise ValueError(f"box must have a positive, finite area, got {coords}")
@@ -135,6 +142,21 @@ def _box_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner-form boxes ``a[..., i, :]`` and ``b[..., i, :]``,
+    broadcast over the leading axes: ``iou``'s float operations in
+    ``iou``'s order, elementwise."""
+    with np.errstate(all="ignore"):
+        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = ix * iy
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        out = inter / (area_a + area_b - inter)
+    out[(ix <= 0.0) | (iy <= 0.0)] = 0.0
+    return out
+
+
 def iou_matrix(a, b) -> np.ndarray:
     """IoU of every corner-form box in ``a`` with every one in ``b``, given
     as ``(n, 4)`` and ``(m, 4)`` arrays.
@@ -146,15 +168,7 @@ def iou_matrix(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    with np.errstate(all="ignore"):
-        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-        ix = np.minimum(a[:, 2, None], b[:, 2]) - np.maximum(a[:, 0, None], b[:, 0])
-        iy = np.minimum(a[:, 3, None], b[:, 3]) - np.maximum(a[:, 1, None], b[:, 1])
-        inter = ix * iy
-        out = inter / (area_a[:, None] + area_b - inter)
-    out[(ix <= 0.0) | (iy <= 0.0)] = 0.0
-    return out
+    return _iou(a[:, None, :], b[None, :, :])
 
 
 def match_positives(
@@ -190,9 +204,78 @@ def match_positives(
     return MatchSet(tuple(matches))
 
 
-def _score_order(dets: Sequence["FinalDetection"]) -> list[int]:
-    """Detection indices by descending score, ties by lower index."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+def _match_tp_arrays(
+    dets: Sequence["FinalDetection"],
+    gts: Sequence[GtObject],
+    thresholds: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matching core: ``(gt, iou)``, two ``(len(thresholds), len(dets))``
+    arrays.  ``gt[k, i]`` is the gt that detection i matches at threshold
+    k, -1 for none, and ``iou[k, i]`` their IoU (0 for none).
+
+    Every (detection, gt) pair of one ``(image, class)`` group gets its IoU
+    in one elementwise pass; pairs at IoU 0 never match and are dropped.
+    Greedy matching in score order (ties by lower index) touches one group
+    at a time and groups share no gt, so it runs by step: step k lets the
+    k-th detection with a candidate in every group take its first
+    candidate, by (-IoU, gt index), whose gt is unused and whose IoU
+    clears the threshold, for every threshold at once.
+    """
+    n_thr, n = len(thresholds), len(dets)
+    matched = np.full((n_thr, n), -1, dtype=np.intp)
+    matched_iou = np.zeros((n_thr, n))
+
+    group_of: dict[tuple[int, int], int] = {}
+    gt_group = np.array([group_of.setdefault((g.image_id, g.class_id), len(group_of)) for g in gts], dtype=np.intp)
+    det_group = np.array([group_of.get((d.image_id, d.class_id), -1) for d in dets], dtype=np.intp)
+
+    # Every same-group (detection, gt) pair; a group's gts by index.
+    gts_by_group = np.argsort(gt_group, kind="stable")
+    group_size = np.bincount(gt_group, minlength=len(group_of))
+    group_start = np.cumsum(group_size) - group_size
+    pair_det = np.flatnonzero(det_group >= 0)
+    count = group_size[det_group[pair_det]]
+    offset = np.repeat(group_start[det_group[pair_det]] - (np.cumsum(count) - count), count)
+    pair_gt = gts_by_group[offset + np.arange(offset.shape[0])]
+    pair_det = np.repeat(pair_det, count)
+    v = _iou(_box_array([d.box for d in dets])[pair_det], _box_array([g.box for g in gts])[pair_gt])
+    keep = v > 0.0
+    if not keep.any():
+        return matched, matched_iou
+    pair_det, pair_gt, v = pair_det[keep], pair_gt[keep], v[keep]
+
+    # Score rank (ties by lower index), then each candidate-holding
+    # detection's step: its position among those of its group.
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")] = np.arange(n)
+    holders = np.flatnonzero(np.bincount(pair_det, minlength=n))
+    holders = holders[np.lexsort((rank[holders], det_group[holders]))]
+    holder_group = det_group[holders]
+    step = np.zeros(n, dtype=np.intp)
+    step[holders] = np.arange(holders.shape[0]) - np.searchsorted(holder_group, holder_group)
+
+    # Pairs by (step, rank, -IoU, gt index): a block per step, a run per detection.
+    order = np.lexsort((pair_gt, -v, rank[pair_det], step[pair_det]))
+    pair_det, pair_gt, v = pair_det[order], pair_gt[order], v[order]
+    seg = np.flatnonzero(np.concatenate(([True], pair_det[1:] != pair_det[:-1])))  # each detection's first pair
+    seg_det = pair_det[seg]
+    n_steps = int(step[seg_det].max()) + 1
+    seg_bounds = np.searchsorted(step[seg_det], np.arange(n_steps + 1))
+    pair_bounds = np.concatenate((seg, [pair_det.shape[0]]))[seg_bounds]
+
+    thr = np.asarray(thresholds, dtype=np.float64).reshape(-1, 1)
+    used = np.zeros((n_thr, len(gts)), dtype=bool)
+    none = pair_det.shape[0]
+    for s0, s1, p0, p1 in zip(seg_bounds[:-1], seg_bounds[1:], pair_bounds[:-1], pair_bounds[1:]):
+        gt_k = pair_gt[p0:p1]
+        free = (v[p0:p1] >= thr) & ~used[:, gt_k]  # `>=`: a NaN threshold matches nothing
+        pick = np.minimum.reduceat(np.where(free, np.arange(p0, p1), none), seg[s0:s1] - p0, axis=1)
+        t, s = np.nonzero(pick < none)
+        chosen = pick[t, s]
+        used[t, pair_gt[chosen]] = True
+        matched[t, seg_det[s0 + s]] = pair_gt[chosen]
+        matched_iou[t, seg_det[s0 + s]] = v[chosen]
+    return matched, matched_iou
 
 
 def match_tp_multi(
@@ -203,46 +286,22 @@ def match_tp_multi(
     """COCO-style true-positive matching at several IoU thresholds at once.
 
     Returns one MatchSet per threshold, each equal to what
-    :func:`match_tp` gives at that threshold.  GTs are grouped by
-    ``(image_id, class_id)`` and each detection's IoUs to the GTs of its
-    own group are computed once, so the cost is linear in the number of
-    images and shared by all thresholds.
+    :func:`match_tp` gives at that threshold.  Detections of any mix of
+    images and classes match only GTs of their own ``(image_id,
+    class_id)``, and one pass serves all thresholds.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for gi, gt in enumerate(gts):
-        groups.setdefault((gt.image_id, gt.class_id), []).append(gi)
-
-    # Per detection, in matching order: the Match it would make with each
-    # gt of its group at IoU > 0, best first (IoU ties by lower gt index).
-    # Greedy matching at any threshold takes the first candidate whose gt
-    # is unused, unless the IoU falls below the threshold first.
-    table: list[list[Match]] = []
-    for di in _score_order(dets):
-        det = dets[di]
-        group = groups.get((det.image_id, det.class_id), ())
-        score = float(det.score)
-        cands = [
-            Match(di, gi, v, score, det.class_id)
-            for gi in group
-            if (v := iou(det.box, gts[gi].box)) > 0.0
-        ]
-        cands.sort(key=lambda m: (-m.iou, m.gt_index))
-        table.append(cands)
-
+    matched, matched_iou = _match_tp_arrays(dets, gts, thresholds)
     result = []
-    for thr in thresholds:
-        used_gt: set[int] = set()
-        matches = []
-        for cands in table:
-            for m in cands:
-                if not m.iou >= thr:  # not `<`: a NaN threshold matches nothing
-                    break
-                if m.gt_index not in used_gt:
-                    used_gt.add(m.gt_index)
-                    matches.append(m)
-                    break
-        matches.sort(key=lambda m: m.detection_index)
-        result.append(MatchSet(tuple(matches)))
+    for gt_row, iou_row in zip(matched, matched_iou):
+        hits = np.flatnonzero(gt_row >= 0)
+        result.append(
+            MatchSet(
+                tuple(
+                    Match(di, gi, v, float(dets[di].score), dets[di].class_id)
+                    for di, gi, v in zip(hits.tolist(), gt_row[hits].tolist(), iou_row[hits].tolist())
+                )
+            )
+        )
     return tuple(result)
 
 

@@ -13,6 +13,15 @@ Formats:
 * final detections: the standard COCO results list [{image_id,
   category_id, bbox [x, y, w, h], score}].
 
+Ground truth and final detections are checked by column: each field of
+every record is pulled into one list, and each list is checked as a whole
+(element types, finiteness, clipping, box area, score range, known ids)
+with the clip and area arithmetic done in numpy, bit for bit as on
+Python floats.  A document that fails any column check goes to the record
+walk, which checks one record at a time and is the one place where errors
+are worded: it raises the error of the first bad record.  Raw detections
+are read by the walk alone.
+
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
 byte-identical outputs.
@@ -22,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -135,14 +144,8 @@ def _clip_box(x1: float, y1: float, x2: float, y2: float, size: tuple[int, int],
         raise SchemaError(f"{where}: {e}") from e
 
 
-def load_gt(path: str) -> Dataset:
-    """Read COCO-style ground truth; see the module docstring for schema.
-
-    Raises ParseError on unreadable/invalid JSON, SchemaError on missing
-    or malformed fields (including degenerate boxes and iscrowd != 0),
-    ReferenceError on dangling image/category ids.
-    """
-    doc = load_report(path)
+def _gt_walk(doc: Any, path: str) -> Dataset:
+    """load_gt one record at a time; raises the first bad record's error."""
     cats_raw = _field(doc, "categories", path)
     images_raw = _field(doc, "images", path)
     anns_raw = _field(doc, "annotations", path)
@@ -188,6 +191,100 @@ def load_gt(path: str) -> Dataset:
     return Dataset(tuple(categories), tuple((iid, w, h) for iid, (w, h) in size_of.items()), tuple(gts))
 
 
+_T = TypeVar("_T")
+_DICT = frozenset((dict,))
+_LIST = frozenset((list,))
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+
+
+def _typed(column: list, types: frozenset) -> bool:
+    """Every element's type is in ``types`` (a bool is not an int here)."""
+    return set(map(type, column)) <= types
+
+
+def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
+    """``columns()``, or ``walk()`` when a column check fails (None) or a
+    record lacks a field or has the wrong shape while columns are pulled."""
+    try:
+        result = columns()
+    except (KeyError, TypeError, OverflowError):
+        result = None
+    return walk() if result is None else result
+
+
+def _column_boxes(bboxes: list, sizes: list[tuple[int, int]]) -> list[Box] | None:
+    """The Boxes the walk makes of ``[x, y, w, h]`` bboxes clipped to their
+    images' ``(width, height)``, or None when one would fail a check.
+
+    The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
+    stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
+    to the side, as in the walk.
+    """
+    if not (_typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4}):
+        return None
+    flat = [v for b in bboxes for v in b]
+    if not _typed(flat, _NUMBER_TYPES):
+        return None
+    xywh = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
+    sides = np.array(sizes, dtype=np.float64).reshape(-1, 2)[:, [0, 1, 0, 1]]
+    with np.errstate(all="ignore"):
+        corners = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+        corners = np.where(0.0 > corners, 0.0, corners)
+        corners = np.where(sides < corners, sides, corners)
+        x1, y1, x2, y2 = corners.T
+        area = (x2 - x1) * (y2 - y1)
+        ok = (x2 > x1) & (y2 > y1) & (area > 0.0) & (area < math.inf)
+    if not (np.isfinite(xywh).all() and ok.all()):
+        return None
+    return [Box(*c) for c in corners.tolist()]
+
+
+def _gt_columns(doc: Any) -> Dataset | None:
+    """load_gt by columns; None when a check fails."""
+    cats, images, anns = doc["categories"], doc["images"], doc["annotations"]
+    if not (_typed([cats, images, anns], _LIST) and all(_typed(x, _DICT) for x in (cats, images, anns))):
+        return None
+
+    cids = [c["id"] for c in cats]
+    names = [c["name"] for c in cats]
+    iids = [im["id"] for im in images]
+    widths = [im["width"] for im in images]
+    heights = [im["height"] for im in images]
+    if not (_typed(cids + iids + widths + heights, _INT) and _typed(names, _STR)):
+        return None
+    if len(set(cids)) < len(cids) or len(set(iids)) < len(iids):
+        return None
+    if min(widths + heights, default=1) <= 0:
+        return None
+    float(max(widths + heights, default=0))  # OverflowError: a side beyond the float range
+    class_of = {cid: k for k, cid in enumerate(cids)}
+    size_of = dict(zip(iids, zip(widths, heights)))
+
+    ann_iids = [a["image_id"] for a in anns]
+    ann_cids = [a["category_id"] for a in anns]
+    crowd = [a.get("iscrowd", 0) for a in anns]
+    if not _typed([a["id"] for a in anns] + ann_iids + ann_cids + crowd, _INT) or any(crowd):
+        return None
+    classes = [class_of[c] for c in ann_cids]  # KeyError: unknown id
+    boxes = _column_boxes([a["bbox"] for a in anns], [size_of[i] for i in ann_iids])
+    if boxes is None:
+        return None
+    gts = tuple(GtObject(b, c, i) for b, c, i in zip(boxes, classes, ann_iids))
+    return Dataset(tuple(zip(cids, names)), tuple((i, w, h) for i, (w, h) in size_of.items()), gts)
+
+
+def load_gt(path: str) -> Dataset:
+    """Read COCO-style ground truth; see the module docstring for schema.
+
+    Raises ParseError on unreadable/invalid JSON, SchemaError on missing
+    or malformed fields (including degenerate boxes and iscrowd != 0),
+    ReferenceError on dangling image/category ids.
+    """
+    doc = load_report(path)
+    return _by_columns(lambda: _gt_columns(doc), lambda: _gt_walk(doc, path))
+
+
 def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
     """Read raw (pre-post-processing) detections into a copy of ``dataset``.
 
@@ -223,9 +320,8 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
     return replace(dataset, raw_dets={iid: tuple(lst) for iid, lst in grouped.items()})
 
 
-def load_final_dets(path: str, dataset: Dataset) -> Dataset:
-    """Read a COCO results list into a copy of ``dataset``."""
-    doc = load_report(path)
+def _final_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
+    """load_final_dets one record at a time; raises the first bad record's error."""
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     size_of = {iid: (w, h) for iid, w, h in dataset.images}
 
@@ -247,6 +343,36 @@ def load_final_dets(path: str, dataset: Dataset) -> Dataset:
         finals.append(det)
 
     return replace(dataset, final_dets=tuple(finals))
+
+
+def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
+    """load_final_dets by columns; None when a check fails."""
+    if type(doc) is not list or not _typed(doc, _DICT):
+        return None
+    iids = [d["image_id"] for d in doc]
+    cids = [d["category_id"] for d in doc]
+    scores = [d["score"] for d in doc]
+    if not (_typed(iids + cids, _INT) and _typed(scores, _NUMBER_TYPES)):
+        return None
+    class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
+    size_of = {iid: (w, h) for iid, w, h in dataset.images}
+    classes = [class_of[c] for c in cids]  # KeyError: unknown id
+    score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
+    with np.errstate(all="ignore"):
+        in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
+    if not in_range:
+        return None
+    boxes = _column_boxes([d["bbox"] for d in doc], [size_of[i] for i in iids])
+    if boxes is None:
+        return None
+    finals = tuple(FinalDetection(*f) for f in zip(boxes, classes, score_array.tolist(), iids))
+    return replace(dataset, final_dets=finals)
+
+
+def load_final_dets(path: str, dataset: Dataset) -> Dataset:
+    """Read a COCO results list into a copy of ``dataset``."""
+    doc = load_report(path)
+    return _by_columns(lambda: _final_columns(doc, dataset), lambda: _final_walk(doc, path, dataset))
 
 
 def fmt_float(value: float) -> str:

@@ -11,6 +11,12 @@ Two correlation levels exist:
 
 Groups with fewer than two samples, or with degenerate ranks, are skipped
 and counted; the averages cover the rest.
+
+The class-level measures and AP read one matching table per detection
+list (:func:`_match_classes`): the matched gt and IoU of every detection
+at every threshold, as arrays, with each class's detections in score
+order.  PR curves are cumulative sums over those arrays, all thresholds
+of a class at once, and no ``Match`` objects are built on the way.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .correlation import spearman
 from .errors import DegenerateInput, EmptyEvaluation, NoGroundTruth
-from .geometry import GtObject, MatchSet, _score_order, match_positives, match_tp_multi
+from .geometry import GtObject, MatchSet, _match_tp_arrays, match_positives
 from .pipeline import FinalDetection, RawDetection
 
 __all__ = [
@@ -69,9 +75,9 @@ class ApResult:
 
 
 def _spearman_mean(
-    groups: Iterable[tuple[int, MatchSet]], unit: str
+    groups: Iterable[tuple[int, Sequence[float], Sequence[float]]], unit: str
 ) -> tuple[float, tuple[tuple[int, float], ...], int]:
-    """Mean Spearman between IoUs and scores over ``(group id, matches)``.
+    """Mean Spearman between IoUs and scores over ``(group id, ious, scores)``.
 
     Returns the mean, the per-group values and the number of groups
     skipped: those with fewer than two matches or degenerate ranks.
@@ -80,12 +86,12 @@ def _spearman_mean(
     """
     per_group: list[tuple[int, float]] = []
     skipped = 0
-    for group_id, matches in groups:
-        if len(matches) < 2:
+    for group_id, ious, scores in groups:
+        if len(ious) < 2:
             skipped += 1
             continue
         try:
-            per_group.append((group_id, spearman(matches.ious(), matches.scores())))
+            per_group.append((group_id, spearman(ious, scores)))
         except DegenerateInput:
             skipped += 1
 
@@ -96,7 +102,7 @@ def _spearman_mean(
 
 def _beta_img_from(groups: Iterable[tuple[int, MatchSet]]) -> CorrelationReport:
     """beta_img over ``(image id, positives)`` pairs."""
-    mean, per_image, skipped = _spearman_mean(groups, "image")
+    mean, per_image, skipped = _spearman_mean(((i, m.ious(), m.scores()) for i, m in groups), "image")
     return CorrelationReport(beta_img=mean, per_image=per_image, skipped_images=skipped)
 
 
@@ -117,37 +123,55 @@ def beta_img(
     )
 
 
-def _by_class(items: Sequence) -> dict[int, list]:
-    """Split detections or GTs by class_id, keeping their order."""
-    out: dict[int, list] = {}
-    for item in items:
-        out.setdefault(item.class_id, []).append(item)
-    return out
+@dataclass(frozen=True)
+class _MatchTable:
+    """One detection list matched at several IoU thresholds.
 
+    ``gt[k, i]`` is the gt that detection i matches at threshold number
+    k (-1 for none) and ``iou[k, i]`` their IoU.  ``classes`` holds, for
+    every class of the detections and gts in ascending order, ``(class
+    id, the class's detection indices in score order, its gt count)``;
+    score order is descending, ties by lower index.
+    """
 
-# class_id -> (class dets, class gts, one MatchSet per threshold)
-_ClassMatches = dict[int, tuple[list[FinalDetection], list[GtObject], tuple[MatchSet, ...]]]
+    dets: Sequence[FinalDetection]
+    scores: np.ndarray
+    class_ids: np.ndarray
+    gt: np.ndarray
+    iou: np.ndarray
+    classes: tuple[tuple[int, np.ndarray, int], ...]
 
 
 def _match_classes(
     dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
     thresholds: Sequence[float],
-) -> _ClassMatches:
-    """One matching-core call per class (classes of gts and dets alike)."""
-    dets_by_class = _by_class(dets)
-    gts_by_class = _by_class(gts)
-    table: _ClassMatches = {}
-    for c in sorted(dets_by_class.keys() | gts_by_class.keys()):
-        cdets = dets_by_class.get(c, [])
-        cgts = gts_by_class.get(c, [])
-        table[c] = (cdets, cgts, match_tp_multi(cdets, cgts, thresholds))
-    return table
+) -> _MatchTable:
+    """One matching-core call for the whole list, split by class."""
+    gt, iou = _match_tp_arrays(dets, gts, thresholds)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    class_ids = np.array([d.class_id for d in dets], dtype=np.int64)
+    gt_classes, gt_counts = np.unique(np.array([g.class_id for g in gts], dtype=np.int64), return_counts=True)
+    n_gt = dict(zip(gt_classes.tolist(), gt_counts.tolist()))
+
+    by_score = np.argsort(-scores, kind="stable")
+    by_class = by_score[np.argsort(class_ids[by_score], kind="stable")]
+    ids = np.union1d(class_ids, gt_classes)
+    lo = np.searchsorted(class_ids[by_class], ids, side="left")
+    hi = np.searchsorted(class_ids[by_class], ids, side="right")
+    classes = tuple((c, by_class[a:b], n_gt.get(c, 0)) for c, a, b in zip(ids.tolist(), lo, hi))
+    return _MatchTable(dets, scores, class_ids, gt, iou, classes)
 
 
-def _beta_cls_from(table: _ClassMatches, k: int) -> CorrelationReport:
-    """beta_cls over the TPs of threshold number ``k`` of each class."""
-    mean, per_class, skipped = _spearman_mean(((c, sets[k]) for c, (_, _, sets) in table.items()), "class")
+def _beta_cls_from(table: _MatchTable, k: int) -> CorrelationReport:
+    """beta_cls over the TPs of threshold number ``k`` of each class,
+    each class's TPs in detection order."""
+    groups = []
+    for c, ranked, _ in table.classes:
+        members = np.sort(ranked)
+        tp = members[table.gt[k, members] >= 0]
+        groups.append((c, table.iou[k, tp], table.scores[tp]))
+    mean, per_class, skipped = _spearman_mean(groups, "class")
     return CorrelationReport(beta_cls=mean, per_class=per_class, skipped_classes=skipped)
 
 
@@ -165,25 +189,12 @@ def beta_cls(
     return _beta_cls_from(_match_classes(dets, gts, (tp_iou,)), 0)
 
 
-def _curves(
-    dets: Sequence[FinalDetection], n_gt: int, match_sets: Sequence[MatchSet]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(recall, precision) arrays of one class's walk per TP set.
-
-    Detections are visited in descending score order (ties by lower
-    index); all sets share that order.
-    """
-    n = len(dets)
-    rank = np.empty(n, dtype=np.intp)
-    rank[_score_order(dets)] = np.arange(n)
-    seen = np.arange(1, n + 1)
-    curves = []
-    for matches in match_sets:
-        is_tp = np.zeros(n, dtype=np.int64)
-        is_tp[rank[matches.detection_indices()]] = 1
-        tp = np.cumsum(is_tp)
-        curves.append((tp / n_gt, tp / seen))
-    return curves
+def _curves(is_tp: np.ndarray, n_gt: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(recall, precision) arrays of one class's walk per row of ``is_tp``,
+    a TP mask with the detections in score order."""
+    tp = np.cumsum(is_tp, axis=1)
+    seen = np.arange(1, is_tp.shape[1] + 1)
+    return [(row / n_gt, row / seen) for row in tp]
 
 
 def pr_curves(
@@ -194,10 +205,9 @@ def pr_curves(
     """One :func:`pr_curve` per threshold, from a single matching pass."""
     if len(gts) == 0:
         raise NoGroundTruth("pr_curve needs at least one ground-truth object")
-    return [
-        list(zip(r.tolist(), p.tolist()))
-        for r, p in _curves(dets, len(gts), match_tp_multi(dets, gts, thresholds))
-    ]
+    gt, _ = _match_tp_arrays(dets, gts, thresholds)
+    by_score = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
+    return [list(zip(r.tolist(), p.tolist())) for r, p in _curves(gt[:, by_score] >= 0, len(gts))]
 
 
 def pr_curve(
@@ -237,17 +247,17 @@ def average_precision(curve: Sequence[tuple[float, float]]) -> float:
 
 
 def _coco_ap_from(
-    table: _ClassMatches, thresholds: Sequence[float]
+    table: _MatchTable, thresholds: Sequence[float]
 ) -> tuple[ApResult, list[list[tuple[np.ndarray, np.ndarray]]]]:
-    """COCO AP from the first len(thresholds) TP sets of each class, and the
-    (recall, precision) curves it was read from: one list per entry of
+    """COCO AP from the first len(thresholds) thresholds of the table, and
+    the (recall, precision) curves it was read from: one list per entry of
     ``per_class``, one curve per threshold."""
     per_class: list[tuple[int, tuple[float, ...]]] = []
     class_curves = []
-    for c, (cdets, cgts, sets) in table.items():
-        if not cgts:
+    for c, ranked, n_gt in table.classes:
+        if not n_gt:
             continue
-        curves = _curves(cdets, len(cgts), sets[: len(thresholds)])
+        curves = _curves(table.gt[: len(thresholds), ranked] >= 0, n_gt)
         per_class.append((c, tuple(_interpolated_ap(r, p) for r, p in curves)))
         class_curves.append(curves)
     if not per_class:

@@ -67,6 +67,12 @@ class FinalDetection:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
+def _check_unit_interval(name: str, value: float) -> None:
+    """ValueError unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     score_thr: float = 0.05
@@ -75,9 +81,8 @@ class PipelineConfig:
     nms_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name, v in (("score_thr", self.score_thr), ("nms_iou", self.nms_iou)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        _check_unit_interval("score_thr", self.score_thr)
+        _check_unit_interval("nms_iou", self.nms_iou)
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 

@@ -176,6 +176,24 @@ def test_bound_report_requires_matching_inputs():
         bound_report(ds, 1, level="box")
 
 
+def test_bound_report_class_level_matches_twice(monkeypatch):
+    # one matching pass for the final list and one for the re-ranked list,
+    # whatever the number of classes
+    import corrdet.bounds as bounds_module
+
+    calls = []
+    real = bounds_module._match_classes
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(bounds_module, "_match_classes", counted)
+    ds = synth(25, n_images=12, n_classes=5)
+    bound_report(ds, 1, level="class")
+    assert calls == [len(ds.final_dets)] * 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(detection_sets(), st.sampled_from((1, -1)), st.data())
 def test_bound_report_class_level_equals_oracle(case, direction, data):

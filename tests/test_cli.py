@@ -87,6 +87,21 @@ def test_invalid_pipeline_flags_exit_2_on_every_command(synth_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "7", "-1", "inf"])
+@pytest.mark.parametrize("flag", ["--tp-iou", "--iou-floor"])
+@pytest.mark.parametrize("command", ["corr --level class", "corr --level image", "bounds --level class --direction=+1",
+                                     "bounds --level image --direction=-1"])
+def test_invalid_iou_flags_exit_2_before_reading_files(tmp_path, capsys, command, flag, value):
+    # the input paths do not exist: the flag is refused before any is opened
+    out = tmp_path / "r.json"
+    argv = [*command.split(), "--gt", str(tmp_path / "no-gt.json"), "--dets", str(tmp_path / "no-dets.json"),
+            f"{flag}={value}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {flag[2:].replace('-', '_')} must lie in [0, 1], got {float(value)}"]
+    assert not out.exists()
+
+
 def test_eval_pipeline_and_nms_free(synth_dir, tmp_path):
     args = [
         "eval",

@@ -1,14 +1,19 @@
 """Loaders, writers, the deterministic JSON form, synthetic data."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrdet.cli as cli
+import corrdet.ingest as ingest
 from corrdet import (
     Box,
+    Dataset,
     DimensionError,
     ParseError,
     PipelineConfig,
@@ -24,7 +29,7 @@ from corrdet import (
     write_report,
 )
 from corrdet.errors import ReferenceError as DanglingReference
-from corrdet.ingest import emit_final_dets, emit_raw_dets, fmt_float
+from corrdet.ingest import emit_final_dets, emit_gt, emit_raw_dets, fmt_float
 
 
 def write(tmp_path, name, payload):
@@ -287,6 +292,212 @@ def test_bad_document_names_its_field_and_exits_2(tmp_path, capsys, patch, dets_
     capsys.readouterr()
     assert cli.main(["eval", "--gt", gt_path, dets_flag, dets_path]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+# Faults for the loader differential test.  Each takes hypothesis' draw and
+# the GT and final documents, and breaks (or, for some, only bends) them in
+# place; a final document ending in this marker is written as {"x": 1}.
+# Faults compose, so each one reaches records through these helpers, which
+# skip what an earlier fault has already broken.
+_RESULTS_NOT_A_LIST = "results-not-a-list"
+
+
+def _dicts(*lists):
+    return [r for lst in lists if isinstance(lst, list) for r in lst if isinstance(r, dict)]
+
+
+def _pick(draw, *lists):
+    records = _dicts(*lists)
+    return draw(st.sampled_from(records)) if records else {}
+
+
+def _bbox(draw, gt, fin):
+    """Some record's [x, y, w, h] list, or None."""
+    bbox = _pick(draw, gt.get("annotations"), fin).get("bbox")
+    return bbox if isinstance(bbox, list) and len(bbox) == 4 else None
+
+
+def _number_trap(values):
+    def fault(draw, gt, fin):
+        value = draw(st.sampled_from(values))
+        kind = draw(st.sampled_from(("bbox", "score", "image-side")))
+        if kind == "bbox":
+            bbox = _bbox(draw, gt, fin)
+            if bbox is not None:
+                bbox[draw(st.integers(0, 3))] = value
+        elif kind == "score":
+            _pick(draw, fin)["score"] = value
+        else:
+            _pick(draw, gt.get("images"))[draw(st.sampled_from(("width", "height")))] = value
+
+    return fault
+
+
+def _add_overflow(draw, gt, fin):
+    # x + w (or y + h) overflows; or sides near the float maximum make the area overflow
+    bbox = _bbox(draw, gt, fin)
+    if bbox is None:
+        return
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 1))
+        bbox[axis] = bbox[axis + 2] = draw(st.sampled_from((1.5e308, -1.5e308)))
+    else:
+        for im in _dicts(gt.get("images")):
+            im["width"] = im["height"] = 10**308
+        bbox[:] = [0.0, 0.0, 1e308, 1e308]
+
+
+def _signed_zero(draw, gt, fin):
+    # a valid box whose x1 or y1 is -0.0, which the walk keeps
+    bbox = _bbox(draw, gt, fin)
+    if bbox is not None:
+        bbox[draw(st.integers(0, 1))] = -0.0
+
+
+def _clipped(draw, gt, fin):
+    bbox = _bbox(draw, gt, fin)
+    if bbox is not None:
+        bbox[0] = draw(st.sampled_from((-5.5, -1e-300, 500.0)))
+        bbox[2] = draw(st.sampled_from((600.0, 1e300, 1e-300)))
+
+
+def _missing_key(draw, gt, fin):
+    if draw(st.integers(0, 9)) == 0 and gt:
+        del gt[draw(st.sampled_from(sorted(gt)))]
+        return
+    record = _pick(draw, gt.get("categories"), gt.get("images"), gt.get("annotations"), fin)
+    if record:
+        del record[draw(st.sampled_from(sorted(record)))]
+
+
+def _not_a_list(draw, gt, fin):
+    value = draw(st.sampled_from(({"x": 1}, "list", 5, None)))
+    where = draw(st.sampled_from(("categories", "images", "annotations", "bbox", "results")))
+    if where == "bbox":
+        record = _pick(draw, gt.get("annotations"), fin)
+        if record:
+            record["bbox"] = value
+    elif where == "results":
+        fin.append(_RESULTS_NOT_A_LIST)
+    else:
+        gt[where] = value
+
+
+def _not_a_record(draw, gt, fin):
+    records = draw(st.sampled_from((gt.get("categories"), gt.get("images"), gt.get("annotations"), fin)))
+    if isinstance(records, list) and records:
+        records[draw(st.integers(0, len(records) - 1))] = draw(st.sampled_from(([], "x", 3, None, [1, 2])))
+
+
+def _bbox_shape(draw, gt, fin):
+    bbox = _bbox(draw, gt, fin)
+    if bbox is not None:
+        x, y, w, h = bbox
+        bbox[:] = draw(st.sampled_from(([x, y, w], [x, y, w, h, 1.0], [x, y, 0.0, h], [x, y, w, -h], [])))
+
+
+def _unknown_id(draw, gt, fin):
+    record = _pick(draw, gt.get("annotations"), fin)
+    if record:
+        record[draw(st.sampled_from(("image_id", "category_id")))] = draw(st.sampled_from((10**6, -1, True)))
+
+
+def _duplicate_id(draw, gt, fin):
+    # a second record with an existing id; every reference still resolves
+    records = gt.get(draw(st.sampled_from(("categories", "images"))))
+    record = _pick(draw, records)
+    if record:
+        records.append(dict(record))
+
+
+def _extra_image(draw, gt, fin):
+    # an image no record refers to, so only the image checks can refuse it
+    images = gt.get("images")
+    if isinstance(images, list):
+        side = draw(st.sampled_from((0, -3, _HUGE_INT, 10**308, True, 64)))
+        images.append({"id": 10**6 + len(images), "width": side, "height": 64})
+
+
+def _category_name(draw, gt, fin):
+    record = _pick(draw, gt.get("categories"))
+    if record:
+        record["name"] = draw(st.sampled_from((7, None, True, ["cat"], "")))
+
+
+def _crowd(draw, gt, fin):
+    record = _pick(draw, gt.get("annotations"))
+    if record:
+        record["iscrowd"] = draw(st.sampled_from((1, True, 0.0, None, 0)))
+
+
+def _score(draw, gt, fin):
+    record = _pick(draw, fin)
+    if record:
+        record["score"] = draw(st.sampled_from((1.0000000000000002, 2, 1, 0, -0.0, 1.0)))
+
+
+_LOADER_FAULTS = [
+    _number_trap((True, False)),
+    _number_trap((math.nan, math.inf, -math.inf)),
+    _number_trap((_HUGE_INT, -_HUGE_INT, 2**63 + 1, 2**64 + 1, 2**53 + 1, 10**308)),
+    _number_trap((None, "1", [1.0])),
+    _add_overflow,
+    _signed_zero,
+    _clipped,
+    _missing_key,
+    _not_a_list,
+    _not_a_record,
+    _bbox_shape,
+    _unknown_id,
+    _duplicate_id,
+    _extra_image,
+    _category_name,
+    _crowd,
+    _score,
+]
+
+
+def _outcome(load, *args):
+    """The dataset a loader returns with every corner and score as bits,
+    or the type and message of what it raises."""
+    try:
+        ds = load(*args)
+    except Exception as e:  # any type: a crash in one path must show as a difference
+        return type(e), str(e)
+    boxes = [g.box for g in ds.gts] + [d.box for d in ds.final_dets or ()]
+    bits = [v.hex() for b in boxes for v in (b.x1, b.y1, b.x2, b.y2)]
+    bits += [d.score.hex() for d in ds.final_dets or ()]
+    return ds, bits
+
+
+@pytest.fixture(scope="module")
+def synth_docs(tmp_path_factory):
+    """A small synth dataset's GT and final-detection documents, parsed."""
+    root = tmp_path_factory.mktemp("synth_docs")
+    ds = synth(3, n_images=4, n_classes=3)
+    emit_gt(ds, str(root / "gt.json"))
+    emit_final_dets(ds, str(root / "final.json"))
+    return root, load_report(str(root / "gt.json")), load_report(str(root / "final.json"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LOADER_FAULTS), min_size=1, max_size=2), st.data())
+def test_column_loaders_equal_the_record_walk(synth_docs, faults, data):
+    root, gt, fin = synth_docs
+    gt, fin = copy.deepcopy(gt), copy.deepcopy(fin)
+    for fault in faults:
+        fault(data.draw, gt, fin)
+    if _RESULTS_NOT_A_LIST in fin:
+        fin = {"x": 1}
+    gt_path = write(root, "gt_case.json", gt)
+    fin_path = write(root, "final_case.json", fin)
+
+    got = _outcome(load_gt, gt_path)
+    assert got == _outcome(ingest._gt_walk, load_report(gt_path), gt_path)
+    # the finals load against the GT when it loads, else against the intact one
+    base = got[0] if isinstance(got[0], Dataset) else load_gt(str(root / "gt.json"))
+    got = _outcome(load_final_dets, fin_path, base)
+    assert got == _outcome(ingest._final_walk, load_report(fin_path), fin_path, base)
 
 
 def test_emit_without_detections_is_an_error(tmp_path):

@@ -1,5 +1,7 @@
 """Evaluation metrics: PR curves, interpolated AP, correlation summaries."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,15 +17,18 @@ from corrdet import (
     beta_cls,
     beta_img,
     coco_ap,
+    match_tp_multi,
     pr_curve,
     pr_curves,
     synth,
 )
+from corrdet.metrics import _match_classes
 from match_oracle import (
     achieved_ious,
     beta_cls_oracle,
     coco_ap_oracle,
     detection_sets,
+    match_tp_oracle,
     pr_curve_oracle,
 )
 
@@ -205,3 +210,27 @@ def test_pr_ap_and_beta_cls_equal_oracle(case):
         expected = [pr_curve_oracle(cdets, cgts, t) for t in thresholds]
         assert pr_curves(cdets, cgts, thresholds) == expected
         assert [pr_curve(cdets, cgts, t) for t in thresholds] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(detection_sets())
+def test_match_table_equals_oracle_class_by_class(case):
+    dets, gts = case
+    thresholds = (0.0, 1.0, math.nan) + COCO_THRESHOLDS + tuple(achieved_ious(dets, gts))
+    table = _match_classes(dets, gts, thresholds)
+    classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
+    assert [c for c, _, _ in table.classes] == classes
+    # a mixed list: every image and class in one call
+    for thr, got in zip(thresholds, match_tp_multi(dets, gts, thresholds)):
+        assert got == match_tp_oracle(dets, gts, thr)
+
+    for c, ranked, n_gt in table.classes:
+        det_idx = [i for i, d in enumerate(dets) if d.class_id == c]
+        gt_idx = [i for i, g in enumerate(gts) if g.class_id == c]
+        assert n_gt == len(gt_idx)
+        assert ranked.tolist() == sorted(det_idx, key=lambda i: (-dets[i].score, i))
+        for k, thr in enumerate(thresholds):
+            expected = match_tp_oracle([dets[i] for i in det_idx], [gts[i] for i in gt_idx], thr)
+            hits = [i for i in det_idx if table.gt[k, i] >= 0]
+            got = [(i, int(table.gt[k, i]), float(table.iou[k, i]).hex()) for i in hits]
+            assert got == [(det_idx[m.detection_index], gt_idx[m.gt_index], m.iou.hex()) for m in expected]
