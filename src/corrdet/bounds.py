@@ -179,6 +179,11 @@ def bound_report(
     Image level permutes positives' GT-class scores in the raw detections,
     then runs post-processing to obtain comparable final detections; its
     correlation halves report the image-level measure.
+
+    Each level reads its own parameters: class level reads ``tp_iou`` (the
+    TP threshold of the re-rank and of beta_cls); image level reads
+    ``iou_floor`` (the positive-matching floor) and ``pipeline`` (default
+    ``PipelineConfig()``).  The other level's parameters are ignored.
     """
     _check_direction(direction)
     if level not in ("class", "image"):

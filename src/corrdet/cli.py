@@ -263,11 +263,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         knob=args.knob,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = {
-        "gt": os.path.join(args.out_dir, "gt.json"),
-        "raw_dets": os.path.join(args.out_dir, "raw_dets.json"),
-        "final_dets": os.path.join(args.out_dir, "final_dets.json"),
-    }
+    paths = _synth_paths(args.out_dir)
     emit_gt(dataset, paths["gt"])
     emit_raw_dets(dataset, paths["raw_dets"])
     emit_final_dets(dataset, paths["final_dets"])
@@ -281,6 +277,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     }
     _write_text(render_report(summary), args.out)
     return 0
+
+
+def _synth_paths(out_dir: str) -> dict[str, str]:
+    """The three files ``synth`` writes under ``out_dir``."""
+    return {key: os.path.join(out_dir, f"{key}.json") for key in ("gt", "raw_dets", "final_dets")}
 
 
 def _cmd_descend(args: argparse.Namespace) -> int:
@@ -375,18 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args: argparse.Namespace, *flags: str) -> list[tuple[str, str]]:
+    """``(flag, path)`` for each of ``flags`` that the command has and was given."""
+    paths = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in flags]
+    return [(flag, path) for flag, path in paths if path is not None]
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse, before any work or output starts and without creating
     anything, an output path whose place rules it out: a file path that is
     a directory or whose directory does not exist (synth creates --out-dir
-    and its parents), an output directory that is a file.  Any other error,
-    such as a permission, is open()'s own."""
+    and its parents), an output directory that is a file, and a file that
+    the command writes twice or also reads (the same ``os.path.realpath``).
+    Any other error, such as a permission, is open()'s own."""
     out_dir = getattr(args, "out_dir", None)
     if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
-    for path in (getattr(args, "out", None), getattr(args, "pr_csv", None)):
-        if path is None:
-            continue
+    written = _given(args, "--out", "--pr-csv")
+    for _, path in written:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         parent = os.path.dirname(path) or os.curdir
@@ -398,6 +405,14 @@ def _check_outputs(args: argparse.Namespace) -> None:
         # stat raises the ENOENT or ENOTDIR that open() would
         if not stat.S_ISDIR(os.stat(parent).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if out_dir is not None:
+        written[:0] = [(f"--out-dir/{os.path.basename(path)}", path) for path in _synth_paths(out_dir).values()]
+    # every file named so far, and a flag that names it: the inputs, then the outputs
+    named = {os.path.realpath(path): flag for flag, path in _given(args, "--gt", "--dets", "--raw-dets")}
+    for flag, path in written:
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValueError(f"{flag} and {other} name the same file: {path}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -16,7 +16,8 @@ Two flavours of matching exist side by side:
   group take its best unused GT, at all thresholds at once.  Feeds PR
   curves, AP, the class-level correlation measure and the class-level
   re-rank, which read its arrays directly.  :func:`match_tp` is its
-  one-threshold form, and only these two build ``Match`` objects.
+  one-threshold form.  These two and :func:`match_positives` are the only
+  builders of ``Match`` objects.
 
 :func:`iou`, :func:`iou_matrix` and the matching pass share one IoU
 formula with the same float operations, so a threshold compares the same

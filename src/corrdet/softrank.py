@@ -10,14 +10,13 @@ converges to hard fractional ranks; as it grows, all ranks flatten toward
 the common mean (n+1)/2.  The largest value gets rank n; ``soft_rank(-v)``
 flips the order, so the largest gets rank 1.
 
-From 128 entries on, most inputs never reach the PAV loop: when PAV
-would pool every entry into one block, which a spread of
-``values / epsilon`` below n / 2 always does (scores in [0, 1] at the
-default epsilon = 1, or at 0.01 above 200 entries), a few array passes
-decide so and fit that block, and the ranks are the scaled values shifted
-by one constant.  The loop runs for
-shorter inputs, for inputs with several blocks, and where that decision
-lies within rounding.
+Most inputs never reach the PAV loop: when PAV would pool every entry
+into one block, which a spread of ``values / epsilon`` below n / 2 always
+does (scores in [0, 1] at the default epsilon = 1, or at 0.01 above 200
+entries), a few array passes decide so and fit that block, and the ranks
+are the scaled values shifted by one constant.  The loop runs for inputs
+with several blocks, for magnitudes too large for that decision, and where
+it lies within rounding.
 
 The projection is piecewise affine, so the backward pass is exact inside
 each linear piece: within a PAV block the Jacobian is the centered
@@ -37,19 +36,15 @@ from .errors import DegenerateInput
 
 __all__ = ["SoftRankResult", "soft_rank", "soft_rank_vjp"]
 
-# Smaller inputs stay on the PAV loop.  The one-block path is no slower
-# there, but the train-loss bench keeps a time for every call, so its peak
-# RSS grows with the calls that fit into a run, and without this floor it
-# grew past its 10% bound; ROADMAP open item 1 has the numbers.  Drop the
-# floor once the bench stops growing with throughput.
-_ONE_BLOCK_MIN_N = 128
-
 
 @dataclass(frozen=True)
 class SoftRankResult:
     """Soft ranks plus everything the backward pass needs.
 
-    ranks        soft ranks in input order; sum is always n(n+1)/2
+    ranks        soft ranks in input order; their sum is n(n+1)/2 within
+                 rounding while |values| / epsilon <= 2**14, and farther
+                 out the rounding of values / epsilon moves it (by tens
+                 near 1e17)
     permutation  stable descending sort of the scaled input
     blocks       PAV block id per sorted position (non-decreasing)
     epsilon      regularization strength used
@@ -100,13 +95,10 @@ def _one_block(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     the last at or above it, so a spread above n - 1 is not.  Only a
     decision clear of rounding counts: ``tol`` bounds, per entry, the
     rounding of the block means the loop forms and of the prefix sums here
-    (32 n u max|y|, u = 2**-53).  An input within it, one so large that
-    ``tol`` reaches 1 (max|y| near 2**48 / n), or one shorter than
-    ``_ONE_BLOCK_MIN_N`` is left to the loop.
+    (32 n u max|y|, u = 2**-53).  An input within it, or one so large that
+    ``tol`` reaches 1 (max|y| near 2**48 / n), is left to the loop.
     """
     n = s.shape[0]
-    if n < _ONE_BLOCK_MIN_N:
-        return None
     first, last = float(s[0]), float(s[-1])
     spread = first - last
     tol = n * (max(abs(first), abs(last)) + n) * 2.0**-48

@@ -407,6 +407,12 @@ _REFUSED_RUNS = [
                  "Not a directory", id="eval-out-below-a-file"),
     pytest.param("synth --out-dir {tmp}/synth --out {tmp}/synth/sub/s.json",
                  "No such file or directory", id="synth-out-below-out-dir"),
+    pytest.param("synth --out-dir {tmp}/synth --out {tmp}/synth/gt.json",
+                 "--out and --out-dir/gt.json name the same file", id="synth-out-is-its-gt"),
+    pytest.param("eval --gt {data}/gt.json --dets {data}/final_dets.json --out {tmp}/r.json --pr-csv {tmp}/r.json",
+                 "--pr-csv and --out name the same file", id="eval-pr-csv-is-out"),
+    pytest.param("eval --gt {file} --dets {data}/final_dets.json --out {tmp}/../existing.txt",
+                 "--out and --gt name the same file", id="eval-out-is-its-gt"),
 ]
 
 

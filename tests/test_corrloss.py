@@ -295,9 +295,12 @@ _FINITE = st.floats(-1e300, 1e300)
         lambda n: st.tuples(st.lists(_FINITE, min_size=n, max_size=n), st.lists(_FINITE, min_size=n, max_size=n))
     ),
     st.sampled_from(COEFFICIENTS),
+    st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
 )
-def test_loss_bounded_with_finite_gradient(pair, coef):
-    res = loss_from_arrays(pair[0], pair[1], LossConfig(coefficient=coef))
+def test_loss_bounded_with_finite_gradient(pair, coef, eps):
+    # Scores up to 1e300 keep |score| / epsilon inside the float range for
+    # every epsilon drawn here.
+    res = loss_from_arrays(pair[0], pair[1], LossConfig(coefficient=coef, epsilon=eps))
     assert 0.0 <= res.value <= 2.0
     assert res.grad_scores.shape == (len(pair[0]),)
     assert np.all(np.isfinite(res.grad_scores))

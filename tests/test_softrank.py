@@ -4,9 +4,9 @@ The small-epsilon limit must reproduce hard average ranks bit-exactly,
 ties must pool to their average rank at any epsilon, and the VJP must
 agree with finite differences away from block-structure kinks.  Where
 the scaled values have no ties, the result equals the original
-implementation in ``softrank_oracle`` bit for bit below 128 entries, and
-in permutation and blocks above; there the one-block path agrees with
-the PAV loop it skips, ranks within rounding.
+implementation in ``softrank_oracle`` in permutation, blocks and
+backward pass bit for bit, and in ranks within rounding: the one-block
+path and the PAV loop it skips round their sums differently.
 """
 
 import numpy as np
@@ -68,7 +68,7 @@ def test_exact_ties_pool_to_average_rank():
 def test_long_all_tied_input_gets_the_average_rank():
     # The one-block path fits relative to the first run, so the rank is
     # (n + 1) / 2 exactly, as on the loop.
-    for n in (128, 2047):
+    for n in (2, 3, 40, 128, 2047):
         for eps in (1e-4, 1.0, 100.0):
             assert soft_rank(np.full(n, 0.3), eps).ranks.tolist() == [(n + 1) / 2] * n
 
@@ -207,7 +207,7 @@ def test_soft_rank_equals_oracle_without_ties(v, eps, flip, data):
     assume(np.unique((1.0 / eps) * v).shape[0] == v.shape[0])
     new = soft_rank(-v if flip else v, eps)
     old = oracle.soft_rank(v, eps, descending=flip)
-    assert np.array_equal(new.ranks, old.ranks)
+    assert np.abs(new.ranks - old.ranks).max() <= _rank_ulps(v, eps)
     assert np.array_equal(new.permutation, old.permutation)
     assert np.array_equal(new.blocks, old.blocks)
     u = np.array(data.draw(st.lists(_finite, min_size=v.shape[0], max_size=v.shape[0])))
@@ -300,23 +300,33 @@ def test_one_block_path_agrees_with_the_loop(case, data):
         assert np.array_equal(soft_rank_vjp(new, u), oracle.soft_rank_vjp(old, u))
 
 
-def test_pooled_batches_skip_the_loop(monkeypatch):
-    # A pooled training batch (n 512..2048, epsilon 1 or 0.01, scores
-    # drifting under the loss gradient) is one PAV block, decided without
-    # the loop.
+def _assert_batches_skip_the_loop(monkeypatch, rng, sizes, epsilons):
+    """Training batches of each size, their scores stepped four times along
+    the loss gradient at each epsilon, are one PAV block, decided without
+    the loop."""
     def loop(s):
         raise AssertionError(f"PAV loop ran at n = {s.shape[0]}")
 
     monkeypatch.setattr(softrank, "_pav", loop)
-    rng = np.random.default_rng(6)
-    for n in (512, 600, 2048, *rng.integers(512, 2049, 6)):
+    for n in sizes:
         ious, scores = _train_loss_batch(rng, int(n))
-        for eps in (1.0, 0.01):
+        for eps in epsilons:
             cfg = LossConfig("spearman", eps)
             y = scores.copy()
             for _ in range(4):
                 assert not soft_rank(y, eps).blocks.any()
                 y -= 1e-3 * loss_from_arrays(ious, y, cfg).grad_scores
+
+
+def test_pooled_batches_skip_the_loop(monkeypatch):
+    # pooled batches: n 512..2048 at epsilon 1 or 0.01
+    rng = np.random.default_rng(6)
+    _assert_batches_skip_the_loop(monkeypatch, rng, (512, 600, 2048, *rng.integers(512, 2049, 6)), (1.0, 0.01))
+
+
+def test_per_image_batches_skip_the_loop(monkeypatch):
+    # per-image batches: every n from 2 to 127 at the default epsilon 1
+    _assert_batches_skip_the_loop(monkeypatch, np.random.default_rng(7), range(2, 128), (1.0,))
 
 
 @pytest.mark.parametrize("n, eps", [(3, 1.0), (64, 1.0), (512, 1.0), (2048, 1.0), (512, 0.01), (2048, 0.01)])
