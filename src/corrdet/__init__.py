@@ -67,7 +67,7 @@ from .metrics import (
     pr_curve,
     pr_curves,
 )
-from .pipeline import FinalDetection, PipelineConfig, RawDetection, nms, postprocess
+from .pipeline import FinalDetection, PipelineConfig, RawBatch, RawDetection, nms, postprocess
 from .softrank import SoftRankResult, soft_rank, soft_rank_vjp
 
 __version__ = "0.1.0"
@@ -97,6 +97,7 @@ __all__ = [
     "NoGroundTruth",
     "ParseError",
     "PipelineConfig",
+    "RawBatch",
     "RawDetection",
     "ReferenceError",
     "SchemaError",

@@ -42,7 +42,7 @@ from .metrics import (
     _MatchTable,
     coco_ap,
 )
-from .pipeline import FinalDetection, PipelineConfig, RawDetection, postprocess
+from .pipeline import FinalDetection, PipelineConfig, RawBatch, RawDetection, _raw_arrays, postprocess
 
 if TYPE_CHECKING:
     from .ingest import Dataset
@@ -87,27 +87,23 @@ def rerank_image_level(
     dets: Sequence[RawDetection],
     matches: MatchSet,
     direction: int,
-) -> list[RawDetection]:
+) -> RawBatch:
     """Permute positives' GT-class scores along (+1) or against (-1) IoU order.
 
-    ``matches`` must come from match_positives on ``dets``.  Only the
-    matched detections' GT-class score entries change; every other
-    detection object is returned as-is.
+    ``matches`` must come from match_positives on ``dets``.  Returns the
+    detections as a :class:`~corrdet.pipeline.RawBatch`: the same boxes,
+    and a copy of the score array in which only the matched detections'
+    GT-class entries change.
     """
     _check_direction(direction)
-    if len(matches) <= 1:
-        return list(dets)
-    new_scores = _assign_scores(matches, direction)
-    target_class = {m.detection_index: m.class_id for m in matches}
-    out: list[RawDetection] = []
-    for di, det in enumerate(dets):
-        if di in new_scores:
-            scores = list(det.class_scores)
-            scores[target_class[di]] = new_scores[di]
-            out.append(RawDetection(det.box, tuple(scores)))
-        else:
-            out.append(det)
-    return out
+    boxes, scores = _raw_arrays(dets)
+    if len(matches) > 1:
+        new_scores = _assign_scores(matches, direction)
+        scores = scores.copy()
+        scores[matches.detection_indices(), [m.class_id for m in matches]] = [
+            new_scores[m.detection_index] for m in matches
+        ]
+    return RawBatch(boxes, scores)
 
 
 def rerank_class_level(
@@ -218,9 +214,8 @@ def bound_report(
     for image_id, raw, image_gts in dataset.per_image():
         matches = match_positives(raw, image_gts, iou_floor)
         raw_after = rerank_image_level(raw, matches, direction)
-        rescored = MatchSet(
-            tuple(replace(m, score=raw_after[m.detection_index].class_scores[m.class_id]) for m in matches)
-        )
+        scores_after = raw_after.scores[matches.detection_indices(), [m.class_id for m in matches]].tolist()
+        rescored = MatchSet(tuple(replace(m, score=s) for m, s in zip(matches, scores_after)))
         positives_before.append((image_id, matches))
         positives_after.append((image_id, rescored))
         finals_before.extend(postprocess(raw, cfg, image_id))

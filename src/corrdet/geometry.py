@@ -19,9 +19,10 @@ Two flavours of matching exist side by side:
   one-threshold form.  These two and :func:`match_positives` are the only
   builders of ``Match`` objects.
 
-:func:`iou`, :func:`iou_matrix` and the matching pass share one IoU
-formula with the same float operations, so a threshold compares the same
-way on all three.
+:func:`iou`, :func:`iou_matrix`, the matching pass and post-processing's
+NMS rows share one IoU formula with the same float operations
+(:func:`_iou_of` in numpy), so a threshold compares the same way on all
+four.
 """
 
 from __future__ import annotations
@@ -143,19 +144,38 @@ def _box_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of corner-form boxes ``a[..., i, :]`` and ``b[..., i, :]``,
-    broadcast over the leading axes: ``iou``'s float operations in
-    ``iou``'s order, elementwise."""
-    with np.errstate(all="ignore"):
-        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-        inter = ix * iy
-        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-        out = inter / (area_a + area_b - inter)
+def _area(c):
+    """Area of corner-form boxes given as corner columns ``c`` (x1, y1, x2, y2):
+    ``Box.area``'s float operations."""
+    return (c[2] - c[0]) * (c[3] - c[1])
+
+
+def _iou_of(a, b, area_a, area_b) -> np.ndarray:
+    """IoU of corner-form boxes given as corner columns ``a`` and ``b`` (x1,
+    y1, x2, y2: floats or arrays that broadcast) and their areas, computed
+    by :func:`_area`: ``iou``'s float operations in ``iou``'s order,
+    elementwise.  Call it under ``np.errstate(all="ignore")``: for two
+    boxes that miss each other the formula may divide by 0 or overflow
+    before that entry is set to 0.
+
+    With ``a`` one box's four floats and ``b`` a class's columns, this is
+    one IoU row without building, reshaping or measuring either operand
+    again, as post-processing reads it once per kept box.
+    """
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = ix * iy
+    out = inter / (area_a + area_b - inter)
     out[(ix <= 0.0) | (iy <= 0.0)] = 0.0
     return out
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner-form boxes ``a[..., i, :]`` and ``b[..., i, :]``,
+    broadcast over the leading axes, by :func:`_iou_of`."""
+    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    with np.errstate(all="ignore"):
+        return _iou_of(a, b, _area(a), _area(b))
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -182,10 +202,16 @@ def match_positives(
     Repeatedly picks the unmatched (det, gt) pair with the highest IoU at or
     above ``iou_floor``; ties break by (lower detection index, lower gt
     index).  For each pair the detection's confidence for the gt's class is
-    recorded alongside the IoU.  Detections and gts must come from the same
-    image.  Returns an empty MatchSet when nothing clears the floor.
+    recorded alongside the IoU, read from the detections' score array
+    (:func:`~corrdet.pipeline._raw_arrays`), where a score vector shorter
+    than the others reads 0 past its end.  Detections and gts must come
+    from the same image.  Returns an empty MatchSet when nothing clears the
+    floor.
     """
-    ious = iou_matrix(_box_array([d.box for d in dets]), _box_array([g.box for g in gts]))
+    from .pipeline import _raw_arrays  # not at the top: pipeline imports this module
+
+    boxes, scores = _raw_arrays(dets)
+    ious = iou_matrix(boxes, _box_array([g.box for g in gts]))
     det_idx, gt_idx = np.nonzero(ious >= iou_floor)
     v = ious[det_idx, gt_idx]
     order = np.lexsort((gt_idx, det_idx, -v))  # by (-IoU, det index, gt index)
@@ -198,8 +224,8 @@ def match_positives(
             continue
         used_det.add(di)
         used_gt.add(gi)
-        score = float(dets[di].class_scores[gts[gi].class_id])
-        matches.append(Match(di, gi, value, score, gts[gi].class_id))
+        class_id = gts[gi].class_id
+        matches.append(Match(di, gi, value, scores[di, class_id].item(), class_id))
 
     matches.sort(key=lambda m: m.detection_index)
     return MatchSet(tuple(matches))

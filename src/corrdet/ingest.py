@@ -13,14 +13,17 @@ Formats:
 * final detections: the standard COCO results list [{image_id,
   category_id, bbox [x, y, w, h], score}].
 
-Ground truth and final detections are checked by column: each field of
-every record is pulled into one list, and each list is checked as a whole
-(element types, finiteness, clipping, box area, score range, known ids)
-with the clip and area arithmetic done in numpy, bit for bit as on
-Python floats.  A document that fails any column check goes to the record
-walk, which checks one record at a time and is the one place where errors
-are worded: it raises the error of the first bad record.  Raw detections
-are read by the walk alone.
+All three loaders check by column: each field of every record is pulled
+into one list, and each list is checked as a whole (element types,
+finiteness, clipping, box area, score range and count, known ids) with
+the clip and area arithmetic done in numpy, bit for bit as on Python
+floats, by one helper for all three.  A document that fails any column
+check goes to the record walk, which checks one record at a time and is
+the one place where errors are worded: it raises the error of the first
+bad record.  Ground truth and final detections become objects; raw
+detections stay arrays, one :class:`~corrdet.pipeline.RawBatch` (boxes
+``(n, 4)``, scores ``(n, C)``) per image, which post-processing, positive
+matching and the image-level re-rank read as they are.
 
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
@@ -31,15 +34,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, TypeVar
 
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
 from .geometry import Box, GtObject, iou
-from .pipeline import FinalDetection, RawDetection
+from .pipeline import FinalDetection, RawBatch, RawDetection
 
 __all__ = [
     "Dataset",
@@ -64,16 +68,17 @@ class Dataset:
     ``categories`` pairs each original category id with its name; the
     position in the tuple is the class index used everywhere else.
     ``raw_dets`` maps image id to that image's raw detections (only
-    images that have any).
+    images that have any): a :class:`~corrdet.pipeline.RawBatch` from
+    :func:`load_raw_dets`, or any sequence of ``RawDetection`` objects.
     """
 
     categories: tuple[tuple[int, str], ...]
     images: tuple[tuple[int, int, int], ...]
     gts: tuple[GtObject, ...]
-    raw_dets: dict[int, tuple[RawDetection, ...]] | None = None
+    raw_dets: dict[int, Sequence[RawDetection]] | None = None
     final_dets: tuple[FinalDetection, ...] | None = None
 
-    def per_image(self) -> list[tuple[int, tuple[RawDetection, ...], tuple[GtObject, ...]]]:
+    def per_image(self) -> list[tuple[int, Sequence[RawDetection], tuple[GtObject, ...]]]:
         """``(image id, raw detections, GTs)`` for every image in file order,
         with ``()`` where an image has no detections or no GTs.
 
@@ -198,7 +203,7 @@ _INT = frozenset((int,))
 _STR = frozenset((str,))
 
 
-def _typed(column: list, types: frozenset) -> bool:
+def _typed(column: Iterable, types: frozenset) -> bool:
     """Every element's type is in ``types`` (a bool is not an int here)."""
     return set(map(type, column)) <= types
 
@@ -213,9 +218,10 @@ def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
     return walk() if result is None else result
 
 
-def _column_boxes(bboxes: list, sizes: list[tuple[int, int]]) -> list[Box] | None:
-    """The Boxes the walk makes of ``[x, y, w, h]`` bboxes clipped to their
-    images' ``(width, height)``, or None when one would fail a check.
+def _column_corners(bboxes: list, sizes: list[tuple[int, int]], xywh: bool) -> np.ndarray | None:
+    """The corners the walk makes of ``bboxes``, ``[x, y, w, h]`` (``xywh``)
+    or ``[x1, y1, x2, y2]``, clipped to their images' ``(width, height)``,
+    as an ``(n, 4)`` array; None when a box would fail a check.
 
     The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
     stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
@@ -226,18 +232,19 @@ def _column_boxes(bboxes: list, sizes: list[tuple[int, int]]) -> list[Box] | Non
     flat = [v for b in bboxes for v in b]
     if not _typed(flat, _NUMBER_TYPES):
         return None
-    xywh = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
+    corners = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
+    if not np.isfinite(corners).all():
+        return None
     sides = np.array(sizes, dtype=np.float64).reshape(-1, 2)[:, [0, 1, 0, 1]]
     with np.errstate(all="ignore"):
-        corners = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+        if xywh:
+            corners[:, 2:] += corners[:, :2]
         corners = np.where(0.0 > corners, 0.0, corners)
         corners = np.where(sides < corners, sides, corners)
         x1, y1, x2, y2 = corners.T
         area = (x2 - x1) * (y2 - y1)
         ok = (x2 > x1) & (y2 > y1) & (area > 0.0) & (area < math.inf)
-    if not (np.isfinite(xywh).all() and ok.all()):
-        return None
-    return [Box(*c) for c in corners.tolist()]
+    return corners if ok.all() else None
 
 
 def _gt_columns(doc: Any) -> Dataset | None:
@@ -267,10 +274,10 @@ def _gt_columns(doc: Any) -> Dataset | None:
     if not _typed([a["id"] for a in anns] + ann_iids + ann_cids + crowd, _INT) or any(crowd):
         return None
     classes = [class_of[c] for c in ann_cids]  # KeyError: unknown id
-    boxes = _column_boxes([a["bbox"] for a in anns], [size_of[i] for i in ann_iids])
-    if boxes is None:
+    corners = _column_corners([a["bbox"] for a in anns], [size_of[i] for i in ann_iids], xywh=True)
+    if corners is None:
         return None
-    gts = tuple(GtObject(b, c, i) for b, c, i in zip(boxes, classes, ann_iids))
+    gts = tuple(GtObject(Box(*b), c, i) for b, c, i in zip(corners.tolist(), classes, ann_iids))
     return Dataset(tuple(zip(cids, names)), tuple((i, w, h) for i, (w, h) in size_of.items()), gts)
 
 
@@ -285,13 +292,8 @@ def load_gt(path: str) -> Dataset:
     return _by_columns(lambda: _gt_columns(doc), lambda: _gt_walk(doc, path))
 
 
-def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
-    """Read raw (pre-post-processing) detections into a copy of ``dataset``.
-
-    Every detection's score vector must have exactly one entry per
-    category (else DimensionError) and reference a known image id.
-    """
-    doc = load_report(path)
+def _raw_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
+    """load_raw_dets one record at a time; raises the first bad record's error."""
     dets_raw = _field(doc, "detections", path)
     n_classes = len(dataset.categories)
     size_of = {iid: (w, h) for iid, w, h in dataset.images}
@@ -318,6 +320,57 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
         grouped.setdefault(iid, []).append(det)
 
     return replace(dataset, raw_dets={iid: tuple(lst) for iid, lst in grouped.items()})
+
+
+def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
+    """load_raw_dets by columns, one :class:`RawBatch` per image; None when
+    a check fails.
+
+    Images come in order of their first detection and each image's rows
+    in file order, as in the walk.  The boxes and scores are gathered once
+    in that order, so every batch holds views of the same two arrays.
+    """
+    dets = doc["detections"]
+    n_classes = len(dataset.categories)
+    if type(dets) is not list or not _typed(dets, _DICT) or n_classes == 0:
+        return None
+    iids = [d["image_id"] for d in dets]
+    scores = [d["scores"] for d in dets]
+    if not (_typed(iids, _INT) and _typed(scores, _LIST) and set(map(len, scores)) <= {n_classes}):
+        return None
+    if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
+        return None
+    size_of = {iid: (w, h) for iid, w, h in dataset.images}
+    sizes = [size_of[i] for i in iids]  # KeyError: unknown id
+    corners = _column_corners([d["bbox"] for d in dets], sizes, xywh=False)
+    if corners is None:
+        return None
+    score_array = np.array(scores, dtype=np.float64).reshape(-1, n_classes)  # OverflowError beyond the float range
+    with np.errstate(all="ignore"):
+        in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
+    if not in_range:
+        return None
+
+    slot: dict[int, int] = {}
+    image_of = np.array([slot.setdefault(i, len(slot)) for i in iids], dtype=np.intp)
+    order = np.argsort(image_of, kind="stable")
+    ends = np.cumsum(np.bincount(image_of, minlength=len(slot))).tolist()
+    boxes, score_array = corners[order], score_array[order]
+    return replace(
+        dataset,
+        raw_dets={iid: RawBatch(boxes[a:b], score_array[a:b]) for iid, a, b in zip(slot, [0] + ends, ends)},
+    )
+
+
+def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
+    """Read raw (pre-post-processing) detections into a copy of ``dataset``,
+    one :class:`~corrdet.pipeline.RawBatch` per image that has any.
+
+    Every detection's score vector must have exactly one entry per
+    category (else DimensionError) and reference a known image id.
+    """
+    doc = load_report(path)
+    return _by_columns(lambda: _raw_columns(doc, dataset), lambda: _raw_walk(doc, path, dataset))
 
 
 def _final_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
@@ -362,10 +415,12 @@ def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
         in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
     if not in_range:
         return None
-    boxes = _column_boxes([d["bbox"] for d in doc], [size_of[i] for i in iids])
-    if boxes is None:
+    corners = _column_corners([d["bbox"] for d in doc], [size_of[i] for i in iids], xywh=True)
+    if corners is None:
         return None
-    finals = tuple(FinalDetection(*f) for f in zip(boxes, classes, score_array.tolist(), iids))
+    finals = tuple(
+        FinalDetection(Box(*b), c, s, i) for b, c, s, i in zip(corners.tolist(), classes, score_array.tolist(), iids)
+    )
     return replace(dataset, final_dets=finals)
 
 
@@ -438,8 +493,18 @@ def load_report(path: str) -> Any:
         raise ParseError(f"{path} nests too deeply to parse") from e
 
 
+def _check_image_ids(dataset: Dataset, image_ids: Iterable[int], what: str) -> None:
+    """ValueError naming an image id of ``image_ids`` that ``dataset.images``
+    lacks: the loaders would refuse the file, or, for raw detections,
+    the writer would drop them."""
+    unknown = set(image_ids).difference(iid for iid, _, _ in dataset.images)
+    if unknown:
+        raise ValueError(f"cannot emit {what} of unknown image id {min(unknown)}")
+
+
 def emit_gt(dataset: Dataset, path: str) -> None:
     """Write ground truth in the COCO subset schema load_gt reads."""
+    _check_image_ids(dataset, (g.image_id for g in dataset.gts), "ground truth")
     payload = {
         "categories": [{"id": cid, "name": name} for cid, name in dataset.categories],
         "images": [{"id": iid, "width": w, "height": h} for iid, w, h in dataset.images],
@@ -459,6 +524,8 @@ def emit_gt(dataset: Dataset, path: str) -> None:
 
 def emit_raw_dets(dataset: Dataset, path: str) -> None:
     """Write raw detections in the schema load_raw_dets reads."""
+    if dataset.raw_dets is not None:
+        _check_image_ids(dataset, dataset.raw_dets, "raw detections")
     dets = [
         {"image_id": iid, "bbox": [d.box.x1, d.box.y1, d.box.x2, d.box.y2], "scores": list(d.class_scores)}
         for iid, raw, _ in dataset.per_image()
@@ -471,6 +538,7 @@ def emit_final_dets(dataset: Dataset, path: str) -> None:
     """Write final detections as a COCO results list."""
     if dataset.final_dets is None:
         raise ValueError("dataset has no final detections to emit")
+    _check_image_ids(dataset, (d.image_id for d in dataset.final_dets), "final detections")
     payload = [
         {
             "image_id": d.image_id,

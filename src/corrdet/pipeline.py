@@ -5,30 +5,34 @@ them into per-class candidates, prunes, and returns scalar-scored final
 detections sorted by descending score.  An NMS-free mode skips the middle
 step (useful for NMS-free detector outputs).
 
-The work is columnar: one image's boxes become an ``(n, 4)`` array and its
-scores an ``(n, C)`` array, and the score filter is one comparison over
-that array.  NMS and top-k are then one greedy walk over the candidates
-by descending score: each candidate still alive is kept, a kept box
+The work is columnar: one image's boxes are an ``(n, 4)`` array and its
+scores an ``(n, C)`` array.  A :class:`RawBatch`, which the raw loader
+makes for every image, holds those two arrays and is read as they are;
+any other sequence of ``RawDetection`` objects is turned into them once
+(:func:`_raw_arrays`).  The score filter is one comparison over the score
+array.  NMS and top-k are then one greedy walk over the candidates by
+descending score: each candidate still alive is kept, a kept box
 suppresses its class's overlaps through one IoU row
-(:func:`~corrdet.geometry.iou_matrix`, bit-identical to ``iou``), and the
-walk stops at top_k kept.  So the IoU work is at most top_k rows of the
-largest class, and ``FinalDetection`` objects are built for the kept
-candidates only.  The contract is that of a plain loop over candidates:
-the filter keeps scores strictly above ``score_thr``, NMS suppresses
-overlaps strictly above ``nms_iou``, and every tie breaks by ``(-score,
-detection index, class index)``.
+(:func:`~corrdet.geometry._iou_of` over the class's corner columns and
+areas, computed when the walk first reaches the class, bit-identical to
+``iou``), and the walk stops at top_k kept.  So the IoU work is at most
+top_k rows of the largest class, and ``FinalDetection`` objects are built
+for the kept candidates only.  The contract is that of a plain loop over
+candidates: the filter keeps scores strictly above ``score_thr``, NMS
+suppresses overlaps strictly above ``nms_iou``, and every tie breaks by
+``(-score, detection index, class index)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geometry import Box, _box_array, iou_matrix
+from .geometry import Box, _area, _box_array, _iou_of
 
-__all__ = ["RawDetection", "FinalDetection", "PipelineConfig", "nms", "postprocess"]
+__all__ = ["RawDetection", "RawBatch", "FinalDetection", "PipelineConfig", "nms", "postprocess"]
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,61 @@ class PipelineConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def _score_array(dets: Sequence[RawDetection]) -> np.ndarray:
-    """(n, C) class scores; a shorter score vector is padded with 0, which
-    no filter lets through (score_thr >= 0, comparison strict)."""
+class RawBatch(Sequence[RawDetection]):
+    """One image's raw detections held as two read-only float64 arrays:
+    ``boxes``, ``(n, 4)`` in corner form, and ``scores``, ``(n, C)``.
+
+    It is a read-only ``Sequence[RawDetection]``: indexing or iterating
+    builds the ``RawDetection`` objects on demand, a slice is a batch of
+    the same arrays, and it equals any sequence of equal ``RawDetection``
+    objects, element by element.  The arrays are taken as they are: every
+    box must be a valid ``Box`` and every score lie in [0, 1], as the raw
+    loader checks.
+    """
+
+    __slots__ = ("boxes", "scores")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, boxes: np.ndarray, scores: np.ndarray) -> None:
+        boxes, scores = boxes.view(), scores.view()
+        boxes.flags.writeable = scores.flags.writeable = False
+        self.boxes = boxes
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return self.boxes.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RawBatch(self.boxes[i], self.scores[i])
+        return RawDetection(Box(*self.boxes[i].tolist()), self.scores[i].tolist())
+
+    def __iter__(self) -> Iterator[RawDetection]:
+        for box, scores in zip(self.boxes.tolist(), self.scores.tolist()):
+            yield RawDetection(Box(*box), scores)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _raw_arrays(dets: Sequence[RawDetection]) -> tuple[np.ndarray, np.ndarray]:
+    """``(boxes, scores)``: a batch's own arrays, or those of a sequence of
+    ``RawDetection`` objects, built once.  A shorter score vector is padded
+    with 0, which no filter lets through (score_thr >= 0, comparison
+    strict)."""
+    if isinstance(dets, RawBatch):
+        return dets.boxes, dets.scores
     rows = [d.class_scores for d in dets]
     width = max(map(len, rows), default=0)
     if all(len(r) == width for r in rows):
-        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    scores = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        scores[i, : len(r)] = r
-    return scores
+        scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    else:
+        scores = np.zeros((len(rows), width))
+        for i, r in enumerate(rows):
+            scores[i, : len(r)] = r
+    return _box_array([d.box for d in dets]), scores
 
 
 def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[int]:
@@ -108,27 +156,31 @@ def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[i
     by descending score, ties by lower position; each one still alive is
     kept, until ``limit`` are (None: no limit).  Unless ``boxes`` is None
     (no NMS), a kept box then suppresses every candidate of its class
-    whose IoU with it exceeds ``iou_thr``, from one ``iou_matrix(kept box,
-    class boxes)`` row; a class's candidates are found the first time the
-    walk reaches it.  So the IoU work is at most ``limit`` times the
-    largest class.
+    whose IoU with it exceeds ``iou_thr``, from one IoU row over the
+    class's corner columns and areas, which are found the first time the
+    walk reaches the class.  So the IoU work is at most ``limit`` times
+    the largest class.
     """
     order = np.argsort(-scores, kind="stable")
     alive = np.ones(order.size, dtype=bool)
-    members: dict[int, np.ndarray] = {}
+    members: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     kept: list[int] = []
-    for i in order.tolist():
-        if not alive[i]:
-            continue
-        kept.append(i)
-        if len(kept) == limit:
-            break
-        if boxes is not None:
-            c = int(classes[i])
-            if c not in members:
-                members[c] = np.flatnonzero(classes == c)
-            same = members[c]
-            alive[same[iou_matrix(boxes[i], boxes[same])[0] > iou_thr]] = False
+    with np.errstate(all="ignore"):
+        for i in order.tolist():
+            if not alive[i]:
+                continue
+            kept.append(i)
+            if len(kept) == limit:
+                break
+            if boxes is not None:
+                c = int(classes[i])
+                if c not in members:
+                    same = np.flatnonzero(classes == c)
+                    columns = boxes[same].T.copy()
+                    members[c] = (same, columns, _area(columns))
+                same, columns, areas = members[c]
+                box = boxes[i].tolist()
+                alive[same[_iou_of(box, columns, _area(box), areas) > iou_thr]] = False
     return kept
 
 
@@ -163,12 +215,16 @@ def postprocess(
     top_k kept, so each kept candidate reads one IoU row over its class's
     candidates and nothing else is compared.
     """
-    scores = _score_array(dets)
+    boxes, scores = _raw_arrays(dets)
     # Row-major, so candidates come in (detection index, class index) order.
     rows, cols = np.nonzero(scores > cfg.score_thr)
-    boxes = _box_array([d.box for d in dets])[rows] if cfg.nms_enabled else None
-    kept = _greedy(boxes, cols, scores[rows, cols], cfg.nms_iou, cfg.top_k)
+    kept = _greedy(boxes[rows] if cfg.nms_enabled else None, cols, scores[rows, cols], cfg.nms_iou, cfg.top_k)
+    rows, cols = rows[kept], cols[kept]
+    if isinstance(dets, RawBatch):
+        kept_boxes = [Box(*b) for b in boxes[rows].tolist()]
+    else:  # the input's own Box objects
+        kept_boxes = [dets[r].box for r in rows.tolist()]
     return [
-        FinalDetection(dets[r].box, c, dets[r].class_scores[c], image_id)
-        for r, c in zip(rows[kept].tolist(), cols[kept].tolist())
+        FinalDetection(b, c, s, image_id)
+        for b, c, s in zip(kept_boxes, cols.tolist(), scores[rows, cols].tolist())
     ]

@@ -1,5 +1,7 @@
 """Re-ranking oracles: assignment rules, identity cases, report plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from corrdet import (
     GtObject,
     Match,
     MatchSet,
+    RawBatch,
     RawDetection,
     beta_cls,
     bound_report,
@@ -22,6 +25,7 @@ from corrdet import (
     synth,
 )
 from corrdet.ingest import Dataset
+from corrdet.pipeline import _raw_arrays
 from match_oracle import (
     achieved_ious,
     bound_report_class_oracle,
@@ -97,6 +101,35 @@ def test_image_rerank_touches_only_gt_class_entry():
     assert out[0].class_scores == (0.2, 0.3)
     assert out[1].class_scores == (0.6, 0.7)
     assert [d.box for d in out] == [d.box for d in dets]
+
+
+def test_image_rerank_returns_a_batch_with_a_new_score_array():
+    dets = [
+        RawDetection(Box(0, 0, 10, 10), (0.6, 0.3)),
+        RawDetection(Box(30, 0, 40, 10), (0.2, 0.7)),
+        RawDetection(Box(60, 0, 70, 10), (0.1, 0.1)),
+    ]
+    batch = RawBatch(*_raw_arrays(dets))
+    matches = MatchSet((Match(0, 0, 0.9, 0.6, 0), Match(1, 1, 0.5, 0.7, 1)))
+    for given_dets in (dets, batch):
+        # +1: det0, the higher IoU, takes the higher of the two matched
+        # scores (0.7) into its class-0 entry, det1 the lower into class 1;
+        # the input's own scores stay as they were
+        out = rerank_image_level(given_dets, matches, 1)
+        assert isinstance(out, RawBatch)
+        assert out.scores.tolist() == [[0.7, 0.3], [0.2, 0.6], [0.1, 0.1]]
+        assert out.boxes.tolist() == batch.boxes.tolist()
+    assert batch.scores.tolist() == [[0.6, 0.3], [0.2, 0.7], [0.1, 0.1]]
+    # too few matches: the same arrays
+    assert rerank_image_level(batch, MatchSet(matches.entries[:1]), 1).scores.base is batch.scores.base
+
+
+def test_bound_report_image_level_reads_batches_as_objects():
+    for seed, knob in ((22, 0.0), (24, 0.3)):
+        ds = synth(seed, knob=knob)
+        batches = replace(ds, raw_dets={i: RawBatch(*_raw_arrays(d)) for i, d in ds.raw_dets.items()})
+        for direction in (1, -1):
+            assert bound_report(batches, direction, level="image") == bound_report(ds, direction, level="image")
 
 
 def test_rerank_achieves_perfect_agreement():

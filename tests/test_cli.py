@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import corrdet.cli as cli
-from corrdet import COCO_THRESHOLDS, PipelineConfig, beta_cls, bound_report, postprocess, pr_curves, synth
+from corrdet import COCO_THRESHOLDS, PipelineConfig, RawDetection, beta_cls, bound_report, postprocess, pr_curves, synth
 from corrdet.gradcheck import GradcheckResult, GradcheckRow
 from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_raw_dets, load_report
 
@@ -249,6 +249,23 @@ def test_class_level_from_raw_dets_post_processes_each_image(synth_dir, tmp_path
     assert rep["beta_after"] == want.corr_after.beta_cls
     assert rep["ap_before"]["ap_c"] == want.ap_before.ap_c
     assert rep["ap_after"]["per_threshold_ap"] == [v for _, v in want.ap_after.per_threshold]
+
+
+def test_raw_path_builds_no_raw_detection(synth_dir, tmp_path, monkeypatch):
+    # the CLI reads raw detections as per-image arrays from the loader to
+    # the last NMS; no RawDetection object is made on the way
+    def refuse(self):
+        raise AssertionError("a RawDetection was built")
+
+    monkeypatch.setattr(RawDetection, "__post_init__", refuse)
+    io = ["--gt", str(synth_dir / "gt.json"), "--raw-dets", str(synth_dir / "raw_dets.json")]
+    for argv in (
+        ["corr", "--level", "image"],
+        ["eval"],
+        ["bounds", "--level", "image", "--direction=+1"],
+        ["bounds", "--level", "image", "--direction=-1"],
+    ):
+        assert cli.main([*argv, *io, "--out", str(tmp_path / "out.json")]) == 0, argv
 
 
 def test_corr_image_level_needs_raw(synth_dir, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrdet import COCO_THRESHOLDS, Box, GtObject, iou, iou_matrix, match_positives, match_tp, match_tp_multi
+from corrdet.geometry import _area, _iou_of
 from corrdet.pipeline import FinalDetection, RawDetection
 from match_oracle import achieved_ious, detection_sets, match_positives_oracle, match_tp_oracle, raw_detection_sets
 
@@ -229,6 +230,30 @@ def test_iou_matrix_equals_iou_bitwise(boxes, others, data):
     _assert_bitwise(m, boxes, boxes)
     # symmetric bit for bit
     assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets() | _FLOAT_BOXES, box_sets() | _FLOAT_BOXES)
+def test_iou_row_equals_iou_matrix_bitwise(boxes, others):
+    # box_sets() gives copies and boxes touching along an edge or at a
+    # corner; the rows also meet boxes that miss each other entirely
+    others = others + boxes
+    columns = _corners(others).T.copy()
+    areas = _area(columns)
+    for b in boxes:
+        a = [b.x1, b.y1, b.x2, b.y2]
+        with np.errstate(all="ignore"):
+            row = _iou_of(a, columns, _area(a), areas)
+        assert row.tobytes() == iou_matrix(_corners([b]), _corners(others))[0].tobytes()
+
+
+def test_iou_row_hand_values():
+    boxes = [Box(0, 0, 2, 2), Box(1, 1, 3, 3), Box(2, 0, 4, 2), Box(2, 2, 4, 4), Box(5, 5, 6, 6)]
+    columns = _corners(boxes).T.copy()
+    a = [0.0, 0.0, 2.0, 2.0]
+    row = _iou_of(a, columns, _area(a), _area(columns))
+    # itself, overlap, shared edge, shared corner, far away
+    assert row.tolist() == [1.0, 1.0 / 7.0, 0.0, 0.0, 0.0]
 
 
 def test_iou_matrix_hand_values():

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from corrdet import (
     DimensionError,
     ParseError,
     PipelineConfig,
+    RawBatch,
     SchemaError,
     iou,
     load_final_dets,
@@ -498,6 +500,232 @@ def test_column_loaders_equal_the_record_walk(synth_docs, faults, data):
     base = got[0] if isinstance(got[0], Dataset) else load_gt(str(root / "gt.json"))
     got = _outcome(load_final_dets, fin_path, base)
     assert got == _outcome(ingest._final_walk, load_report(fin_path), fin_path, base)
+
+
+# Faults for the raw loader differential test.  Each takes hypothesis' draw,
+# the raw detections document and the dataset it loads against, breaks (or
+# bends) the document in place and returns the dataset to load against.
+def _raw_records(raw):
+    dets = raw.get("detections")
+    return [d for d in dets if isinstance(d, dict)] if isinstance(dets, list) else []
+
+
+def _raw_pick(draw, raw):
+    records = _raw_records(raw)
+    return draw(st.sampled_from(records)) if records else {}
+
+
+def _raw_value(values):
+    def fault(draw, raw, ds):
+        record = _raw_pick(draw, raw)
+        key = draw(st.sampled_from(("bbox", "scores")))
+        if isinstance(record.get(key), list) and record[key]:
+            record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(st.sampled_from(values))
+        return ds
+
+    return fault
+
+
+def _raw_integer_scores(draw, raw, ds):
+    record = _raw_pick(draw, raw)
+    if isinstance(record.get("scores"), list):
+        record["scores"] = [draw(st.sampled_from((0, 1))) for _ in record["scores"]]
+    return ds
+
+
+def _raw_score_count(draw, raw, ds):
+    record = _raw_pick(draw, raw)
+    if isinstance(record.get("scores"), list):
+        record["scores"] = draw(st.sampled_from((record["scores"][:-1], record["scores"] + [0.5], [])))
+    return ds
+
+
+def _raw_no_categories(draw, raw, ds):
+    if draw(st.booleans()):  # each score list then has the length the walk checks
+        for record in _raw_records(raw):
+            record["scores"] = []
+    return replace(ds, categories=())
+
+
+def _raw_unknown_image(draw, raw, ds):
+    _raw_pick(draw, raw)["image_id"] = draw(st.sampled_from((10**6, -1, True, 1.0, None)))
+    return ds
+
+
+def _raw_sparse_ids(draw, raw, ds):
+    # image ids far apart, out of order, negative or beyond 64 bits
+    new_id = dict(zip((iid for iid, _, _ in ds.images), (7, -5, 10**30, 3)))
+    for record in _raw_records(raw):
+        if record.get("image_id") in new_id:
+            record["image_id"] = new_id[record["image_id"]]
+    return replace(ds, images=tuple((new_id[iid], w, h) for iid, w, h in ds.images))
+
+
+def _raw_interleaved(draw, raw, ds):
+    # a record moves to another place, so an image's rows are no longer contiguous
+    dets = raw.get("detections")
+    if isinstance(dets, list) and dets:
+        dets.insert(draw(st.integers(0, len(dets))), dets.pop(draw(st.integers(0, len(dets) - 1))))
+    return ds
+
+
+def _raw_not_a_list(draw, raw, ds):
+    where = draw(st.sampled_from(("detections", "bbox", "scores")))
+    value = draw(st.sampled_from(({"x": 1}, "list", 5, None)))
+    if where == "detections":
+        raw["detections"] = value
+    else:
+        record = _raw_pick(draw, raw)
+        if record:
+            record[where] = value
+    return ds
+
+
+def _raw_not_a_record(draw, raw, ds):
+    dets = raw.get("detections")
+    if isinstance(dets, list) and dets:
+        dets[draw(st.integers(0, len(dets) - 1))] = draw(st.sampled_from(([], "x", 3, None)))
+    return ds
+
+
+def _raw_missing_key(draw, raw, ds):
+    record = _raw_pick(draw, raw)
+    if record:
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif draw(st.booleans()):
+        raw.pop("detections", None)
+    return ds
+
+
+def _raw_bbox(draw, raw, ds):
+    # -0.0 corners, clipped corners, empty or inverted boxes, wrong lengths
+    bbox = _raw_pick(draw, raw).get("bbox")
+    if isinstance(bbox, list) and len(bbox) == 4:
+        x1, y1, x2, y2 = bbox
+        bbox[:] = draw(
+            st.sampled_from(
+                (
+                    [-0.0, y1, x2, y2],
+                    [x1, -0.0, x2, y2],
+                    [-5.5, y1, 1e300, y2],
+                    [x1, y1, x1, y2],
+                    [x2, y1, x1, y2],
+                    [600.0, y1, 700.0, y2],
+                    [x1, y1, x2],
+                    [x1, y1, x2, y2, 1.0],
+                )
+            )
+        )
+    return ds
+
+
+def _raw_score(draw, raw, ds):
+    record = _raw_pick(draw, raw)
+    if isinstance(record.get("scores"), list) and record["scores"]:
+        record["scores"][0] = draw(st.sampled_from((1.0000000000000002, -1e-300, -0.0, 1.0, 0.0)))
+    return ds
+
+
+_RAW_FAULTS = [
+    _raw_value((True, False)),
+    _raw_integer_scores,
+    _raw_value((_HUGE_INT, -_HUGE_INT, 2**64 + 1, 2**53 + 1)),
+    _raw_value((math.nan, math.inf, -math.inf)),
+    _raw_value((None, "1", [1.0])),
+    _raw_score_count,
+    _raw_no_categories,
+    _raw_unknown_image,
+    _raw_sparse_ids,
+    _raw_interleaved,
+    _raw_not_a_list,
+    _raw_not_a_record,
+    _raw_missing_key,
+    _raw_bbox,
+    _raw_score,
+]
+
+
+def _raw_outcome(load, *args):
+    """Every image's detections with each corner and score as bits, in the
+    loader's order, or the type and message of what it raises."""
+    try:
+        ds = load(*args)
+    except Exception as e:  # any type: a crash in one path must show as a difference
+        return type(e), str(e)
+    return [
+        (iid, [v.hex() for d in dets for v in (d.box.x1, d.box.y1, d.box.x2, d.box.y2, *d.class_scores)])
+        for iid, dets in ds.raw_dets.items()
+    ]
+
+
+@pytest.fixture(scope="module")
+def synth_raw(tmp_path_factory):
+    """A small synth dataset and its raw detections document, parsed."""
+    root = tmp_path_factory.mktemp("synth_raw")
+    ds = synth(5, n_images=4, n_classes=3)
+    emit_raw_dets(ds, str(root / "raw.json"))
+    return root, replace(ds, raw_dets=None, final_dets=None), load_report(str(root / "raw.json"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_RAW_FAULTS), min_size=1, max_size=2), st.data())
+def test_raw_column_loader_equals_the_record_walk(synth_raw, faults, data):
+    root, ds, raw = synth_raw
+    raw = copy.deepcopy(raw)
+    for fault in faults:
+        ds = fault(data.draw, raw, ds)
+    path = write(root, "raw_case.json", raw)
+    got = _raw_outcome(load_raw_dets, path, ds)
+    assert got == _raw_outcome(ingest._raw_walk, load_report(path), path, ds)
+
+
+def test_raw_loader_reads_one_batch_per_image(tmp_path):
+    # images in order of their first detection, rows in file order, and
+    # every image's batch a view of the same two arrays
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc(images=[{"id": i, "width": 100, "height": 80} for i in (1, 2)])))
+    rows = [(2, [0.0, 0.0, 10.0, 10.0], [0.5, 0.25]), (1, [1.0, 0.0, 10.0, 10.0], [0.1, 0.2]),
+            (2, [2.0, 0.0, 10.0, 10.0], [0.3, 0.4])]
+    raw = {"detections": [{"image_id": i, "bbox": b, "scores": s} for i, b, s in rows]}
+    out = load_raw_dets(write(tmp_path, "raw.json", raw), ds)
+    assert list(out.raw_dets) == [2, 1]
+    batch = out.raw_dets[2]
+    assert isinstance(batch, RawBatch)
+    assert batch.boxes.tolist() == [[0.0, 0.0, 10.0, 10.0], [2.0, 0.0, 10.0, 10.0]]
+    assert batch.scores.tolist() == [[0.5, 0.25], [0.3, 0.4]]
+    assert batch.scores.base is out.raw_dets[1].scores.base
+    assert not batch.boxes.flags.writeable and not batch.scores.flags.writeable
+
+
+def test_raw_round_trip_is_byte_identical(tmp_path):
+    ds = synth(6, n_images=5, n_classes=4)
+    gt_p, raw_p, again_p = (str(tmp_path / n) for n in ("gt.json", "raw.json", "again.json"))
+    emit_gt(ds, gt_p)
+    emit_raw_dets(ds, raw_p)
+    loaded = load_raw_dets(raw_p, load_gt(gt_p))
+    emit_raw_dets(loaded, again_p)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "raw.json").read_bytes()
+    # a loaded batch equals the objects it came from, either way round
+    for iid, dets in ds.raw_dets.items():
+        assert loaded.raw_dets[iid] == dets and dets == loaded.raw_dets[iid]
+        assert list(loaded.raw_dets[iid]) == list(dets)
+
+
+@pytest.mark.parametrize("emit", [emit_gt, emit_raw_dets, emit_final_dets])
+def test_emitters_refuse_unknown_image_ids(tmp_path, emit):
+    # the writer would drop such raw detections, and load_gt and
+    # load_final_dets would refuse the file it wrote
+    ds = synth(7, n_images=2)
+    stray = 7
+    if emit is emit_gt:
+        ds = replace(ds, gts=ds.gts + (replace(ds.gts[0], image_id=stray),))
+    elif emit is emit_raw_dets:
+        ds = replace(ds, raw_dets={**ds.raw_dets, stray: ds.raw_dets[1]})
+    else:
+        ds = replace(ds, final_dets=ds.final_dets + (replace(ds.final_dets[0], image_id=stray),))
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=f"unknown image id {stray}$"):
+        emit(ds, str(path))
+    assert not path.exists()
 
 
 def test_emit_without_detections_is_an_error(tmp_path):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import pipeline_oracle as oracle
 import corrdet.pipeline as pipeline
-from corrdet import Box, FinalDetection, PipelineConfig, RawDetection, iou, iou_matrix, nms, postprocess
+from corrdet import Box, FinalDetection, PipelineConfig, RawBatch, RawDetection, iou, nms, postprocess
+from corrdet.geometry import _iou_of
 
 
 def box_at(x, size=10.0):
@@ -21,6 +22,22 @@ def test_raw_detection_validation():
         RawDetection(box_at(0), (-0.1, 0.5))
     d = RawDetection(box_at(0), [0.2, 0.3])
     assert d.class_scores == (0.2, 0.3)
+
+
+def test_raw_batch_is_a_read_only_sequence_of_raw_detections():
+    dets = [RawDetection(box_at(0), (0.5, 0.25)), RawDetection(box_at(20), (-0.0, 1.0))]
+    batch = RawBatch(np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 0.0, 30.0, 10.0]]), np.array([[0.5, 0.25], [-0.0, 1.0]]))
+    assert len(batch) == 2 and batch[1] == dets[1] and batch[-2] == dets[0]
+    assert list(batch) == dets and batch == dets and dets == batch and tuple(dets) == batch
+    assert batch[1:] == dets[1:] and isinstance(batch[1:], RawBatch)
+    assert batch != dets[:1] and batch != [dets[1], dets[0]] and batch != "ab"
+    assert all(type(s) is float for d in batch for s in d.class_scores)
+    with pytest.raises(IndexError):
+        batch[2]
+    with pytest.raises(ValueError):
+        batch.scores[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        hash(batch)
 
 
 def test_final_detection_validation():
@@ -180,6 +197,23 @@ def test_postprocess_equals_oracle(data):
     assert all(id(d.box) in boxes for d in got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_postprocess_reads_a_batch_as_its_objects(data):
+    # a batch of the same arrays, short score vectors padded with 0, gives
+    # the same finals, with Boxes equal to the input's
+    dets, pool = data.draw(raw_cases())
+    cfg = PipelineConfig(
+        score_thr=_threshold(data.draw, [s for d in dets for s in d.class_scores]),
+        nms_iou=_threshold(data.draw, _ious(pool)),
+        top_k=data.draw(st.integers(1, 15)),
+        nms_enabled=data.draw(st.booleans()),
+    )
+    got = postprocess(RawBatch(*pipeline._raw_arrays(dets)), cfg, 2)
+    assert got == postprocess(dets, cfg, 2)
+    _assert_python_fields(got)
+
+
 @st.composite
 def final_cases(draw):
     pool = draw(_box_pools())
@@ -251,13 +285,13 @@ def test_postprocess_iou_work_is_top_k_rows_of_one_class(monkeypatch, cfg):
     # work is at most top_k rows of the largest class, not each class squared.
     entries = []
 
-    def counted(a, b):
-        out = iou_matrix(a, b)
+    def counted(*args):
+        out = _iou_of(*args)
         entries.append(out.size)
         return out
 
     dets = _detector_shaped()
-    monkeypatch.setattr(pipeline, "iou_matrix", counted)
+    monkeypatch.setattr(pipeline, "_iou_of", counted)
     postprocess(dets, cfg)
     largest = max(sum(s > cfg.score_thr for s in column) for column in zip(*(d.class_scores for d in dets)))
     assert 0 < sum(entries) <= cfg.top_k * largest
