@@ -33,6 +33,7 @@ from .errors import (
 )
 from .geometry import (
     Box,
+    GtBatch,
     GtObject,
     Match,
     MatchSet,
@@ -67,7 +68,7 @@ from .metrics import (
     pr_curve,
     pr_curves,
 )
-from .pipeline import FinalDetection, PipelineConfig, RawBatch, RawDetection, nms, postprocess
+from .pipeline import FinalBatch, FinalDetection, PipelineConfig, RawBatch, RawDetection, nms, postprocess
 from .softrank import SoftRankResult, soft_rank, soft_rank_vjp
 
 __version__ = "0.1.0"
@@ -85,9 +86,11 @@ __all__ = [
     "DescentTrace",
     "DimensionError",
     "EmptyEvaluation",
+    "FinalBatch",
     "FinalDetection",
     "GradcheckResult",
     "GradcheckRow",
+    "GtBatch",
     "GtObject",
     "LossConfig",
     "LossResult",

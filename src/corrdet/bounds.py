@@ -42,7 +42,7 @@ from .metrics import (
     _MatchTable,
     coco_ap,
 )
-from .pipeline import FinalDetection, PipelineConfig, RawBatch, RawDetection, _raw_arrays, postprocess
+from .pipeline import FinalBatch, FinalDetection, PipelineConfig, RawBatch, RawDetection, postprocess
 
 if TYPE_CHECKING:
     from .ingest import Dataset
@@ -96,14 +96,15 @@ def rerank_image_level(
     GT-class entries change.
     """
     _check_direction(direction)
-    boxes, scores = _raw_arrays(dets)
-    if len(matches) > 1:
-        new_scores = _assign_scores(matches, direction)
-        scores = scores.copy()
-        scores[matches.detection_indices(), [m.class_id for m in matches]] = [
-            new_scores[m.detection_index] for m in matches
-        ]
-    return RawBatch(boxes, scores)
+    dets = RawBatch.of(dets)
+    if len(matches) <= 1:
+        return dets
+    new_scores = _assign_scores(matches, direction)
+    scores = dets.scores.copy()
+    scores[matches.detection_indices(), [m.class_id for m in matches]] = [
+        new_scores[m.detection_index] for m in matches
+    ]
+    return RawBatch(dets.boxes, scores)
 
 
 def rerank_class_level(
@@ -125,16 +126,16 @@ def rerank_class_level(
     ]
 
 
-def _reranked(table: _MatchTable, direction: int) -> list[FinalDetection]:
+def _reranked(table: _MatchTable, direction: int) -> FinalBatch:
     """The table's detections with every class's TPs at its last threshold
-    re-ranked as :func:`rerank_class_level` does one class."""
+    re-ranked as :func:`rerank_class_level` does one class: the same
+    columns, and a copy of the score array in which only the TPs change."""
+    dets = table.dets
     tp = np.flatnonzero(table.gt[-1] >= 0)
-    targets, values = _ranked_scores(tp, table.iou[-1, tp], table.scores[tp], table.class_ids[tp], direction)
-    out = list(table.dets)
-    for di, score in zip(targets.tolist(), values.tolist()):
-        d = out[di]
-        out[di] = FinalDetection(d.box, d.class_id, score, d.image_id)
-    return out
+    targets, values = _ranked_scores(tp, table.iou[-1, tp], dets.scores[tp], dets.class_ids[tp], direction)
+    scores = dets.scores.copy()
+    scores[targets] = values
+    return FinalBatch(dets.boxes, dets.class_ids, scores, dets.images, dets.image_ids)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,6 @@ def bound_report(
     _check_direction(direction)
     if level not in ("class", "image"):
         raise ValueError(f"level must be 'class' or 'image', got {level}")
-    gts = list(dataset.gts)
 
     if level == "class":
         if dataset.final_dets is None:
@@ -192,8 +192,8 @@ def bound_report(
         # One matching pass per detection list: the COCO thresholds for AP
         # plus tp_iou (last) for beta_cls and the re-rank itself.
         thresholds = (*COCO_THRESHOLDS, tp_iou)
-        before = _match_classes(dataset.final_dets, gts, thresholds)
-        after = _match_classes(_reranked(before, direction), gts, thresholds)
+        before = _match_classes(dataset.final_dets, dataset.gts, thresholds)
+        after = _match_classes(_reranked(before, direction), dataset.gts, thresholds)
         return BoundReport(
             direction,
             level,
@@ -224,8 +224,8 @@ def bound_report(
     return BoundReport(
         direction,
         level,
-        ap_before=coco_ap(finals_before, gts),
-        ap_after=coco_ap(finals_after, gts),
+        ap_before=coco_ap(finals_before, dataset.gts),
+        ap_after=coco_ap(finals_after, dataset.gts),
         corr_before=_or_none(_beta_img_from, positives_before),
         corr_after=_or_none(_beta_img_from, positives_after),
     )

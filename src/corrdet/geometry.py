@@ -23,22 +23,27 @@ Two flavours of matching exist side by side:
 NMS rows share one IoU formula with the same float operations
 (:func:`_iou_of` in numpy), so a threshold compares the same way on all
 four.
+
+Ground truth has a columnar form, :class:`GtBatch`, which the GT loader
+makes and the matchers read as it is; :class:`_Batch` is the sequence
+code it shares with the raw and final detection batches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .pipeline import FinalDetection, RawDetection
+    from .pipeline import FinalBatch, FinalDetection, RawDetection
 
 __all__ = [
     "Box",
     "GtObject",
+    "GtBatch",
     "Match",
     "MatchSet",
     "iou",
@@ -86,6 +91,108 @@ class GtObject:
     box: Box
     class_id: int
     image_id: int = 0
+
+
+_T = TypeVar("_T")
+
+
+class _Batch(Sequence[_T]):
+    """A read-only sequence of objects held as row-aligned numpy columns,
+    named by ``_COLUMNS`` in constructor order, each made a read-only view.
+
+    Indexing or iterating builds the objects on demand (``_row`` makes one
+    from a row's Python values), a slice is a batch of views of the same
+    columns, and a batch equals any sequence of equal objects, element by
+    element.  It is not hashable.  The columns are taken as they are: every
+    box must be a valid ``Box`` and every score lie in [0, 1], as the
+    loaders check.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+    _COLUMNS: tuple[str, ...] = ()
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self._COLUMNS, columns):
+            column = column.view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def _shared(self) -> tuple:
+        """Constructor arguments after the columns, shared by every slice."""
+        return ()
+
+    def _row(self, *values: Any) -> _T:
+        raise NotImplementedError
+
+    def _take(self, rows) -> "_Batch[_T]":
+        """The batch of ``rows``, a slice or an index array."""
+        return type(self)(*(getattr(self, name)[rows] for name in self._COLUMNS), *self._shared())
+
+    @classmethod
+    def of(cls, items: Sequence[_T]):
+        """``items`` if it is a batch of this kind, else a batch of the same
+        objects' columns, built once."""
+        return items if isinstance(items, cls) else cls._from_objects(items)
+
+    @classmethod
+    def _from_objects(cls, items: Sequence[_T]):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return getattr(self, self._COLUMNS[0]).shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(i)
+        return self._row(*(getattr(self, name)[i].tolist() for name in self._COLUMNS))
+
+    def __iter__(self) -> Iterator[_T]:
+        return map(self._row, *(getattr(self, name).tolist() for name in self._COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _object_columns(items: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``(boxes, class ids, image index, image ids)`` of objects with
+    ``box``, ``class_id`` and ``image_id``: the image ids in order of first
+    appearance, and each object's position among them."""
+    slot: dict[int, int] = {}
+    images = np.array([slot.setdefault(x.image_id, len(slot)) for x in items], dtype=np.intp)
+    class_ids = np.array([x.class_id for x in items], dtype=np.intp)
+    return _box_array([x.box for x in items]), class_ids, images, tuple(slot)
+
+
+class GtBatch(_Batch[GtObject]):
+    """Ground truth held as columns: ``boxes``, ``(n, 4)`` float64 in corner
+    form, ``class_ids``, ``(n,)``, and ``images``, ``(n,)``, each row's
+    position in ``image_ids``, a tuple of distinct ids.  The ids stay
+    Python integers, so ids beyond 64 bits hold, and rows group by the
+    position.
+
+    A read-only ``Sequence[GtObject]`` that builds objects on demand; see
+    :class:`_Batch`.
+    """
+
+    __slots__ = ("boxes", "class_ids", "images", "image_ids")
+    _COLUMNS = ("boxes", "class_ids", "images")
+
+    def __init__(self, boxes: np.ndarray, class_ids: np.ndarray, images: np.ndarray, image_ids: Sequence[int]) -> None:
+        super().__init__(boxes, class_ids, images)
+        self.image_ids = tuple(image_ids)
+
+    def _shared(self) -> tuple:
+        return (self.image_ids,)
+
+    def _row(self, box: list[float], class_id: int, image: int) -> GtObject:
+        return GtObject(Box(*box), class_id, self.image_ids[image])
+
+    @classmethod
+    def _from_objects(cls, items: Sequence[GtObject]) -> "GtBatch":
+        return cls(*_object_columns(items))
 
 
 @dataclass(frozen=True)
@@ -203,15 +310,16 @@ def match_positives(
     above ``iou_floor``; ties break by (lower detection index, lower gt
     index).  For each pair the detection's confidence for the gt's class is
     recorded alongside the IoU, read from the detections' score array
-    (:func:`~corrdet.pipeline._raw_arrays`), where a score vector shorter
+    (:class:`~corrdet.pipeline.RawBatch`), where a score vector shorter
     than the others reads 0 past its end.  Detections and gts must come
     from the same image.  Returns an empty MatchSet when nothing clears the
     floor.
     """
-    from .pipeline import _raw_arrays  # not at the top: pipeline imports this module
+    from .pipeline import RawBatch  # not at the top: pipeline imports this module
 
-    boxes, scores = _raw_arrays(dets)
-    ious = iou_matrix(boxes, _box_array([g.box for g in gts]))
+    dets, gts = RawBatch.of(dets), GtBatch.of(gts)
+    gt_classes = gts.class_ids.tolist()
+    ious = iou_matrix(dets.boxes, gts.boxes)
     det_idx, gt_idx = np.nonzero(ious >= iou_floor)
     v = ious[det_idx, gt_idx]
     order = np.lexsort((gt_idx, det_idx, -v))  # by (-IoU, det index, gt index)
@@ -224,11 +332,37 @@ def match_positives(
             continue
         used_det.add(di)
         used_gt.add(gi)
-        class_id = gts[gi].class_id
-        matches.append(Match(di, gi, value, scores[di, class_id].item(), class_id))
+        class_id = gt_classes[gi]
+        matches.append(Match(di, gi, value, dets.scores[di, class_id].item(), class_id))
 
     matches.sort(key=lambda m: m.detection_index)
     return MatchSet(tuple(matches))
+
+
+def _groups(dets: "FinalBatch", gts: GtBatch) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(detection group, gt group, number of groups)``: rows of one image
+    and class share a group, numbered densely over the gts; a detection
+    that no gt shares a group with gets -1.
+
+    Rows group by their image index; when the two batches index different
+    image id tuples, the detections' index is mapped onto the gts' one,
+    once per image id.
+    """
+    det_images = dets.images
+    if dets.image_ids != gts.image_ids:
+        position = {iid: k for k, iid in enumerate(gts.image_ids)}
+        known = np.array([position.get(iid, -1) for iid in dets.image_ids], dtype=np.intp)
+        det_images = known[det_images]
+    # a dense class index keeps every (image, class) key below image count x class count
+    n_gts = len(gts)
+    class_ids, classes = np.unique(np.concatenate((gts.class_ids, dets.class_ids)), return_inverse=True)
+    gt_key = gts.images * class_ids.shape[0] + classes[:n_gts]
+    det_key = np.where(det_images >= 0, det_images * class_ids.shape[0] + classes[n_gts:], -1)
+    keys, gt_group = np.unique(gt_key, return_inverse=True)
+    at = np.searchsorted(keys, det_key)
+    hit = at < keys.shape[0]
+    hit[hit] = keys[at[hit]] == det_key[hit]
+    return np.where(hit, at, -1), gt_group, keys.shape[0]
 
 
 def _match_tp_arrays(
@@ -238,7 +372,9 @@ def _match_tp_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matching core: ``(gt, iou)``, two ``(len(thresholds), len(dets))``
     arrays.  ``gt[k, i]`` is the gt that detection i matches at threshold
-    k, -1 for none, and ``iou[k, i]`` their IoU (0 for none).
+    k, -1 for none, and ``iou[k, i]`` their IoU (0 for none).  It reads
+    the columns of a :class:`~corrdet.pipeline.FinalBatch` and a
+    :class:`GtBatch`; other sequences are turned into them once.
 
     Every (detection, gt) pair of one ``(image, class)`` group gets its IoU
     in one elementwise pass; pairs at IoU 0 never match and are dropped.
@@ -248,24 +384,24 @@ def _match_tp_arrays(
     candidate, by (-IoU, gt index), whose gt is unused and whose IoU
     clears the threshold, for every threshold at once.
     """
+    from .pipeline import FinalBatch  # not at the top: pipeline imports this module
+
+    dets, gts = FinalBatch.of(dets), GtBatch.of(gts)
     n_thr, n = len(thresholds), len(dets)
     matched = np.full((n_thr, n), -1, dtype=np.intp)
     matched_iou = np.zeros((n_thr, n))
-
-    group_of: dict[tuple[int, int], int] = {}
-    gt_group = np.array([group_of.setdefault((g.image_id, g.class_id), len(group_of)) for g in gts], dtype=np.intp)
-    det_group = np.array([group_of.get((d.image_id, d.class_id), -1) for d in dets], dtype=np.intp)
+    det_group, gt_group, n_groups = _groups(dets, gts)
 
     # Every same-group (detection, gt) pair; a group's gts by index.
     gts_by_group = np.argsort(gt_group, kind="stable")
-    group_size = np.bincount(gt_group, minlength=len(group_of))
+    group_size = np.bincount(gt_group, minlength=n_groups)
     group_start = np.cumsum(group_size) - group_size
     pair_det = np.flatnonzero(det_group >= 0)
     count = group_size[det_group[pair_det]]
     offset = np.repeat(group_start[det_group[pair_det]] - (np.cumsum(count) - count), count)
     pair_gt = gts_by_group[offset + np.arange(offset.shape[0])]
     pair_det = np.repeat(pair_det, count)
-    v = _iou(_box_array([d.box for d in dets])[pair_det], _box_array([g.box for g in gts])[pair_gt])
+    v = _iou(dets.boxes[pair_det], gts.boxes[pair_gt])
     keep = v > 0.0
     if not keep.any():
         return matched, matched_iou
@@ -274,7 +410,7 @@ def _match_tp_arrays(
     # Score rank (ties by lower index), then each candidate-holding
     # detection's step: its position among those of its group.
     rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")] = np.arange(n)
+    rank[np.argsort(-dets.scores, kind="stable")] = np.arange(n)
     holders = np.flatnonzero(np.bincount(pair_det, minlength=n))
     holders = holders[np.lexsort((rank[holders], det_group[holders]))]
     holder_group = det_group[holders]
@@ -317,18 +453,15 @@ def match_tp_multi(
     images and classes match only GTs of their own ``(image_id,
     class_id)``, and one pass serves all thresholds.
     """
+    from .pipeline import FinalBatch  # not at the top: pipeline imports this module
+
+    dets = FinalBatch.of(dets)
     matched, matched_iou = _match_tp_arrays(dets, gts, thresholds)
     result = []
     for gt_row, iou_row in zip(matched, matched_iou):
         hits = np.flatnonzero(gt_row >= 0)
-        result.append(
-            MatchSet(
-                tuple(
-                    Match(di, gi, v, float(dets[di].score), dets[di].class_id)
-                    for di, gi, v in zip(hits.tolist(), gt_row[hits].tolist(), iou_row[hits].tolist())
-                )
-            )
-        )
+        columns = (hits, gt_row[hits], iou_row[hits], dets.scores[hits], dets.class_ids[hits])
+        result.append(MatchSet(tuple(map(Match, *(c.tolist() for c in columns)))))
     return tuple(result)
 
 

@@ -20,10 +20,17 @@ the clip and area arithmetic done in numpy, bit for bit as on Python
 floats, by one helper for all three.  A document that fails any column
 check goes to the record walk, which checks one record at a time and is
 the one place where errors are worded: it raises the error of the first
-bad record.  Ground truth and final detections become objects; raw
-detections stay arrays, one :class:`~corrdet.pipeline.RawBatch` (boxes
+bad record.  What the column checks pass stays arrays, read as they are
+from there on: ground truth becomes one :class:`~corrdet.geometry.GtBatch`
+(boxes ``(n, 4)``, class indices, and each row's image as a position in
+the image list) and final detections one
+:class:`~corrdet.pipeline.FinalBatch` (the same plus scores), which the
+class-level matcher, AP, beta_cls and the class-level re-rank read;
+raw detections become one :class:`~corrdet.pipeline.RawBatch` (boxes
 ``(n, 4)``, scores ``(n, C)``) per image, which post-processing, positive
-matching and the image-level re-rank read as they are.
+matching and the image-level re-rank read.  Each batch reads as a
+sequence of the objects its rows stand for, built on demand; the record
+walk still builds the objects.
 
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
@@ -42,8 +49,8 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
-from .geometry import Box, GtObject, iou
-from .pipeline import FinalDetection, RawBatch, RawDetection
+from .geometry import Box, GtBatch, GtObject, iou
+from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
 
 __all__ = [
     "Dataset",
@@ -67,29 +74,37 @@ class Dataset:
 
     ``categories`` pairs each original category id with its name; the
     position in the tuple is the class index used everywhere else.
-    ``raw_dets`` maps image id to that image's raw detections (only
-    images that have any): a :class:`~corrdet.pipeline.RawBatch` from
-    :func:`load_raw_dets`, or any sequence of ``RawDetection`` objects.
+    ``gts`` is a :class:`~corrdet.geometry.GtBatch` from :func:`load_gt`,
+    or any sequence of ``GtObject`` objects (:func:`synth` gives tuples);
+    ``final_dets`` likewise a :class:`~corrdet.pipeline.FinalBatch` from
+    :func:`load_final_dets`, or any sequence of ``FinalDetection``
+    objects.  ``raw_dets`` maps image id to that image's raw detections
+    (only images that have any): a :class:`~corrdet.pipeline.RawBatch`
+    from :func:`load_raw_dets`, or any sequence of ``RawDetection``
+    objects.
     """
 
     categories: tuple[tuple[int, str], ...]
     images: tuple[tuple[int, int, int], ...]
-    gts: tuple[GtObject, ...]
+    gts: Sequence[GtObject]
     raw_dets: dict[int, Sequence[RawDetection]] | None = None
-    final_dets: tuple[FinalDetection, ...] | None = None
+    final_dets: Sequence[FinalDetection] | None = None
 
-    def per_image(self) -> list[tuple[int, Sequence[RawDetection], tuple[GtObject, ...]]]:
+    def per_image(self) -> list[tuple[int, Sequence[RawDetection], Sequence[GtObject]]]:
         """``(image id, raw detections, GTs)`` for every image in file order,
-        with ``()`` where an image has no detections or no GTs.
+        with ``()`` where an image has no detections and an empty sequence
+        where it has no GTs.  Each image's GTs are a
+        :class:`~corrdet.geometry.GtBatch`, in file order.
 
         Raises ValueError when the dataset holds no raw detections.
         """
         if self.raw_dets is None:
             raise ValueError("dataset has no raw detections; pass --raw-dets")
-        gts_of: dict[int, list[GtObject]] = {}
-        for g in self.gts:
-            gts_of.setdefault(g.image_id, []).append(g)
-        return [(iid, self.raw_dets.get(iid, ()), tuple(gts_of.get(iid, ()))) for iid, _, _ in self.images]
+        gts = GtBatch.of(self.gts)
+        ends = np.cumsum(np.bincount(gts.images, minlength=len(gts.image_ids))).tolist()
+        gts = gts._take(np.argsort(gts.images, kind="stable"))
+        gts_of = {iid: gts[a:b] for iid, a, b in zip(gts.image_ids, [0] + ends, ends)}
+        return [(iid, self.raw_dets.get(iid, ()), gts_of.get(iid, gts[:0])) for iid, _, _ in self.images]
 
 
 def _field(obj: Any, key: str, where: str) -> Any:
@@ -200,6 +215,7 @@ _T = TypeVar("_T")
 _DICT = frozenset((dict,))
 _LIST = frozenset((list,))
 _INT = frozenset((int,))
+_FLOAT = frozenset((float,))
 _STR = frozenset((str,))
 
 
@@ -218,10 +234,22 @@ def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
     return walk() if result is None else result
 
 
-def _column_corners(bboxes: list, sizes: list[tuple[int, int]], xywh: bool) -> np.ndarray | None:
+def _image_rows(iids: list, images: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's position in ``images``, by its image id ``iids[k]``
+    (KeyError: an unknown id), and that image's ``(width, height)`` as an
+    ``(n, 2)`` float array."""
+    position = {iid: k for k, (iid, _, _) in enumerate(images)}
+    index = np.array([position[i] for i in iids], dtype=np.intp)
+    # OverflowError: a side beyond the float range
+    sides = np.array([(w, h) for _, w, h in images], dtype=np.float64).reshape(-1, 2)
+    return index, sides[index]
+
+
+def _column_corners(bboxes: list, sides: np.ndarray, xywh: bool) -> np.ndarray | None:
     """The corners the walk makes of ``bboxes``, ``[x, y, w, h]`` (``xywh``)
-    or ``[x1, y1, x2, y2]``, clipped to their images' ``(width, height)``,
-    as an ``(n, 4)`` array; None when a box would fail a check.
+    or ``[x1, y1, x2, y2]``, clipped to their images' ``(width, height)``
+    rows of ``sides``, as an ``(n, 4)`` array; None when a box would fail a
+    check.
 
     The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
     stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
@@ -235,7 +263,7 @@ def _column_corners(bboxes: list, sizes: list[tuple[int, int]], xywh: bool) -> n
     corners = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
     if not np.isfinite(corners).all():
         return None
-    sides = np.array(sizes, dtype=np.float64).reshape(-1, 2)[:, [0, 1, 0, 1]]
+    sides = sides[:, [0, 1, 0, 1]]
     with np.errstate(all="ignore"):
         if xywh:
             corners[:, 2:] += corners[:, :2]
@@ -266,19 +294,19 @@ def _gt_columns(doc: Any) -> Dataset | None:
         return None
     float(max(widths + heights, default=0))  # OverflowError: a side beyond the float range
     class_of = {cid: k for k, cid in enumerate(cids)}
-    size_of = dict(zip(iids, zip(widths, heights)))
+    image_list = tuple(zip(iids, widths, heights))
 
     ann_iids = [a["image_id"] for a in anns]
     ann_cids = [a["category_id"] for a in anns]
     crowd = [a.get("iscrowd", 0) for a in anns]
     if not _typed([a["id"] for a in anns] + ann_iids + ann_cids + crowd, _INT) or any(crowd):
         return None
-    classes = [class_of[c] for c in ann_cids]  # KeyError: unknown id
-    corners = _column_corners([a["bbox"] for a in anns], [size_of[i] for i in ann_iids], xywh=True)
+    classes = np.array([class_of[c] for c in ann_cids], dtype=np.intp)  # KeyError: unknown id
+    index, sides = _image_rows(ann_iids, image_list)
+    corners = _column_corners([a["bbox"] for a in anns], sides, xywh=True)
     if corners is None:
         return None
-    gts = tuple(GtObject(Box(*b), c, i) for b, c, i in zip(corners.tolist(), classes, ann_iids))
-    return Dataset(tuple(zip(cids, names)), tuple((i, w, h) for i, (w, h) in size_of.items()), gts)
+    return Dataset(tuple(zip(cids, names)), image_list, GtBatch(corners, classes, index, iids))
 
 
 def load_gt(path: str) -> Dataset:
@@ -340,9 +368,7 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
         return None
     if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
         return None
-    size_of = {iid: (w, h) for iid, w, h in dataset.images}
-    sizes = [size_of[i] for i in iids]  # KeyError: unknown id
-    corners = _column_corners([d["bbox"] for d in dets], sizes, xywh=False)
+    corners = _column_corners([d["bbox"] for d in dets], _image_rows(iids, dataset.images)[1], xywh=False)
     if corners is None:
         return None
     score_array = np.array(scores, dtype=np.float64).reshape(-1, n_classes)  # OverflowError beyond the float range
@@ -408,20 +434,18 @@ def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
     if not (_typed(iids + cids, _INT) and _typed(scores, _NUMBER_TYPES)):
         return None
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
-    size_of = {iid: (w, h) for iid, w, h in dataset.images}
-    classes = [class_of[c] for c in cids]  # KeyError: unknown id
+    classes = np.array([class_of[c] for c in cids], dtype=np.intp)  # KeyError: unknown id
     score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
     with np.errstate(all="ignore"):
         in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
     if not in_range:
         return None
-    corners = _column_corners([d["bbox"] for d in doc], [size_of[i] for i in iids], xywh=True)
+    index, sides = _image_rows(iids, dataset.images)
+    corners = _column_corners([d["bbox"] for d in doc], sides, xywh=True)
     if corners is None:
         return None
-    finals = tuple(
-        FinalDetection(Box(*b), c, s, i) for b, c, s, i in zip(corners.tolist(), classes, score_array.tolist(), iids)
-    )
-    return replace(dataset, final_dets=finals)
+    image_ids = [iid for iid, _, _ in dataset.images]
+    return replace(dataset, final_dets=FinalBatch(corners, classes, score_array, index, image_ids))
 
 
 def load_final_dets(path: str, dataset: Dataset) -> Dataset:
@@ -435,7 +459,11 @@ def fmt_float(value: float) -> str:
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite number {v}")
-    s = "%.17g" % v
+    return _float_text("%.17g" % v)
+
+
+def _float_text(s: str) -> str:
+    """``"%.17g"`` text of a finite float, with ``.0`` added to an integral one."""
     return s if ("." in s or "e" in s) else s + ".0"
 
 
@@ -460,7 +488,12 @@ def _fmt(value: Any, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
-        items = (f"{inner}{_fmt(v, indent + 1)}" for v in value)
+        if _typed(value, _FLOAT) and all(map(math.isfinite, value)):
+            # a list of finite floats, as fmt_float writes each, formatted at once
+            texts = (("%.17g\n" * len(value)) % tuple(value)).splitlines()
+            items = (inner + _float_text(t) for t in texts)
+        else:
+            items = (f"{inner}{_fmt(v, indent + 1)}" for v in value)
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .correlation import spearman
 from .errors import DegenerateInput, EmptyEvaluation, NoGroundTruth
-from .geometry import GtObject, MatchSet, _match_tp_arrays, match_positives
-from .pipeline import FinalDetection, RawDetection
+from .geometry import GtBatch, GtObject, MatchSet, _match_tp_arrays, match_positives
+from .pipeline import FinalBatch, FinalDetection, RawDetection
 
 __all__ = [
     "COCO_THRESHOLDS",
@@ -125,7 +125,7 @@ def beta_img(
 
 @dataclass(frozen=True)
 class _MatchTable:
-    """One detection list matched at several IoU thresholds.
+    """One detection list, as a batch, matched at several IoU thresholds.
 
     ``gt[k, i]`` is the gt that detection i matches at threshold number
     k (-1 for none) and ``iou[k, i]`` their IoU.  ``classes`` holds, for
@@ -134,9 +134,7 @@ class _MatchTable:
     score order is descending, ties by lower index.
     """
 
-    dets: Sequence[FinalDetection]
-    scores: np.ndarray
-    class_ids: np.ndarray
+    dets: FinalBatch
     gt: np.ndarray
     iou: np.ndarray
     classes: tuple[tuple[int, np.ndarray, int], ...]
@@ -148,19 +146,19 @@ def _match_classes(
     thresholds: Sequence[float],
 ) -> _MatchTable:
     """One matching-core call for the whole list, split by class."""
+    dets, gts = FinalBatch.of(dets), GtBatch.of(gts)
     gt, iou = _match_tp_arrays(dets, gts, thresholds)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    class_ids = np.array([d.class_id for d in dets], dtype=np.int64)
-    gt_classes, gt_counts = np.unique(np.array([g.class_id for g in gts], dtype=np.int64), return_counts=True)
+    class_ids = dets.class_ids
+    gt_classes, gt_counts = np.unique(gts.class_ids, return_counts=True)
     n_gt = dict(zip(gt_classes.tolist(), gt_counts.tolist()))
 
-    by_score = np.argsort(-scores, kind="stable")
+    by_score = np.argsort(-dets.scores, kind="stable")
     by_class = by_score[np.argsort(class_ids[by_score], kind="stable")]
     ids = np.union1d(class_ids, gt_classes)
     lo = np.searchsorted(class_ids[by_class], ids, side="left")
     hi = np.searchsorted(class_ids[by_class], ids, side="right")
     classes = tuple((c, by_class[a:b], n_gt.get(c, 0)) for c, a, b in zip(ids.tolist(), lo, hi))
-    return _MatchTable(dets, scores, class_ids, gt, iou, classes)
+    return _MatchTable(dets, gt, iou, classes)
 
 
 def _beta_cls_from(table: _MatchTable, k: int) -> CorrelationReport:
@@ -170,7 +168,7 @@ def _beta_cls_from(table: _MatchTable, k: int) -> CorrelationReport:
     for c, ranked, _ in table.classes:
         members = np.sort(ranked)
         tp = members[table.gt[k, members] >= 0]
-        groups.append((c, table.iou[k, tp], table.scores[tp]))
+        groups.append((c, table.iou[k, tp], table.dets.scores[tp]))
     mean, per_class, skipped = _spearman_mean(groups, "class")
     return CorrelationReport(beta_cls=mean, per_class=per_class, skipped_classes=skipped)
 
@@ -205,8 +203,9 @@ def pr_curves(
     """One :func:`pr_curve` per threshold, from a single matching pass."""
     if len(gts) == 0:
         raise NoGroundTruth("pr_curve needs at least one ground-truth object")
+    dets = FinalBatch.of(dets)
     gt, _ = _match_tp_arrays(dets, gts, thresholds)
-    by_score = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
+    by_score = np.argsort(-dets.scores, kind="stable")
     return [list(zip(r.tolist(), p.tolist())) for r, p in _curves(gt[:, by_score] >= 0, len(gts))]
 
 

@@ -9,7 +9,7 @@ The work is columnar: one image's boxes are an ``(n, 4)`` array and its
 scores an ``(n, C)`` array.  A :class:`RawBatch`, which the raw loader
 makes for every image, holds those two arrays and is read as they are;
 any other sequence of ``RawDetection`` objects is turned into them once
-(:func:`_raw_arrays`).  The score filter is one comparison over the score
+(:meth:`RawBatch.of`).  The score filter is one comparison over the score
 array.  NMS and top-k are then one greedy walk over the candidates by
 descending score: each candidate still alive is kept, a kept box
 suppresses its class's overlaps through one IoU row
@@ -21,18 +21,21 @@ for the kept candidates only.  The contract is that of a plain loop over
 candidates: the filter keeps scores strictly above ``score_thr``, NMS
 suppresses overlaps strictly above ``nms_iou``, and every tie breaks by
 ``(-score, detection index, class index)``.
+
+Final detections have a columnar form too, :class:`FinalBatch`, which the
+final-detection loader makes and the class-level matcher reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, _area, _box_array, _iou_of
+from .geometry import Box, _area, _Batch, _box_array, _iou_of, _object_columns
 
-__all__ = ["RawDetection", "RawBatch", "FinalDetection", "PipelineConfig", "nms", "postprocess"]
+__all__ = ["RawDetection", "RawBatch", "FinalDetection", "FinalBatch", "PipelineConfig", "nms", "postprocess"]
 
 
 @dataclass(frozen=True)
@@ -91,61 +94,69 @@ class PipelineConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
-class RawBatch(Sequence[RawDetection]):
+class RawBatch(_Batch[RawDetection]):
     """One image's raw detections held as two read-only float64 arrays:
     ``boxes``, ``(n, 4)`` in corner form, and ``scores``, ``(n, C)``.
 
-    It is a read-only ``Sequence[RawDetection]``: indexing or iterating
-    builds the ``RawDetection`` objects on demand, a slice is a batch of
-    the same arrays, and it equals any sequence of equal ``RawDetection``
-    objects, element by element.  The arrays are taken as they are: every
-    box must be a valid ``Box`` and every score lie in [0, 1], as the raw
-    loader checks.
+    A read-only ``Sequence[RawDetection]`` that builds objects on demand;
+    see :class:`~corrdet.geometry._Batch`.  Built from objects, a shorter
+    score vector is padded with 0, which no filter lets through (score_thr
+    >= 0, comparison strict).
     """
 
     __slots__ = ("boxes", "scores")
-    __hash__ = None  # type: ignore[assignment]
+    _COLUMNS = ("boxes", "scores")
 
-    def __init__(self, boxes: np.ndarray, scores: np.ndarray) -> None:
-        boxes, scores = boxes.view(), scores.view()
-        boxes.flags.writeable = scores.flags.writeable = False
-        self.boxes = boxes
-        self.scores = scores
+    def _row(self, box: list[float], scores: list[float]) -> RawDetection:
+        return RawDetection(Box(*box), scores)
 
-    def __len__(self) -> int:
-        return self.boxes.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RawBatch(self.boxes[i], self.scores[i])
-        return RawDetection(Box(*self.boxes[i].tolist()), self.scores[i].tolist())
-
-    def __iter__(self) -> Iterator[RawDetection]:
-        for box, scores in zip(self.boxes.tolist(), self.scores.tolist()):
-            yield RawDetection(Box(*box), scores)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+    @classmethod
+    def _from_objects(cls, items: Sequence[RawDetection]) -> "RawBatch":
+        rows = [d.class_scores for d in items]
+        width = max(map(len, rows), default=0)
+        if all(len(r) == width for r in rows):
+            scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        else:
+            scores = np.zeros((len(rows), width))
+            for i, r in enumerate(rows):
+                scores[i, : len(r)] = r
+        return cls(_box_array([d.box for d in items]), scores)
 
 
-def _raw_arrays(dets: Sequence[RawDetection]) -> tuple[np.ndarray, np.ndarray]:
-    """``(boxes, scores)``: a batch's own arrays, or those of a sequence of
-    ``RawDetection`` objects, built once.  A shorter score vector is padded
-    with 0, which no filter lets through (score_thr >= 0, comparison
-    strict)."""
-    if isinstance(dets, RawBatch):
-        return dets.boxes, dets.scores
-    rows = [d.class_scores for d in dets]
-    width = max(map(len, rows), default=0)
-    if all(len(r) == width for r in rows):
-        scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    else:
-        scores = np.zeros((len(rows), width))
-        for i, r in enumerate(rows):
-            scores[i, : len(r)] = r
-    return _box_array([d.box for d in dets]), scores
+class FinalBatch(_Batch[FinalDetection]):
+    """Final detections held as columns: those of a
+    :class:`~corrdet.geometry.GtBatch` (``boxes``, ``class_ids``,
+    ``images`` and the distinct ``image_ids`` they index) plus ``scores``,
+    ``(n,)`` float64.
+
+    A read-only ``Sequence[FinalDetection]`` that builds objects on
+    demand; see :class:`~corrdet.geometry._Batch`.
+    """
+
+    __slots__ = ("boxes", "class_ids", "scores", "images", "image_ids")
+    _COLUMNS = ("boxes", "class_ids", "scores", "images")
+
+    def __init__(
+        self,
+        boxes: np.ndarray,
+        class_ids: np.ndarray,
+        scores: np.ndarray,
+        images: np.ndarray,
+        image_ids: Sequence[int],
+    ) -> None:
+        super().__init__(boxes, class_ids, scores, images)
+        self.image_ids = tuple(image_ids)
+
+    def _shared(self) -> tuple:
+        return (self.image_ids,)
+
+    def _row(self, box: list[float], class_id: int, score: float, image: int) -> FinalDetection:
+        return FinalDetection(Box(*box), class_id, score, self.image_ids[image])
+
+    @classmethod
+    def _from_objects(cls, items: Sequence[FinalDetection]) -> "FinalBatch":
+        boxes, class_ids, images, image_ids = _object_columns(items)
+        return cls(boxes, class_ids, np.array([d.score for d in items], dtype=np.float64), images, image_ids)
 
 
 def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[int]:
@@ -193,8 +204,8 @@ def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
     :func:`postprocess`'s walk with one class and no top-k: one IoU row
     per kept detection.
     """
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    kept = _greedy(_box_array([d.box for d in dets]), np.zeros(len(dets), dtype=np.intp), scores, iou_thr, None)
+    batch = FinalBatch.of(dets)
+    kept = _greedy(batch.boxes, np.zeros(len(dets), dtype=np.intp), batch.scores, iou_thr, None)
     return [dets[i] for i in kept]
 
 
@@ -215,7 +226,8 @@ def postprocess(
     top_k kept, so each kept candidate reads one IoU row over its class's
     candidates and nothing else is compared.
     """
-    boxes, scores = _raw_arrays(dets)
+    batch = RawBatch.of(dets)
+    boxes, scores = batch.boxes, batch.scores
     # Row-major, so candidates come in (detection index, class index) order.
     rows, cols = np.nonzero(scores > cfg.score_thr)
     kept = _greedy(boxes[rows] if cfg.nms_enabled else None, cols, scores[rows, cols], cfg.nms_iou, cfg.top_k)

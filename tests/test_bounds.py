@@ -25,7 +25,6 @@ from corrdet import (
     synth,
 )
 from corrdet.ingest import Dataset
-from corrdet.pipeline import _raw_arrays
 from match_oracle import (
     achieved_ious,
     bound_report_class_oracle,
@@ -109,7 +108,7 @@ def test_image_rerank_returns_a_batch_with_a_new_score_array():
         RawDetection(Box(30, 0, 40, 10), (0.2, 0.7)),
         RawDetection(Box(60, 0, 70, 10), (0.1, 0.1)),
     ]
-    batch = RawBatch(*_raw_arrays(dets))
+    batch = RawBatch.of(dets)
     matches = MatchSet((Match(0, 0, 0.9, 0.6, 0), Match(1, 1, 0.5, 0.7, 1)))
     for given_dets in (dets, batch):
         # +1: det0, the higher IoU, takes the higher of the two matched
@@ -127,7 +126,7 @@ def test_image_rerank_returns_a_batch_with_a_new_score_array():
 def test_bound_report_image_level_reads_batches_as_objects():
     for seed, knob in ((22, 0.0), (24, 0.3)):
         ds = synth(seed, knob=knob)
-        batches = replace(ds, raw_dets={i: RawBatch(*_raw_arrays(d)) for i, d in ds.raw_dets.items()})
+        batches = replace(ds, raw_dets={i: RawBatch.of(d) for i, d in ds.raw_dets.items()})
         for direction in (1, -1):
             assert bound_report(batches, direction, level="image") == bound_report(ds, direction, level="image")
 

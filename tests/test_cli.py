@@ -9,7 +9,18 @@ from dataclasses import replace
 import pytest
 
 import corrdet.cli as cli
-from corrdet import COCO_THRESHOLDS, PipelineConfig, RawDetection, beta_cls, bound_report, postprocess, pr_curves, synth
+from corrdet import (
+    COCO_THRESHOLDS,
+    Box,
+    FinalDetection,
+    PipelineConfig,
+    RawDetection,
+    beta_cls,
+    bound_report,
+    postprocess,
+    pr_curves,
+    synth,
+)
 from corrdet.gradcheck import GradcheckResult, GradcheckRow
 from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_raw_dets, load_report
 
@@ -264,6 +275,25 @@ def test_raw_path_builds_no_raw_detection(synth_dir, tmp_path, monkeypatch):
         ["eval"],
         ["bounds", "--level", "image", "--direction=+1"],
         ["bounds", "--level", "image", "--direction=-1"],
+    ):
+        assert cli.main([*argv, *io, "--out", str(tmp_path / "out.json")]) == 0, argv
+
+
+def test_class_path_builds_no_box_or_final_detection(synth_dir, tmp_path, monkeypatch):
+    # the CLI reads ground truth and final detections as columns from the
+    # loaders to the matcher and the re-rank; no Box (so no GtObject) and
+    # no FinalDetection is made on the way
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(Box, "__post_init__", refuse)
+    monkeypatch.setattr(FinalDetection, "__post_init__", refuse)
+    io = ["--gt", str(synth_dir / "gt.json"), "--dets", str(synth_dir / "final_dets.json")]
+    for argv in (
+        ["corr", "--level", "class"],
+        ["eval", "--pr-csv", str(tmp_path / "pr.csv")],
+        ["bounds", "--level", "class", "--direction=+1"],
+        ["bounds", "--level", "class", "--direction=-1"],
     ):
         assert cli.main([*argv, *io, "--out", str(tmp_path / "out.json")]) == 0, argv
 

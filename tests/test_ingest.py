@@ -777,6 +777,52 @@ def test_fmt_float():
         fmt_float(float("inf"))
 
 
+def _nextafter(x, toward):
+    return float(np.nextafter(x, toward))
+
+
+# exact floats where "%.17g" changes form: -0.0, integral values (which get
+# ".0"), the sides of 1e16 (the last integral ones without an exponent)
+# and 1e17, subnormals and the ends of the range
+_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 1.0, -3.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [_nextafter(x, t) for x in (1e16, 1e17) for t in (0.0, math.inf)]
+    + [1e16, 1e17, -1e16, 99999999999999984.0, 1e15 + 0.5]
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS | st.integers(-(10**18), 10**18).map(float)
+
+
+def _one_by_one(value, pad):
+    """``render_report``'s text of a list, written one value at a time."""
+    text = [f"{pad}  {str(int(v)) if isinstance(v, (int, np.integer)) else fmt_float(v)}" for v in value]
+    return "[\n" + ",\n".join(text) + f"\n{pad}]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_FLOATS, min_size=1, max_size=40)
+    | st.lists(_FLOATS | st.integers(-(10**20), 10**20) | _FLOATS.map(np.float64), min_size=1, max_size=40),
+    st.booleans(),
+)
+def test_render_report_writes_float_lists_as_fmt_float_does(values, as_tuple):
+    # all-float lists are formatted at once; mixed ones (int, np.float64)
+    # one value at a time; the text is the same
+    values = tuple(values) if as_tuple else values
+    assert render_report(values) == _one_by_one(values, "") + "\n"
+    assert render_report({"v": values}) == '{\n  "v": ' + _one_by_one(values, "  ") + "\n}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FLOATS, max_size=10), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_render_report_refuses_a_non_finite_float_in_a_list(values, bad, data):
+    values.insert(data.draw(st.integers(0, len(values))), bad)
+    with pytest.raises(ValueError) as want:
+        fmt_float(bad)
+    with pytest.raises(ValueError) as got:
+        render_report({"v": values})
+    assert str(got.value) == str(want.value)
+
+
 def test_render_report_golden():
     payload = {"b": [1, 2.5], "a": {"nested": None, "flag": True}, "s": "x"}
     expected = (

@@ -1,15 +1,20 @@
 """Evaluation metrics: PR curves, interpolated AP, correlation summaries."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdet import (
     Box,
     COCO_THRESHOLDS,
     EmptyEvaluation,
+    FinalBatch,
     FinalDetection,
+    GtBatch,
     GtObject,
     NoGroundTruth,
     RawDetection,
@@ -234,3 +239,41 @@ def test_match_table_equals_oracle_class_by_class(case):
             hits = [i for i in det_idx if table.gt[k, i] >= 0]
             got = [(i, int(table.gt[k, i]), float(table.iou[k, i]).hex()) for i in hits]
             assert got == [(det_idx[m.detection_index], gt_idx[m.gt_index], m.iou.hex()) for m in expected]
+
+
+def _batch_columns(items, table):
+    """Boxes, class ids and image positions in ``table`` of objects."""
+    position = {iid: k for k, iid in enumerate(table)}
+    boxes = np.array([(x.box.x1, x.box.y1, x.box.x2, x.box.y2) for x in items], dtype=np.float64).reshape(-1, 4)
+    return boxes, np.array([x.class_id for x in items]), np.array([position[x.image_id] for x in items], dtype=np.intp)
+
+
+def _table_bits(table):
+    return (
+        table.gt.tolist(),
+        table.iou.view(np.int64).tolist(),
+        table.dets.scores.view(np.int64).tolist(),
+        [(c, ranked.tolist(), n_gt) for c, ranked, n_gt in table.classes],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(detection_sets(), st.data())
+def test_match_table_of_batches_equals_that_of_objects(case, data):
+    # image ids beyond 64 bits; the batches index image id tuples of their
+    # own, in any order and with ids no row uses, shared or not
+    dets, gts = case
+    ids = dict(zip((1, 2, 3), data.draw(st.permutations([2**64 + 1, -(2**70), 2**63, 5]))))
+    dets = [replace(d, image_id=ids[d.image_id]) for d in dets]
+    gts = [replace(g, image_id=ids[g.image_id]) for g in gts]
+    gt_table = tuple(data.draw(st.permutations(list(ids.values()) + [11])))
+    det_table = data.draw(st.sampled_from([gt_table, tuple(data.draw(st.permutations(gt_table)))]))
+    gt_batch = GtBatch(*_batch_columns(gts, gt_table), gt_table)
+    boxes, classes, images = _batch_columns(dets, det_table)
+    det_batch = FinalBatch(boxes, classes, np.array([d.score for d in dets], dtype=np.float64), images, det_table)
+    assert gt_batch == gts and det_batch == dets
+
+    thresholds = (0.0, math.nan) + COCO_THRESHOLDS + tuple(achieved_ious(dets, gts))
+    expected = _table_bits(_match_classes(tuple(dets), tuple(gts), thresholds))
+    for d, g in ((det_batch, gt_batch), (det_batch, tuple(gts)), (tuple(dets), gt_batch)):
+        assert _table_bits(_match_classes(d, g, thresholds)) == expected

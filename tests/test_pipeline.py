@@ -5,7 +5,19 @@ from hypothesis import strategies as st
 
 import pipeline_oracle as oracle
 import corrdet.pipeline as pipeline
-from corrdet import Box, FinalDetection, PipelineConfig, RawBatch, RawDetection, iou, nms, postprocess
+from corrdet import (
+    Box,
+    FinalBatch,
+    FinalDetection,
+    GtBatch,
+    GtObject,
+    PipelineConfig,
+    RawBatch,
+    RawDetection,
+    iou,
+    nms,
+    postprocess,
+)
 from corrdet.geometry import _iou_of
 
 
@@ -36,6 +48,37 @@ def test_raw_batch_is_a_read_only_sequence_of_raw_detections():
         batch[2]
     with pytest.raises(ValueError):
         batch.scores[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        hash(batch)
+
+
+@pytest.mark.parametrize("kind", ["gt", "final"])
+def test_gt_and_final_batches_are_read_only_sequences_of_their_objects(kind):
+    # image ids stay Python integers, beyond 64 bits too
+    big = 2**64 + 3
+    boxes = np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 0.0, 30.0, 10.0], [40.0, -0.0, 50.0, 10.0]])
+    classes, images, table = np.array([2, 0, 2]), np.array([1, 1, 0]), (7, big)
+    if kind == "gt":
+        batch = GtBatch(boxes, classes, images, table)
+        objects = [GtObject(box_at(0), 2, big), GtObject(box_at(20), 0, big), GtObject(box_at(40), 2, 7)]
+    else:
+        batch = FinalBatch(boxes, classes, np.array([0.5, 1.0, -0.0]), images, table)
+        objects = [
+            FinalDetection(box_at(0), 2, 0.5, big),
+            FinalDetection(box_at(20), 0, 1.0, big),
+            FinalDetection(box_at(40), 2, -0.0, 7),
+        ]
+    assert len(batch) == 3 and batch[1] == objects[1] and batch[-3] == objects[0]
+    assert list(batch) == objects and batch == objects and objects == batch and tuple(objects) == batch
+    assert batch[1:] == objects[1:] and type(batch[1:]) is type(batch) and batch[:0] == ()
+    assert batch != objects[:2] and batch != objects[::-1] and batch != "abc"
+    assert all(type(x.image_id) is int and type(x.class_id) is int for x in batch)
+    assert batch[0].image_id == big and type(batch).of(batch) is batch and type(batch).of(objects) == batch
+    with pytest.raises(IndexError):
+        batch[3]
+    for name in type(batch)._COLUMNS:
+        with pytest.raises(ValueError):
+            getattr(batch, name)[0] = 0
     with pytest.raises(TypeError):
         hash(batch)
 
@@ -209,7 +252,7 @@ def test_postprocess_reads_a_batch_as_its_objects(data):
         top_k=data.draw(st.integers(1, 15)),
         nms_enabled=data.draw(st.booleans()),
     )
-    got = postprocess(RawBatch(*pipeline._raw_arrays(dets)), cfg, 2)
+    got = postprocess(RawBatch.of(dets), cfg, 2)
     assert got == postprocess(dets, cfg, 2)
     _assert_python_fields(got)
 
