@@ -7,8 +7,9 @@ smoothly, which is what makes gradient descent through them possible.
 
 At the default epsilon = 1, scores in [0, 1] (all but the pair {0, 1})
 pool into one block, where the soft ranks are the scores shifted by a
-constant: the Spearman loss there is 1 - pearson(average_ranks(iou),
-score), equal up to rounding.
+constant.  The Spearman loss sees this from the spread of the scores and
+skips the soft ranks: it is 1 - pearson(average_ranks(iou), score) bit for
+bit, at any epsilon.
 """
 
 import numpy as np
@@ -47,8 +48,8 @@ def main():
     print(f"  max abs difference: {np.abs(analytic - fd).max():.2e}\n")
 
     print("At epsilon = 1, scores in [0, 1] form one block: soft ranks are the")
-    print("scores plus a constant, so the Spearman loss is a Pearson loss on")
-    print("the IoU ranks against the raw scores:")
+    print("scores plus a constant, so the Spearman loss is the Pearson loss on")
+    print("the IoU ranks against the raw scores, computed without soft ranks:")
     rng = np.random.default_rng(0)
     ious = rng.uniform(0.5, 1.0, 512)
     scores = 0.5 * (ious - 0.5) / 0.5 + 0.5 * rng.uniform(0.0, 1.0, 512)
@@ -56,8 +57,12 @@ def main():
     shift = res.ranks - scores
     print(f"  blocks: {res.blocks.max() + 1}, ranks - scores spans {np.ptp(shift):.1e}")
     loss = loss_from_arrays(ious, scores, LossConfig("spearman", 1.0)).value
+    want = 1.0 - pearson(average_ranks(ious), scores)
     print(f"  {'Spearman loss:':<40} {loss!r}")
-    print(f"  {'1 - pearson(average_ranks(iou), score):':<40} {1.0 - pearson(average_ranks(ious), scores)!r}")
+    print(f"  {'1 - pearson(average_ranks(iou), score):':<40} {want!r}")
+    print(f"  equal bit for bit: {loss == want}")
+    huge = loss_from_arrays([0.2, 0.5, 0.9], [0.9, 0.1, 0.5], LossConfig("spearman", 1e17)).value
+    print(f"  at epsilon = 1e17 (scores / epsilon below an ulp of the ranks): {huge!r}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import EmptyEvaluation
-from .geometry import MatchSet, match_positives
+from .geometry import GtBatch, MatchSet, match_positives
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -190,10 +190,12 @@ def bound_report(
         if dataset.final_dets is None:
             raise ValueError("class-level bounds need final detections")
         # One matching pass per detection list: the COCO thresholds for AP
-        # plus tp_iou (last) for beta_cls and the re-rank itself.
+        # plus tp_iou (last) for beta_cls and the re-rank itself.  Both
+        # passes read one conversion of the ground truth.
         thresholds = (*COCO_THRESHOLDS, tp_iou)
-        before = _match_classes(dataset.final_dets, dataset.gts, thresholds)
-        after = _match_classes(_reranked(before, direction), dataset.gts, thresholds)
+        gts = GtBatch.of(dataset.gts)
+        before = _match_classes(dataset.final_dets, gts, thresholds)
+        after = _match_classes(_reranked(before, direction), gts, thresholds)
         return BoundReport(
             direction,
             level,

@@ -100,8 +100,9 @@ def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
     goes through ``_scaled`` on its own; b is divided by 2**e_b.
 
     ``peak_a``/``peak_b`` bound the magnitudes.  None when a variance is
-    zero: all-tied ranks, or soft ranks that all round to one value
-    (callers rule out other constant series first).
+    zero: all-tied ranks (callers rule out other constant series first).
+    The loss also guards against soft ranks that round to one value,
+    which no input is known to produce on its soft-rank path.
     """
     a_s = _scaled(a, peak_a)[0]
     b_s, e_b = _scaled(b, peak_b)

@@ -4,8 +4,11 @@ Three coefficient variants share one contract: the loss value is
 ``1 - rho`` and the gradient covers the classification scores alone; IoUs
 are treated as constants (no localization gradient exists, by design).
 The Spearman variant pairs hard average ranks of the IoUs with soft ranks
-of the scores, so its gradient flows through the soft-rank operator; the
-Pearson and Concordance variants differentiate their closed forms.  The
+of the scores, so its gradient flows through the soft-rank operator,
+except on a batch whose soft ranks pool into one block: they are the
+scores / epsilon shifted by a constant there, so the loss pairs the ranks
+with the scores themselves and calls no soft-rank code.  The Pearson and
+Concordance variants differentiate their closed forms.  The
 loss reuses the coefficients of :mod:`corrdet.correlation`: rho and the
 terms of its gradient come from the Pearson or Concordance kernel that
 ``pearson``/``spearman``/``concordance`` use, so the Pearson and
@@ -31,8 +34,6 @@ import numpy as np
 from .correlation import (
     _clip,
     _concordance_kernel,
-    _constant,
-    _peak,
     _pearson_kernel,
     average_ranks,
     spearman,
@@ -115,29 +116,31 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
 
     Returns value 1 - rho and grad_scores = -d rho / d scores with the IoUs
     held constant.  Degenerate inputs (n < 2, all IoUs equal or all scores
-    equal) return value 0 and an all-zero gradient, as does a Spearman
-    batch whose soft ranks all round to one value (an epsilon so large
-    that the spread of scores / epsilon vanishes against n).  Soft ranks
-    pooled into one block are the scaled scores shifted by one constant,
-    so such a batch keeps the loss 1 - pearson(average_ranks(ious),
-    scores), up to rounding.  At n = 2 the Pearson and
-    Spearman gradients are exactly 0, since rho is +-1 for every
-    non-constant pair.  Any other finite input gives a value in [0, 2]
-    and a finite gradient at any magnitude: the coefficient kernels
-    divide a series outside [2**-100, 2**100] by a power of two (exact),
-    and the gradient is scaled back by it, with 0 for an entry that would
-    leave the float range.
+    equal) return value 0 and an all-zero gradient.  A Spearman batch
+    whose scores span less than n / 2 in units of epsilon pools its soft
+    ranks into one block, where they are scores / epsilon shifted by one
+    constant; such a batch skips the soft ranks and gets the loss
+    1 - pearson(average_ranks(ious), scores) and its gradient bit for bit,
+    at any epsilon.  At n = 2 the Pearson and Spearman gradients are
+    exactly 0, since rho is +-1 for every non-constant pair.  Any other
+    finite input gives a value in [0, 2] and a finite gradient at any
+    magnitude: the coefficient kernels divide a series outside
+    [2**-100, 2**100] by a power of two (exact), and the gradient is
+    scaled back by it, with 0 for an entry that would leave the float
+    range.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"length mismatch: {x.shape[0]} ious vs {y.shape[0]} scores")
-    peak_x, peak_y = _peak(x), _peak(y)
-    if not (math.isfinite(peak_x) and math.isfinite(peak_y)):
-        raise ValueError("ious and scores must be finite")
     n = x.shape[0]
-    if n < 2 or _constant(x) or _constant(y):
+    if n != y.shape[0]:
+        raise ValueError(f"length mismatch: {n} ious vs {y.shape[0]} scores")
+    # One min/max pair per series: finiteness (NaN and inf reach an end), peaks, constancy, spread.
+    lo_x, hi_x, lo_y, hi_y = (float(v) for a in (x, y) for v in (a.min(), a.max())) if n else (0.0,) * 4
+    if not all(map(math.isfinite, (lo_x, hi_x, lo_y, hi_y))):
+        raise ValueError("ious and scores must be finite")
+    if n < 2 or lo_x == hi_x or lo_y == hi_y:
         return LossResult(0.0, np.zeros(n, dtype=np.float64))
+    peak_x, peak_y = max(-lo_x, hi_x), max(-lo_y, hi_y)
 
     if cfg.coefficient == "concordance":
         rho, xc, yc, gap, denom, shift = _concordance_kernel(x, y, peak_x, peak_y)
@@ -145,16 +148,16 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     else:
         soft = None
         if cfg.coefficient == "spearman":
-            # Soft Spearman surrogate: hard ranks of the constant IoUs
-            # against soft ranks of the scores.  epsilon applies at raw score
-            # scale, so the default 1.0 pools [0,1]-valued scores into one
-            # block, where the soft ranks are the scores plus a constant and
-            # the landscape is smooth; the correlation itself is scale-free.
-            # Both rank series lie in [1, n].
-            soft = soft_rank(y, cfg.epsilon)
-            x, y, peak_x, peak_y = average_ranks(x), soft.ranks, float(n), float(n)
+            # Hard ranks of the IoUs against soft ranks of the scores, both in
+            # [1, n].  A spread of scores / epsilon below n / 2, less a margin
+            # for its rounding (an overflow reads inf), is one block: soft
+            # ranks are scores / epsilon minus a constant, so use the scores.
+            x, peak_x = average_ranks(x), float(n)
+            if not (hi_y - lo_y) / cfg.epsilon < (n / 2) * (1 - 2.0**-40):
+                soft = soft_rank(y, cfg.epsilon)
+                y, peak_y = soft.ranks, float(n)
         terms = _pearson_kernel(x, y, peak_x, peak_y)
-        if terms is None:  # soft ranks that all round to one value
+        if terms is None:  # soft ranks that all round to one value; no input is known to get here
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
         rho, xc, yc, var_x, var_y, shift = terms
         if n == 2:  # r is +-1 for every non-constant pair: exactly flat, not rounding residue

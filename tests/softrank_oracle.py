@@ -5,6 +5,10 @@ implementation: pool-adjacent-violators over one point per sorted entry,
 on a stack of numpy scalars, with a second loop that fills each block and
 a ``descending`` flag that negates the scaled input.  On every input whose
 scaled values have no ties the library must return the same bits.
+
+``spearman_loss`` is the Spearman Correlation Loss composed the long way,
+for every batch: soft ranks of the scores, the Pearson gradient terms of
+the IoUs' average ranks against them, and the soft-rank backward pass.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from corrdet import DegenerateInput
+from corrdet import DegenerateInput, average_ranks
 
 
 @dataclass(frozen=True)
@@ -118,3 +122,25 @@ def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     out[result.permutation] = centered * (result.sign / result.epsilon)
     return out
+
+
+def spearman_loss(ious, scores, epsilon: float) -> tuple[float, np.ndarray]:
+    """``(1 - rho, -d rho / d scores)`` through soft ranks, for finite
+    unit-scale inputs: rho is the Pearson coefficient of the hard ranks of
+    the IoUs and the soft ranks of the scores.  Degenerate batches (n < 2
+    or a constant series) give 0 and a zero gradient; n = 2 gives a zero
+    gradient, since rho is +-1 for every non-constant pair."""
+    x = np.asarray(ious, dtype=np.float64).reshape(-1)
+    y = np.asarray(scores, dtype=np.float64).reshape(-1)
+    n = x.shape[0]
+    if n < 2 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        return 0.0, np.zeros(n)
+    soft = soft_rank(y, epsilon)
+    xc = average_ranks(x) - (n + 1) / 2.0
+    yc = soft.ranks - soft.ranks.mean()
+    var_x, var_y = np.mean(xc * xc), np.mean(yc * yc)
+    rho = np.mean(xc * yc) / np.sqrt(var_x * var_y)
+    if n == 2:
+        return 1.0 - float(rho), np.zeros(n)
+    grad_rho = xc / (n * np.sqrt(var_x * var_y)) - rho * yc / (n * var_y)
+    return 1.0 - float(rho), -soft_rank_vjp(soft, grad_rho)

@@ -12,6 +12,7 @@ from corrdet import (
     Box,
     EmptyEvaluation,
     FinalDetection,
+    GtBatch,
     GtObject,
     Match,
     MatchSet,
@@ -224,6 +225,23 @@ def test_bound_report_class_level_matches_twice(monkeypatch):
     ds = synth(25, n_images=12, n_classes=5)
     bound_report(ds, 1, level="class")
     assert calls == [len(ds.final_dets)] * 2
+
+
+def test_bound_report_class_level_converts_object_gts_once(monkeypatch):
+    # a Dataset of objects, as synth returns: both matching passes read one
+    # GtBatch, and the report is the same as from a Dataset of batches
+    ds = synth(25, n_images=12, n_classes=5)
+    want = bound_report(replace(ds, gts=GtBatch.of(ds.gts)), 1, level="class")
+    calls = []
+    real = GtBatch._from_objects.__func__
+
+    def counted(cls, items):
+        calls.append(len(items))
+        return real(cls, items)
+
+    monkeypatch.setattr(GtBatch, "_from_objects", classmethod(counted))
+    assert bound_report(ds, 1, level="class") == want
+    assert calls == [len(ds.gts)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import softrank_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from corrdet import (
     Box,
     GtObject,
     LossConfig,
+    average_ranks,
     concordance,
     correlation_loss,
     descend_demo,
@@ -120,6 +122,8 @@ def test_two_point_pearson_and_spearman_gradients_are_zero():
         ("spearman", [0.3, 0.7], [0.0, 0.5]),
         # soft ranks pool into one block but differ in the last bit
         ("spearman", [0.6313498709755809, 0.04782189696230421], [4.3385401614841626e-10, 2.472187266802347e-10]),
+        # scores that span n / 2 or more take the soft-rank path
+        ("spearman", [0.3, 0.7], [0.0, 5.0]),
     ]
     for coef, x, y in rows:
         res = loss_from_arrays(x, y, LossConfig(coefficient=coef))
@@ -345,3 +349,79 @@ def test_loss_value_is_one_minus_coefficient(pair, coef):
     coefficient, name = coef
     res = loss_from_arrays(x, y, LossConfig(coefficient=name))
     assert res.value == 1.0 - coefficient(x, y)
+
+
+def _one_block(scores, eps):
+    # The loss's rule: scores / eps spanning less than n / 2 pool into one
+    # soft-rank block (less a margin for the rounding of the spread).
+    return (max(scores) - min(scores)) / eps < (len(scores) / 2) * (1 - 2.0**-40)
+
+
+# Scores as a trainer sees them, far from 0 on a quarter grid, and any
+# finite float; epsilon from a tenth up to 1e300.
+_ONE_BLOCK_SCORE = st.floats(0.0, 1.0) | st.integers(-400, 400).map(lambda k: 1e15 + k / 4) | _FINITE
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(st.lists(_VALUE, min_size=n, max_size=n), st.lists(_ONE_BLOCK_SCORE, min_size=n, max_size=n))
+    ),
+    st.floats(-1.0, 300.0).map(lambda e: 10.0**e) | st.just(1e300),
+)
+def test_one_block_spearman_is_pearson_on_iou_ranks(pair, eps):
+    x, y = pair
+    assume(_one_block(y, eps))
+    res = loss_from_arrays(x, y, LossConfig("spearman", eps))
+    want = loss_from_arrays(average_ranks(x), y, LossConfig("pearson"))
+    assert res.value == want.value
+    assert np.array_equal(res.grad_scores, want.grad_scores)
+
+
+def _train_batch(rng, n):
+    # The train-loss benchmark's batch shape: IoUs in [0.5, 1], scores
+    # rising with IoU plus noise.
+    ious = rng.uniform(0.5, 1.0, n)
+    return ious, 0.5 * (ious - 0.5) / 0.5 + 0.5 * rng.uniform(0.0, 1.0, n)
+
+
+def test_spearman_loss_equals_the_soft_rank_composition():
+    # On both sides of the one-block rule (eps = 0.01 pools these scores
+    # only above about 200 entries), within the tier-1 loss tolerance.
+    rng = np.random.default_rng(16)
+    sizes = [2, 3, 7, 64, 150, 250, 512, 2048, *rng.integers(2, 2049, 8).tolist()]
+    for n in sizes:
+        x, y = _train_batch(rng, n)
+        for eps in (1.0, 0.01):
+            res = loss_from_arrays(x, y, LossConfig("spearman", eps))
+            value, grad = softrank_oracle.spearman_loss(x, y, eps)
+            assert abs(res.value - value) <= 1e-12
+            assert np.max(np.abs(res.grad_scores - grad)) <= 1e-12
+
+
+def test_one_block_loss_keeps_its_digits_at_a_huge_epsilon():
+    # scores / eps are about 1e-17 here, below an ulp of the ranks, so soft
+    # ranks computed from them all round to one value; the loss reads the
+    # scores instead: 1 - pearson([1, 2, 3], [0.9, 0.1, 0.5]) = 1.5.
+    res = loss_from_arrays([0.2, 0.5, 0.9], [0.9, 0.1, 0.5], LossConfig("spearman", 1e17))
+    assert res.value == 1.5
+    assert res.grad_scores == pytest.approx([0.625, 0.625, -1.25], rel=0.0, abs=1e-15)
+
+
+def test_one_block_batches_never_reach_the_soft_ranks(monkeypatch):
+    import corrdet.corrloss
+
+    def refuse(*args):
+        raise AssertionError("soft_rank called on a one-block batch")
+
+    monkeypatch.setattr(corrdet.corrloss, "soft_rank", refuse)
+    rng = np.random.default_rng(17)
+    cases = [(512, 2049, 1.0), (512, 2049, 0.01), (2, 65, 1.0)]
+    for lo, hi, eps in cases:
+        cfg = LossConfig("spearman", eps)
+        for _ in range(4):
+            x, y = _train_batch(rng, int(rng.integers(lo, hi)))
+            for _ in range(5):  # the batch, then four steps along the gradient
+                res = loss_from_arrays(x, y, cfg)
+                assert 0.0 <= res.value <= 2.0
+                y = y - 1e-3 * res.grad_scores
