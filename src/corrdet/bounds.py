@@ -24,13 +24,13 @@ two matching passes per report, whatever the number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyEvaluation
-from .geometry import GtBatch, MatchSet, match_positives
+from .geometry import MatchSet, _positives
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -42,7 +42,7 @@ from .metrics import (
     _MatchTable,
     coco_ap,
 )
-from .pipeline import FinalBatch, FinalDetection, PipelineConfig, RawBatch, RawDetection, postprocess
+from .pipeline import FinalBatch, FinalDetection, PipelineConfig, RawBatch, RawDetection, _postprocess_images
 
 if TYPE_CHECKING:
     from .ingest import Dataset
@@ -58,29 +58,31 @@ def _check_direction(direction: int) -> None:
 def _ranked_scores(
     det_idx: np.ndarray, ious: np.ndarray, scores: np.ndarray, classes: np.ndarray, direction: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-ranked scores of positives: ``(detection indices, new scores)``.
+    """Re-ranked scores of positives: ``(positions, new scores)``.
 
     Within each class, the positives sorted by descending IoU (ties by
     lower detection index) receive the class's score multiset sorted
     descending (+1) or ascending (-1), equal scores by lower detection
-    index.  The arrays are aligned: entry j of each describes one positive.
+    index.  Positive ``positions[j]`` (an index into the input arrays)
+    receives ``new scores[j]``.
     """
     by_iou = np.lexsort((det_idx, -ious, classes))
     by_score = np.lexsort((det_idx, -direction * scores, classes))
-    return det_idx[by_iou], scores[by_score]
+    return by_iou, scores[by_score]
 
 
-def _assign_scores(matches: MatchSet, direction: int) -> dict[int, float]:
-    """Map detection index -> re-ranked score, for one group of positives."""
-    det_idx = np.array(matches.detection_indices(), dtype=np.intp)
-    targets, values = _ranked_scores(
-        det_idx,
-        np.array(matches.ious(), dtype=np.float64),
-        np.array(matches.scores(), dtype=np.float64),
-        np.zeros_like(det_idx),
-        direction,
-    )
-    return dict(zip(targets.tolist(), values.tolist()))
+def _rerank_raw(
+    dets: RawBatch, det_idx: np.ndarray, ious: np.ndarray, scores: np.ndarray, classes: np.ndarray, direction: int
+) -> RawBatch:
+    """:func:`rerank_image_level` of positives given as aligned arrays: the
+    same boxes, and a copy of the score array in which only the positives'
+    ``classes`` entries change (``dets`` itself for fewer than two)."""
+    if det_idx.shape[0] <= 1:
+        return dets
+    to, values = _ranked_scores(det_idx, ious, scores, np.zeros_like(det_idx), direction)
+    new_scores = dets.scores.copy()
+    new_scores[det_idx[to], classes[to]] = values
+    return RawBatch(dets.boxes, new_scores)
 
 
 def rerank_image_level(
@@ -96,15 +98,10 @@ def rerank_image_level(
     GT-class entries change.
     """
     _check_direction(direction)
-    dets = RawBatch.of(dets)
-    if len(matches) <= 1:
-        return dets
-    new_scores = _assign_scores(matches, direction)
-    scores = dets.scores.copy()
-    scores[matches.detection_indices(), [m.class_id for m in matches]] = [
-        new_scores[m.detection_index] for m in matches
-    ]
-    return RawBatch(dets.boxes, scores)
+    det_idx = np.array(matches.detection_indices(), dtype=np.intp)
+    classes = np.array([m.class_id for m in matches], dtype=np.intp)
+    ious, scores = np.array(matches.ious()), np.array(matches.scores())
+    return _rerank_raw(RawBatch.of(dets), det_idx, ious, scores, classes, direction)
 
 
 def rerank_class_level(
@@ -119,7 +116,10 @@ def rerank_class_level(
     _check_direction(direction)
     if len(matches) <= 1:
         return list(dets)
-    new_scores = _assign_scores(matches, direction)
+    det_idx = np.array(matches.detection_indices(), dtype=np.intp)
+    ious, scores = np.array(matches.ious()), np.array(matches.scores())
+    to, values = _ranked_scores(det_idx, ious, scores, np.zeros_like(det_idx), direction)
+    new_scores = dict(zip(det_idx[to].tolist(), values.tolist()))
     return [
         FinalDetection(d.box, d.class_id, new_scores[di], d.image_id) if di in new_scores else d
         for di, d in enumerate(dets)
@@ -132,9 +132,9 @@ def _reranked(table: _MatchTable, direction: int) -> FinalBatch:
     columns, and a copy of the score array in which only the TPs change."""
     dets = table.dets
     tp = np.flatnonzero(table.gt[-1] >= 0)
-    targets, values = _ranked_scores(tp, table.iou[-1, tp], dets.scores[tp], dets.class_ids[tp], direction)
+    to, values = _ranked_scores(tp, table.iou[-1, tp], dets.scores[tp], dets.class_ids[tp], direction)
     scores = dets.scores.copy()
-    scores[targets] = values
+    scores[tp[to]] = values
     return FinalBatch(dets.boxes, dets.class_ids, scores, dets.images, dets.image_ids)
 
 
@@ -190,12 +190,10 @@ def bound_report(
         if dataset.final_dets is None:
             raise ValueError("class-level bounds need final detections")
         # One matching pass per detection list: the COCO thresholds for AP
-        # plus tp_iou (last) for beta_cls and the re-rank itself.  Both
-        # passes read one conversion of the ground truth.
+        # plus tp_iou (last) for beta_cls and the re-rank itself.
         thresholds = (*COCO_THRESHOLDS, tp_iou)
-        gts = GtBatch.of(dataset.gts)
-        before = _match_classes(dataset.final_dets, gts, thresholds)
-        after = _match_classes(_reranked(before, direction), gts, thresholds)
+        before = _match_classes(dataset.final_dets, dataset.gts, thresholds)
+        after = _match_classes(_reranked(before, direction), dataset.gts, thresholds)
         return BoundReport(
             direction,
             level,
@@ -209,25 +207,19 @@ def bound_report(
     cfg = pipeline if pipeline is not None else PipelineConfig()
     # Matching reads only the boxes, so the re-ranked detections pair up
     # exactly as before; only the matched scores change.
-    positives_before: list[tuple[int, MatchSet]] = []
-    positives_after: list[tuple[int, MatchSet]] = []
-    finals_before: list[FinalDetection] = []
-    finals_after: list[FinalDetection] = []
-    for image_id, raw, image_gts in dataset.per_image():
-        matches = match_positives(raw, image_gts, iou_floor)
-        raw_after = rerank_image_level(raw, matches, direction)
-        scores_after = raw_after.scores[matches.detection_indices(), [m.class_id for m in matches]].tolist()
-        rescored = MatchSet(tuple(replace(m, score=s) for m, s in zip(matches, scores_after)))
-        positives_before.append((image_id, matches))
-        positives_after.append((image_id, rescored))
-        finals_before.extend(postprocess(raw, cfg, image_id))
-        finals_after.extend(postprocess(raw_after, cfg, image_id))
+    before, after, reranked = [], [], {}
+    for image_id, raw, gts in dataset.per_image():
+        det_idx, _, ious, scores, classes = _positives(raw, gts, iou_floor)
+        reranked[image_id] = _rerank_raw(raw, det_idx, ious, scores, classes, direction)
+        before.append((image_id, ious, scores))
+        after.append((image_id, ious, reranked[image_id].scores[det_idx, classes]))
+    image_ids = [iid for iid, _, _ in dataset.images]
 
     return BoundReport(
         direction,
         level,
-        ap_before=coco_ap(finals_before, dataset.gts),
-        ap_after=coco_ap(finals_after, dataset.gts),
-        corr_before=_or_none(_beta_img_from, positives_before),
-        corr_after=_or_none(_beta_img_from, positives_after),
+        ap_before=coco_ap(_postprocess_images(dataset.raw_dets, image_ids, cfg), dataset.gts),
+        ap_after=coco_ap(_postprocess_images(reranked, image_ids, cfg), dataset.gts),
+        corr_before=_or_none(_beta_img_from, before),
+        corr_after=_or_none(_beta_img_from, after),
     )

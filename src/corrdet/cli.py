@@ -43,7 +43,7 @@ from .ingest import (
     write_report,
 )
 from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _match_classes, beta_cls, beta_img
-from .pipeline import FinalDetection, PipelineConfig, _check_unit_interval, postprocess
+from .pipeline import PipelineConfig, _check_unit_interval, _postprocess_images
 
 __all__ = ["build_parser", "main"]
 
@@ -61,13 +61,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         top_k=args.top_k,
         nms_enabled=not args.nms_free,
     )
-
-
-def _finals(dataset: Dataset, pcfg: PipelineConfig) -> tuple[FinalDetection, ...]:
-    """The loaded final detections, else the raw ones post-processed image by image."""
-    if dataset.final_dets is not None:
-        return dataset.final_dets
-    return tuple(f for iid, raw, _ in dataset.per_image() for f in postprocess(raw, pcfg, iid))
 
 
 def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
@@ -95,7 +88,9 @@ def _csv_value(v: float) -> str:
     return fmt_float(float(v)) if np.isfinite(v) else "nan"
 
 
-def _load_dataset(args: argparse.Namespace) -> Dataset:
+def _load_dataset(args: argparse.Namespace, pcfg: PipelineConfig | None = None) -> Dataset:
+    """The dataset the flags name; with ``pcfg``, one without final
+    detections gets its raw ones post-processed as its final detections."""
     dataset = load_gt(args.gt)
     if args.raw_dets:
         dataset = load_raw_dets(args.raw_dets, dataset)
@@ -103,6 +98,9 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         dataset = load_final_dets(args.dets, dataset)
     if dataset.raw_dets is None and dataset.final_dets is None:
         raise ValueError("pass --dets or --raw-dets")
+    if pcfg is not None and dataset.final_dets is None:
+        image_ids = [iid for iid, _, _ in dataset.images]
+        dataset = replace(dataset, final_dets=_postprocess_images(dataset.raw_dets, image_ids, pcfg))
     return dataset
 
 
@@ -110,9 +108,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     pcfg = _pipeline_config(args)
     if (args.dets is None) == (args.raw_dets is None):
         raise ValueError("pass exactly one of --dets or --raw-dets")
-    dataset = _load_dataset(args)
-    finals = _finals(dataset, pcfg)
-    mode = "final" if dataset.final_dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
+    dataset = _load_dataset(args, pcfg)
+    finals = dataset.final_dets
+    mode = "final" if args.dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
 
     # One matching pass per class serves AP and the PR curves alike.
     table = _match_classes(finals, dataset.gts, COCO_THRESHOLDS)
@@ -154,7 +152,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_corr(args: argparse.Namespace) -> int:
     pcfg = _pipeline_config(args)
     _check_iou_flags(args)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, pcfg if args.level == "class" else None)
 
     if args.level == "image":
         pairs = [(raw, gts) for _, raw, gts in dataset.per_image()]
@@ -169,7 +167,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
             "skipped_images": report.skipped_images,
         }
     else:
-        report = beta_cls(_finals(dataset, pcfg), dataset.gts, tp_iou=args.tp_iou)
+        report = beta_cls(dataset.final_dets, dataset.gts, tp_iou=args.tp_iou)
         payload = {
             "level": "class",
             "tp_iou": args.tp_iou,
@@ -187,9 +185,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     pcfg = _pipeline_config(args)
     _check_iou_flags(args)
-    dataset = _load_dataset(args)
-    if args.level == "class":
-        dataset = replace(dataset, final_dets=_finals(dataset, pcfg))
+    dataset = _load_dataset(args, pcfg if args.level == "class" else None)
 
     direction = 1 if args.direction == "+1" else -1
     report = bound_report(

@@ -4,8 +4,10 @@ Two flavours of matching exist side by side:
 
 * :func:`match_positives` -- training-style assignment of raw detections to
   ground-truth objects (greedy, one-to-one, by descending IoU), read from
-  one :func:`iou_matrix` of the image's detections against its GTs.  Feeds
-  the image-level correlation measure and the Correlation Loss.
+  one :func:`iou_matrix` of the image's detections against its GTs.  Its
+  core, :func:`_positives`, gives the positives as five aligned arrays,
+  which the image-level correlation measure and re-rank read; the
+  Correlation Loss reads the ``MatchSet`` built from them.
 * :func:`match_tp_multi` -- evaluation-style true-positive matching
   (greedy by descending score, COCO convention) at several IoU thresholds
   in one pass over a whole detection list.  GTs are grouped per
@@ -16,8 +18,11 @@ Two flavours of matching exist side by side:
   group take its best unused GT, at all thresholds at once.  Feeds PR
   curves, AP, the class-level correlation measure and the class-level
   re-rank, which read its arrays directly.  :func:`match_tp` is its
-  one-threshold form.  These two and :func:`match_positives` are the only
-  builders of ``Match`` objects.
+  one-threshold form.
+
+``Match`` objects are built only by the public matchers,
+:func:`match_positives` and :func:`match_tp_multi` (so :func:`match_tp`);
+the library's own paths read the array cores behind them.
 
 :func:`iou`, :func:`iou_matrix`, the matching pass and post-processing's
 NMS rows share one IoU formula with the same float operations
@@ -38,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence, TypeVar
 import numpy as np
 
 if TYPE_CHECKING:
-    from .pipeline import FinalBatch, FinalDetection, RawDetection
+    from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
 
 __all__ = [
     "Box",
@@ -299,6 +304,30 @@ def iou_matrix(a, b) -> np.ndarray:
     return _iou(a[:, None, :], b[None, :, :])
 
 
+def _positives(dets: "RawBatch", gts: GtBatch, iou_floor: float) -> tuple[np.ndarray, ...]:
+    """:func:`match_positives` as five aligned arrays, in detection-index
+    order: detection index, gt index, IoU, score and class (the gt's)."""
+    ious = iou_matrix(dets.boxes, gts.boxes)
+    det_idx, gt_idx = np.nonzero(ious >= iou_floor)
+    order = np.lexsort((gt_idx, det_idx, -ious[det_idx, gt_idx]))  # by (-IoU, det index, gt index)
+
+    used_det: set[int] = set()
+    used_gt: set[int] = set()
+    picked = []
+    for k, di, gi in zip(order.tolist(), det_idx[order].tolist(), gt_idx[order].tolist()):
+        if di in used_det or gi in used_gt:
+            continue
+        used_det.add(di)
+        used_gt.add(gi)
+        picked.append(k)
+
+    # pairs are in (det index, gt index) order and each detection matches once
+    picked = np.sort(np.array(picked, dtype=np.intp))
+    det, gt = det_idx[picked], gt_idx[picked]
+    classes = gts.class_ids[gt]
+    return det, gt, ious[det, gt], dets.scores[det, classes], classes
+
+
 def match_positives(
     dets: Sequence["RawDetection"],
     gts: Sequence[GtObject],
@@ -312,31 +341,13 @@ def match_positives(
     recorded alongside the IoU, read from the detections' score array
     (:class:`~corrdet.pipeline.RawBatch`), where a score vector shorter
     than the others reads 0 past its end.  Detections and gts must come
-    from the same image.  Returns an empty MatchSet when nothing clears the
-    floor.
+    from the same image.  Returns the matches in detection-index order, or
+    an empty MatchSet when nothing clears the floor.
     """
     from .pipeline import RawBatch  # not at the top: pipeline imports this module
 
-    dets, gts = RawBatch.of(dets), GtBatch.of(gts)
-    gt_classes = gts.class_ids.tolist()
-    ious = iou_matrix(dets.boxes, gts.boxes)
-    det_idx, gt_idx = np.nonzero(ious >= iou_floor)
-    v = ious[det_idx, gt_idx]
-    order = np.lexsort((gt_idx, det_idx, -v))  # by (-IoU, det index, gt index)
-
-    used_det: set[int] = set()
-    used_gt: set[int] = set()
-    matches = []
-    for di, gi, value in zip(det_idx[order].tolist(), gt_idx[order].tolist(), v[order].tolist()):
-        if di in used_det or gi in used_gt:
-            continue
-        used_det.add(di)
-        used_gt.add(gi)
-        class_id = gt_classes[gi]
-        matches.append(Match(di, gi, value, dets.scores[di, class_id].item(), class_id))
-
-    matches.sort(key=lambda m: m.detection_index)
-    return MatchSet(tuple(matches))
+    columns = _positives(RawBatch.of(dets), GtBatch.of(gts), iou_floor)
+    return MatchSet(tuple(map(Match, *(c.tolist() for c in columns))))
 
 
 def _groups(dets: "FinalBatch", gts: GtBatch) -> tuple[np.ndarray, np.ndarray, int]:

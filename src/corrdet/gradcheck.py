@@ -96,10 +96,13 @@ def run_gradcheck(
 
     n < 2 inputs are degenerate by contract: each trial just asserts the
     zero-loss/zero-gradient/no-NaN behaviour and reports "skip".  Raises
-    ValueError for trials < 1: a run that checks nothing must not pass.
+    ValueError for trials < 1, as a run that checks nothing must not pass,
+    and for n < 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     cfg = LossConfig(coefficient=coefficient, epsilon=epsilon)
     tol = TOLERANCES[coefficient]
     h = _FD_STEPS[coefficient]

@@ -30,7 +30,8 @@ raw detections become one :class:`~corrdet.pipeline.RawBatch` (boxes
 ``(n, 4)``, scores ``(n, C)``) per image, which post-processing, positive
 matching and the image-level re-rank read.  Each batch reads as a
 sequence of the objects its rows stand for, built on demand; the record
-walk still builds the objects.
+walk still builds the objects, which :class:`Dataset` turns into batches
+once.  The writers read the columns.
 
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
@@ -49,7 +50,7 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
-from .geometry import Box, GtBatch, GtObject, iou
+from .geometry import Box, GtBatch, GtObject, _box_array, iou
 from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
 
 __all__ = [
@@ -70,41 +71,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable in-memory dataset.
+    """Immutable in-memory dataset, held as batches.
 
     ``categories`` pairs each original category id with its name; the
     position in the tuple is the class index used everywhere else.
-    ``gts`` is a :class:`~corrdet.geometry.GtBatch` from :func:`load_gt`,
-    or any sequence of ``GtObject`` objects (:func:`synth` gives tuples);
-    ``final_dets`` likewise a :class:`~corrdet.pipeline.FinalBatch` from
-    :func:`load_final_dets`, or any sequence of ``FinalDetection``
-    objects.  ``raw_dets`` maps image id to that image's raw detections
-    (only images that have any): a :class:`~corrdet.pipeline.RawBatch`
-    from :func:`load_raw_dets`, or any sequence of ``RawDetection``
-    objects.
+    ``gts`` is a :class:`~corrdet.geometry.GtBatch`, ``final_dets`` a
+    :class:`~corrdet.pipeline.FinalBatch` (or None), and ``raw_dets`` maps
+    image id to that image's raw detections (only images that have any),
+    each a :class:`~corrdet.pipeline.RawBatch` (or None for no map).  The
+    loaders and :func:`synth` make batches; a sequence of objects given in
+    their place is turned into its batch once, here.
     """
 
     categories: tuple[tuple[int, str], ...]
     images: tuple[tuple[int, int, int], ...]
-    gts: Sequence[GtObject]
-    raw_dets: dict[int, Sequence[RawDetection]] | None = None
-    final_dets: Sequence[FinalDetection] | None = None
+    gts: GtBatch
+    raw_dets: dict[int, RawBatch] | None = None
+    final_dets: FinalBatch | None = None
 
-    def per_image(self) -> list[tuple[int, Sequence[RawDetection], Sequence[GtObject]]]:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gts", GtBatch.of(self.gts))
+        if self.raw_dets is not None:
+            object.__setattr__(self, "raw_dets", {iid: RawBatch.of(d) for iid, d in self.raw_dets.items()})
+        if self.final_dets is not None:
+            object.__setattr__(self, "final_dets", FinalBatch.of(self.final_dets))
+
+    def per_image(self) -> list[tuple[int, RawBatch, GtBatch]]:
         """``(image id, raw detections, GTs)`` for every image in file order,
-        with ``()`` where an image has no detections and an empty sequence
-        where it has no GTs.  Each image's GTs are a
-        :class:`~corrdet.geometry.GtBatch`, in file order.
+        with an empty batch where an image has no detections or no GTs.
+        Each image's GTs are in file order.
 
         Raises ValueError when the dataset holds no raw detections.
         """
         if self.raw_dets is None:
             raise ValueError("dataset has no raw detections; pass --raw-dets")
-        gts = GtBatch.of(self.gts)
-        ends = np.cumsum(np.bincount(gts.images, minlength=len(gts.image_ids))).tolist()
-        gts = gts._take(np.argsort(gts.images, kind="stable"))
+        ends = np.cumsum(np.bincount(self.gts.images, minlength=len(self.gts.image_ids))).tolist()
+        gts = self.gts._take(np.argsort(self.gts.images, kind="stable"))
         gts_of = {iid: gts[a:b] for iid, a, b in zip(gts.image_ids, [0] + ends, ends)}
-        return [(iid, self.raw_dets.get(iid, ()), gts_of.get(iid, gts[:0])) for iid, _, _ in self.images]
+        none = RawBatch(np.empty((0, 4)), np.empty((0, len(self.categories))))
+        return [(iid, self.raw_dets.get(iid, none), gts_of.get(iid, gts[:0])) for iid, _, _ in self.images]
 
 
 def _field(obj: Any, key: str, where: str) -> Any:
@@ -208,7 +213,7 @@ def _gt_walk(doc: Any, path: str) -> Dataset:
         x, y, w, h = _bbox(a, where, "[x, y, w, h]")
         gts.append(GtObject(_clip_box(x, y, x + w, y + h, size_of[iid], where), class_of[cid], iid))
 
-    return Dataset(tuple(categories), tuple((iid, w, h) for iid, (w, h) in size_of.items()), tuple(gts))
+    return Dataset(tuple(categories), tuple((iid, w, h) for iid, (w, h) in size_of.items()), gts)
 
 
 _T = TypeVar("_T")
@@ -347,7 +352,7 @@ def _raw_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
             raise SchemaError(f"{where}: {e}") from e
         grouped.setdefault(iid, []).append(det)
 
-    return replace(dataset, raw_dets={iid: tuple(lst) for iid, lst in grouped.items()})
+    return replace(dataset, raw_dets=grouped)
 
 
 def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
@@ -421,7 +426,7 @@ def _final_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
             raise SchemaError(f"{where}: {e}") from e
         finals.append(det)
 
-    return replace(dataset, final_dets=tuple(finals))
+    return replace(dataset, final_dets=finals)
 
 
 def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
@@ -535,21 +540,25 @@ def _check_image_ids(dataset: Dataset, image_ids: Iterable[int], what: str) -> N
         raise ValueError(f"cannot emit {what} of unknown image id {min(unknown)}")
 
 
+def _rows_of(batch: GtBatch | FinalBatch, what: str, dataset: Dataset) -> Iterator[tuple[int, int, list[float]]]:
+    """``(image id, category id, [x, y, w, h])`` of every row of ``batch``,
+    after :func:`_check_image_ids` on the image ids its rows name."""
+    image_ids = [batch.image_ids[k] for k in batch.images.tolist()]
+    _check_image_ids(dataset, image_ids, what)
+    category_ids = [cid for cid, _ in dataset.categories]
+    xywh = np.concatenate((batch.boxes[:, :2], batch.boxes[:, 2:] - batch.boxes[:, :2]), axis=1)  # Box.to_xywh
+    return zip(image_ids, [category_ids[c] for c in batch.class_ids.tolist()], xywh.tolist())
+
+
 def emit_gt(dataset: Dataset, path: str) -> None:
     """Write ground truth in the COCO subset schema load_gt reads."""
-    _check_image_ids(dataset, (g.image_id for g in dataset.gts), "ground truth")
+    rows = _rows_of(dataset.gts, "ground truth", dataset)
     payload = {
         "categories": [{"id": cid, "name": name} for cid, name in dataset.categories],
         "images": [{"id": iid, "width": w, "height": h} for iid, w, h in dataset.images],
         "annotations": [
-            {
-                "id": k + 1,
-                "image_id": g.image_id,
-                "category_id": dataset.categories[g.class_id][0],
-                "bbox": list(g.box.to_xywh()),
-                "iscrowd": 0,
-            }
-            for k, g in enumerate(dataset.gts)
+            {"id": k + 1, "image_id": iid, "category_id": cid, "bbox": bbox, "iscrowd": 0}
+            for k, (iid, cid, bbox) in enumerate(rows)
         ],
     }
     write_report(payload, path)
@@ -560,9 +569,9 @@ def emit_raw_dets(dataset: Dataset, path: str) -> None:
     if dataset.raw_dets is not None:
         _check_image_ids(dataset, dataset.raw_dets, "raw detections")
     dets = [
-        {"image_id": iid, "bbox": [d.box.x1, d.box.y1, d.box.x2, d.box.y2], "scores": list(d.class_scores)}
+        {"image_id": iid, "bbox": box, "scores": scores}
         for iid, raw, _ in dataset.per_image()
-        for d in raw
+        for box, scores in zip(raw.boxes.tolist(), raw.scores.tolist())
     ]
     write_report({"detections": dets}, path)
 
@@ -571,15 +580,10 @@ def emit_final_dets(dataset: Dataset, path: str) -> None:
     """Write final detections as a COCO results list."""
     if dataset.final_dets is None:
         raise ValueError("dataset has no final detections to emit")
-    _check_image_ids(dataset, (d.image_id for d in dataset.final_dets), "final detections")
+    rows = _rows_of(dataset.final_dets, "final detections", dataset)
     payload = [
-        {
-            "image_id": d.image_id,
-            "category_id": dataset.categories[d.class_id][0],
-            "bbox": list(d.box.to_xywh()),
-            "score": d.score,
-        }
-        for d in dataset.final_dets
+        {"image_id": iid, "category_id": cid, "bbox": bbox, "score": score}
+        for (iid, cid, bbox), score in zip(rows, dataset.final_dets.scores.tolist())
     ]
     write_report(payload, path)
 
@@ -655,15 +659,15 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
         z = knob * iou_value + (1.0 - abs(knob)) * noise + max(0.0, -knob)
         return 0.1 + 0.8 * z
 
-    def score_vector(class_id: int, score: float) -> tuple[float, ...]:
+    def score_vector(class_id: int, score: float) -> np.ndarray:
         vec = rng.uniform(0.0, 0.04, size=n_classes)
         vec[class_id] = score
-        return tuple(float(v) for v in vec)
+        return vec
 
     categories = tuple((c + 1, f"class_{c + 1}") for c in range(n_classes))
     images = tuple((i + 1, _IMAGE_SIZE, _IMAGE_SIZE) for i in range(n_images))
     gts: list[GtObject] = []
-    raw_dets: dict[int, tuple[RawDetection, ...]] = {}
+    raw_dets: dict[int, RawBatch] = {}
     finals: list[FinalDetection] = []
 
     for image_id, _, _ in images:
@@ -673,7 +677,7 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
         cells = rng.permutation(_GRID * _GRID)[: n_g + n_rf + n_ff]
 
         img_gts: list[GtObject] = []
-        img_raw: list[RawDetection] = []
+        img_raw: list[tuple[Box, np.ndarray]] = []
         for k in range(n_g):
             gt_box = _cell_box(rng, int(cells[k]), 24.0, 40.0)
             gt = GtObject(gt_box, int(rng.integers(0, n_classes)), image_id)
@@ -689,7 +693,7 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
                 # always collapses one GT's duplicates to a single final
                 det_box = _jittered(rng, anchor, rng.uniform(0.5, 1.25))
                 s = gt_class_score(iou(det_box, gt_box))
-                img_raw.append(RawDetection(det_box, score_vector(gt.class_id, s)))
+                img_raw.append((det_box, score_vector(gt.class_id, s)))
 
             fin_box = _jittered(rng, gt_box, rng.uniform(0.5, 8.0))
             s = gt_class_score(iou(fin_box, gt_box))
@@ -698,7 +702,7 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
         for k in range(n_rf):
             box = _cell_box(rng, int(cells[n_g + k]), 16.0, 40.0)
             c = int(rng.integers(0, n_classes))
-            img_raw.append(RawDetection(box, score_vector(c, rng.uniform(0.06, 0.45))))
+            img_raw.append((box, score_vector(c, rng.uniform(0.06, 0.45))))
 
         for k in range(n_ff):
             box = _cell_box(rng, int(cells[n_g + n_rf + k]), 16.0, 40.0)
@@ -706,6 +710,7 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
             finals.append(FinalDetection(box, c, rng.uniform(0.05, 0.9), image_id))
 
         gts.extend(img_gts)
-        raw_dets[image_id] = tuple(img_raw)
+        raw_boxes, raw_scores = zip(*img_raw)
+        raw_dets[image_id] = RawBatch(_box_array(raw_boxes), np.array(raw_scores))
 
     return Dataset(categories, images, tuple(gts), raw_dets, tuple(finals))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .correlation import spearman
 from .errors import DegenerateInput, EmptyEvaluation, NoGroundTruth
-from .geometry import GtBatch, GtObject, MatchSet, _match_tp_arrays, match_positives
-from .pipeline import FinalBatch, FinalDetection, RawDetection
+from .geometry import GtBatch, GtObject, _match_tp_arrays, _positives
+from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
 
 __all__ = [
     "COCO_THRESHOLDS",
@@ -100,9 +100,9 @@ def _spearman_mean(
     return float(np.mean([b for _, b in per_group])), tuple(per_group), skipped
 
 
-def _beta_img_from(groups: Iterable[tuple[int, MatchSet]]) -> CorrelationReport:
-    """beta_img over ``(image id, positives)`` pairs."""
-    mean, per_image, skipped = _spearman_mean(((i, m.ious(), m.scores()) for i, m in groups), "image")
+def _beta_img_from(groups: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> CorrelationReport:
+    """beta_img over ``(image id, positives' IoUs, their scores)`` triples."""
+    mean, per_image, skipped = _spearman_mean(groups, "image")
     return CorrelationReport(beta_img=mean, per_image=per_image, skipped_images=skipped)
 
 
@@ -113,14 +113,17 @@ def beta_img(
     """Mean per-image Spearman between positives' IoUs and GT-class scores.
 
     Each image contributes one coefficient over its positives (greedy
-    one-to-one matching at ``iou_floor``).  Images with fewer than two
-    positives or degenerate ranks are skipped and counted.  Raises
+    one-to-one matching at ``iou_floor``), named by its GTs' image id (by
+    its position in ``images`` when it has no GTs).  Images with fewer than
+    two positives or degenerate ranks are skipped and counted.  Raises
     EmptyEvaluation when every image is skipped.
     """
-    return _beta_img_from(
-        (gts[0].image_id if len(gts) > 0 else idx, match_positives(dets, gts, iou_floor))
-        for idx, (dets, gts) in enumerate(images)
-    )
+    groups = []
+    for idx, (dets, gts) in enumerate(images):
+        gts = GtBatch.of(gts)
+        _, _, ious, scores, _ = _positives(RawBatch.of(dets), gts, iou_floor)
+        groups.append((gts.image_ids[gts.images[0]] if len(gts) else idx, ious, scores))
+    return _beta_img_from(groups)
 
 
 @dataclass(frozen=True)

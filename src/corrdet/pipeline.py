@@ -16,11 +16,13 @@ suppresses its class's overlaps through one IoU row
 (:func:`~corrdet.geometry._iou_of` over the class's corner columns and
 areas, computed when the walk first reaches the class, bit-identical to
 ``iou``), and the walk stops at top_k kept.  So the IoU work is at most
-top_k rows of the largest class, and ``FinalDetection`` objects are built
-for the kept candidates only.  The contract is that of a plain loop over
-candidates: the filter keeps scores strictly above ``score_thr``, NMS
-suppresses overlaps strictly above ``nms_iou``, and every tie breaks by
-``(-score, detection index, class index)``.
+top_k rows of the largest class.  The kept rows come out as a
+:class:`FinalBatch` of the same arrays, so no object is built on the way;
+:func:`_postprocess_images` does the same for a whole dataset's images at
+once.  The contract is that of a plain loop over candidates: the filter
+keeps scores strictly above ``score_thr``, NMS suppresses overlaps
+strictly above ``nms_iou``, and every tie breaks by ``(-score, detection
+index, class index)``.
 
 Final detections have a columnar form too, :class:`FinalBatch`, which the
 final-detection loader makes and the class-level matcher reads.
@@ -28,8 +30,9 @@ final-detection loader makes and the class-level matcher reads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +93,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         _check_unit_interval("score_thr", self.score_thr)
         _check_unit_interval("nms_iou", self.nms_iou)
-        if self.top_k < 1:
+        # TypeError for a non-integer: a float top_k never equals the kept count
+        if operator.index(self.top_k) < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
@@ -209,11 +213,28 @@ def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
     return [dets[i] for i in kept]
 
 
+def _postprocess_images(raw_dets: Mapping[int, RawBatch], image_ids: Sequence[int], cfg: PipelineConfig) -> FinalBatch:
+    """:func:`postprocess` of every image of ``image_ids`` that ``raw_dets``
+    holds, as one :class:`FinalBatch` indexing ``image_ids``: the images in
+    that order, each image's finals in keep order."""
+    columns = [(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))]
+    for k, image_id in enumerate(image_ids):
+        if image_id in raw_dets:
+            dets = raw_dets[image_id]
+            # Row-major, so candidates come in (detection index, class index) order.
+            rows, cols = np.nonzero(dets.scores > cfg.score_thr)
+            scores = dets.scores[rows, cols]
+            kept = _greedy(dets.boxes[rows] if cfg.nms_enabled else None, cols, scores, cfg.nms_iou, cfg.top_k)
+            rows, cols = rows[kept], cols[kept]
+            columns.append((dets.boxes[rows], cols, scores[kept], np.full(len(kept), k, dtype=np.intp)))
+    return FinalBatch(*map(np.concatenate, zip(*columns)), image_ids)
+
+
 def postprocess(
     dets: Sequence[RawDetection],
     cfg: PipelineConfig,
     image_id: int = 0,
-) -> list[FinalDetection]:
+) -> FinalBatch:
     """Standard detector post-processing of one image's raw detections.
 
     (i) every (box, class) candidate with score > score_thr survives the
@@ -224,19 +245,8 @@ def postprocess(
 
     Steps (ii) and (iii) are one walk by descending score that stops at
     top_k kept, so each kept candidate reads one IoU row over its class's
-    candidates and nothing else is compared.
+    candidates and nothing else is compared.  The result is a
+    :class:`FinalBatch` of the kept rows, a sequence of ``FinalDetection``
+    stamped with ``image_id``.
     """
-    batch = RawBatch.of(dets)
-    boxes, scores = batch.boxes, batch.scores
-    # Row-major, so candidates come in (detection index, class index) order.
-    rows, cols = np.nonzero(scores > cfg.score_thr)
-    kept = _greedy(boxes[rows] if cfg.nms_enabled else None, cols, scores[rows, cols], cfg.nms_iou, cfg.top_k)
-    rows, cols = rows[kept], cols[kept]
-    if isinstance(dets, RawBatch):
-        kept_boxes = [Box(*b) for b in boxes[rows].tolist()]
-    else:  # the input's own Box objects
-        kept_boxes = [dets[r].box for r in rows.tolist()]
-    return [
-        FinalDetection(b, c, s, image_id)
-        for b, c, s in zip(kept_boxes, cols.tolist(), scores[rows, cols].tolist())
-    ]
+    return _postprocess_images({image_id: RawBatch.of(dets)}, (image_id,), cfg)

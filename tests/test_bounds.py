@@ -11,6 +11,7 @@ from corrdet import (
     COCO_THRESHOLDS,
     Box,
     EmptyEvaluation,
+    FinalBatch,
     FinalDetection,
     GtBatch,
     GtObject,
@@ -227,21 +228,24 @@ def test_bound_report_class_level_matches_twice(monkeypatch):
     assert calls == [len(ds.final_dets)] * 2
 
 
-def test_bound_report_class_level_converts_object_gts_once(monkeypatch):
-    # a Dataset of objects, as synth returns: both matching passes read one
-    # GtBatch, and the report is the same as from a Dataset of batches
+@pytest.mark.parametrize("level", ["class", "image"])
+def test_bound_report_converts_nothing_on_a_synth_dataset(monkeypatch, level):
+    # synth, like the loaders, gives a Dataset of batches, so neither level
+    # turns objects into columns; a Dataset given the same data as objects
+    # converts them once, at entry, and gives the same report
     ds = synth(25, n_images=12, n_classes=5)
-    want = bound_report(replace(ds, gts=GtBatch.of(ds.gts)), 1, level="class")
+    raw = {iid: list(dets) for iid, dets in ds.raw_dets.items()}
+    want = bound_report(Dataset(ds.categories, ds.images, list(ds.gts), raw, list(ds.final_dets)), 1, level=level)
     calls = []
-    real = GtBatch._from_objects.__func__
+    for batch in (GtBatch, FinalBatch, RawBatch):
 
-    def counted(cls, items):
-        calls.append(len(items))
-        return real(cls, items)
+        def counted(cls, items, real=batch._from_objects.__func__):
+            calls.append(cls.__name__)
+            return real(cls, items)
 
-    monkeypatch.setattr(GtBatch, "_from_objects", classmethod(counted))
-    assert bound_report(ds, 1, level="class") == want
-    assert calls == [len(ds.gts)]
+        monkeypatch.setattr(batch, "_from_objects", classmethod(counted))
+    assert bound_report(ds, 1, level=level) == want
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,6 +13,7 @@ from corrdet import (
     COCO_THRESHOLDS,
     Box,
     FinalDetection,
+    Match,
     PipelineConfig,
     RawDetection,
     beta_cls,
@@ -264,11 +265,14 @@ def test_class_level_from_raw_dets_post_processes_each_image(synth_dir, tmp_path
 
 def test_raw_path_builds_no_raw_detection(synth_dir, tmp_path, monkeypatch):
     # the CLI reads raw detections as per-image arrays from the loader to
-    # the last NMS; no RawDetection object is made on the way
-    def refuse(self):
-        raise AssertionError("a RawDetection was built")
+    # the last NMS, and positives and finals as arrays from there on; no
+    # RawDetection, Box (so no GtObject), FinalDetection or Match is made
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
 
-    monkeypatch.setattr(RawDetection, "__post_init__", refuse)
+    for cls in (RawDetection, Box, FinalDetection):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(Match, "__init__", refuse)  # Match has no __post_init__
     io = ["--gt", str(synth_dir / "gt.json"), "--raw-dets", str(synth_dir / "raw_dets.json")]
     for argv in (
         ["corr", "--level", "image"],
@@ -382,6 +386,14 @@ def test_gradcheck_without_trials_exits_2(trials, capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "trials must be at least 1" in captured.err
+
+
+def test_gradcheck_with_negative_n_exits_2(capsys):
+    code = cli.main(["gradcheck", "--coef", "pearson", "--n", "-1", "--trials", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 0, got -1\n"
 
 
 def test_gradcheck_failure_exits_1(monkeypatch, capsys):

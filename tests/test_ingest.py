@@ -717,11 +717,11 @@ def test_emitters_refuse_unknown_image_ids(tmp_path, emit):
     ds = synth(7, n_images=2)
     stray = 7
     if emit is emit_gt:
-        ds = replace(ds, gts=ds.gts + (replace(ds.gts[0], image_id=stray),))
+        ds = replace(ds, gts=(*ds.gts, replace(ds.gts[0], image_id=stray)))
     elif emit is emit_raw_dets:
         ds = replace(ds, raw_dets={**ds.raw_dets, stray: ds.raw_dets[1]})
     else:
-        ds = replace(ds, final_dets=ds.final_dets + (replace(ds.final_dets[0], image_id=stray),))
+        ds = replace(ds, final_dets=(*ds.final_dets, replace(ds.final_dets[0], image_id=stray)))
     path = tmp_path / "out.json"
     with pytest.raises(ValueError, match=f"unknown image id {stray}$"):
         emit(ds, str(path))
