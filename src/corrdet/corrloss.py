@@ -40,7 +40,7 @@ from .correlation import (
 )
 from .errors import DegenerateInput
 from .geometry import MatchSet
-from .softrank import soft_rank, soft_rank_vjp
+from .softrank import _check_epsilon, soft_rank, soft_rank_vjp
 
 __all__ = [
     "COEFFICIENTS",
@@ -61,7 +61,8 @@ COEFFICIENTS = ("spearman", "concordance", "pearson")
 @dataclass(frozen=True)
 class LossConfig:
     """Choice of coefficient plus the soft-rank regularization strength
-    ``epsilon``, which the Spearman variant alone reads.
+    ``epsilon``, which the Spearman variant alone reads; it must be finite
+    and at least ``sys.float_info.min``, as in :func:`soft_rank`.
 
     Degenerate batches always yield zero loss and zero gradient; the
     weight of the term inside a total loss is :func:`total_loss`'s
@@ -74,8 +75,7 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.coefficient not in COEFFICIENTS:
             raise ValueError(f"unknown coefficient {self.coefficient!r}, expected one of {COEFFICIENTS}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,16 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
         soft = None
         if cfg.coefficient == "spearman":
             # Hard ranks of the IoUs against soft ranks of the scores, both in
-            # [1, n].  A spread of scores / epsilon below n / 2, less a margin
-            # for its rounding (an overflow reads inf), is one block: soft
-            # ranks are scores / epsilon minus a constant, so use the scores.
+            # [1, n].  With s the scores / epsilon sorted descending and
+            # y = s - (n, ..., 1), PAV makes one block exactly when no prefix
+            # of y averages above the whole; the first k entries average at
+            # least (n - k)(1/2 - spread / n) below it, so a spread of s below
+            # n / 2 is one block.  The margin 2**-40 covers the rounding of
+            # the spread (an overflow reads inf, in Python floats without a
+            # warning).  In one block the soft ranks are s minus a constant,
+            # so use the scores.
             x, peak_x = average_ranks(x), float(n)
-            if not (hi_y - lo_y) / cfg.epsilon < (n / 2) * (1 - 2.0**-40):
+            if not (hi_y - lo_y) / float(cfg.epsilon) < (n / 2) * (1 - 2.0**-40):
                 soft = soft_rank(y, cfg.epsilon)
                 y, peak_y = soft.ranks, float(n)
         terms = _pearson_kernel(x, y, peak_x, peak_y)

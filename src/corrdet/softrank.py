@@ -3,20 +3,17 @@
 ``soft_rank(values, epsilon)`` is the Euclidean projection of
 ``values / epsilon`` onto the permutahedron generated by (1, ..., n): sort
 descending, run pool-adjacent-violators isotonic regression against the
-hard-rank vector, undo the sort.  Each run of equal scaled values enters
-PAV as one point at its mean hard rank, so tied entries always share one
-block and one rank, at any epsilon.  As epsilon shrinks the result
-converges to hard fractional ranks; as it grows, all ranks flatten toward
-the common mean (n+1)/2.  The largest value gets rank n; ``soft_rank(-v)``
-flips the order, so the largest gets rank 1.
+hard-rank vector, undo the sort.  Each run of equal values enters PAV as
+one point at its mean hard rank, so tied entries always share one block
+and one rank, at any epsilon.  As epsilon shrinks the result converges to
+hard fractional ranks; as it grows, all ranks flatten toward the common
+mean (n+1)/2.  The largest value gets rank n; ``soft_rank(-v)`` flips the
+order, so the largest gets rank 1.
 
-Most inputs never reach the PAV loop: when PAV would pool every entry
-into one block, which a spread of ``values / epsilon`` below n / 2 always
-does (scores in [0, 1] at the default epsilon = 1, or at 0.01 above 200
-entries), a few array passes decide so and fit that block, and the ranks
-are the scaled values shifted by one constant.  The loop runs for inputs
-with several blocks, for magnitudes too large for that decision, and where
-it lies within rounding.
+Every finite input takes the same single PAV pass.  A gap of more than
+n * epsilon between adjacent values seals the blocks on either side, as
+exact PAV would, so a value whose ``values / epsilon`` overflows is its
+own block at its hard rank.
 
 The projection is piecewise affine, so the backward pass is exact inside
 each linear piece: within a PAV block the Jacobian is the centered
@@ -27,11 +24,12 @@ subgradient choice.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import average_ranks
 from .errors import DegenerateInput
 
 __all__ = ["SoftRankResult", "soft_rank", "soft_rank_vjp"]
@@ -43,9 +41,9 @@ class SoftRankResult:
 
     ranks        soft ranks in input order; their sum is n(n+1)/2 within
                  rounding while |values| / epsilon <= 2**14, and farther
-                 out the rounding of values / epsilon moves it (by tens
-                 near 1e17)
-    permutation  stable descending sort of the scaled input
+                 out the rounding of values / epsilon, which PAV fits
+                 against the hard ranks, moves it (by tens near 1e17)
+    permutation  stable descending sort of the values
     blocks       PAV block id per sorted position (non-decreasing)
     epsilon      regularization strength used
     """
@@ -59,13 +57,22 @@ class SoftRankResult:
         return int(self.ranks.shape[0])
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is finite and at least the
+    smallest normal float, ``sys.float_info.min``, so that ``1 / epsilon``
+    is finite.  Little is lost below it: there, scores 1e-290 apart already
+    lie over 1e17 epsilons apart, so they have hard ranks at any size."""
+    if not sys.float_info.min <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and at least {sys.float_info.min}, got {epsilon}")
+
+
 def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
     """Differentiable ranks of ``values``; the largest value gets rank n.
 
-    Requires n >= 1 and epsilon > 0.
+    Requires n >= 1 and a finite epsilon >= ``sys.float_info.min``.
     """
-    if epsilon <= 0.0 or not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _check_epsilon(epsilon)
+    epsilon = float(epsilon)
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     n = v.shape[0]
     if n == 0:
@@ -73,70 +80,44 @@ def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
     if not np.isfinite(v).all():
         raise DegenerateInput("values contain non-finite entries")
 
-    theta = (1.0 / epsilon) * v
-    perm = np.argsort(-theta, kind="stable")
-    s = theta[perm]
-    ranks_sorted, blocks = _one_block(s) or _pav(s)
+    perm = np.argsort(-v, kind="stable")
+    ranks_sorted, blocks = _pav(v[perm], epsilon)
     ranks = np.empty(n, dtype=np.float64)
     ranks[perm] = ranks_sorted
-    return SoftRankResult(ranks, perm, blocks, float(epsilon))
+    return SoftRankResult(ranks, perm, blocks, epsilon)
 
 
-def _one_block(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(ranks, blocks)`` in sorted order when PAV pools all of the
-    descending ``s`` into one block, else None; decided without the loop.
-
-    With ``y = s - w`` (``w`` the hard ranks n..1, a run's mean for tied
-    entries), PAV returns one block exactly when every prefix of whole runs
-    sums to at most ``k * mean(y)``, k its length.  The ends settle most
-    inputs: such a prefix falls short of the chord by at least
-    ``(n - k) * (1/2 - spread / n)`` per entry, so a spread below n / 2 is
-    one block; and one block puts the first run at or below ``mean(y)`` and
-    the last at or above it, so a spread above n - 1 is not.  Only a
-    decision clear of rounding counts: ``tol`` bounds, per entry, the
-    rounding of the block means the loop forms and of the prefix sums here
-    (32 n u max|y|, u = 2**-53).  An input within it, or one so large that
-    ``tol`` reaches 1 (max|y| near 2**48 / n), is left to the loop.
-    """
-    n = s.shape[0]
-    first, last = float(s[0]), float(s[-1])
-    spread = first - last
-    tol = n * (max(abs(first), abs(last)) + n) * 2.0**-48
-    if spread > n - 1 or not tol < 1.0:
-        return None
-    new_run = s[1:] != s[:-1]
-    w = np.arange(n, 0, -1.0) if np.count_nonzero(new_run) == n - 1 else average_ranks(s)
-    y = s - w
-    d = y - y[0]
-    mean = float(d.sum()) / n
-    if spread >= n * (0.5 - tol):
-        chord = np.arange(1, n) * (mean - tol)
-        if not (np.cumsum(d[:-1]) < chord)[new_run].all():
-            return None
-    # The fit relative to the first run keeps an all-tied input at w exactly.
-    fit = y[0] + mean
-    return w + (y - fit), np.zeros(n, dtype=np.intp)
-
-
-def _pav(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pav(v: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """``(ranks, blocks)`` in sorted order: the pool-adjacent-violators loop
-    over the runs of equal values in the descending ``s``."""
-    n = s.shape[0]
-    s = s.tolist()
-    s.append(None)  # ends the last run
-    # PAV: least-squares non-increasing fit of y = s - w, w = (n, ..., 1) the
-    # hard ranks.  Each run of equal s enters as one point (entries, mean
-    # hard rank w, y there); adjacent blocks (mean y, entries, runs) pool
-    # into their weighted mean while they violate the order.
+    over the runs of equal values in the descending ``v``.
+
+    PAV is the least-squares non-increasing fit of y = s - w, s = v / epsilon
+    and w = (n, ..., 1) the hard ranks.  Each run of equal values enters as
+    one point (entries, mean hard rank w, y there), and a block pools into
+    the one above it while its mean is strictly above that block's:
+    adjacent blocks with equal means stay apart.  A run more than
+    n * epsilon below the previous one seals the blocks above it.  Every y
+    above such a gap exceeds every y below it by at least 1, so exact PAV
+    never pools across it either; and a value whose s overflows (inf, in
+    Python floats without a warning) is its own block.
+    """
+    n = v.shape[0]
+    scale, gap = 1.0 / epsilon, n * epsilon
+    v = v.tolist()
+    v.append(None)  # ends the last run
     points: list[tuple[int, float, float]] = []
-    stack: list[tuple[float, int, int]] = []
+    sealed: list[tuple[float, int, int]] = []
+    stack: list[tuple[float, int, int]] = []  # blocks: mean y, entries, runs
     start = 0
     for end in range(1, n + 1):
-        if s[end] == s[start]:
+        if v[end] == v[start]:
             continue
+        if start and v[start - 1] - v[start] > gap:
+            sealed += stack
+            stack = []
         count = end - start
         w = n - start - 0.5 * (count - 1)
-        y = s[start] - w
+        y = v[start] * scale - w
         points.append((count, w, y))
         mean, runs = y, 1
         while stack and stack[-1][0] < mean:
@@ -147,10 +128,11 @@ def _pav(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             runs += lower_runs
         stack.append((mean, count, runs))
         start = end
+    stack = sealed + stack
     fit = [mean for mean, _, runs in stack for _ in range(runs)]
-    # w + (y - fit) equals s - fit but is bit-exact in the hard-rank limit,
-    # where fit == y within each singleton block.
-    run_ranks = np.array([w + (y - f) for (_, w, y), f in zip(points, fit)])
+    # w + (y - fit) equals s - fit but is bit-exact in the hard-rank limit;
+    # a run fitted at its own y gets w, which also holds where y is infinite.
+    run_ranks = np.array([w if y == f else w + (y - f) for (_, w, y), f in zip(points, fit)])
     ranks = run_ranks.repeat([p[0] for p in points]) if len(points) < n else run_ranks
     blocks = np.arange(len(stack)).repeat([b[1] for b in stack])
     return ranks, blocks

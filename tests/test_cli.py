@@ -472,6 +472,10 @@ _REFUSED_RUNS = [
                  "--pr-csv and --out name the same file", id="eval-pr-csv-is-out"),
     pytest.param("eval --gt {file} --dets {data}/final_dets.json --out {tmp}/../existing.txt",
                  "--out and --gt name the same file", id="eval-out-is-its-gt"),
+    # below the smallest normal float, 1 / epsilon overflows
+    pytest.param("descend --epsilon 1e-320", "epsilon must be finite and at least", id="descend-subnormal-epsilon"),
+    pytest.param("gradcheck --coef spearman --epsilon 1e-320", "epsilon must be finite and at least",
+                 id="gradcheck-subnormal-epsilon"),
 ]
 
 

@@ -47,6 +47,10 @@ def test_config_validation():
         LossConfig(coefficient="kendall")
     with pytest.raises(ValueError):
         LossConfig(epsilon=0.0)
+    # 1 / epsilon overflows below the smallest normal float
+    with pytest.raises(ValueError, match="epsilon must be finite and at least"):
+        LossConfig(epsilon=1e-320)
+    assert LossConfig(epsilon=sys.float_info.min).epsilon == sys.float_info.min
     assert LossConfig().coefficient == "spearman"
 
 
@@ -278,6 +282,12 @@ def test_loss_survives_overflow():
             res = loss_from_arrays(x, y, cfg)
             assert 0.0 <= res.value <= 2.0
             assert np.all(np.isfinite(res.grad_scores))
+    # scores / epsilon beyond the float range: each such score is its own
+    # soft-rank block at its hard rank
+    for y, eps in (([1e308, -1e308, 0.0], 0.5), ([1e300, -1e300, 0.0], 1e-10), ([1e300, -1e300, 0.0], np.float64(1e-10))):
+        res = loss_from_arrays([0.1, 0.5, 0.9], y, LossConfig("spearman", eps))
+        assert 0.0 <= res.value <= 2.0
+        assert np.all(np.isfinite(res.grad_scores))
     for coef in ("pearson", "concordance"):
         assert loss_from_arrays(_HUGE, _HUGE, LossConfig(coefficient=coef)).value == pytest.approx(0.0, abs=1e-15)
     # value and gradient at scale 2^700 are those at scale 1, the gradient scaled by 2^-700
@@ -291,19 +301,19 @@ def test_loss_survives_overflow():
 
 
 _FINITE = st.floats(-1e300, 1e300)
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 24).flatmap(
-        lambda n: st.tuples(st.lists(_FINITE, min_size=n, max_size=n), st.lists(_FINITE, min_size=n, max_size=n))
+        lambda n: st.tuples(st.lists(_ANY_FINITE, min_size=n, max_size=n), st.lists(_ANY_FINITE, min_size=n, max_size=n))
     ),
     st.sampled_from(COEFFICIENTS),
-    st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    st.floats(-3.0, 6.0).map(lambda e: 10.0**e) | st.floats(sys.float_info.min, allow_infinity=False),
 )
 def test_loss_bounded_with_finite_gradient(pair, coef, eps):
-    # Scores up to 1e300 keep |score| / epsilon inside the float range for
-    # every epsilon drawn here.
+    # Any finite input and any epsilon that LossConfig accepts.
     res = loss_from_arrays(pair[0], pair[1], LossConfig(coefficient=coef, epsilon=eps))
     assert 0.0 <= res.value <= 2.0
     assert res.grad_scores.shape == (len(pair[0]),)

@@ -4,10 +4,12 @@ The small-epsilon limit must reproduce hard average ranks bit-exactly,
 ties must pool to their average rank at any epsilon, and the VJP must
 agree with finite differences away from block-structure kinks.  Where
 the scaled values have no ties, the result equals the original
-implementation in ``softrank_oracle`` in permutation, blocks and
-backward pass bit for bit, and in ranks within rounding: the one-block
-path and the PAV loop it skips round their sums differently.
+implementation in ``softrank_oracle`` bit for bit: ranks, permutation,
+blocks and backward pass.  With ties, the ranks agree within rounding
+and the blocks once adjacent blocks with equal fitted values are merged.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ import softrank_oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import corrdet.softrank as softrank
 from corrdet import (
     DegenerateInput,
     LossConfig,
@@ -28,9 +29,9 @@ from corrdet import (
 
 def _rank_ulps(v, eps) -> float:
     """How far two correct soft ranks of ``v`` may differ: n ulps of the
-    largest |y| = |v / eps - w| the fit handles.  PAV's running means and
-    the one-block path's single sum round differently, each by O(n) ulps
-    of that magnitude at worst; measured differences stay below n / 2."""
+    largest |y| = |v / eps - w| the fit handles.  PAV over tie runs and PAV
+    over single entries round their running means differently, each by
+    O(n) ulps of that magnitude at worst."""
     n = v.shape[0]
     return n * float(np.spacing(np.abs((1.0 / eps) * v).max() + n))
 
@@ -47,6 +48,9 @@ def test_hard_limit_matches_average_ranks():
     assert r.ranks.tolist() == [3.0, 1.0, 2.0]
     r = soft_rank([10.0, -3.0, 4.0, 7.0], 1e-6)
     assert r.ranks.tolist() == [4.0, 1.0, 2.0, 3.0]
+    # the smallest epsilon accepted, where 1e308 / epsilon overflows
+    assert soft_rank([0.2, 0.5, 0.9], sys.float_info.min).ranks.tolist() == [1.0, 2.0, 3.0]
+    assert soft_rank([1e308, -1e308, 0.1, 0.1], sys.float_info.min).ranks.tolist() == [4.0, 1.0, 2.5, 2.5]
 
 
 def test_singleton():
@@ -66,11 +70,19 @@ def test_exact_ties_pool_to_average_rank():
 
 
 def test_long_all_tied_input_gets_the_average_rank():
-    # The one-block path fits relative to the first run, so the rank is
-    # (n + 1) / 2 exactly, as on the loop.
+    # One run is one point, fitted at its own y, so the rank is its mean
+    # hard rank (n + 1) / 2 exactly.
     for n in (2, 3, 40, 128, 2047):
         for eps in (1e-4, 1.0, 100.0):
             assert soft_rank(np.full(n, 0.3), eps).ranks.tolist() == [(n + 1) / 2] * n
+
+
+def test_overflowing_scaled_values_are_their_own_blocks():
+    # 1e308 / 0.5 and 1.5e308 / 0.5 both overflow; the values stay distinct
+    r = soft_rank([1e308, 1.5e308, 0.2], 0.5)
+    assert r.ranks.tolist() == [2.0, 3.0, 1.0]
+    assert r.blocks.tolist() == [0, 1, 2]
+    assert soft_rank([-1e308, 1e308, 1e308, 0.0], 1e-300).ranks.tolist() == [1.0, 3.5, 3.5, 2.0]
 
 
 def test_negated_values_reverse_order():
@@ -170,6 +182,9 @@ def test_invalid_inputs():
         soft_rank([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         soft_rank([1.0, 2.0], -1.0)
+    # 1 / epsilon overflows below the smallest normal float
+    with pytest.raises(ValueError, match="epsilon must be finite and at least"):
+        soft_rank([0.2, 0.5, 0.9], 1e-320)
     with pytest.raises(DegenerateInput):
         soft_rank([], 1.0)
     with pytest.raises(DegenerateInput):
@@ -224,8 +239,7 @@ def test_tied_values_share_one_rank(v, eps):
         assert np.unique(r[v == value]).shape[0] == 1
     # Beyond |v| / epsilon = 2**14 a block of close values carries the
     # rounding of v / epsilon into its ranks (the rank sum drifts by tens
-    # at 1e17); that waits for solving each segment relative to its first
-    # value.
+    # at 1e17), as SoftRankResult documents.
     if float(np.abs((1.0 / eps) * v).max()) <= 2.0**14:
         assert abs(float(r.sum()) - n * (n + 1) / 2.0) <= 1e-9
         order = np.argsort(v, kind="stable")
@@ -260,8 +274,7 @@ def _train_loss_shaped(draw):
     """(v, epsilon): a training batch at n 2..2048 and epsilon 1 or 0.01 --
     its scores as drawn, rounded into tie runs, or rebuilt so that a prefix
     of ``y`` has the mean of the whole, within rounding -- shifted by an
-    offset that leaves the scaled values small, large or too large for the
-    one-block test."""
+    offset that leaves the scaled values small or as large as 2**40."""
     n = draw(st.one_of(st.integers(2, 300), st.integers(300, 2048)))
     eps = draw(st.sampled_from((1.0, 0.01)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -281,33 +294,62 @@ def _train_loss_shaped(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_train_loss_shaped(), st.data())
-def test_one_block_path_agrees_with_the_loop(case, data):
+def test_train_loss_shaped_inputs_equal_oracle(case, data):
+    # Without ties in the scaled values, bit for bit; with ties, equal
+    # values share one rank.
     v, eps = case
     n = v.shape[0]
     new = soft_rank(v, eps)
-    s = ((1.0 / eps) * v)[new.permutation]
-    loop_ranks, loop_blocks = softrank._pav(s)
-    assert np.array_equal(new.blocks, loop_blocks)
-    ranks = new.ranks[new.permutation]
-    assert np.abs(ranks - loop_ranks).max() <= _rank_ulps(v, eps)
-    tied = s[1:] == s[:-1]
-    assert np.array_equal(ranks[1:][tied], ranks[:-1][tied])
-    old = oracle.soft_rank(v, eps)
-    assert np.array_equal(new.permutation, old.permutation)
-    if not tied.any():
-        u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    if np.unique((1.0 / eps) * v).shape[0] == n:
+        old = oracle.soft_rank(v, eps)
+        assert np.array_equal(new.ranks, old.ranks)
+        assert np.array_equal(new.permutation, old.permutation)
         assert np.array_equal(new.blocks, old.blocks)
+        u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
         assert np.array_equal(soft_rank_vjp(new, u), oracle.soft_rank_vjp(old, u))
+    else:
+        ranks = new.ranks[new.permutation]
+        tied = v[new.permutation][1:] == v[new.permutation][:-1]
+        assert np.array_equal(ranks[1:][tied], ranks[:-1][tied])
 
 
-def _assert_batches_skip_the_loop(monkeypatch, rng, sizes, epsilons):
+def _merged(blocks, y, tol):
+    """Block ids once adjacent blocks whose mean ``y`` agree within ``tol``
+    are merged."""
+    means = np.bincount(blocks, weights=y) / np.bincount(blocks)
+    return np.concatenate([[0], np.cumsum(np.abs(np.diff(means)) > tol)])[blocks]
+
+
+@st.composite
+def _rounded_batches(draw):
+    """(v, epsilon): training scores rounded into tie runs at epsilon 0.01,
+    where the scaled levels lie a few ranks apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = _train_loss_batch(rng, draw(st.integers(2, 200)))[1]
+    return np.round(v, draw(st.integers(1, 2))), 0.01
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_values_with_ties(), _epsilons) | _rounded_batches())
+def test_soft_rank_equals_oracle_with_ties(case):
+    # PAV over tie runs and over single entries reach the same fit; where
+    # adjacent blocks have equal means, the strict rule keeps them apart,
+    # and the two loops may round such means apart differently.
+    v, eps = case
+    n = v.shape[0]
+    theta = (1.0 / eps) * v
+    assume(np.unique(theta).shape[0] < n)
+    new = soft_rank(v, eps)
+    old = oracle.soft_rank(v, eps)
+    tol = _rank_ulps(v, eps)
+    assert np.abs(new.ranks - old.ranks).max() <= tol
+    y = np.sort(theta)[::-1] - np.arange(n, 0, -1.0)
+    assert np.array_equal(_merged(new.blocks, y, tol), _merged(old.blocks, y, tol))
+
+
+def _assert_batches_are_one_block(rng, sizes, epsilons):
     """Training batches of each size, their scores stepped four times along
-    the loss gradient at each epsilon, are one PAV block, decided without
-    the loop."""
-    def loop(s):
-        raise AssertionError(f"PAV loop ran at n = {s.shape[0]}")
-
-    monkeypatch.setattr(softrank, "_pav", loop)
+    the loss gradient at each epsilon, are one PAV block."""
     for n in sizes:
         ious, scores = _train_loss_batch(rng, int(n))
         for eps in epsilons:
@@ -318,15 +360,15 @@ def _assert_batches_skip_the_loop(monkeypatch, rng, sizes, epsilons):
                 y -= 1e-3 * loss_from_arrays(ious, y, cfg).grad_scores
 
 
-def test_pooled_batches_skip_the_loop(monkeypatch):
+def test_pooled_batches_are_one_block():
     # pooled batches: n 512..2048 at epsilon 1 or 0.01
     rng = np.random.default_rng(6)
-    _assert_batches_skip_the_loop(monkeypatch, rng, (512, 600, 2048, *rng.integers(512, 2049, 6)), (1.0, 0.01))
+    _assert_batches_are_one_block(rng, (512, 600, 2048, *rng.integers(512, 2049, 6)), (1.0, 0.01))
 
 
-def test_per_image_batches_skip_the_loop(monkeypatch):
+def test_per_image_batches_are_one_block():
     # per-image batches: every n from 2 to 127 at the default epsilon 1
-    _assert_batches_skip_the_loop(monkeypatch, np.random.default_rng(7), range(2, 128), (1.0,))
+    _assert_batches_are_one_block(np.random.default_rng(7), range(2, 128), (1.0,))
 
 
 @pytest.mark.parametrize("n, eps", [(3, 1.0), (64, 1.0), (512, 1.0), (2048, 1.0), (512, 0.01), (2048, 0.01)])
