@@ -25,12 +25,13 @@ two matching passes per report, whatever the number of classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyEvaluation
-from .geometry import MatchSet, _positives
+from .geometry import FinalBatch, FinalDetection, MatchSet, RawBatch, RawDetection, _positives
+from .ingest import Dataset
 from .metrics import (
     COCO_THRESHOLDS,
     ApResult,
@@ -42,10 +43,7 @@ from .metrics import (
     _MatchTable,
     coco_ap,
 )
-from .pipeline import FinalBatch, FinalDetection, PipelineConfig, RawBatch, RawDetection, _postprocess_images
-
-if TYPE_CHECKING:
-    from .ingest import Dataset
+from .pipeline import PipelineConfig, _postprocess_images
 
 __all__ = ["BoundReport", "rerank_image_level", "rerank_class_level", "bound_report"]
 
@@ -93,7 +91,7 @@ def rerank_image_level(
     """Permute positives' GT-class scores along (+1) or against (-1) IoU order.
 
     ``matches`` must come from match_positives on ``dets``.  Returns the
-    detections as a :class:`~corrdet.pipeline.RawBatch`: the same boxes,
+    detections as a :class:`~corrdet.geometry.RawBatch`: the same boxes,
     and a copy of the score array in which only the matched detections'
     GT-class entries change.
     """
@@ -163,7 +161,7 @@ def _or_none(report: Callable[..., CorrelationReport], *args) -> CorrelationRepo
 
 
 def bound_report(
-    dataset: "Dataset",
+    dataset: Dataset,
     direction: int,
     level: str = "class",
     tp_iou: float = 0.5,

@@ -28,6 +28,7 @@ import numpy as np
 from .bounds import bound_report
 from .corrloss import COEFFICIENTS, LossConfig, descend_demo
 from .errors import CorrdetError
+from .geometry import _check_unit_interval
 from .gradcheck import run_gradcheck
 from .ingest import (
     Dataset,
@@ -43,7 +44,7 @@ from .ingest import (
     write_report,
 )
 from .metrics import COCO_THRESHOLDS, ApResult, _coco_ap_from, _match_classes, beta_cls, beta_img
-from .pipeline import PipelineConfig, _check_unit_interval, _postprocess_images
+from .pipeline import PipelineConfig, _postprocess_images
 
 __all__ = ["build_parser", "main"]
 

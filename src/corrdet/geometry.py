@@ -1,4 +1,11 @@
-"""Boxes, IoU, and the two matching procedures everything else consumes.
+"""Boxes, detections, IoU, and the two matching procedures on them.
+
+This module owns every detection type and its batch: ground truth
+(:class:`GtObject`, :class:`GtBatch`), raw detections with one score per
+class (:class:`RawDetection`, :class:`RawBatch`) and final detections
+with one class and score (:class:`FinalDetection`, :class:`FinalBatch`).
+Post-processing, the measures, the bounds and the loaders import them
+from here.
 
 Two flavours of matching exist side by side:
 
@@ -29,26 +36,27 @@ NMS rows share one IoU formula with the same float operations
 (:func:`_iou_of` in numpy), so a threshold compares the same way on all
 four.
 
-Ground truth has a columnar form, :class:`GtBatch`, which the GT loader
-makes and the matchers read as it is; :class:`_Batch` is the sequence
-code it shares with the raw and final detection batches.
+Each batch holds its objects as row-aligned numpy columns, which the
+loaders make and the matchers and post-processing read as they are;
+:class:`_Batch` is the sequence code the three batches share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, TypeVar
+from typing import Any, Iterator, Sequence, TypeVar
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
 
 __all__ = [
     "Box",
     "GtObject",
     "GtBatch",
+    "RawDetection",
+    "RawBatch",
+    "FinalDetection",
+    "FinalBatch",
     "Match",
     "MatchSet",
     "iou",
@@ -96,6 +104,48 @@ class GtObject:
     box: Box
     class_id: int
     image_id: int = 0
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    """ValueError unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+@dataclass(frozen=True)
+class RawDetection:
+    """Pre-post-processing detection: one box, one score per class.
+
+    ``class_scores`` accepts any iterable of reals and is stored as a
+    tuple of floats, so instances stay hashable and safely shareable.
+    There is at least one score, and each lies in [0, 1].
+    """
+
+    box: Box
+    class_scores: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        scores = tuple(map(float, self.class_scores))
+        if not scores:
+            raise ValueError("class_scores must have at least one entry")
+        # inline, not _check_unit_interval: a raw detector's file holds ~10^5 scores
+        for s in scores:
+            if not 0.0 <= s <= 1.0:  # rejects NaN too
+                raise ValueError(f"class scores must lie in [0, 1], got {s}")
+        object.__setattr__(self, "class_scores", scores)
+
+
+@dataclass(frozen=True)
+class FinalDetection:
+    """Post-processing detection: box, class id, scalar score in [0, 1]."""
+
+    box: Box
+    class_id: int
+    score: float
+    image_id: int = 0
+
+    def __post_init__(self) -> None:
+        _check_unit_interval("score", self.score)
 
 
 _T = TypeVar("_T")
@@ -198,6 +248,70 @@ class GtBatch(_Batch[GtObject]):
     @classmethod
     def _from_objects(cls, items: Sequence[GtObject]) -> "GtBatch":
         return cls(*_object_columns(items))
+
+
+class RawBatch(_Batch[RawDetection]):
+    """One image's raw detections held as two read-only float64 arrays:
+    ``boxes``, ``(n, 4)`` in corner form, and ``scores``, ``(n, C)``.
+
+    A read-only ``Sequence[RawDetection]`` that builds objects on demand;
+    see :class:`_Batch`.  Built from objects, a shorter score vector is
+    padded with 0, which no filter lets through (score_thr >= 0,
+    comparison strict).
+    """
+
+    __slots__ = ("boxes", "scores")
+    _COLUMNS = ("boxes", "scores")
+
+    def _row(self, box: list[float], scores: list[float]) -> RawDetection:
+        return RawDetection(Box(*box), scores)
+
+    @classmethod
+    def _from_objects(cls, items: Sequence[RawDetection]) -> "RawBatch":
+        rows = [d.class_scores for d in items]
+        width = max(map(len, rows), default=0)
+        if all(len(r) == width for r in rows):
+            scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        else:
+            scores = np.zeros((len(rows), width))
+            for i, r in enumerate(rows):
+                scores[i, : len(r)] = r
+        return cls(_box_array([d.box for d in items]), scores)
+
+
+class FinalBatch(_Batch[FinalDetection]):
+    """Final detections held as columns: those of a :class:`GtBatch`
+    (``boxes``, ``class_ids``, ``images`` and the distinct ``image_ids``
+    they index) plus ``scores``, ``(n,)`` float64.
+
+    A read-only ``Sequence[FinalDetection]`` that builds objects on
+    demand; see :class:`_Batch`.
+    """
+
+    __slots__ = ("boxes", "class_ids", "scores", "images", "image_ids")
+    _COLUMNS = ("boxes", "class_ids", "scores", "images")
+
+    def __init__(
+        self,
+        boxes: np.ndarray,
+        class_ids: np.ndarray,
+        scores: np.ndarray,
+        images: np.ndarray,
+        image_ids: Sequence[int],
+    ) -> None:
+        super().__init__(boxes, class_ids, scores, images)
+        self.image_ids = tuple(image_ids)
+
+    def _shared(self) -> tuple:
+        return (self.image_ids,)
+
+    def _row(self, box: list[float], class_id: int, score: float, image: int) -> FinalDetection:
+        return FinalDetection(Box(*box), class_id, score, self.image_ids[image])
+
+    @classmethod
+    def _from_objects(cls, items: Sequence[FinalDetection]) -> "FinalBatch":
+        boxes, class_ids, images, image_ids = _object_columns(items)
+        return cls(boxes, class_ids, np.array([d.score for d in items], dtype=np.float64), images, image_ids)
 
 
 @dataclass(frozen=True)
@@ -304,7 +418,7 @@ def iou_matrix(a, b) -> np.ndarray:
     return _iou(a[:, None, :], b[None, :, :])
 
 
-def _positives(dets: "RawBatch", gts: GtBatch, iou_floor: float) -> tuple[np.ndarray, ...]:
+def _positives(dets: RawBatch, gts: GtBatch, iou_floor: float) -> tuple[np.ndarray, ...]:
     """:func:`match_positives` as five aligned arrays, in detection-index
     order: detection index, gt index, IoU, score and class (the gt's)."""
     ious = iou_matrix(dets.boxes, gts.boxes)
@@ -329,7 +443,7 @@ def _positives(dets: "RawBatch", gts: GtBatch, iou_floor: float) -> tuple[np.nda
 
 
 def match_positives(
-    dets: Sequence["RawDetection"],
+    dets: Sequence[RawDetection],
     gts: Sequence[GtObject],
     iou_floor: float = 0.5,
 ) -> MatchSet:
@@ -339,18 +453,16 @@ def match_positives(
     above ``iou_floor``; ties break by (lower detection index, lower gt
     index).  For each pair the detection's confidence for the gt's class is
     recorded alongside the IoU, read from the detections' score array
-    (:class:`~corrdet.pipeline.RawBatch`), where a score vector shorter
-    than the others reads 0 past its end.  Detections and gts must come
-    from the same image.  Returns the matches in detection-index order, or
-    an empty MatchSet when nothing clears the floor.
+    (:class:`RawBatch`), where a score vector shorter than the others
+    reads 0 past its end.  Detections and gts must come from the same
+    image.  Returns the matches in detection-index order, or an empty
+    MatchSet when nothing clears the floor.
     """
-    from .pipeline import RawBatch  # not at the top: pipeline imports this module
-
     columns = _positives(RawBatch.of(dets), GtBatch.of(gts), iou_floor)
     return MatchSet(tuple(map(Match, *(c.tolist() for c in columns))))
 
 
-def _groups(dets: "FinalBatch", gts: GtBatch) -> tuple[np.ndarray, np.ndarray, int]:
+def _groups(dets: FinalBatch, gts: GtBatch) -> tuple[np.ndarray, np.ndarray, int]:
     """``(detection group, gt group, number of groups)``: rows of one image
     and class share a group, numbered densely over the gts; a detection
     that no gt shares a group with gets -1.
@@ -377,15 +489,15 @@ def _groups(dets: "FinalBatch", gts: GtBatch) -> tuple[np.ndarray, np.ndarray, i
 
 
 def _match_tp_arrays(
-    dets: Sequence["FinalDetection"],
+    dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
     thresholds: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matching core: ``(gt, iou)``, two ``(len(thresholds), len(dets))``
     arrays.  ``gt[k, i]`` is the gt that detection i matches at threshold
     k, -1 for none, and ``iou[k, i]`` their IoU (0 for none).  It reads
-    the columns of a :class:`~corrdet.pipeline.FinalBatch` and a
-    :class:`GtBatch`; other sequences are turned into them once.
+    the columns of a :class:`FinalBatch` and a :class:`GtBatch`; other
+    sequences are turned into them once.
 
     Every (detection, gt) pair of one ``(image, class)`` group gets its IoU
     in one elementwise pass; pairs at IoU 0 never match and are dropped.
@@ -395,8 +507,6 @@ def _match_tp_arrays(
     candidate, by (-IoU, gt index), whose gt is unused and whose IoU
     clears the threshold, for every threshold at once.
     """
-    from .pipeline import FinalBatch  # not at the top: pipeline imports this module
-
     dets, gts = FinalBatch.of(dets), GtBatch.of(gts)
     n_thr, n = len(thresholds), len(dets)
     matched = np.full((n_thr, n), -1, dtype=np.intp)
@@ -453,7 +563,7 @@ def _match_tp_arrays(
 
 
 def match_tp_multi(
-    dets: Sequence["FinalDetection"],
+    dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
     thresholds: Sequence[float],
 ) -> tuple[MatchSet, ...]:
@@ -464,8 +574,6 @@ def match_tp_multi(
     images and classes match only GTs of their own ``(image_id,
     class_id)``, and one pass serves all thresholds.
     """
-    from .pipeline import FinalBatch  # not at the top: pipeline imports this module
-
     dets = FinalBatch.of(dets)
     matched, matched_iou = _match_tp_arrays(dets, gts, thresholds)
     result = []
@@ -477,7 +585,7 @@ def match_tp_multi(
 
 
 def match_tp(
-    dets: Sequence["FinalDetection"],
+    dets: Sequence[FinalDetection],
     gts: Sequence[GtObject],
     iou_thr: float,
 ) -> MatchSet:

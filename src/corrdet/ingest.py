@@ -24,9 +24,9 @@ bad record.  What the column checks pass stays arrays, read as they are
 from there on: ground truth becomes one :class:`~corrdet.geometry.GtBatch`
 (boxes ``(n, 4)``, class indices, and each row's image as a position in
 the image list) and final detections one
-:class:`~corrdet.pipeline.FinalBatch` (the same plus scores), which the
+:class:`~corrdet.geometry.FinalBatch` (the same plus scores), which the
 class-level matcher, AP, beta_cls and the class-level re-rank read;
-raw detections become one :class:`~corrdet.pipeline.RawBatch` (boxes
+raw detections become one :class:`~corrdet.geometry.RawBatch` (boxes
 ``(n, 4)``, scores ``(n, C)``) per image, which post-processing, positive
 matching and the image-level re-rank read.  Each batch reads as a
 sequence of the objects its rows stand for, built on demand; the record
@@ -50,8 +50,7 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
-from .geometry import Box, GtBatch, GtObject, _box_array, iou
-from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
+from .geometry import Box, FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _box_array, iou
 
 __all__ = [
     "Dataset",
@@ -76,9 +75,9 @@ class Dataset:
     ``categories`` pairs each original category id with its name; the
     position in the tuple is the class index used everywhere else.
     ``gts`` is a :class:`~corrdet.geometry.GtBatch`, ``final_dets`` a
-    :class:`~corrdet.pipeline.FinalBatch` (or None), and ``raw_dets`` maps
+    :class:`~corrdet.geometry.FinalBatch` (or None), and ``raw_dets`` maps
     image id to that image's raw detections (only images that have any),
-    each a :class:`~corrdet.pipeline.RawBatch` (or None for no map).  The
+    each a :class:`~corrdet.geometry.RawBatch` (or None for no map).  The
     loaders and :func:`synth` make batches; a sequence of objects given in
     their place is turned into its batch once, here.
     """
@@ -365,8 +364,8 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
     """
     dets = doc["detections"]
     n_classes = len(dataset.categories)
-    if type(dets) is not list or not _typed(dets, _DICT) or n_classes == 0:
-        return None
+    if type(dets) is not list or not _typed(dets, _DICT) or (n_classes == 0 and len(dets) > 0):
+        return None  # with no categories, every detection fails the walk
     iids = [d["image_id"] for d in dets]
     scores = [d["scores"] for d in dets]
     if not (_typed(iids, _INT) and _typed(scores, _LIST) and set(map(len, scores)) <= {n_classes}):
@@ -376,7 +375,8 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
     corners = _column_corners([d["bbox"] for d in dets], _image_rows(iids, dataset.images)[1], xywh=False)
     if corners is None:
         return None
-    score_array = np.array(scores, dtype=np.float64).reshape(-1, n_classes)  # OverflowError beyond the float range
+    # OverflowError beyond the float range
+    score_array = np.array(scores, dtype=np.float64).reshape(len(dets), n_classes)
     with np.errstate(all="ignore"):
         in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
     if not in_range:
@@ -395,7 +395,7 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
 
 def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
     """Read raw (pre-post-processing) detections into a copy of ``dataset``,
-    one :class:`~corrdet.pipeline.RawBatch` per image that has any.
+    one :class:`~corrdet.geometry.RawBatch` per image that has any.
 
     Every detection's score vector must have exactly one entry per
     category (else DimensionError) and reference a known image id.

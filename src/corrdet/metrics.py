@@ -28,8 +28,7 @@ import numpy as np
 
 from .correlation import spearman
 from .errors import DegenerateInput, EmptyEvaluation, NoGroundTruth
-from .geometry import GtBatch, GtObject, _match_tp_arrays, _positives
-from .pipeline import FinalBatch, FinalDetection, RawBatch, RawDetection
+from .geometry import FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _match_tp_arrays, _positives
 
 __all__ = [
     "COCO_THRESHOLDS",
@@ -253,7 +252,10 @@ def _coco_ap_from(
 ) -> tuple[ApResult, list[list[tuple[np.ndarray, np.ndarray]]]]:
     """COCO AP from the first len(thresholds) thresholds of the table, and
     the (recall, precision) curves it was read from: one list per entry of
-    ``per_class``, one curve per threshold."""
+    ``per_class``, one curve per threshold.  Raises ValueError for no
+    thresholds, whose mean AP does not exist."""
+    if len(thresholds) == 0:
+        raise ValueError("coco_ap needs at least one IoU threshold")
     per_class: list[tuple[int, tuple[float, ...]]] = []
     class_curves = []
     for c, ranked, n_gt in table.classes:
@@ -280,6 +282,6 @@ def coco_ap(
 
     Classes without ground truth are excluded; a class with gts but no
     detections scores zero.  Raises EmptyEvaluation when there is no
-    ground truth at all.
+    ground truth at all, and ValueError when ``thresholds`` is empty.
     """
     return _coco_ap_from(_match_classes(dets, gts, thresholds), thresholds)[0]

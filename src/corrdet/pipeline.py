@@ -3,29 +3,28 @@
 Raw detections carry a score vector over all classes; the pipeline expands
 them into per-class candidates, prunes, and returns scalar-scored final
 detections sorted by descending score.  An NMS-free mode skips the middle
-step (useful for NMS-free detector outputs).
+step (useful for NMS-free detector outputs).  This module holds that
+chain only; the detection types and batches it reads and returns live in
+:mod:`corrdet.geometry` (and are re-exported here).
 
 The work is columnar: one image's boxes are an ``(n, 4)`` array and its
-scores an ``(n, C)`` array.  A :class:`RawBatch`, which the raw loader
-makes for every image, holds those two arrays and is read as they are;
-any other sequence of ``RawDetection`` objects is turned into them once
-(:meth:`RawBatch.of`).  The score filter is one comparison over the score
-array.  NMS and top-k are then one greedy walk over the candidates by
-descending score: each candidate still alive is kept, a kept box
-suppresses its class's overlaps through one IoU row
-(:func:`~corrdet.geometry._iou_of` over the class's corner columns and
-areas, computed when the walk first reaches the class, bit-identical to
-``iou``), and the walk stops at top_k kept.  So the IoU work is at most
-top_k rows of the largest class.  The kept rows come out as a
-:class:`FinalBatch` of the same arrays, so no object is built on the way;
-:func:`_postprocess_images` does the same for a whole dataset's images at
-once.  The contract is that of a plain loop over candidates: the filter
-keeps scores strictly above ``score_thr``, NMS suppresses overlaps
-strictly above ``nms_iou``, and every tie breaks by ``(-score, detection
-index, class index)``.
-
-Final detections have a columnar form too, :class:`FinalBatch`, which the
-final-detection loader makes and the class-level matcher reads.
+scores an ``(n, C)`` array.  A :class:`~corrdet.geometry.RawBatch`, which
+the raw loader makes for every image, holds those two arrays and is read
+as they are; any other sequence of ``RawDetection`` objects is turned
+into them once (:meth:`~corrdet.geometry.RawBatch.of`).  The score filter
+is one comparison over the score array.  NMS and top-k are then one
+greedy walk over the candidates by descending score: each candidate
+still alive is kept, a kept box suppresses its class's overlaps through
+one IoU row (:func:`~corrdet.geometry._iou_of` over the class's corner
+columns and areas, computed when the walk first reaches the class,
+bit-identical to ``iou``), and the walk stops at top_k kept.  So the IoU
+work is at most top_k rows of the largest class.  The kept rows come out
+as a :class:`~corrdet.geometry.FinalBatch` of the same arrays, so no
+object is built on the way; :func:`_postprocess_images` does the same
+for a whole dataset's images at once.  The contract is that of a plain
+loop over candidates: the filter keeps scores strictly above
+``score_thr``, NMS suppresses overlaps strictly above ``nms_iou``, and
+every tie breaks by ``(-score, detection index, class index)``.
 """
 
 from __future__ import annotations
@@ -36,51 +35,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, _area, _Batch, _box_array, _iou_of, _object_columns
+from .geometry import FinalBatch, FinalDetection, RawBatch, RawDetection, _area, _check_unit_interval, _iou_of
 
+# the detection types are geometry's, re-exported
 __all__ = ["RawDetection", "RawBatch", "FinalDetection", "FinalBatch", "PipelineConfig", "nms", "postprocess"]
-
-
-@dataclass(frozen=True)
-class RawDetection:
-    """Pre-post-processing detection: one box, one score per class.
-
-    ``class_scores`` accepts any iterable of reals and is stored as a
-    tuple of floats, so instances stay hashable and safely shareable.
-    There is at least one score, and each lies in [0, 1].
-    """
-
-    box: Box
-    class_scores: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        scores = tuple(map(float, self.class_scores))
-        if not scores:
-            raise ValueError("class_scores must have at least one entry")
-        for s in scores:
-            if not 0.0 <= s <= 1.0:  # rejects NaN too
-                raise ValueError(f"class scores must lie in [0, 1], got {s}")
-        object.__setattr__(self, "class_scores", scores)
-
-
-@dataclass(frozen=True)
-class FinalDetection:
-    """Post-processing detection: box, class id, scalar score in [0, 1]."""
-
-    box: Box
-    class_id: int
-    score: float
-    image_id: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:  # rejects NaN too
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    """ValueError unless ``value`` lies in [0, 1] (NaN does not)."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,71 +54,6 @@ class PipelineConfig:
         # TypeError for a non-integer: a float top_k never equals the kept count
         if operator.index(self.top_k) < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-
-
-class RawBatch(_Batch[RawDetection]):
-    """One image's raw detections held as two read-only float64 arrays:
-    ``boxes``, ``(n, 4)`` in corner form, and ``scores``, ``(n, C)``.
-
-    A read-only ``Sequence[RawDetection]`` that builds objects on demand;
-    see :class:`~corrdet.geometry._Batch`.  Built from objects, a shorter
-    score vector is padded with 0, which no filter lets through (score_thr
-    >= 0, comparison strict).
-    """
-
-    __slots__ = ("boxes", "scores")
-    _COLUMNS = ("boxes", "scores")
-
-    def _row(self, box: list[float], scores: list[float]) -> RawDetection:
-        return RawDetection(Box(*box), scores)
-
-    @classmethod
-    def _from_objects(cls, items: Sequence[RawDetection]) -> "RawBatch":
-        rows = [d.class_scores for d in items]
-        width = max(map(len, rows), default=0)
-        if all(len(r) == width for r in rows):
-            scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-        else:
-            scores = np.zeros((len(rows), width))
-            for i, r in enumerate(rows):
-                scores[i, : len(r)] = r
-        return cls(_box_array([d.box for d in items]), scores)
-
-
-class FinalBatch(_Batch[FinalDetection]):
-    """Final detections held as columns: those of a
-    :class:`~corrdet.geometry.GtBatch` (``boxes``, ``class_ids``,
-    ``images`` and the distinct ``image_ids`` they index) plus ``scores``,
-    ``(n,)`` float64.
-
-    A read-only ``Sequence[FinalDetection]`` that builds objects on
-    demand; see :class:`~corrdet.geometry._Batch`.
-    """
-
-    __slots__ = ("boxes", "class_ids", "scores", "images", "image_ids")
-    _COLUMNS = ("boxes", "class_ids", "scores", "images")
-
-    def __init__(
-        self,
-        boxes: np.ndarray,
-        class_ids: np.ndarray,
-        scores: np.ndarray,
-        images: np.ndarray,
-        image_ids: Sequence[int],
-    ) -> None:
-        super().__init__(boxes, class_ids, scores, images)
-        self.image_ids = tuple(image_ids)
-
-    def _shared(self) -> tuple:
-        return (self.image_ids,)
-
-    def _row(self, box: list[float], class_id: int, score: float, image: int) -> FinalDetection:
-        return FinalDetection(Box(*box), class_id, score, self.image_ids[image])
-
-    @classmethod
-    def _from_objects(cls, items: Sequence[FinalDetection]) -> "FinalBatch":
-        boxes, class_ids, images, image_ids = _object_columns(items)
-        return cls(boxes, class_ids, np.array([d.score for d in items], dtype=np.float64), images, image_ids)
 
 
 def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[int]:
@@ -215,8 +108,9 @@ def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
 
 def _postprocess_images(raw_dets: Mapping[int, RawBatch], image_ids: Sequence[int], cfg: PipelineConfig) -> FinalBatch:
     """:func:`postprocess` of every image of ``image_ids`` that ``raw_dets``
-    holds, as one :class:`FinalBatch` indexing ``image_ids``: the images in
-    that order, each image's finals in keep order."""
+    holds, as one :class:`~corrdet.geometry.FinalBatch` indexing
+    ``image_ids``: the images in that order, each image's finals in keep
+    order."""
     columns = [(np.empty((0, 4)), np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))]
     for k, image_id in enumerate(image_ids):
         if image_id in raw_dets:
@@ -246,7 +140,7 @@ def postprocess(
     Steps (ii) and (iii) are one walk by descending score that stops at
     top_k kept, so each kept candidate reads one IoU row over its class's
     candidates and nothing else is compared.  The result is a
-    :class:`FinalBatch` of the kept rows, a sequence of ``FinalDetection``
-    stamped with ``image_id``.
+    :class:`~corrdet.geometry.FinalBatch` of the kept rows, a sequence of
+    ``FinalDetection`` stamped with ``image_id``.
     """
     return _postprocess_images({image_id: RawBatch.of(dets)}, (image_id,), cfg)

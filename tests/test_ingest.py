@@ -496,10 +496,15 @@ def test_column_loaders_equal_the_record_walk(synth_docs, faults, data):
 
     got = _outcome(load_gt, gt_path)
     assert got == _outcome(ingest._gt_walk, load_report(gt_path), gt_path)
+    # what the walk loads, the columns load too: no valid file takes the slow path
+    if isinstance(got[0], Dataset):
+        assert isinstance(ingest._gt_columns(load_report(gt_path)), Dataset)
     # the finals load against the GT when it loads, else against the intact one
     base = got[0] if isinstance(got[0], Dataset) else load_gt(str(root / "gt.json"))
     got = _outcome(load_final_dets, fin_path, base)
     assert got == _outcome(ingest._final_walk, load_report(fin_path), fin_path, base)
+    if isinstance(got[0], Dataset):
+        assert isinstance(ingest._final_columns(load_report(fin_path), base), Dataset)
 
 
 # Faults for the raw loader differential test.  Each takes hypothesis' draw,
@@ -545,6 +550,11 @@ def _raw_no_categories(draw, raw, ds):
         for record in _raw_records(raw):
             record["scores"] = []
     return replace(ds, categories=())
+
+
+def _raw_no_detections(draw, raw, ds):
+    raw["detections"] = []
+    return ds
 
 
 def _raw_unknown_image(draw, raw, ds):
@@ -634,6 +644,7 @@ _RAW_FAULTS = [
     _raw_value((None, "1", [1.0])),
     _raw_score_count,
     _raw_no_categories,
+    _raw_no_detections,
     _raw_unknown_image,
     _raw_sparse_ids,
     _raw_interleaved,
@@ -677,6 +688,20 @@ def test_raw_column_loader_equals_the_record_walk(synth_raw, faults, data):
     path = write(root, "raw_case.json", raw)
     got = _raw_outcome(load_raw_dets, path, ds)
     assert got == _raw_outcome(ingest._raw_walk, load_report(path), path, ds)
+    if isinstance(got, list):  # the walk loaded it, so the columns must too
+        assert isinstance(ingest._raw_columns(load_report(path), ds), Dataset)
+
+
+def test_raw_loader_reads_no_detections_without_categories(tmp_path):
+    # the one raw document a GT without categories admits, by both paths
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc(categories=[], annotations=[])))
+    doc = {"detections": []}
+    assert load_raw_dets(write(tmp_path, "raw.json", doc), ds).raw_dets == {}
+    assert ingest._raw_columns(doc, ds).raw_dets == {}
+    bad = {"detections": [{"image_id": 1, "bbox": [0.0, 0.0, 5.0, 5.0], "scores": []}]}
+    assert ingest._raw_columns(bad, ds) is None
+    with pytest.raises(SchemaError, match="at least one entry"):
+        load_raw_dets(write(tmp_path, "bad.json", bad), ds)
 
 
 def test_raw_loader_reads_one_batch_per_image(tmp_path):

@@ -129,6 +129,15 @@ def test_coco_ap_needs_ground_truth():
         coco_ap([], [])
 
 
+def test_coco_ap_needs_a_threshold():
+    # an empty threshold list has no mean AP; the curves and matches stay empty
+    dets, gts = make_image([(1.0, 0.9)])
+    with pytest.raises(ValueError, match="at least one IoU threshold"):
+        coco_ap(dets, gts, thresholds=())
+    assert pr_curves(dets, gts, ()) == []
+    assert match_tp_multi(dets, gts, ()) == ()
+
+
 def test_coco_ap_ignores_detections_of_unknown_class():
     dets, gts = make_image([(1.0, 0.9)], class_id=0)
     stray = FinalDetection(Box(900, 0, 910, 10), 5, 0.99, 1)
