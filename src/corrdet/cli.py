@@ -8,6 +8,9 @@ Subcommands cover the workflows the library supports end to end:
 (synthetic dataset generation), and ``descend`` (gradient-descent trace
 on the correlation loss).
 
+``eval``, ``corr`` and ``bounds`` accept only the flags the run reads,
+by command, level and detection source (:func:`_check_run`).
+
 Every subcommand is deterministic given its flags and seed.  JSON reports
 go to --out or stdout; exit status is 0 on success, 1 when gradcheck finds a
 failing trial, 2 on bad input, bad usage or an output that cannot be written.
@@ -48,20 +51,7 @@ from .pipeline import PipelineConfig, _postprocess_images
 
 __all__ = ["build_parser", "main"]
 
-
-def _check_iou_flags(args: argparse.Namespace) -> None:
-    """--tp-iou and --iou-floor lie in [0, 1], by the rule --nms-iou follows."""
-    _check_unit_interval("tp_iou", args.tp_iou)
-    _check_unit_interval("iou_floor", args.iou_floor)
-
-
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        score_thr=args.score_thr,
-        nms_iou=args.nms_iou,
-        top_k=args.top_k,
-        nms_enabled=not args.nms_free,
-    )
+_IOU_DEFAULT = 0.5  # of --tp-iou and --iou-floor
 
 
 def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
@@ -89,27 +79,21 @@ def _csv_value(v: float) -> str:
     return fmt_float(float(v)) if np.isfinite(v) else "nan"
 
 
-def _load_dataset(args: argparse.Namespace, pcfg: PipelineConfig | None = None) -> Dataset:
-    """The dataset the flags name; with ``pcfg``, one without final
-    detections gets its raw ones post-processed as its final detections."""
+def _load_dataset(args: argparse.Namespace, pcfg: PipelineConfig | None) -> Dataset:
+    """The dataset the flags name; with ``pcfg``, its raw detections are
+    post-processed into its final detections."""
     dataset = load_gt(args.gt)
-    if args.raw_dets:
-        dataset = load_raw_dets(args.raw_dets, dataset)
-    if args.dets:
-        dataset = load_final_dets(args.dets, dataset)
-    if dataset.raw_dets is None and dataset.final_dets is None:
-        raise ValueError("pass --dets or --raw-dets")
-    if pcfg is not None and dataset.final_dets is None:
-        image_ids = [iid for iid, _, _ in dataset.images]
-        dataset = replace(dataset, final_dets=_postprocess_images(dataset.raw_dets, image_ids, pcfg))
-    return dataset
+    if args.dets is not None:
+        return load_final_dets(args.dets, dataset)
+    dataset = load_raw_dets(args.raw_dets, dataset)
+    if pcfg is None:
+        return dataset
+    image_ids = [iid for iid, _, _ in dataset.images]
+    return replace(dataset, final_dets=_postprocess_images(dataset.raw_dets, image_ids, pcfg))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    pcfg = _pipeline_config(args)
-    if (args.dets is None) == (args.raw_dets is None):
-        raise ValueError("pass exactly one of --dets or --raw-dets")
-    dataset = _load_dataset(args, pcfg)
+    dataset = _load_dataset(args, _check_run(args))
     finals = dataset.final_dets
     mode = "final" if args.dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
 
@@ -151,9 +135,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
-    pcfg = _pipeline_config(args)
-    _check_iou_flags(args)
-    dataset = _load_dataset(args, pcfg if args.level == "class" else None)
+    dataset = _load_dataset(args, _check_run(args))
 
     if args.level == "image":
         pairs = [(raw, gts) for _, raw, gts in dataset.per_image()]
@@ -184,8 +166,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    pcfg = _pipeline_config(args)
-    _check_iou_flags(args)
+    pcfg = _check_run(args)
     dataset = _load_dataset(args, pcfg if args.level == "class" else None)
 
     direction = 1 if args.direction == "+1" else -1
@@ -284,8 +265,8 @@ def _synth_paths(out_dir: str) -> dict[str, str]:
 def _cmd_descend(args: argparse.Namespace) -> int:
     cfg = LossConfig(coefficient=args.coef, epsilon=args.epsilon)
     rng = np.random.default_rng(args.seed)
-    ious = rng.uniform(0.0, 1.0, size=args.n)
-    init = rng.uniform(0.0, 1.0, size=args.n)
+    # a negative n draws nothing, so descend_demo's own check refuses it
+    ious, init = rng.uniform(0.0, 1.0, size=(2, max(args.n, 0)))
     trace = descend_demo(init, ious, cfg, steps=args.steps, lr=args.lr)
 
     lines = ["step,loss,spearman"]
@@ -295,19 +276,6 @@ def _cmd_descend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gt", required=True, help="COCO-form ground-truth JSON")
-    p.add_argument("--dets", default=None, help="final detections JSON (COCO results form)")
-    p.add_argument("--raw-dets", default=None, help="raw per-class score-vector detections JSON")
-
-
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--score-thr", type=float, default=0.05)
-    p.add_argument("--nms-iou", type=float, default=0.6)
-    p.add_argument("--top-k", type=int, default=100)
-    p.add_argument("--nms-free", action="store_true", help="skip the NMS step")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrdet",
@@ -315,31 +283,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("eval", help="COCO-style AP report")
-    _add_io_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--pr-csv", default=None, help="also write per-class PR curves as CSV")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("corr", help="score-quality correlation report")
-    _add_io_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--level", choices=("image", "class"), default="class")
-    p.add_argument("--tp-iou", type=float, default=0.5)
-    p.add_argument("--iou-floor", type=float, default=0.5)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_corr)
-
-    p = sub.add_parser("bounds", help="correlation-extremizing rerank comparison")
-    _add_io_flags(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--direction", choices=("+1", "-1"), required=True)
-    p.add_argument("--level", choices=("image", "class"), default="class")
-    p.add_argument("--tp-iou", type=float, default=0.5)
-    p.add_argument("--iou-floor", type=float, default=0.5)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bounds)
+    # A flag left out is None, so _check_run can tell which flags were given.
+    for name, func, text in (
+        ("eval", _cmd_eval, "COCO-style AP report"),
+        ("corr", _cmd_corr, "score-quality correlation report"),
+        ("bounds", _cmd_bounds, "correlation-extremizing rerank comparison"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--gt", required=True, help="COCO-form ground-truth JSON")
+        p.add_argument("--dets", help="final detections JSON (COCO results form)")
+        p.add_argument("--raw-dets", help="raw per-class score-vector detections JSON")
+        p.add_argument("--score-thr", type=float, help=f"pipeline score filter (default {PipelineConfig.score_thr})")
+        p.add_argument("--nms-iou", type=float, help=f"pipeline NMS IoU (default {PipelineConfig.nms_iou})")
+        p.add_argument("--top-k", type=int, help=f"pipeline detections kept per image (default {PipelineConfig.top_k})")
+        p.add_argument("--nms-free", action="store_true", default=None, help="skip the NMS step")
+        if name == "eval":
+            p.add_argument("--pr-csv", help="also write per-class PR curves as CSV")
+        else:
+            p.add_argument("--level", choices=("image", "class"), default="class")
+            p.add_argument("--tp-iou", type=float, help=f"class-level TP threshold (default {_IOU_DEFAULT})")
+            p.add_argument("--iou-floor", type=float, help=f"image-level positive floor (default {_IOU_DEFAULT})")
+        if name == "bounds":
+            p.add_argument("--direction", choices=("+1", "-1"), required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--coef", choices=COEFFICIENTS, required=True)
@@ -373,10 +340,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(args: argparse.Namespace, *flags: str) -> list[tuple[str, str]]:
-    """``(flag, path)`` for each of ``flags`` that the command has and was given."""
-    paths = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in flags]
-    return [(flag, path) for flag, path in paths if path is not None]
+def _given(args: argparse.Namespace, *flags: str) -> list[tuple[str, object]]:
+    """``(flag, value)`` for each of ``flags`` that the command has and was given."""
+    values = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in flags]
+    return [(flag, value) for flag, value in values if value is not None]
+
+
+def _check_run(args: argparse.Namespace) -> PipelineConfig | None:
+    """Check the flags of an ``eval``, ``corr`` or ``bounds`` run before any
+    input is opened, and return the pipeline that post-processes its raw
+    detections into final ones (None: the run has none).
+
+    In this order: every value given; exactly one of --dets and --raw-dets,
+    and --raw-dets at the image level; then each flag given must be one the
+    run reads.  --tp-iou is read at the class level only, --iou-floor at the
+    image level only, and the pipeline flags by --raw-dets runs other than
+    ``corr --level image``.  Once checked, an IoU flag not given is set to
+    its default."""
+    pcfg = PipelineConfig(
+        **{name: value for name in ("score_thr", "nms_iou", "top_k") if (value := getattr(args, name)) is not None},
+        nms_enabled=not args.nms_free,
+    )
+    for flag, value in _given(args, "--tp-iou", "--iou-floor"):
+        _check_unit_interval(flag[2:].replace("-", "_"), value)
+    if (args.dets is None) == (args.raw_dets is None):
+        raise ValueError("pass exactly one of --dets or --raw-dets")
+    level = getattr(args, "level", None)
+    source = "--dets" if args.dets is not None else "--raw-dets"
+    run = " ".join([args.subcommand, *(("--level", level) if level else ()), source])
+    if level == "image" and source == "--dets":
+        raise ValueError(f"{run} is refused: the image level reads --raw-dets")
+    piped = source == "--raw-dets" and not (args.subcommand == "corr" and level == "image")
+    reads = {"--tp-iou": level == "class", "--iou-floor": level == "image"}
+    reads.update(dict.fromkeys(("--score-thr", "--nms-iou", "--top-k", "--nms-free"), piped))
+    for flag, _ in _given(args, *reads):
+        if not reads[flag]:
+            raise ValueError(f"{run} does not read {flag}")
+    if level is not None:
+        args.tp_iou = _IOU_DEFAULT if args.tp_iou is None else args.tp_iou
+        args.iou_floor = _IOU_DEFAULT if args.iou_floor is None else args.iou_floor
+    return pcfg if piped else None
 
 
 def _check_outputs(args: argparse.Namespace) -> None:

@@ -283,5 +283,12 @@ def coco_ap(
     Classes without ground truth are excluded; a class with gts but no
     detections scores zero.  Raises EmptyEvaluation when there is no
     ground truth at all, and ValueError when ``thresholds`` is empty.
+
+    Two constants differ from pycocotools' in the last bit.  The recall
+    grid ``np.arange(101) / 100`` differs from its ``np.linspace(0, 1,
+    101)`` at 10 points (0.35, 0.41, 0.47, 0.57, 0.69, 0.70, 0.82, 0.83,
+    0.94, 0.95), so a recall landing exactly on one of them can pick the
+    next precision; and ``COCO_THRESHOLDS`` has 0.9 where its
+    ``np.linspace(.5, .95, 10)`` has 0.8999999999999999.
     """
     return _coco_ap_from(_match_classes(dets, gts, thresholds), thresholds)[0]

@@ -24,7 +24,10 @@ from corrdet import DegenerateInput, average_ranks
 class SoftRankResult:
     """Soft ranks plus everything the backward pass needs.
 
-    ranks        soft ranks in input order; sum is always n(n+1)/2
+    ranks        soft ranks in input order; their sum is n(n+1)/2 within
+                 rounding while |values| / epsilon <= 2**14, and farther
+                 out the rounding of values / epsilon, which PAV fits
+                 against the hard ranks, moves it (by tens near 1e17)
     permutation  stable descending sort of the scaled input
     blocks       PAV block id per sorted position (non-decreasing)
     epsilon      regularization strength used

@@ -476,6 +476,12 @@ _REFUSED_RUNS = [
     pytest.param("descend --epsilon 1e-320", "epsilon must be finite and at least", id="descend-subnormal-epsilon"),
     pytest.param("gradcheck --coef spearman --epsilon 1e-320", "epsilon must be finite and at least",
                  id="gradcheck-subnormal-epsilon"),
+    # refused by descend_demo, not by the draw of a negative number of samples
+    pytest.param("descend --n -3", "need at least 2 samples to descend", id="descend-negative-n"),
+    pytest.param("corr --gt {data}/gt.json --dets {data}/final_dets.json --raw-dets {data}/raw_dets.json "
+                 "--out {tmp}/r.json", "pass exactly one of --dets or --raw-dets", id="corr-both-sources"),
+    pytest.param("bounds --direction=+1 --level image --gt {data}/gt.json --dets {data}/final_dets.json "
+                 "--out {tmp}/r.json", "the image level reads --raw-dets", id="bounds-image-level-dets"),
 ]
 
 
@@ -506,3 +512,97 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, corrdet.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# The flags each (command, level, detection source) reads beyond --gt, its
+# detections and its outputs; the CLI refuses any other.
+_PIPELINE_FLAGS = ("--score-thr", "--nms-iou", "--top-k", "--nms-free")
+_RUN_READS = {
+    ("eval", None, "--dets"): (),
+    ("eval", None, "--raw-dets"): _PIPELINE_FLAGS,
+    ("corr", "class", "--dets"): ("--tp-iou",),
+    ("corr", "class", "--raw-dets"): ("--tp-iou", *_PIPELINE_FLAGS),
+    ("corr", "image", "--raw-dets"): ("--iou-floor",),
+    ("bounds", "class", "--dets"): ("--tp-iou",),
+    ("bounds", "class", "--raw-dets"): ("--tp-iou", *_PIPELINE_FLAGS),
+    ("bounds", "image", "--raw-dets"): ("--iou-floor", *_PIPELINE_FLAGS),
+}
+# each flag at a value other than its default, one that moves every report
+# on the synth data of rule_dir
+_FLAG_ARGS = {
+    "--score-thr": ["0.7"],
+    "--nms-iou": ["0.95"],
+    "--top-k": ["2"],
+    "--nms-free": [],
+    "--tp-iou": ["0.75"],
+    "--iou-floor": ["0.75"],
+}
+
+
+def _run_argv(run, gt, dets):
+    command, level, source = run
+    return [command, *(["--direction=+1"] if command == "bounds" else []),
+            *(["--level", level] if level else []), "--gt", gt, source, dets]
+
+
+def _run_name(run):
+    command, level, source = run
+    return " ".join([command, *(["--level", level] if level else []), source])
+
+
+@pytest.fixture(scope="module")
+def rule_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("rule") / "data"
+    assert cli.main(["synth", "--seed", "1", "--knob", "0.3", "--n-images", "100", "--n-classes", "10",
+                     "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("run", list(_RUN_READS), ids=_run_name)
+def test_every_flag_a_run_reads_changes_its_report(rule_dir, tmp_path, run):
+    dets = str(rule_dir / ("final_dets.json" if run[2] == "--dets" else "raw_dets.json"))
+    out = tmp_path / "r.json"
+
+    def report(*flag_args):
+        assert cli.main([*_run_argv(run, str(rule_dir / "gt.json"), dets), *flag_args, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    default = report()
+    for flag in _RUN_READS[run]:
+        assert report(flag, *_FLAG_ARGS[flag]) != default, flag
+
+
+@pytest.mark.parametrize("run", list(_RUN_READS), ids=_run_name)
+def test_every_flag_a_run_does_not_read_exits_2_before_reading_files(tmp_path, capsys, run):
+    # the input paths do not exist: the flag is refused before any is opened
+    out = tmp_path / "r.json"
+    argv = _run_argv(run, str(tmp_path / "no-gt.json"), str(tmp_path / "no-dets.json"))
+    # eval has no IoU flag at all
+    flags = _PIPELINE_FLAGS if run[0] == "eval" else _FLAG_ARGS
+    ignored = [flag for flag in flags if flag not in _RUN_READS[run]]
+    for flag in ignored:
+        assert cli.main([*argv, flag, *_FLAG_ARGS[flag], "--out", str(out)]) == 2, flag
+        assert capsys.readouterr().err.splitlines() == [f"error: {_run_name(run)} does not read {flag}"]
+        assert not out.exists()
+    # a flag the run reads gets as far as the missing input
+    for flag in _RUN_READS[run]:
+        assert cli.main([*argv, flag, *_FLAG_ARGS[flag], "--out", str(out)]) == 2, flag
+        assert "no-gt.json" in capsys.readouterr().err
+
+
+def test_bench_cli_operations_pass_the_flag_rule(tmp_path, monkeypatch):
+    # Every operation of the evaluator's benchmark workloads must be a run the
+    # CLI accepts; the rule reads no file, and none exists in the cwd here.
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        import cli_workloads
+    finally:
+        sys.path.remove(bench)
+    monkeypatch.chdir(tmp_path)
+    for workload in ("val-final", "raw-detector"):
+        for op in cli_workloads.operations(workload):
+            args = cli.build_parser().parse_args(op.argv)
+            pipeline = cli._check_run(args)
+            assert (pipeline is not None) == (workload == "raw-detector" and op.kind != "corr"), op.argv
+    assert list(tmp_path.iterdir()) == []
