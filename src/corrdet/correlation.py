@@ -79,19 +79,24 @@ def average_ranks(x) -> FloatArray:
     Same values as ``scipy.stats.rankdata(x, method="average")``: a tie
     group spanning sorted positions i..j (1-based) gets (i + j) / 2, which
     is exact in float64.  Any NaN makes every rank NaN.
+
+    The result does not depend on the order within a tie group, so one
+    default (unstable) sort serves; NaN sorts last under it, so the last
+    sorted value tells whether there is one.  Each group's rank is
+    repeated over its span in sorted order and scattered once; without
+    ties every group is one position p (0-based), whose rank is p + 1.
     """
     a = np.asarray(x, dtype=np.float64).reshape(-1)
-    if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
     n = a.shape[0]
-    order = np.argsort(a, kind="stable")
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.arange(n)
+    order = np.argsort(a)
     ordered = a[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    dense = np.cumsum(starts)[inverse]
-    count = np.concatenate((np.flatnonzero(starts), [n]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    if n and np.isnan(ordered[-1]):
+        return np.full(n, np.nan)
+    ranks = np.empty(n)
+    rises = ordered[1:] != ordered[:-1]
+    bounds = np.concatenate(([0], np.flatnonzero(rises) + 1, [n]))
+    ranks[order] = np.repeat(0.5 * (bounds[1:] + bounds[:-1] + 1), np.diff(bounds))
+    return ranks
 
 
 def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):

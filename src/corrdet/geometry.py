@@ -513,7 +513,8 @@ def _match_tp_arrays(
     matched_iou = np.zeros((n_thr, n))
     det_group, gt_group, n_groups = _groups(dets, gts)
 
-    # Every same-group (detection, gt) pair; a group's gts by index.
+    # Every same-group (detection, gt) pair; a group's gts by index.  Stable
+    # for that pair order only: the lexsort below sets the order matching reads.
     gts_by_group = np.argsort(gt_group, kind="stable")
     group_size = np.bincount(gt_group, minlength=n_groups)
     group_start = np.cumsum(group_size) - group_size
@@ -531,6 +532,7 @@ def _match_tp_arrays(
     # Score rank (ties by lower index), then each candidate-holding
     # detection's step: its position among those of its group.
     rank = np.empty(n, dtype=np.intp)
+    # Stable: equal scores claim gts in index order, which decides the TP flags.
     rank[np.argsort(-dets.scores, kind="stable")] = np.arange(n)
     holders = np.flatnonzero(np.bincount(pair_det, minlength=n))
     holders = holders[np.lexsort((rank[holders], det_group[holders]))]

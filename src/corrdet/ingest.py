@@ -105,6 +105,7 @@ class Dataset:
         if self.raw_dets is None:
             raise ValueError("dataset has no raw detections; pass --raw-dets")
         ends = np.cumsum(np.bincount(self.gts.images, minlength=len(self.gts.image_ids))).tolist()
+        # Stable: each image's gts keep file order, whose index breaks equal-IoU matches.
         gts = self.gts._take(np.argsort(self.gts.images, kind="stable"))
         gts_of = {iid: gts[a:b] for iid, a, b in zip(gts.image_ids, [0] + ends, ends)}
         none = RawBatch(np.empty((0, 4)), np.empty((0, len(self.categories))))
@@ -384,6 +385,7 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
 
     slot: dict[int, int] = {}
     image_of = np.array([slot.setdefault(i, len(slot)) for i in iids], dtype=np.intp)
+    # Stable: each image's detections keep file order, so NMS ties break as in the file.
     order = np.argsort(image_of, kind="stable")
     ends = np.cumsum(np.bincount(image_of, minlength=len(slot))).tolist()
     boxes, score_array = corners[order], score_array[order]

@@ -154,6 +154,7 @@ def _match_classes(
     gt_classes, gt_counts = np.unique(gts.class_ids, return_counts=True)
     n_gt = dict(zip(gt_classes.tolist(), gt_counts.tolist()))
 
+    # Stable, both: each class's detections by score, equal scores by index; AP and --pr-csv read this walk.
     by_score = np.argsort(-dets.scores, kind="stable")
     by_class = by_score[np.argsort(class_ids[by_score], kind="stable")]
     ids = np.union1d(class_ids, gt_classes)
@@ -207,6 +208,7 @@ def pr_curves(
         raise NoGroundTruth("pr_curve needs at least one ground-truth object")
     dets = FinalBatch.of(dets)
     gt, _ = _match_tp_arrays(dets, gts, thresholds)
+    # Stable: equal scores by index, the walk whose points pr_curve returns, as in coco_ap.
     by_score = np.argsort(-dets.scores, kind="stable")
     return [list(zip(r.tolist(), p.tolist())) for r, p in _curves(gt[:, by_score] >= 0, len(gts))]
 

@@ -69,6 +69,7 @@ def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[i
     walk reaches the class.  So the IoU work is at most ``limit`` times
     the largest class.
     """
+    # Stable: of two equal scores the lower index is kept first, which decides what NMS keeps.
     order = np.argsort(-scores, kind="stable")
     alive = np.ones(order.size, dtype=bool)
     members: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

@@ -80,6 +80,7 @@ def soft_rank(values, epsilon: float = 1.0) -> SoftRankResult:
     if not np.isfinite(v).all():
         raise DegenerateInput("values contain non-finite entries")
 
+    # Stable: ties keep index order in the public permutation, which gradcheck compares.
     perm = np.argsort(-v, kind="stable")
     ranks_sorted, blocks = _pav(v[perm], epsilon)
     ranks = np.empty(n, dtype=np.float64)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from corrdet import DegenerateInput, average_ranks, concordance, pearson, spearman
+from corrdet import DegenerateInput, LossConfig, average_ranks, concordance, loss_from_arrays, pearson, spearman
 
 
 def test_average_ranks_handles_ties():
@@ -13,7 +13,19 @@ def test_average_ranks_handles_ties():
     assert average_ranks([5.0, 5.0, 5.0]).tolist() == [2.0, 2.0, 2.0]
     assert average_ranks([7.0]).tolist() == [1.0]
     assert average_ranks([]).tolist() == []
-    assert np.isnan(average_ranks([1.0, np.nan])).all()
+    # Any NaN, wherever it stands and next to infinities too, makes every rank NaN.
+    for values in (
+        [1.0, np.nan],
+        [np.nan, 1.0, 2.0, 3.0],
+        [1.0, 2.0, np.nan, 3.0, 2.0],
+        [np.nan, np.nan, np.nan],
+        [np.nan],
+        [np.inf, np.nan, -np.inf, 0.0],
+        [-np.inf, np.inf, np.nan],
+    ):
+        got = average_ranks(values)
+        assert got.shape == (len(values),)
+        assert np.isnan(got).all()
 
 
 def test_perfect_agreement_and_reversal():
@@ -118,6 +130,66 @@ def test_average_ranks_equal_scipy_rankdata_large():
         for distinct in (1, 3, 50, n + 1):
             x = rng.integers(0, distinct, size=n).astype(np.float64)
             assert_same_bits(average_ranks(x), rankdata(x, method="average"))
+    # Integer draws above tie at these sizes; uniform draws do not.
+    for n in (512, 1024, 2048, 5000):
+        x = rng.uniform(-1.0, 1.0, n)
+        assert np.unique(x).size == n
+        assert_same_bits(average_ranks(x), rankdata(x, method="average"))
+
+
+_ARGSORT = np.argsort
+
+
+def random_tie_order(monkeypatch, seed):
+    """Make numpy's default argsort break ties at random, as a sort whose tie
+    order varies (by SIMD path, say) might; a stable sort is left alone."""
+    rng = np.random.default_rng(seed)
+
+    def argsort(a, *args, **kwargs):
+        if args or kwargs:
+            return _ARGSORT(a, *args, **kwargs)
+        a = np.asarray(a)
+        return np.lexsort((rng.permutation(a.size), a))
+
+    monkeypatch.setattr(np, "argsort", argsort)
+
+
+def _many_ties(rng, n):
+    return rng.choice([0.0, -0.0, 0.25, 0.5, 0.75, 1.0], n)
+
+
+@pytest.mark.parametrize("n", [7, 64, 512, 2048])
+def test_average_ranks_do_not_depend_on_tie_order(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    x, y = _many_ties(rng, n), _many_ties(rng, n)
+    ranks, rho = average_ranks(x), spearman(x, y)
+    # Shuffled input: each value keeps its rank.  Tied ranks are half-integers
+    # and (n + 1) / 2 is their mean, so every Spearman moment is exact and the
+    # shuffle cannot move a bit of it either.
+    p = rng.permutation(n)
+    assert_same_bits(average_ranks(x[p]), ranks[p])
+    assert spearman(x[p], y[p]) == rho
+    # The same input under other orders within ties.
+    for seed in range(3):
+        random_tie_order(monkeypatch, seed)
+        assert_same_bits(average_ranks(x), ranks)
+        assert spearman(x, y) == rho
+
+
+# Per-image and pooled sizes; scores with a spread of 4 to 6 take the
+# one-block path at epsilon 1 and the PAV path at epsilon 0.01.
+@pytest.mark.parametrize("n", [48, 1024])
+@pytest.mark.parametrize("epsilon", [1.0, 0.01])
+def test_spearman_loss_does_not_depend_on_tie_order(n, epsilon, monkeypatch):
+    rng = np.random.default_rng(n)
+    ious, scores = _many_ties(rng, n), rng.normal(size=n)
+    cfg = LossConfig("spearman", epsilon)
+    want = loss_from_arrays(ious, scores, cfg)
+    for seed in range(3):
+        random_tie_order(monkeypatch, seed)
+        got = loss_from_arrays(ious, scores, cfg)
+        assert got.value == want.value
+        assert_same_bits(got.grad_scores, want.grad_scores)
 
 
 _HUGE = [1e200, 2e200, 3e200]
