@@ -35,6 +35,7 @@ from .geometry import _check_unit_interval
 from .gradcheck import run_gradcheck
 from .ingest import (
     Dataset,
+    _float_texts,
     emit_final_dets,
     emit_gt,
     emit_raw_dets,
@@ -123,11 +124,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # value is formatted once, keyed by its bits so 0.0 and -0.0 stay apart.
         values = np.concatenate(recalls + precisions)
         bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        text = [fmt_float(v) for v in bits.view(np.float64).tolist()]
-        rows = zip(prefixes, index[: len(prefixes)].tolist(), index[len(prefixes) :].tolist())
-        lines = ["category_id,iou_thr,recall,precision"]
-        lines.extend(f"{prefix},{text[r]},{text[p]}" for prefix, r, p in rows)
-        csv = "\n".join(lines) + "\n"
+        text = np.array(_float_texts(bits.view(np.float64)[:, None], ""), dtype=object)[index].tolist()
+        n = len(prefixes)
+        rows = map(",".join, zip(prefixes, text[:n], text[n:]))
+        csv = "\n".join(["category_id,iou_thr,recall,precision", *rows]) + "\n"
     _write_text(report, args.out)
     if csv is not None:
         _write_text(csv, args.pr_csv)

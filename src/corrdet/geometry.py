@@ -513,9 +513,9 @@ def _match_tp_arrays(
     matched_iou = np.zeros((n_thr, n))
     det_group, gt_group, n_groups = _groups(dets, gts)
 
-    # Every same-group (detection, gt) pair; a group's gts by index.  Stable
-    # for that pair order only: the lexsort below sets the order matching reads.
-    gts_by_group = np.argsort(gt_group, kind="stable")
+    # Every same-group (detection, gt) pair.  Their order here is not read:
+    # the lexsort below orders the pairs fully, by gt index last.
+    gts_by_group = np.argsort(gt_group)
     group_size = np.bincount(gt_group, minlength=n_groups)
     group_start = np.cumsum(group_size) - group_size
     pair_det = np.flatnonzero(det_group >= 0)

@@ -31,7 +31,11 @@ raw detections become one :class:`~corrdet.geometry.RawBatch` (boxes
 matching and the image-level re-rank read.  Each batch reads as a
 sequence of the objects its rows stand for, built on demand; the record
 walk still builds the objects, which :class:`Dataset` turns into batches
-once.  The writers read the columns.
+once.  The writers read the columns too: each record is one ``%`` of a
+fixed template, its floats formatted in one ``"%.17g"`` pass per row
+(:func:`_float_texts`), and the text is the one :func:`render_report`
+writes of the same records as dicts.  Every writer builds its text before
+it opens the file.
 
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
@@ -462,21 +466,63 @@ def load_final_dets(path: str, dataset: Dataset) -> Dataset:
 
 
 def fmt_float(value: float) -> str:
-    """17-significant-digit decimal form; parses back to identical bits."""
+    """17-significant-digit decimal form; parses back to identical bits.
+
+    An integral value below 1e17 in magnitude, the one kind whose
+    ``"%.17g"`` text has neither ``.`` nor ``e``, gets ``.0``, so the text
+    reads back as a float.  The writers format whole columns the same way
+    (see :func:`_float_texts`).  Raises ValueError for a non-finite value.
+    """
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite number {v}")
-    return _float_text("%.17g" % v)
-
-
-def _float_text(s: str) -> str:
-    """``"%.17g"`` text of a finite float, with ``.0`` added to an integral one."""
+    s = "%.17g" % v
     return s if ("." in s or "e" in s) else s + ".0"
 
 
-def _fmt(value: Any, indent: int) -> str:
-    pad = "  " * indent
+def _float_texts(values: np.ndarray, sep: str) -> list[str]:
+    """Each row of the 2-d float64 array ``values`` as :func:`fmt_float`
+    writes its values, joined by ``sep``.
+
+    One ``"%.17g"`` pass per row, with ``sep`` in the format string; a row
+    that holds an integral value below 1e17 in magnitude is formatted once
+    more, with ``.0`` after each such value.  Raises fmt_float's ValueError
+    for the first non-finite value, in row order.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        fmt_float(values[~finite][0])
+    template = sep.join(["%.17g"] * values.shape[1])
+    # one value is its own argument to a one-value template
+    rows = values[:, 0].tolist() if values.shape[1] == 1 else map(tuple, values.tolist())
+    texts = [template % row for row in rows]
+    integral = (np.trunc(values) == values) & (np.abs(values) < 1e17)
+    for i in np.flatnonzero(integral.any(axis=1)).tolist():
+        texts[i] = sep.join(["%.17g.0" if m else "%.17g" for m in integral[i].tolist()]) % tuple(values[i].tolist())
+    return texts
+
+
+def _list_template(n: int, indent: int) -> str:
+    """render_report's text of a list of ``n`` items at ``indent``, with
+    ``%s`` standing for the item texts joined by ``",\\n"`` and the items'
+    indent."""
+    return f"[\n{'  ' * (indent + 1)}%s\n{'  ' * indent}]" if n else "[%s]"
+
+
+def _list_text(items: Sequence[str], indent: int) -> str:
+    """render_report's text of a list at ``indent`` whose items read ``items``."""
+    return _list_template(len(items), indent) % f",\n{'  ' * (indent + 1)}".join(items)
+
+
+def _dict_text(fields: Iterable[tuple[str, str]], indent: int) -> str:
+    """render_report's text of a dict at ``indent`` from its ``(key, value
+    text)`` pairs, in the order given."""
     inner = "  " * (indent + 1)
+    items = [f"{inner}{json.dumps(k)}: {text}" for k, text in fields]
+    return "{\n" + ",\n".join(items) + f"\n{'  ' * indent}}}" if items else "{}"
+
+
+def _fmt(value: Any, indent: int) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -488,36 +534,60 @@ def _fmt(value: Any, indent: int) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{inner}{json.dumps(str(k))}: {_fmt(v, indent + 1)}" for k, v in sorted(value.items()))
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return _dict_text(((str(k), _fmt(v, indent + 1)) for k, v in sorted(value.items())), indent)
     if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        if _typed(value, _FLOAT) and all(map(math.isfinite, value)):
-            # a list of finite floats, as fmt_float writes each, formatted at once
-            texts = (("%.17g\n" * len(value)) % tuple(value)).splitlines()
-            items = (inner + _float_text(t) for t in texts)
+        sep = f",\n{'  ' * (indent + 1)}"
+        if _typed(value, _FLOAT):
+            # a list of floats, as fmt_float writes each, in one pass
+            (body,) = _float_texts(np.array(value, dtype=np.float64).reshape(1, -1), sep)
         else:
-            items = (f"{inner}{_fmt(v, indent + 1)}" for v in value)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+            body = sep.join(_fmt(v, indent + 1) for v in value)
+        return _list_template(len(value), indent) % body
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_report(payload: Any) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats.
+
+    Every float is written as :func:`fmt_float` writes it; a list of
+    Python floats is formatted in one pass (:func:`_float_texts`).  The
+    dataset writers build the same text from their columns.
+    """
     return _fmt(payload, 0) + "\n"
+
+
+# A character json.dumps escapes, so no document's text holds it: it marks
+# where a writer's records go.
+_SLOT = "\0"
+
+
+def _document(template: str, items: Sequence[str], indent: int) -> list[str]:
+    """The text of the document ``template``, with the list of ``items`` at
+    ``indent`` in place of its :data:`_SLOT` and a final newline, as pieces:
+    one per item and separator, so the text is never joined whole."""
+    head, tail = template.split(_SLOT)
+    start, end = _list_template(len(items), indent).split("%s")
+    pieces = [f",\n{'  ' * (indent + 1)}"] * (2 * len(items) - 1)
+    pieces[::2] = items
+    return [head + start, *pieces, end + tail + "\n"]
+
+
+def _write(pieces: Iterable[str], path: str) -> None:
+    """Write the text ``pieces`` to ``path``.  Callers build them first, so
+    an error while building them leaves an existing file as it was."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(pieces)
 
 
 def write_report(report: Any, path: str) -> None:
     """Serialize a report (or any JSON document): sorted keys, 17-digit floats.
 
     The output is deterministic for identical content, and every float
-    parses back to the same bits.
+    parses back to the same bits.  The text is rendered before the file
+    is opened, so a value that cannot be written (ValueError, TypeError)
+    leaves an existing file as it was.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(render_report(report))
+    _write([render_report(report)], path)
 
 
 def load_report(path: str) -> Any:
@@ -542,52 +612,62 @@ def _check_image_ids(dataset: Dataset, image_ids: Iterable[int], what: str) -> N
         raise ValueError(f"cannot emit {what} of unknown image id {min(unknown)}")
 
 
-def _rows_of(batch: GtBatch | FinalBatch, what: str, dataset: Dataset) -> Iterator[tuple[int, int, list[float]]]:
-    """``(image id, category id, [x, y, w, h])`` of every row of ``batch``,
+def _rows_of(batch: GtBatch | FinalBatch, what: str, dataset: Dataset, indent: int) -> tuple[list[str], list, list]:
+    """The ``[x, y, w, h]`` texts (as :func:`_float_texts` joins them for a
+    list at ``indent``), category ids and image ids of the rows of ``batch``,
     after :func:`_check_image_ids` on the image ids its rows name."""
     image_ids = [batch.image_ids[k] for k in batch.images.tolist()]
     _check_image_ids(dataset, image_ids, what)
     category_ids = [cid for cid, _ in dataset.categories]
     xywh = np.concatenate((batch.boxes[:, :2], batch.boxes[:, 2:] - batch.boxes[:, :2]), axis=1)  # Box.to_xywh
-    return zip(image_ids, [category_ids[c] for c in batch.class_ids.tolist()], xywh.tolist())
+    bboxes = _float_texts(xywh, f",\n{'  ' * (indent + 1)}")
+    return bboxes, [category_ids[c] for c in batch.class_ids.tolist()], image_ids
 
 
 def emit_gt(dataset: Dataset, path: str) -> None:
-    """Write ground truth in the COCO subset schema load_gt reads."""
-    rows = _rows_of(dataset.gts, "ground truth", dataset)
-    payload = {
-        "categories": [{"id": cid, "name": name} for cid, name in dataset.categories],
-        "images": [{"id": iid, "width": w, "height": h} for iid, w, h in dataset.images],
-        "annotations": [
-            {"id": k + 1, "image_id": iid, "category_id": cid, "bbox": bbox, "iscrowd": 0}
-            for k, (iid, cid, bbox) in enumerate(rows)
-        ],
-    }
-    write_report(payload, path)
+    """Write ground truth in the COCO subset schema load_gt reads.
+
+    Each record is one ``%`` of a fixed template, from the batch columns,
+    and the text is the one :func:`write_report` writes of the same
+    document as dicts.  It is built before the file is opened.
+    """
+    bboxes, category_ids, image_ids = _rows_of(dataset.gts, "ground truth", dataset, 3)
+    fields = [("bbox", _list_template(4, 3)), ("category_id", "%d"), ("id", "%d"), ("image_id", "%d"), ("iscrowd", "0")]
+    annotations = map(_dict_text(fields, 2).__mod__, zip(bboxes, category_ids, range(1, len(bboxes) + 1), image_ids))
+    category = _dict_text([("id", "%d"), ("name", "%s")], 2)
+    image = _dict_text([("height", "%d"), ("id", "%d"), ("width", "%d")], 2)
+    document = [
+        ("annotations", _SLOT),
+        ("categories", _list_text([category % (cid, json.dumps(name)) for cid, name in dataset.categories], 1)),
+        ("images", _list_text([image % (h, iid, w) for iid, w, h in dataset.images], 1)),
+    ]
+    _write(_document(_dict_text(document, 0), list(annotations), 1), path)
 
 
 def emit_raw_dets(dataset: Dataset, path: str) -> None:
-    """Write raw detections in the schema load_raw_dets reads."""
+    """Write raw detections in the schema load_raw_dets reads, as
+    :func:`emit_gt` writes: each image's rows through one template."""
     if dataset.raw_dets is not None:
         _check_image_ids(dataset, dataset.raw_dets, "raw detections")
-    dets = [
-        {"image_id": iid, "bbox": box, "scores": scores}
-        for iid, raw, _ in dataset.per_image()
-        for box, scores in zip(raw.boxes.tolist(), raw.scores.tolist())
-    ]
-    write_report({"detections": dets}, path)
+    sep = f",\n{'  ' * 4}"
+    records: list[str] = []
+    for iid, raw, _ in dataset.per_image():
+        scores = _list_template(raw.scores.shape[1], 3)
+        record = _dict_text([("bbox", _list_template(4, 3)), ("image_id", "%d" % iid), ("scores", scores)], 2)
+        records.extend(map(record.__mod__, zip(_float_texts(raw.boxes, sep), _float_texts(raw.scores, sep))))
+    _write(_document(_dict_text([("detections", _SLOT)], 0), records, 1), path)
 
 
 def emit_final_dets(dataset: Dataset, path: str) -> None:
-    """Write final detections as a COCO results list."""
+    """Write final detections as a COCO results list, as :func:`emit_gt`
+    writes."""
     if dataset.final_dets is None:
         raise ValueError("dataset has no final detections to emit")
-    rows = _rows_of(dataset.final_dets, "final detections", dataset)
-    payload = [
-        {"image_id": iid, "category_id": cid, "bbox": bbox, "score": score}
-        for (iid, cid, bbox), score in zip(rows, dataset.final_dets.scores.tolist())
-    ]
-    write_report(payload, path)
+    bboxes, category_ids, image_ids = _rows_of(dataset.final_dets, "final detections", dataset, 2)
+    scores = _float_texts(dataset.final_dets.scores.reshape(-1, 1), "")
+    fields = [("bbox", _list_template(4, 2)), ("category_id", "%d"), ("image_id", "%d"), ("score", "%s")]
+    records = map(_dict_text(fields, 1).__mod__, zip(bboxes, category_ids, image_ids, scores))
+    _write(_document(_SLOT, list(records), 0), path)
 
 
 _GRID = 8

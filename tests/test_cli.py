@@ -23,7 +23,7 @@ from corrdet import (
     synth,
 )
 from corrdet.gradcheck import GradcheckResult, GradcheckRow
-from corrdet.ingest import emit_final_dets, emit_gt, load_final_dets, load_gt, load_raw_dets, load_report
+from corrdet.ingest import emit_final_dets, emit_gt, fmt_float, load_final_dets, load_gt, load_raw_dets, load_report
 
 
 @pytest.fixture()
@@ -164,13 +164,16 @@ def test_eval_pr_csv_holds_the_curves_of_classes_with_gts(tmp_path):
 
     loaded = load_final_dets(str(dets_p), load_gt(str(gt_p)))
     assert any(d.class_id == 2 for d in loaded.final_dets)
+    # the oracle formats one value at a time; recall and precision are
+    # often exactly 0.0 or 1.0, which "%.17g" writes without the ".0"
     expected = ["category_id,iou_thr,recall,precision"]
     for c in (0, 1):
         cdets = [d for d in loaded.final_dets if d.class_id == c]
         cgts = [g for g in loaded.gts if g.class_id == c]
         for t, curve in zip(COCO_THRESHOLDS, pr_curves(cdets, cgts)):
-            prefix = f"{loaded.categories[c][0]},{cli._csv_value(t)}"
-            expected.extend(f"{prefix},{cli._csv_value(r)},{cli._csv_value(p)}" for r, p in curve)
+            prefix = f"{loaded.categories[c][0]},{fmt_float(t)}"
+            expected.extend(f"{prefix},{fmt_float(r)},{fmt_float(p)}" for r, p in curve)
+    assert any(line.endswith((",0.0", ",1.0")) for line in expected)
     assert csv_p.read_text() == "\n".join(expected) + "\n"
 
 

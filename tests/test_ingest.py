@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import corrdet.cli as cli
 import corrdet.ingest as ingest
@@ -16,6 +17,8 @@ from corrdet import (
     Box,
     Dataset,
     DimensionError,
+    FinalBatch,
+    GtBatch,
     ParseError,
     PipelineConfig,
     RawBatch,
@@ -835,6 +838,15 @@ def test_render_report_writes_float_lists_as_fmt_float_does(values, as_tuple):
     values = tuple(values) if as_tuple else values
     assert render_report(values) == _one_by_one(values, "") + "\n"
     assert render_report({"v": values}) == '{\n  "v": ' + _one_by_one(values, "  ") + "\n}\n"
+    # the writers' helper: each row of an array, its values joined, as
+    # fmt_float writes each (rows with and without an integral value)
+    texts = [fmt_float(v) for v in values]
+    array = np.array([float(v) for v in values])
+    assert ingest._float_texts(array[None, :], ",\n  ") == [",\n  ".join(texts)]
+    assert ingest._float_texts(array[:, None], "") == texts
+    if len(values) % 2 == 0:
+        half = len(values) // 2
+        assert ingest._float_texts(array.reshape(2, half), ", ") == [", ".join(texts[:half]), ", ".join(texts[half:])]
 
 
 @settings(max_examples=100, deadline=None)
@@ -873,6 +885,124 @@ def test_render_report_handles_numpy_scalars():
     assert '"i": 3' in out and '"f": 0.5' in out
     with pytest.raises(TypeError):
         render_report({"bad": object()})
+
+
+def test_write_report_leaves_the_file_when_a_value_is_refused(tmp_path):
+    # the text is rendered before the file is opened
+    p = tmp_path / "report.json"
+    p.write_text("kept\n")
+    with pytest.raises(ValueError) as want:
+        fmt_float(math.nan)
+    with pytest.raises(ValueError) as got:
+        write_report({"v": [1.0, math.nan]}, str(p))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError):
+        write_report({"v": object()}, str(p))
+    assert p.read_text() == "kept\n"
+
+
+def _oracle_rows(batch, dataset):
+    """``(image id, category id, [x, y, w, h])`` of every row of ``batch``."""
+    image_ids = [batch.image_ids[k] for k in batch.images.tolist()]
+    category_ids = [cid for cid, _ in dataset.categories]
+    xywh = np.concatenate((batch.boxes[:, :2], batch.boxes[:, 2:] - batch.boxes[:, :2]), axis=1)
+    return zip(image_ids, [category_ids[c] for c in batch.class_ids.tolist()], xywh.tolist())
+
+
+def _oracle_documents(dataset):
+    """What each writer writes, as the records-as-dicts document that
+    render_report turns into the same text: the oracle for its bytes."""
+    gt = {
+        "categories": [{"id": cid, "name": name} for cid, name in dataset.categories],
+        "images": [{"id": iid, "width": w, "height": h} for iid, w, h in dataset.images],
+        "annotations": [
+            {"id": k + 1, "image_id": iid, "category_id": cid, "bbox": bbox, "iscrowd": 0}
+            for k, (iid, cid, bbox) in enumerate(_oracle_rows(dataset.gts, dataset))
+        ],
+    }
+    raw = {
+        "detections": [
+            {"image_id": iid, "bbox": box, "scores": scores}
+            for iid, raw, _ in dataset.per_image()
+            for box, scores in zip(raw.boxes.tolist(), raw.scores.tolist())
+        ]
+    }
+    final = [
+        {"image_id": iid, "category_id": cid, "bbox": bbox, "score": score}
+        for (iid, cid, bbox), score in zip(_oracle_rows(dataset.final_dets, dataset), dataset.final_dets.scores.tolist())
+    ]
+    return {emit_gt: gt, emit_raw_dets: raw, emit_final_dets: final}
+
+
+# integral coordinates (which get ".0"), -0.0, and the 1e16/1e17 edges
+_COORDS = st.integers(-700, 700).map(float) | _EDGE_FLOATS | st.floats(-1e6, 1e6)
+_SCORES = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _column_datasets(draw):
+    """A dataset of hand-built batches: up to 4 images, some without
+    detections, and batches that list the image ids in their own order."""
+    n_classes = draw(st.integers(0, 3))
+    cids = draw(st.lists(st.integers(-(10**20), 10**20), min_size=n_classes, max_size=n_classes, unique=True))
+    names = draw(st.lists(st.text(max_size=3), min_size=n_classes, max_size=n_classes))
+    iids = draw(st.lists(st.integers(-5, 10**20), max_size=4, unique=True))
+    images = tuple((iid, draw(st.integers(1, 4000)), draw(st.integers(1, 4000))) for iid in iids)
+    batch_ids = draw(st.permutations(iids))
+
+    def rows(lo, hi):
+        return draw(st.integers(lo, hi)) if iids and n_classes else 0
+
+    def columns(n):
+        boxes = draw(arrays(np.float64, (n, 4), elements=_COORDS))
+        classes = np.array(draw(st.lists(st.integers(0, max(n_classes - 1, 0)), min_size=n, max_size=n)), dtype=np.intp)
+        images = np.array(draw(st.lists(st.integers(0, max(len(iids) - 1, 0)), min_size=n, max_size=n)), dtype=np.intp)
+        return boxes, classes, images
+
+    gts = GtBatch(*columns(rows(0, 6)), batch_ids)
+    n = rows(0, 6)
+    boxes, classes, at = columns(n)
+    finals = FinalBatch(boxes, classes, draw(arrays(np.float64, (n,), elements=_SCORES)), at, batch_ids)
+    raw = {}
+    for iid in draw(st.lists(st.sampled_from(iids), unique=True)) if iids else []:
+        m = draw(st.integers(0, 3))
+        raw[iid] = RawBatch(
+            draw(arrays(np.float64, (m, 4), elements=_COORDS)), draw(arrays(np.float64, (m, n_classes), elements=_SCORES))
+        )
+    return Dataset(tuple(zip(cids, names)), images, gts, raw, finals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_column_datasets())
+def test_emitters_write_what_render_report_writes_of_their_records(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("emit") / "out.json"
+    for emit, document in _oracle_documents(dataset).items():
+        emit(dataset, str(path))
+        assert path.read_text(encoding="utf-8") == render_report(document)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_datasets(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_emitters_refuse_a_non_finite_column_value_as_fmt_float_does(tmp_path_factory, dataset, bad, data):
+    # batches take their columns as they are; a non-finite value leaves
+    # the existing file as it was, with fmt_float's error
+    columns = [(emit_gt, dataset.gts.boxes), (emit_final_dets, dataset.final_dets.boxes),
+               (emit_final_dets, dataset.final_dets.scores)]
+    columns += [(emit_raw_dets, c) for raw in dataset.raw_dets.values() for c in (raw.boxes, raw.scores)]
+    columns = [(emit, c) for emit, c in columns if c.size > 0]
+    assume(columns)
+    emit, column = data.draw(st.sampled_from(columns))
+    column = column.base  # the batch's read-only view shares the array drawn
+    column.flat[data.draw(st.integers(0, column.size - 1))] = bad
+    with pytest.raises(ValueError) as want:
+        render_report(_oracle_documents(dataset)[emit])
+    assert str(want.value).startswith("cannot serialize non-finite number")
+    path = tmp_path_factory.mktemp("emit") / "out.json"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError) as got:
+        emit(dataset, str(path))
+    assert str(got.value) == str(want.value)
+    assert path.read_text() == "kept\n"
 
 
 def test_write_and_load_report_round_trip(tmp_path):
