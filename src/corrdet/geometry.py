@@ -128,7 +128,8 @@ class RawDetection:
         scores = tuple(map(float, self.class_scores))
         if not scores:
             raise ValueError("class_scores must have at least one entry")
-        # inline, not _check_unit_interval: a raw detector's file holds ~10^5 scores
+        # inline, not _check_unit_interval: code that builds a detector's
+        # output in memory checks 10^5 scores per image (1000 boxes x 80 classes)
         for s in scores:
             if not 0.0 <= s <= 1.0:  # rejects NaN too
                 raise ValueError(f"class scores must lie in [0, 1], got {s}")
@@ -152,8 +153,12 @@ _T = TypeVar("_T")
 
 
 class _Batch(Sequence[_T]):
-    """A read-only sequence of objects held as row-aligned numpy columns,
-    named by ``_COLUMNS`` in constructor order, each made a read-only view.
+    """A read-only sequence of objects held as row-aligned numpy columns.
+
+    The constructor takes the arguments that ``_COLUMNS`` and then
+    ``_SHARED`` name, in that order.  Each column is stored as a read-only
+    view; each shared argument (a sequence the rows index, say) is stored
+    as a tuple and passed unchanged to every slice.
 
     Indexing or iterating builds the objects on demand (``_row`` makes one
     from a row's Python values), a slice is a batch of views of the same
@@ -166,23 +171,26 @@ class _Batch(Sequence[_T]):
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
     _COLUMNS: tuple[str, ...] = ()
+    _SHARED: tuple[str, ...] = ()
 
-    def __init__(self, *columns: np.ndarray) -> None:
-        for name, column in zip(self._COLUMNS, columns):
+    def __init__(self, *args: Any) -> None:
+        names = self._COLUMNS + self._SHARED
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}) takes {len(names)} arguments, got {len(args)}")
+        for name, column in zip(self._COLUMNS, args):
             column = column.view()
             column.flags.writeable = False
             setattr(self, name, column)
-
-    def _shared(self) -> tuple:
-        """Constructor arguments after the columns, shared by every slice."""
-        return ()
+        for name, value in zip(self._SHARED, args[len(self._COLUMNS) :]):
+            setattr(self, name, tuple(value))
 
     def _row(self, *values: Any) -> _T:
         raise NotImplementedError
 
     def _take(self, rows) -> "_Batch[_T]":
         """The batch of ``rows``, a slice or an index array."""
-        return type(self)(*(getattr(self, name)[rows] for name in self._COLUMNS), *self._shared())
+        columns = (getattr(self, name)[rows] for name in self._COLUMNS)
+        return type(self)(*columns, *(getattr(self, name) for name in self._SHARED))
 
     @classmethod
     def of(cls, items: Sequence[_T]):
@@ -222,25 +230,19 @@ def _object_columns(items: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 class GtBatch(_Batch[GtObject]):
-    """Ground truth held as columns: ``boxes``, ``(n, 4)`` float64 in corner
-    form, ``class_ids``, ``(n,)``, and ``images``, ``(n,)``, each row's
-    position in ``image_ids``, a tuple of distinct ids.  The ids stay
-    Python integers, so ids beyond 64 bits hold, and rows group by the
-    position.
+    """Ground truth held as columns, built as ``GtBatch(boxes, class_ids,
+    images, image_ids)``: ``boxes``, ``(n, 4)`` float64 in corner form,
+    ``class_ids``, ``(n,)``, and ``images``, ``(n,)``, each row's position
+    in ``image_ids``, a tuple of distinct ids.  The ids stay Python
+    integers, so ids beyond 64 bits hold, and rows group by the position.
 
     A read-only ``Sequence[GtObject]`` that builds objects on demand; see
     :class:`_Batch`.
     """
 
-    __slots__ = ("boxes", "class_ids", "images", "image_ids")
     _COLUMNS = ("boxes", "class_ids", "images")
-
-    def __init__(self, boxes: np.ndarray, class_ids: np.ndarray, images: np.ndarray, image_ids: Sequence[int]) -> None:
-        super().__init__(boxes, class_ids, images)
-        self.image_ids = tuple(image_ids)
-
-    def _shared(self) -> tuple:
-        return (self.image_ids,)
+    _SHARED = ("image_ids",)
+    __slots__ = _COLUMNS + _SHARED
 
     def _row(self, box: list[float], class_id: int, image: int) -> GtObject:
         return GtObject(Box(*box), class_id, self.image_ids[image])
@@ -251,8 +253,9 @@ class GtBatch(_Batch[GtObject]):
 
 
 class RawBatch(_Batch[RawDetection]):
-    """One image's raw detections held as two read-only float64 arrays:
-    ``boxes``, ``(n, 4)`` in corner form, and ``scores``, ``(n, C)``.
+    """One image's raw detections held as two read-only float64 arrays,
+    built as ``RawBatch(boxes, scores)``: ``boxes``, ``(n, 4)`` in corner
+    form, and ``scores``, ``(n, C)``.
 
     A read-only ``Sequence[RawDetection]`` that builds objects on demand;
     see :class:`_Batch`.  Built from objects, a shorter score vector is
@@ -260,8 +263,8 @@ class RawBatch(_Batch[RawDetection]):
     comparison strict).
     """
 
-    __slots__ = ("boxes", "scores")
     _COLUMNS = ("boxes", "scores")
+    __slots__ = _COLUMNS
 
     def _row(self, box: list[float], scores: list[float]) -> RawDetection:
         return RawDetection(Box(*box), scores)
@@ -280,7 +283,8 @@ class RawBatch(_Batch[RawDetection]):
 
 
 class FinalBatch(_Batch[FinalDetection]):
-    """Final detections held as columns: those of a :class:`GtBatch`
+    """Final detections held as columns, built as ``FinalBatch(boxes,
+    class_ids, scores, images, image_ids)``: those of a :class:`GtBatch`
     (``boxes``, ``class_ids``, ``images`` and the distinct ``image_ids``
     they index) plus ``scores``, ``(n,)`` float64.
 
@@ -288,22 +292,9 @@ class FinalBatch(_Batch[FinalDetection]):
     demand; see :class:`_Batch`.
     """
 
-    __slots__ = ("boxes", "class_ids", "scores", "images", "image_ids")
     _COLUMNS = ("boxes", "class_ids", "scores", "images")
-
-    def __init__(
-        self,
-        boxes: np.ndarray,
-        class_ids: np.ndarray,
-        scores: np.ndarray,
-        images: np.ndarray,
-        image_ids: Sequence[int],
-    ) -> None:
-        super().__init__(boxes, class_ids, scores, images)
-        self.image_ids = tuple(image_ids)
-
-    def _shared(self) -> tuple:
-        return (self.image_ids,)
+    _SHARED = ("image_ids",)
+    __slots__ = _COLUMNS + _SHARED
 
     def _row(self, box: list[float], class_id: int, score: float, image: int) -> FinalDetection:
         return FinalDetection(Box(*box), class_id, score, self.image_ids[image])

@@ -107,7 +107,7 @@ class Dataset:
         Raises ValueError when the dataset holds no raw detections.
         """
         if self.raw_dets is None:
-            raise ValueError("dataset has no raw detections; pass --raw-dets")
+            raise ValueError("dataset has no raw detections to split per image")
         ends = np.cumsum(np.bincount(self.gts.images, minlength=len(self.gts.image_ids))).tolist()
         # Stable: each image's gts keep file order, whose index breaks equal-IoU matches.
         gts = self.gts._take(np.argsort(self.gts.images, kind="stable"))
@@ -224,7 +224,6 @@ _T = TypeVar("_T")
 _DICT = frozenset((dict,))
 _LIST = frozenset((list,))
 _INT = frozenset((int,))
-_FLOAT = frozenset((float,))
 _STR = frozenset((str,))
 
 
@@ -536,22 +535,16 @@ def _fmt(value: Any, indent: int) -> str:
     if isinstance(value, dict):
         return _dict_text(((str(k), _fmt(v, indent + 1)) for k, v in sorted(value.items())), indent)
     if isinstance(value, (list, tuple)):
-        sep = f",\n{'  ' * (indent + 1)}"
-        if _typed(value, _FLOAT):
-            # a list of floats, as fmt_float writes each, in one pass
-            (body,) = _float_texts(np.array(value, dtype=np.float64).reshape(1, -1), sep)
-        else:
-            body = sep.join(_fmt(v, indent + 1) for v in value)
-        return _list_template(len(value), indent) % body
+        return _list_text([_fmt(v, indent + 1) for v in value], indent)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_report(payload: Any) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats.
 
-    Every float is written as :func:`fmt_float` writes it; a list of
-    Python floats is formatted in one pass (:func:`_float_texts`).  The
-    dataset writers build the same text from their columns.
+    Every float is written as :func:`fmt_float` writes it, and every list
+    as :func:`_list_text` lays out its items' texts.  The dataset writers
+    build the same text from their columns (:func:`_float_texts`).
     """
     return _fmt(payload, 0) + "\n"
 

@@ -79,16 +79,14 @@ def _spearman_mean(
     """Mean Spearman between IoUs and scores over ``(group id, ious, scores)``.
 
     Returns the mean, the per-group values and the number of groups
-    skipped: those with fewer than two matches or degenerate ranks.
+    skipped: those where :func:`spearman` raises DegenerateInput (fewer
+    than two matches or degenerate ranks).
     Raises EmptyEvaluation when every group is skipped (``unit`` names a
     group in the message).
     """
     per_group: list[tuple[int, float]] = []
     skipped = 0
     for group_id, ious, scores in groups:
-        if len(ious) < 2:
-            skipped += 1
-            continue
         try:
             per_group.append((group_id, spearman(ious, scores)))
         except DegenerateInput:

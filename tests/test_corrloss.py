@@ -246,6 +246,22 @@ def test_descend_demo_validation():
         descend_demo([0.1], [0.2], cfg, steps=1, lr=0.1)
     with pytest.raises(ValueError):
         descend_demo([0.1, 0.2], [0.2, 0.3], cfg, steps=-1, lr=0.1)
+    for lr in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            descend_demo([0.1, 0.2], [0.2, 0.3], cfg, steps=1, lr=lr)
+    with pytest.raises(ValueError, match="length mismatch: 3 ious vs 2 scores"):
+        descend_demo([0.1, 0.2], [0.2, 0.3, 0.4], cfg, steps=1, lr=0.1)
+
+
+@pytest.mark.parametrize("coef", COEFFICIENTS)
+def test_descend_demo_from_tied_scores_records_a_degenerate_trace(coef):
+    # all-equal scores: every step's loss is 0 with a zero gradient, so the
+    # scores never move and the hard Spearman stays undefined
+    scores = np.full(4, 0.3)
+    trace = descend_demo(scores, [0.2, 0.9, 0.5, 0.7], LossConfig(coefficient=coef), steps=3, lr=0.5)
+    assert np.array_equal(trace.losses, np.zeros(4))
+    assert np.isnan(trace.spearmans).all() and trace.spearmans.shape == (4,)
+    assert np.array_equal(trace.final_scores, scores)
 
 
 def test_train_loss_fixed_sample_matches_the_bench_reference():

@@ -41,3 +41,41 @@ def test_no_deferred_imports_and_no_pipeline_below_it():
             if path.stem in BELOW_PIPELINE and module == "pipeline":
                 problems.append(f"{path.name}: imports pipeline")
     assert problems == []
+
+
+def _private_definitions(tree):
+    """``(name, node)`` for every private name a module defines at its top
+    level: functions, classes and assigned names that start with one
+    underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_module_name_is_used():
+    # used: read as a name or an attribute anywhere in the package, outside
+    # the statement that defines it
+    paths = sorted(Path(corrdet.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unused = []
+    for file_name, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if all(id(n) in inside for n in uses.get(name, [])):
+                unused.append(f"{file_name}: {name}")
+    assert unused == []

@@ -83,6 +83,25 @@ def test_gt_and_final_batches_are_read_only_sequences_of_their_objects(kind):
         hash(batch)
 
 
+def test_batches_take_their_columns_then_their_shared_arguments():
+    boxes = np.array([[0.0, 0.0, 10.0, 10.0], [20.0, 0.0, 30.0, 10.0]])
+    classes, images, scores = np.array([1, 0]), np.array([0, 0]), np.array([0.5, 0.25])
+    gts = GtBatch(boxes, classes, images, [5])
+    assert gts.image_ids == (5,) and gts[1:].image_ids is gts.image_ids
+    finals = FinalBatch(boxes, classes, scores, images, iter([5]))
+    assert finals.image_ids == (5,) and finals[1] == FinalDetection(box_at(20), 0, 0.25, 5)
+    for kind, args in [
+        (GtBatch, (boxes, classes, images)),
+        (GtBatch, (boxes, classes, images, (5,), (5,))),
+        (FinalBatch, (boxes, classes, scores, images)),
+        (RawBatch, (boxes,)),
+    ]:
+        with pytest.raises(TypeError, match=f"{kind.__name__}\\(boxes, "):
+            kind(*args)
+    with pytest.raises(AttributeError):
+        gts.extra = 0
+
+
 def test_final_detection_validation():
     with pytest.raises(ValueError):
         FinalDetection(box_at(0), 0, 1.5)

@@ -25,6 +25,7 @@ from corrdet import (
     soft_rank,
     soft_rank_vjp,
 )
+from corrdet.gradcheck import _blocks_stable
 
 
 def _rank_ulps(v, eps) -> float:
@@ -175,6 +176,13 @@ def test_vjp_matches_finite_differences():
         diff = float(np.linalg.norm(fd - analytic))
         assert diff <= 1e-9 or diff / max(np.linalg.norm(fd), 1e-12) < 1e-4
         checked += 1
+
+
+def test_gradcheck_sees_scores_closer_than_its_step_as_unstable():
+    # a step of h = 1e-5 swaps the two scores 4e-6 apart, so the permutation
+    # changes and finite differences would straddle the kink between orders
+    assert not _blocks_stable(np.array([0.5, 0.5 + 4e-6, 0.1]), 1.0, 1e-5)
+    assert _blocks_stable(np.array([0.5, 0.5 + 4e-5, 0.1]), 1.0, 1e-5)
 
 
 def test_invalid_inputs():
