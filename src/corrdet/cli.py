@@ -24,7 +24,7 @@ import os
 import stat
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -67,6 +67,12 @@ def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
     }
 
 
+def _pipeline_payload(pcfg: PipelineConfig | None) -> dict:
+    """The pipeline values a run read (``score_thr``, ``nms_iou``, ``top_k``,
+    ``nms_enabled``); none for a run that post-processes nothing."""
+    return {} if pcfg is None else asdict(pcfg)
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -94,7 +100,8 @@ def _load_dataset(args: argparse.Namespace, pcfg: PipelineConfig | None) -> Data
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args, _check_run(args))
+    pcfg = _check_run(args)
+    dataset = _load_dataset(args, pcfg)
     finals = dataset.final_dets
     mode = "final" if args.dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
 
@@ -106,6 +113,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "n_images": len(dataset.images),
         "n_ground_truths": len(dataset.gts),
         "n_detections": len(finals),
+        **_pipeline_payload(pcfg),
     }
     payload.update(_ap_payload(ap, dataset))
     report = render_report(payload)
@@ -135,7 +143,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args, _check_run(args))
+    pcfg = _check_run(args)
+    dataset = _load_dataset(args, pcfg)
 
     if args.level == "image":
         pairs = [(raw, gts) for _, raw, gts in dataset.per_image()]
@@ -160,6 +169,7 @@ def _cmd_corr(args: argparse.Namespace) -> int:
                 for c, b in report.per_class
             ],
             "skipped_classes": report.skipped_classes,
+            **_pipeline_payload(pcfg),
         }
     _write_text(render_report(payload), args.out)
     return 0
@@ -187,7 +197,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     payload = {
         "direction": args.direction,
         "level": args.level,
-        "tp_iou": args.tp_iou,
+        **({"iou_floor": args.iou_floor} if args.level == "image" else {"tp_iou": args.tp_iou}),
+        **_pipeline_payload(pcfg),
         "ap_before": _ap_payload(report.ap_before, dataset),
         "ap_after": _ap_payload(report.ap_after, dataset),
         "beta_before": beta_of(report.corr_before),

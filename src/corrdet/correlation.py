@@ -82,9 +82,12 @@ def average_ranks(x) -> FloatArray:
 
     The result does not depend on the order within a tie group, so one
     default (unstable) sort serves; NaN sorts last under it, so the last
-    sorted value tells whether there is one.  Each group's rank is
-    repeated over its span in sorted order and scattered once; without
-    ties every group is one position p (0-based), whose rank is p + 1.
+    sorted value tells whether there is one.  Without ties the rank of
+    sorted position p (0-based) is p + 1, which is what a one-entry group
+    would get, so ``1..n`` is scattered through the sort order and no
+    group is formed.  Only input with a tie (``0.0 == -0.0`` and equal
+    infinities count) builds the groups: each group's rank is repeated
+    over its span in sorted order and scattered once.
     """
     a = np.asarray(x, dtype=np.float64).reshape(-1)
     n = a.shape[0]
@@ -94,6 +97,9 @@ def average_ranks(x) -> FloatArray:
         return np.full(n, np.nan)
     ranks = np.empty(n)
     rises = ordered[1:] != ordered[:-1]
+    if rises.all():
+        ranks[order] = np.arange(1.0, n + 1.0)
+        return ranks
     bounds = np.concatenate(([0], np.flatnonzero(rises) + 1, [n]))
     ranks[order] = np.repeat(0.5 * (bounds[1:] + bounds[:-1] + 1), np.diff(bounds))
     return ranks

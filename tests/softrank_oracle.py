@@ -6,6 +6,10 @@ on a stack of numpy scalars, with a second loop that fills each block and
 a ``descending`` flag that negates the scaled input.  On every input whose
 scaled values have no ties the library must return the same bits.
 
+``isotonic_ranks`` is a second, independent reference for the ranks:
+the same projection solved by ``scipy.optimize.isotonic_regression``, a
+test-only dependency (the ``test`` extra) that corrdet never imports.
+
 ``spearman_loss`` is the Spearman Correlation Loss composed the long way,
 for every batch: soft ranks of the scores, the Pearson gradient terms of
 the IoUs' average ranks against them, and the soft-rank backward pass.
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from corrdet import DegenerateInput, average_ranks
 
@@ -104,6 +109,23 @@ def soft_rank(values, epsilon: float = 1.0, descending: bool = False) -> SoftRan
     ranks = np.empty(n, dtype=np.float64)
     ranks[perm] = ranks_sorted
     return SoftRankResult(ranks, perm, blocks, float(epsilon), sign)
+
+
+def isotonic_ranks(values, epsilon: float) -> np.ndarray:
+    """Soft ranks of ``values`` (the largest gets rank n) as
+    ``s - isotonic_regression(s - w, increasing=False)``, with s the
+    values / epsilon sorted descending and w = (n, ..., 1): the projection
+    of s onto the permutahedron, reduced to isotonic regression as in
+    Blondel et al. 2020.  Equal values get one rank, as the exact fit
+    pools them."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = v.shape[0]
+    perm = np.argsort(-v, kind="stable")
+    s = v[perm] / epsilon
+    w = np.arange(n, 0, -1, dtype=np.float64)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[perm] = s - isotonic_regression(s - w, increasing=False).x
+    return ranks
 
 
 def soft_rank_vjp(result: SoftRankResult, upstream) -> np.ndarray:

@@ -561,6 +561,18 @@ def rule_dir(tmp_path_factory):
     return out
 
 
+# the report key that names each flag's value, its default, and the value
+# _FLAG_ARGS gives
+_FLAG_KEYS = {
+    "--score-thr": ("score_thr", PipelineConfig.score_thr, 0.7),
+    "--nms-iou": ("nms_iou", PipelineConfig.nms_iou, 0.95),
+    "--top-k": ("top_k", PipelineConfig.top_k, 2),
+    "--nms-free": ("nms_enabled", True, False),
+    "--tp-iou": ("tp_iou", 0.5, 0.75),
+    "--iou-floor": ("iou_floor", 0.5, 0.75),
+}
+
+
 @pytest.mark.parametrize("run", list(_RUN_READS), ids=_run_name)
 def test_every_flag_a_run_reads_changes_its_report(rule_dir, tmp_path, run):
     dets = str(rule_dir / ("final_dets.json" if run[2] == "--dets" else "raw_dets.json"))
@@ -570,9 +582,19 @@ def test_every_flag_a_run_reads_changes_its_report(rule_dir, tmp_path, run):
         assert cli.main([*_run_argv(run, str(rule_dir / "gt.json"), dets), *flag_args, "--out", str(out)]) == 0
         return out.read_bytes()
 
+    def named(text):
+        # the parameters the report names, by report key
+        values = json.loads(text)
+        return {key: values[key] for key, _, _ in _FLAG_KEYS.values() if key in values}
+
     default = report()
+    # the report names the value of every flag the run reads, and no other
+    assert named(default) == {_FLAG_KEYS[flag][0]: _FLAG_KEYS[flag][1] for flag in _RUN_READS[run]}
     for flag in _RUN_READS[run]:
-        assert report(flag, *_FLAG_ARGS[flag]) != default, flag
+        text = report(flag, *_FLAG_ARGS[flag])
+        assert text != default, flag
+        key, _, value = _FLAG_KEYS[flag]
+        assert named(text) == {**named(default), key: value}, flag
 
 
 @pytest.mark.parametrize("run", list(_RUN_READS), ids=_run_name)

@@ -137,6 +137,35 @@ def test_average_ranks_equal_scipy_rankdata_large():
         assert_same_bits(average_ranks(x), rankdata(x, method="average"))
 
 
+def _plant_tie(rng, x, kind):
+    """A copy of the tie-free ``x`` with exactly one pair of equal values."""
+    x = x.copy()
+    i, j = rng.choice(x.size, 2, replace=False)
+    if kind == "equal":
+        x[j] = x[i]
+    elif kind == "signed zero":
+        x[i], x[j] = 0.0, -0.0
+    else:
+        x[i] = x[j] = rng.choice([np.inf, -np.inf])
+    return x
+
+
+@pytest.mark.parametrize("kind", ["equal", "signed zero", "inf"])
+def test_average_ranks_with_one_planted_tie_equal_scipy_rankdata(kind):
+    # Tie-free input is ranked without tie groups, input with a tie through
+    # them: one tied pair is the least that must take the second path.
+    rng = np.random.default_rng(len(kind))
+    for n in [*range(2, 65), 512, 1024, 2048]:
+        x = rng.uniform(-1.0, 1.0, n)
+        assert np.unique(x).size == n
+        assert_same_bits(average_ranks(x), rankdata(x, method="average"))
+        tied = _plant_tie(rng, x, kind)
+        assert np.unique(tied).size == n - 1
+        assert_same_bits(average_ranks(tied), rankdata(tied, method="average"))
+    for x in ([], [0.5], [-0.0], [np.inf]):
+        assert_same_bits(average_ranks(x), rankdata(np.array(x, dtype=np.float64), method="average"))
+
+
 _ARGSORT = np.argsort
 
 

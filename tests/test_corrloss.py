@@ -11,6 +11,7 @@ import pytest
 import softrank_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from corrdet import (
     COEFFICIENTS,
@@ -264,15 +265,21 @@ def test_descend_demo_from_tied_scores_records_a_degenerate_trace(coef):
     assert np.array_equal(trace.final_scores, scores)
 
 
-def test_train_loss_fixed_sample_matches_the_bench_reference():
-    # The train-loss benchmark checks these recorded rows before it times
-    # anything; this holds them with its own sample, configs and rule.
+def _bench_train_loss():
+    """The train-loss benchmark module, ``bench/train_loss.py``."""
     bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
     sys.path.insert(0, bench)
     try:
         import train_loss
     finally:
         sys.path.remove(bench)
+    return train_loss
+
+
+def test_train_loss_fixed_sample_matches_the_bench_reference():
+    # The train-loss benchmark checks these recorded rows before it times
+    # anything; this holds them with its own sample, configs and rule.
+    train_loss = _bench_train_loss()
     with open(train_loss.REFERENCE_PATH, encoding="utf-8") as f:
         rows = json.load(f)["train-loss"]["fixed_sample"]
     sample = train_loss.fixed_sample()
@@ -286,6 +293,21 @@ def test_train_loss_fixed_sample_matches_the_bench_reference():
         assert grad.shape == res.grad_scores.shape
         assert abs(res.value - row["value"]) <= tol
         assert np.max(np.abs(grad - res.grad_scores), initial=0.0) <= tol
+
+
+def test_train_loss_batches_rank_as_scipy_rankdata():
+    # The IoUs the train-loss benchmark ranks, per-image and pooled, are
+    # tie-free, so they pin the tie-free ranking path to the oracle.
+    train_loss = _bench_train_loss()
+    for seed in (7, 11):
+        batches = train_loss.make_batches(seed)
+        for shape in ("image", "pooled"):
+            offsets, ious = batches[f"{shape}_offsets"], batches[f"{shape}_ious"]
+            for a, b in zip(offsets[:-1], offsets[1:]):
+                x = ious[a:b]
+                assert np.unique(x).size == x.size
+                got, want = average_ranks(x), rankdata(x, method="average")
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 _HUGE = [1e200, 2e200, 3e200]

@@ -355,6 +355,18 @@ def test_soft_rank_equals_oracle_with_ties(case):
     assert np.array_equal(_merged(new.blocks, y, tol), _merged(old.blocks, y, tol))
 
 
+def test_ranks_equal_the_isotonic_regression_oracle():
+    # A second oracle that shares no code with the library's PAV or the
+    # first oracle's: tie-free, tied and all-tied inputs, one and many blocks.
+    rng = np.random.default_rng(13)
+    for k in range(3000):
+        n = int(rng.integers(1, 80))
+        eps = 10.0 ** rng.uniform(-3.0, 1.0)
+        v = (rng.normal(size=n), rng.uniform(size=n), rng.choice(rng.normal(size=5), n))[k % 3]
+        got = soft_rank(v, eps).ranks
+        assert np.abs(got - oracle.isotonic_ranks(v, eps)).max() <= _rank_ulps(v, eps)
+
+
 def _assert_batches_are_one_block(rng, sizes, epsilons):
     """Training batches of each size, their scores stepped four times along
     the loss gradient at each epsilon, are one PAV block."""
