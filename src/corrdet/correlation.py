@@ -10,7 +10,8 @@ of two that brings it into [0.5, 1) before any moment is formed.  That is
 exact, and inside the window every moment of a non-constant series is a
 normal float, so one pass never overflows, underflows to zero or warns.
 The Correlation Loss reads its coefficient and gradient terms from the
-same two kernels.
+same two kernels; Spearman, coefficient and loss alike, takes its ranks
+centered, with their closed-form variance, from one rank core.
 """
 
 from __future__ import annotations
@@ -73,36 +74,79 @@ def _check_pair(x, y) -> tuple[FloatArray, FloatArray, float, float]:
     return a, b, peak_a, peak_b
 
 
+def _centered_ranks(a: FloatArray) -> tuple[FloatArray, float]:
+    """``(ranks - (n + 1) / 2, variance)``: the average-tie ranks of the
+    float64 vector ``a`` (see :func:`average_ranks`), centered on their
+    mean, and their population variance.
+
+    The ranks of any n values sum to n(n + 1) / 2, so their mean is exactly
+    (n + 1) / 2 and the centered ranks are multiples of 1/2: sorted
+    position p (0-based) gets p - (n - 1) / 2 without ties, and a tie group
+    at sorted positions i..j (1-based) gets (i + j - n - 1) / 2.  Without
+    ties the variance is (n^2 - 1) / 12 for n >= 1.  Both are the bits of
+    two ``np.mean`` passes over the ranks: every partial sum numpy forms is
+    a multiple of 1/2 below n(n + 1) / 2 (the ranks) or of 1/4 below
+    n(n^2 - 1) / 12 (the squared centered ranks), so it is exact while
+    those totals stay below 2**52 (n up to about 9.5e7) and 2**51 (n up to
+    300,079), and the one division that follows rounds the same real
+    number as the closed form.  Past the second bound (at n = 10**6 the
+    closed form differs in the last bit), and with ties, the variance is
+    ``np.mean`` of the squared centered ranks.
+
+    One default sort: the ranks do not depend on the order within a tie
+    group.  NaN sorts last under it, and any NaN makes every centered rank
+    and the variance NaN.  Only input with a tie (``0.0 == -0.0`` and equal
+    infinities count) builds the groups: each group's centered rank is
+    repeated over its span in sorted order and scattered once.
+    """
+    n = a.shape[0]
+    order = np.argsort(a)
+    ordered = a[order]
+    if n and np.isnan(ordered[-1]):
+        return np.full(n, np.nan), math.nan
+    centered = np.empty(n)
+    rises = ordered[1:] != ordered[:-1]
+    if rises.all():
+        centered[order] = np.arange((1 - n) / 2, (n + 1) / 2)
+        if n * (n * n - 1) < 12 * 2**51:
+            return centered, (n * n - 1) / 12
+    else:
+        bounds = np.concatenate(([0], np.flatnonzero(rises) + 1, [n]))
+        centered[order] = np.repeat(0.5 * (bounds[1:] + bounds[:-1] - n), np.diff(bounds))
+    return centered, float(np.mean(centered * centered))
+
+
 def average_ranks(x) -> FloatArray:
     """Fractional ranks with average tie handling; smallest value gets rank 1.
 
     Same values as ``scipy.stats.rankdata(x, method="average")``: a tie
     group spanning sorted positions i..j (1-based) gets (i + j) / 2, which
-    is exact in float64.  Any NaN makes every rank NaN.
-
-    The result does not depend on the order within a tie group, so one
-    default (unstable) sort serves; NaN sorts last under it, so the last
-    sorted value tells whether there is one.  Without ties the rank of
-    sorted position p (0-based) is p + 1, which is what a one-entry group
-    would get, so ``1..n`` is scattered through the sort order and no
-    group is formed.  Only input with a tie (``0.0 == -0.0`` and equal
-    infinities count) builds the groups: each group's rank is repeated
-    over its span in sorted order and scattered once.
+    is exact in float64.  Any NaN makes every rank NaN.  The ranks are
+    ``_centered_ranks`` plus their mean (n + 1) / 2, which is exact; the
+    Spearman coefficient and loss read the centered ranks and their
+    closed-form variance directly.
     """
     a = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = a.shape[0]
-    order = np.argsort(a)
-    ordered = a[order]
-    if n and np.isnan(ordered[-1]):
-        return np.full(n, np.nan)
-    ranks = np.empty(n)
-    rises = ordered[1:] != ordered[:-1]
-    if rises.all():
-        ranks[order] = np.arange(1.0, n + 1.0)
-        return ranks
-    bounds = np.concatenate(([0], np.flatnonzero(rises) + 1, [n]))
-    ranks[order] = np.repeat(0.5 * (bounds[1:] + bounds[:-1] + 1), np.diff(bounds))
-    return ranks
+    return _centered_ranks(a)[0] + (a.shape[0] + 1) / 2
+
+
+def _centered(a: FloatArray, peak: float) -> tuple[FloatArray, float, int]:
+    """``(ac, var, e)``: ``a`` divided by 2**e (``_scaled``), centered on its
+    mean, and its population variance."""
+    a_s, e = _scaled(a, peak)
+    ac = a_s - a_s.mean()
+    return ac, float(np.mean(ac * ac)), e
+
+
+def _pearson_of(ac: FloatArray, var_a: float, bc: FloatArray, var_b: float, e_b: int):
+    """``(r, ac, bc, var_a, var_b, e_b)``: unclipped Pearson r of two
+    centered series from their population variances.  None when a
+    variance is zero: all-tied ranks (callers rule out other constant
+    series first), or soft ranks that round to one value, which the loss
+    guards against though no input is known to produce them."""
+    if var_a == 0.0 or var_b == 0.0:
+        return None
+    return float(np.mean(ac * bc)) / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
 
 
 def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
@@ -111,19 +155,11 @@ def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
     goes through ``_scaled`` on its own; b is divided by 2**e_b.
 
     ``peak_a``/``peak_b`` bound the magnitudes.  None when a variance is
-    zero: all-tied ranks (callers rule out other constant series first).
-    The loss also guards against soft ranks that round to one value,
-    which no input is known to produce on its soft-rank path.
+    zero.  The Spearman paths center their ranks with ``_centered_ranks``
+    and call ``_pearson_of`` themselves.
     """
-    a_s = _scaled(a, peak_a)[0]
-    b_s, e_b = _scaled(b, peak_b)
-    ac = a_s - a_s.mean()
-    bc = b_s - b_s.mean()
-    var_a = float(np.mean(ac * ac))
-    var_b = float(np.mean(bc * bc))
-    if var_a == 0.0 or var_b == 0.0:
-        return None
-    return float(np.mean(ac * bc)) / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
+    ac, var_a, _ = _centered(a, peak_a)
+    return _pearson_of(ac, var_a, *_centered(b, peak_b))
 
 
 def pearson(x, y) -> float:
@@ -145,10 +181,8 @@ def spearman(x, y) -> float:
     Raises DegenerateInput when all values tie in either series or n < 2.
     """
     a, b, _, _ = _check_pair(x, y)
-    # Ranks lie in [1, n], so n bounds their peaks.  All-tied ranks equal
-    # (n + 1) / 2, whose mean is exact: their variance is 0.
-    n = float(a.size)
-    terms = _pearson_kernel(average_ranks(a), average_ranks(b), n, n)
+    # All-tied ranks center to zeros: their variance is 0.
+    terms = _pearson_of(*_centered_ranks(a), *_centered_ranks(b), 0)
     if terms is None:
         raise DegenerateInput("all values tie in at least one series")
     return _clip(terms[0])

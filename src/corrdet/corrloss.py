@@ -32,10 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import (
+    _centered,
+    _centered_ranks,
     _clip,
     _concordance_kernel,
     _pearson_kernel,
-    average_ranks,
+    _pearson_of,
     spearman,
 )
 from .errors import DegenerateInput
@@ -121,7 +123,12 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     ranks into one block, where they are scores / epsilon shifted by one
     constant; such a batch skips the soft ranks and gets the loss
     1 - pearson(average_ranks(ious), scores) and its gradient bit for bit,
-    at any epsilon.  At n = 2 the Pearson and Spearman gradients are
+    at any epsilon.  Either Spearman path takes the IoU ranks centered on
+    their mean (n + 1) / 2, which is exact for any finite input, with their
+    variance, (n^2 - 1) / 12 when no IoUs tie: the bits the Pearson kernel
+    computes from ``average_ranks(ious)`` in two ``np.mean`` passes, since
+    those passes are exact while n(n^2 - 1) / 12 < 2**51 (n up to 300,079);
+    a larger or tied batch gets its variance from ``np.mean``.  At n = 2 the Pearson and Spearman gradients are
     exactly 0, since rho is +-1 for every non-constant pair.  Any other
     finite input gives a value in [0, 2] and a finite gradient at any
     magnitude: the coefficient kernels divide a series outside
@@ -157,11 +164,12 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
             # the spread (an overflow reads inf, in Python floats without a
             # warning).  In one block the soft ranks are s minus a constant,
             # so use the scores.
-            x, peak_x = average_ranks(x), float(n)
             if not (hi_y - lo_y) / float(cfg.epsilon) < (n / 2) * (1 - 2.0**-40):
                 soft = soft_rank(y, cfg.epsilon)
                 y, peak_y = soft.ranks, float(n)
-        terms = _pearson_kernel(x, y, peak_x, peak_y)
+            terms = _pearson_of(*_centered_ranks(x), *_centered(y, peak_y))
+        else:
+            terms = _pearson_kernel(x, y, peak_x, peak_y)
         if terms is None:  # soft ranks that all round to one value; no input is known to get here
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
         rho, xc, yc, var_x, var_y, shift = terms

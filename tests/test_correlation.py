@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from corrdet import DegenerateInput, LossConfig, average_ranks, concordance, loss_from_arrays, pearson, spearman
+from corrdet.correlation import _centered_ranks, _clip, _pearson_kernel
 
 
 def test_average_ranks_handles_ties():
@@ -164,6 +165,58 @@ def test_average_ranks_with_one_planted_tie_equal_scipy_rankdata(kind):
         assert_same_bits(average_ranks(tied), rankdata(tied, method="average"))
     for x in ([], [0.5], [-0.0], [np.inf]):
         assert_same_bits(average_ranks(x), rankdata(np.array(x, dtype=np.float64), method="average"))
+
+
+def assert_spearman_is_the_kernel_on_ranks(x, y):
+    """spearman() reads centered ranks and their closed-form variance; the
+    two-pass Pearson kernel on the ranks must give the same bits."""
+    n = len(x)
+    terms = _pearson_kernel(average_ranks(x), average_ranks(y), n, n)
+    if terms is None:
+        with pytest.raises(DegenerateInput):
+            spearman(x, y)
+    else:
+        assert_same_bits(np.float64(spearman(x, y)), np.float64(_clip(terms[0])))
+
+
+# The largest n whose squared centered ranks, without ties, sum below
+# 2**51: up to it numpy forms every partial sum of the squares exactly.
+_EXACT_N = 300_079
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 2048, _EXACT_N, _EXACT_N + 1, 10**6])
+def test_centered_ranks_are_the_ranks_less_their_mean_with_their_variance(n):
+    rng = np.random.default_rng(n)
+    x = rng.permutation(n) / n - 0.5
+    y = rng.uniform(-1.0, 1.0, n)
+    for a in (x, _plant_tie(rng, x, "signed zero"), np.round(x, 1)):
+        centered, var = _centered_ranks(a)
+        ranks = rankdata(a, method="average")
+        assert float(np.mean(ranks)) == (n + 1) / 2
+        assert_same_bits(centered + (n + 1) / 2, ranks)
+        assert_same_bits(average_ranks(a), ranks)
+        assert var == float(np.mean(centered * centered))
+        assert_spearman_is_the_kernel_on_ranks(a, y)
+    # Tie-free: the closed form up to the bound; past it numpy's sum of
+    # squares may round, as it does at 10**6, and the core keeps its value.
+    var = _centered_ranks(x)[1]
+    if n <= _EXACT_N:
+        assert var == (n * n - 1) / 12
+    if n == 10**6:
+        assert var != (n * n - 1) / 12
+
+
+_FINITE_TIED = st.sampled_from((0.0, -0.0, 1.0, 2.5, -3.0)) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.lists(_FINITE_TIED, min_size=n, max_size=n), st.lists(_FINITE_TIED, min_size=n, max_size=n))
+    )
+)
+def test_spearman_is_the_pearson_kernel_on_average_ranks(pair):
+    assert_spearman_is_the_kernel_on_ranks(*pair)
 
 
 _ARGSORT = np.argsort

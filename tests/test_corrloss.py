@@ -18,6 +18,7 @@ from corrdet import (
     Box,
     GtObject,
     LossConfig,
+    LossResult,
     average_ranks,
     concordance,
     correlation_loss,
@@ -26,9 +27,12 @@ from corrdet import (
     match_positives,
     multi_stage_loss,
     pearson,
+    soft_rank,
+    soft_rank_vjp,
     spearman,
     total_loss,
 )
+from corrdet.correlation import _clip, _pearson_kernel
 from corrdet.pipeline import RawDetection
 
 
@@ -406,24 +410,84 @@ def _one_block(scores, eps):
 
 
 # Scores as a trainer sees them, far from 0 on a quarter grid, and any
-# finite float; epsilon from a tenth up to 1e300.
+# finite float; epsilon from a tenth up to 1e300.  IoUs may tie, -0.0
+# with 0.0 too.
 _ONE_BLOCK_SCORE = st.floats(0.0, 1.0) | st.integers(-400, 400).map(lambda k: 1e15 + k / 4) | _FINITE
+_ONE_BLOCK_IOU = _VALUE | st.just(-0.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 30).flatmap(
-        lambda n: st.tuples(st.lists(_VALUE, min_size=n, max_size=n), st.lists(_ONE_BLOCK_SCORE, min_size=n, max_size=n))
+        lambda n: st.tuples(
+            st.lists(_ONE_BLOCK_IOU, min_size=n, max_size=n), st.lists(_ONE_BLOCK_SCORE, min_size=n, max_size=n)
+        )
     ),
     st.floats(-1.0, 300.0).map(lambda e: 10.0**e) | st.just(1e300),
 )
 def test_one_block_spearman_is_pearson_on_iou_ranks(pair, eps):
     x, y = pair
     assume(_one_block(y, eps))
+    assert_one_block_is_pearson_on_ranks(x, y, eps)
+
+
+def assert_same_loss(got, want):
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.grad_scores.dtype == want.grad_scores.dtype == np.float64
+    assert got.grad_scores.tobytes() == want.grad_scores.tobytes()
+
+
+def assert_one_block_is_pearson_on_ranks(x, y, eps):
     res = loss_from_arrays(x, y, LossConfig("spearman", eps))
-    want = loss_from_arrays(average_ranks(x), y, LossConfig("pearson"))
-    assert res.value == want.value
-    assert np.array_equal(res.grad_scores, want.grad_scores)
+    assert_same_loss(res, loss_from_arrays(average_ranks(x), y, LossConfig("pearson")))
+
+
+def _with_ties(rng, x, kind):
+    """``x`` as is, with one planted pair of equal values, with one 0.0 and
+    one -0.0 (equal, so tied), or rounded to tenths (few distinct values)."""
+    x = x.copy()
+    i, j = rng.choice(x.size, 2, replace=False)
+    if kind == "equal":
+        x[j] = x[i]
+    elif kind == "signed zero":
+        x[i], x[j] = 0.0, -0.0
+    elif kind == "rounded":
+        x = np.round(x, 1)
+    return x
+
+
+_TIE_KINDS = ["none", "equal", "signed zero", "rounded"]
+
+
+@pytest.mark.parametrize("kind", _TIE_KINDS)
+def test_pooled_one_block_spearman_is_pearson_on_iou_ranks(kind):
+    # Pooled sizes: scores in [0, 1] pool into one block at either epsilon.
+    rng = np.random.default_rng(len(kind))
+    for n in [512, 1024, 2048, *rng.integers(512, 2049, 3).tolist()]:
+        ious, y = _train_batch(rng, n)
+        x = _with_ties(rng, ious, kind)
+        for eps in (1.0, 0.01):
+            assert _one_block(y, eps)
+            assert_one_block_is_pearson_on_ranks(x, y, eps)
+
+
+@pytest.mark.parametrize("kind", _TIE_KINDS)
+def test_pav_spearman_loss_is_the_rank_kernel_composition(kind):
+    # Per-image sizes at epsilon 0.01 and below take PAV.  The loss reads
+    # centered IoU ranks with their closed-form variance; the two-pass
+    # Pearson kernel on average_ranks, through the soft ranks and their
+    # VJP, must give the same bits.
+    rng = np.random.default_rng(len(kind))
+    for n in [3, 4, 7, 33, 64, *rng.integers(3, 65, 10).tolist()]:
+        ious, y = _train_batch(rng, n)
+        x = _with_ties(rng, ious, kind)
+        for eps in (0.01, 0.001):
+            assert not _one_block(y, eps)
+            soft = soft_rank(y, eps)
+            rho, xc, yc, var_x, var_y, shift = _pearson_kernel(average_ranks(x), soft.ranks, float(n), float(n))
+            assert shift == 0
+            grad = soft_rank_vjp(soft, xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y))
+            assert_same_loss(loss_from_arrays(x, y, LossConfig("spearman", eps)), LossResult(1.0 - _clip(rho), -grad))
 
 
 def _train_batch(rng, n):
