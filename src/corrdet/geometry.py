@@ -33,8 +33,8 @@ the library's own paths read the array cores behind them.
 
 :func:`iou`, :func:`iou_matrix`, the matching pass and post-processing's
 NMS rows share one IoU formula with the same float operations
-(:func:`_iou_of` in numpy), so a threshold compares the same way on all
-four.
+(:func:`_corner_iou` on Python floats, :func:`_iou_of` in numpy), so a
+threshold compares the same way on all four.
 
 Each batch holds its objects as row-aligned numpy columns, which the
 loaders make and the matchers and post-processing read as they are;
@@ -348,12 +348,20 @@ class MatchSet:
 
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint, symmetric."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    return _corner_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
+
+
+def _corner_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
+    """:func:`iou` of two boxes given as corner tuples ``(x1, y1, x2, y2)``
+    of Python floats, each area computed as ``Box.area`` computes it."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = min(ax2, bx2) - max(ax1, bx1)
+    iy = min(ay2, by2) - max(ay1, by1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def _box_array(boxes: Sequence[Box]) -> np.ndarray:

@@ -54,7 +54,7 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
-from .geometry import Box, FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _box_array, iou
+from .geometry import Box, FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _corner_iou
 
 __all__ = [
     "Dataset",
@@ -677,30 +677,44 @@ def _quant(v: float) -> float:
     return round(v * 64.0) / 64.0
 
 
-def _jittered(rng: np.random.Generator, box: Box, magnitude: float) -> Box:
-    x1 = _quant(box.x1 + rng.uniform(-magnitude, magnitude))
-    y1 = _quant(box.y1 + rng.uniform(-magnitude, magnitude))
-    x2 = _quant(box.x2 + rng.uniform(-magnitude, magnitude))
-    y2 = _quant(box.y2 + rng.uniform(-magnitude, magnitude))
-    return Box(x1, y1, x2, y2)
+# The box helpers draw by synth's rule, ``lo + (hi - lo) * random()`` with
+# ``random`` the generator's bound ``random`` method.
 
 
-def _translated(rng: np.random.Generator, box: Box, magnitude: float) -> Box:
+def _jittered(random: Callable[[], float], box: tuple, magnitude: float) -> tuple:
+    """``box`` with each corner moved by its own draw in [-magnitude,
+    magnitude), quantized."""
+    lo = -magnitude
+    span = magnitude - lo
+    x1, y1, x2, y2 = box
+    return (
+        _quant(x1 + (lo + span * random())),
+        _quant(y1 + (lo + span * random())),
+        _quant(x2 + (lo + span * random())),
+        _quant(y2 + (lo + span * random())),
+    )
+
+
+def _translated(random: Callable[[], float], box: tuple, magnitude: float) -> tuple:
     """Shift a quantized box rigidly; side lengths are preserved exactly."""
-    dx = _quant(rng.uniform(-magnitude, magnitude))
-    dy = _quant(rng.uniform(-magnitude, magnitude))
-    return Box(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+    lo = -magnitude
+    span = magnitude - lo
+    dx = _quant(lo + span * random())
+    dy = _quant(lo + span * random())
+    x1, y1, x2, y2 = box
+    return (x1 + dx, y1 + dy, x2 + dx, y2 + dy)
 
 
-def _cell_box(rng: np.random.Generator, cell: int, min_side: float, max_side: float) -> Box:
+def _cell_box(random: Callable[[], float], cell: int, min_side: float, max_side: float) -> tuple:
     """A quantized box inside one grid cell, >= 8 px from the cell border."""
     ox = (cell % _GRID) * _CELL
     oy = (cell // _GRID) * _CELL
-    w = _quant(rng.uniform(min_side, max_side))
-    h = _quant(rng.uniform(min_side, max_side))
-    x1 = _quant(rng.uniform(ox + 8.1, ox + _CELL - 8.1 - w))
-    y1 = _quant(rng.uniform(oy + 8.1, oy + _CELL - 8.1 - h))
-    return Box(x1, y1, x1 + w, y1 + h)
+    w = _quant(min_side + (max_side - min_side) * random())
+    h = _quant(min_side + (max_side - min_side) * random())
+    lo_x, lo_y = ox + 8.1, oy + 8.1
+    x1 = _quant(lo_x + (ox + _CELL - 8.1 - w - lo_x) * random())
+    y1 = _quant(lo_y + (oy + _CELL - 8.1 - h - lo_y) * random())
+    return (x1, y1, x1 + w, y1 + h)
 
 
 def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) -> Dataset:
@@ -722,15 +736,29 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
     class-level correlations equal +/-1 exactly by construction.  All box
     coordinates are quantized to 1/64 px, making emit/load a bit-exact
     round trip.
+
+    Draws: each scalar uniform draw in [lo, hi) is ``lo + (hi - lo) *
+    rng.random()`` with ``rng.random`` bound once.  ``Generator.uniform``
+    computes that same formula from the same one 64-bit output, so every
+    value, and the stream after it, is what ``rng.uniform(lo, hi)`` gives,
+    for about a quarter of its per-call cost.  The ``integers`` and
+    ``permutation`` calls between the draws take buffered 32-bit outputs,
+    so every call keeps its place and arguments: drawing the scalars in
+    bulk would change the dataset.  No box or detection object is built:
+    boxes stay corner tuples, rows go to column lists, and the result
+    holds one :class:`~corrdet.geometry.GtBatch`, one
+    :class:`~corrdet.geometry.FinalBatch` and one
+    :class:`~corrdet.geometry.RawBatch` per image, as the loaders make.
     """
     if not -1.0 <= knob <= 1.0:
         raise ValueError(f"knob must lie in [-1, 1], got {knob}")
     if n_images < 0 or n_classes < 1:
         raise ValueError(f"need n_images >= 0 and n_classes >= 1, got {n_images} and {n_classes}")
     rng = np.random.default_rng(seed)
+    random, integers = rng.random, rng.integers
 
     def gt_class_score(iou_value: float) -> float:
-        noise = rng.uniform(0.0, 1.0)
+        noise = random()  # uniform(0, 1): 0 + 1 * x is x
         z = knob * iou_value + (1.0 - abs(knob)) * noise + max(0.0, -knob)
         return 0.1 + 0.8 * z
 
@@ -741,51 +769,72 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
 
     categories = tuple((c + 1, f"class_{c + 1}") for c in range(n_classes))
     images = tuple((i + 1, _IMAGE_SIZE, _IMAGE_SIZE) for i in range(n_images))
-    gts: list[GtObject] = []
+    gt_boxes: list[tuple] = []
+    gt_classes: list[int] = []
+    gt_images: list[int] = []
+    fin_boxes: list[tuple] = []
+    fin_classes: list[int] = []
+    fin_scores: list[float] = []
+    fin_images: list[int] = []
     raw_dets: dict[int, RawBatch] = {}
-    finals: list[FinalDetection] = []
 
-    for image_id, _, _ in images:
-        n_g = int(rng.integers(1, _MAX_GTS + 1))
-        n_rf = int(rng.integers(0, _MAX_RAW_FPS + 1))
-        n_ff = int(rng.integers(0, _MAX_FINAL_FPS + 1))
-        cells = rng.permutation(_GRID * _GRID)[: n_g + n_rf + n_ff]
+    for image, (image_id, _, _) in enumerate(images):
+        n_g = int(integers(1, _MAX_GTS + 1))
+        n_rf = int(integers(0, _MAX_RAW_FPS + 1))
+        n_ff = int(integers(0, _MAX_FINAL_FPS + 1))
+        cells = rng.permutation(_GRID * _GRID)[: n_g + n_rf + n_ff].tolist()
 
-        img_gts: list[GtObject] = []
-        img_raw: list[tuple[Box, np.ndarray]] = []
-        for k in range(n_g):
-            gt_box = _cell_box(rng, int(cells[k]), 24.0, 40.0)
-            gt = GtObject(gt_box, int(rng.integers(0, n_classes)), image_id)
-            img_gts.append(gt)
+        raw_boxes: list[tuple] = []
+        raw_scores: list[np.ndarray] = []
+        for cell in cells[:n_g]:
+            gt_box = _cell_box(random, cell, 24.0, 40.0)
+            c = int(integers(0, n_classes))
+            gt_boxes.append(gt_box)
+            gt_classes.append(c)
 
             # a rigid shift up to 6 px spreads the cluster's IoU against
             # the GT over roughly [0.4, 1.0]; 6 + 1.25 + rounding stays
             # inside the 8 px cell margin
-            anchor = _translated(rng, gt_box, 6.0)
-            for _ in range(int(rng.integers(1, _MAX_DUPS + 1))):
+            anchor = _translated(random, gt_box, 6.0)
+            for _ in range(int(integers(1, _MAX_DUPS + 1))):
                 # <= 1.25 px jitter on >= 24 px sides keeps pairwise
                 # duplicate IoU >= (21.5/26.5)^2 > 0.6, so default NMS
                 # always collapses one GT's duplicates to a single final
-                det_box = _jittered(rng, anchor, rng.uniform(0.5, 1.25))
-                s = gt_class_score(iou(det_box, gt_box))
-                img_raw.append((det_box, score_vector(gt.class_id, s)))
+                det_box = _jittered(random, anchor, 0.5 + (1.25 - 0.5) * random())
+                raw_boxes.append(det_box)
+                raw_scores.append(score_vector(c, gt_class_score(_corner_iou(det_box, gt_box))))
 
-            fin_box = _jittered(rng, gt_box, rng.uniform(0.5, 8.0))
-            s = gt_class_score(iou(fin_box, gt_box))
-            finals.append(FinalDetection(fin_box, gt.class_id, s, image_id))
+            fin_box = _jittered(random, gt_box, 0.5 + (8.0 - 0.5) * random())
+            fin_boxes.append(fin_box)
+            fin_classes.append(c)
+            fin_scores.append(gt_class_score(_corner_iou(fin_box, gt_box)))
 
-        for k in range(n_rf):
-            box = _cell_box(rng, int(cells[n_g + k]), 16.0, 40.0)
-            c = int(rng.integers(0, n_classes))
-            img_raw.append((box, score_vector(c, rng.uniform(0.06, 0.45))))
+        for cell in cells[n_g : n_g + n_rf]:
+            raw_boxes.append(_cell_box(random, cell, 16.0, 40.0))
+            c = int(integers(0, n_classes))
+            raw_scores.append(score_vector(c, 0.06 + (0.45 - 0.06) * random()))
 
-        for k in range(n_ff):
-            box = _cell_box(rng, int(cells[n_g + n_rf + k]), 16.0, 40.0)
-            c = int(rng.integers(0, n_classes))
-            finals.append(FinalDetection(box, c, rng.uniform(0.05, 0.9), image_id))
+        for cell in cells[n_g + n_rf :]:
+            fin_boxes.append(_cell_box(random, cell, 16.0, 40.0))
+            fin_classes.append(int(integers(0, n_classes)))
+            fin_scores.append(0.05 + (0.9 - 0.05) * random())
 
-        gts.extend(img_gts)
-        raw_boxes, raw_scores = zip(*img_raw)
-        raw_dets[image_id] = RawBatch(_box_array(raw_boxes), np.array(raw_scores))
+        gt_images.extend([image] * n_g)
+        fin_images.extend([image] * (n_g + n_ff))
+        raw_dets[image_id] = RawBatch(np.array(raw_boxes, dtype=np.float64), np.array(raw_scores))
 
-    return Dataset(categories, images, tuple(gts), raw_dets, tuple(finals))
+    image_ids = [iid for iid, _, _ in images]
+    gts = GtBatch(
+        np.array(gt_boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(gt_classes, dtype=np.intp),
+        np.array(gt_images, dtype=np.intp),
+        image_ids,
+    )
+    finals = FinalBatch(
+        np.array(fin_boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(fin_classes, dtype=np.intp),
+        np.array(fin_scores, dtype=np.float64),
+        np.array(fin_images, dtype=np.intp),
+        image_ids,
+    )
+    return Dataset(categories, images, gts, raw_dets, finals)
