@@ -68,8 +68,8 @@ def _ap_payload(ap: ApResult, dataset: Dataset) -> dict:
 
 
 def _pipeline_payload(pcfg: PipelineConfig | None) -> dict:
-    """The pipeline values a run read (``score_thr``, ``nms_iou``, ``top_k``,
-    ``nms_enabled``); none for a run that post-processes nothing."""
+    """The pipeline values a run read (``score_thr``, ``nms_iou``,
+    ``top_k``); none for a run that post-processes nothing."""
     return {} if pcfg is None else asdict(pcfg)
 
 
@@ -103,7 +103,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     pcfg = _check_run(args)
     dataset = _load_dataset(args, pcfg)
     finals = dataset.final_dets
-    mode = "final" if args.dets is not None else "pipeline-nms-free" if args.nms_free else "pipeline"
+    mode = "final" if args.dets is not None else "pipeline"
 
     # One matching pass per class serves AP and the PR curves alike.
     table = _match_classes(finals, dataset.gts, COCO_THRESHOLDS)
@@ -211,8 +211,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _epsilon(args: argparse.Namespace) -> float:
+    """Spearman's epsilon, ``LossConfig``'s when not given; refused for a coefficient that reads none."""
+    if args.epsilon is not None and args.coef != "spearman":
+        raise ValueError(f"{args.subcommand} --coef {args.coef} does not read --epsilon")
+    return LossConfig.epsilon if args.epsilon is None else args.epsilon
+
+
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    result = run_gradcheck(args.coef, args.n, args.trials, args.seed, epsilon=args.epsilon)
+    result = run_gradcheck(args.coef, args.n, args.trials, args.seed, epsilon=_epsilon(args))
 
     lines = [f"{'trial':>5}  {'n':>3}  {'rel_err':>12}  status"]
     for row in result.rows:
@@ -274,7 +281,7 @@ def _synth_paths(out_dir: str) -> dict[str, str]:
 
 
 def _cmd_descend(args: argparse.Namespace) -> int:
-    cfg = LossConfig(coefficient=args.coef, epsilon=args.epsilon)
+    cfg = LossConfig(coefficient=args.coef, epsilon=_epsilon(args))
     rng = np.random.default_rng(args.seed)
     # a negative n draws nothing, so descend_demo's own check refuses it
     ious, init = rng.uniform(0.0, 1.0, size=(2, max(args.n, 0)))
@@ -305,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dets", help="final detections JSON (COCO results form)")
         p.add_argument("--raw-dets", help="raw per-class score-vector detections JSON")
         p.add_argument("--score-thr", type=float, help=f"pipeline score filter (default {PipelineConfig.score_thr})")
-        p.add_argument("--nms-iou", type=float, help=f"pipeline NMS IoU (default {PipelineConfig.nms_iou})")
+        p.add_argument("--nms-iou", type=float, help=f"pipeline NMS IoU, 1 for none (default {PipelineConfig.nms_iou})")
         p.add_argument("--top-k", type=int, help=f"pipeline detections kept per image (default {PipelineConfig.top_k})")
-        p.add_argument("--nms-free", action="store_true", default=None, help="skip the NMS step")
         if name == "eval":
             p.add_argument("--pr-csv", help="also write per-class PR curves as CSV")
         else:
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float, help=f"Spearman's soft-rank epsilon (default {LossConfig.epsilon})")
     p.add_argument("--out", default=None, help="also write the table as a JSON report")
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descend", help="gradient-descent trace on the correlation loss")
     p.add_argument("--coef", choices=COEFFICIENTS, default="spearman")
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float, help=f"Spearman's soft-rank epsilon (default {LossConfig.epsilon})")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.1)
@@ -368,10 +374,8 @@ def _check_run(args: argparse.Namespace) -> PipelineConfig | None:
     image level only, and the pipeline flags by --raw-dets runs other than
     ``corr --level image``.  Once checked, an IoU flag not given is set to
     its default."""
-    pcfg = PipelineConfig(
-        **{name: value for name in ("score_thr", "nms_iou", "top_k") if (value := getattr(args, name)) is not None},
-        nms_enabled=not args.nms_free,
-    )
+    pcfg = PipelineConfig(**{name: value for name in ("score_thr", "nms_iou", "top_k")
+                             if (value := getattr(args, name)) is not None})
     for flag, value in _given(args, "--tp-iou", "--iou-floor"):
         _check_unit_interval(flag[2:].replace("-", "_"), value)
     if (args.dets is None) == (args.raw_dets is None):
@@ -383,7 +387,7 @@ def _check_run(args: argparse.Namespace) -> PipelineConfig | None:
         raise ValueError(f"{run} is refused: the image level reads --raw-dets")
     piped = source == "--raw-dets" and not (args.subcommand == "corr" and level == "image")
     reads = {"--tp-iou": level == "class", "--iou-floor": level == "image"}
-    reads.update(dict.fromkeys(("--score-thr", "--nms-iou", "--top-k", "--nms-free"), piped))
+    reads.update(dict.fromkeys(("--score-thr", "--nms-iou", "--top-k"), piped))
     for flag, _ in _given(args, *reads):
         if not reads[flag]:
             raise ValueError(f"{run} does not read {flag}")

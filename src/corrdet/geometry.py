@@ -347,7 +347,7 @@ class MatchSet:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint, symmetric."""
+    """Intersection-over-union of two boxes, in [0, 1]; 0 when disjoint, symmetric."""
     return _corner_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
 
 
@@ -409,8 +409,10 @@ def iou_matrix(a, b) -> np.ndarray:
 
     Entry ``[i, j]`` equals ``iou(a_i, b_j)`` bit for bit: the same float
     operations run in the same order, so a threshold compares the same
-    way on both, and ``iou_matrix(a, a)`` is symmetric.  A box whose area
-    is not positive, which no ``Box`` has, gives entries of 0 or NaN.
+    way on both, and ``iou_matrix(a, a)`` is symmetric.  Entries lie in
+    [0, 1]: rounding is monotone, so the intersection is at most either
+    area and the union at least the intersection.  A box whose area is
+    not positive, which no ``Box`` has, gives entries of 0 or NaN.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)

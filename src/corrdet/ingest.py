@@ -242,28 +242,20 @@ def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
     return walk() if result is None else result
 
 
-def _image_rows(iids: list, images: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's position in ``images``, by its image id ``iids[k]``
-    (KeyError: an unknown id), and that image's ``(width, height)`` as an
-    ``(n, 2)`` float array."""
-    position = {iid: k for k, (iid, _, _) in enumerate(images)}
-    index = np.array([position[i] for i in iids], dtype=np.intp)
-    # OverflowError: a side beyond the float range
-    sides = np.array([(w, h) for _, w, h in images], dtype=np.float64).reshape(-1, 2)
-    return index, sides[index]
-
-
-def _column_corners(bboxes: list, sides: np.ndarray, xywh: bool) -> np.ndarray | None:
-    """The corners the walk makes of ``bboxes``, ``[x, y, w, h]`` (``xywh``)
-    or ``[x1, y1, x2, y2]``, clipped to their images' ``(width, height)``
-    rows of ``sides``, as an ``(n, 4)`` array; None when a box would fail a
-    check.
+def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -> tuple | None:
+    """The records' image ids, their images' positions in ``images`` as an
+    array (KeyError: an unknown id), and the corners the walk makes of
+    their bboxes, ``[x, y, w, h]`` (``xywh``) or ``[x1, y1, x2, y2]``,
+    clipped to their images, as an ``(n, 4)`` array; None when an id or a
+    box would fail a check.
 
     The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
     stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
     to the side, as in the walk.
     """
-    if not (_typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4}):
+    iids = [r["image_id"] for r in records]
+    bboxes = [r["bbox"] for r in records]
+    if not (_typed(iids, _INT) and _typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4}):
         return None
     flat = [v for b in bboxes for v in b]
     if not _typed(flat, _NUMBER_TYPES):
@@ -271,7 +263,10 @@ def _column_corners(bboxes: list, sides: np.ndarray, xywh: bool) -> np.ndarray |
     corners = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
     if not np.isfinite(corners).all():
         return None
-    sides = sides[:, [0, 1, 0, 1]]
+    position = {iid: k for k, (iid, _, _) in enumerate(images)}
+    index = np.array([position[i] for i in iids], dtype=np.intp)
+    # OverflowError: a side beyond the float range
+    sides = np.array([(w, h, w, h) for _, w, h in images], dtype=np.float64).reshape(-1, 4)[index]
     with np.errstate(all="ignore"):
         if xywh:
             corners[:, 2:] += corners[:, :2]
@@ -280,7 +275,14 @@ def _column_corners(bboxes: list, sides: np.ndarray, xywh: bool) -> np.ndarray |
         x1, y1, x2, y2 = corners.T
         area = (x2 - x1) * (y2 - y1)
         ok = (x2 > x1) & (y2 > y1) & (area > 0.0) & (area < math.inf)
-    return corners if ok.all() else None
+    return (iids, index, corners) if ok.all() else None
+
+
+def _unit_scores(values: list) -> np.ndarray | None:
+    """``values`` as a float array; None unless each lies in [0, 1] (NaN does not)."""
+    scores = np.array(values, dtype=np.float64)  # OverflowError beyond the float range
+    with np.errstate(all="ignore"):
+        return scores if ((scores >= 0.0) & (scores <= 1.0)).all() else None
 
 
 def _gt_columns(doc: Any) -> Dataset | None:
@@ -304,16 +306,14 @@ def _gt_columns(doc: Any) -> Dataset | None:
     class_of = {cid: k for k, cid in enumerate(cids)}
     image_list = tuple(zip(iids, widths, heights))
 
-    ann_iids = [a["image_id"] for a in anns]
     ann_cids = [a["category_id"] for a in anns]
     crowd = [a.get("iscrowd", 0) for a in anns]
-    if not _typed([a["id"] for a in anns] + ann_iids + ann_cids + crowd, _INT) or any(crowd):
+    if not _typed([a["id"] for a in anns] + ann_cids + crowd, _INT) or any(crowd):
         return None
     classes = np.array([class_of[c] for c in ann_cids], dtype=np.intp)  # KeyError: unknown id
-    index, sides = _image_rows(ann_iids, image_list)
-    corners = _column_corners([a["bbox"] for a in anns], sides, xywh=True)
-    if corners is None:
+    if (placed := _placed(anns, image_list, xywh=True)) is None:
         return None
+    _, index, corners = placed
     return Dataset(tuple(zip(cids, names)), image_list, GtBatch(corners, classes, index, iids))
 
 
@@ -370,21 +370,17 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
     n_classes = len(dataset.categories)
     if type(dets) is not list or not _typed(dets, _DICT) or (n_classes == 0 and len(dets) > 0):
         return None  # with no categories, every detection fails the walk
-    iids = [d["image_id"] for d in dets]
     scores = [d["scores"] for d in dets]
-    if not (_typed(iids, _INT) and _typed(scores, _LIST) and set(map(len, scores)) <= {n_classes}):
+    if not (_typed(scores, _LIST) and set(map(len, scores)) <= {n_classes}):
         return None
     if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
         return None
-    corners = _column_corners([d["bbox"] for d in dets], _image_rows(iids, dataset.images)[1], xywh=False)
-    if corners is None:
+    placed = _placed(dets, dataset.images, xywh=False)
+    score_array = _unit_scores(scores)
+    if placed is None or score_array is None:
         return None
-    # OverflowError beyond the float range
-    score_array = np.array(scores, dtype=np.float64).reshape(len(dets), n_classes)
-    with np.errstate(all="ignore"):
-        in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
-    if not in_range:
-        return None
+    iids, _, corners = placed
+    score_array = score_array.reshape(len(dets), n_classes)
 
     slot: dict[int, int] = {}
     image_of = np.array([slot.setdefault(i, len(slot)) for i in iids], dtype=np.intp)
@@ -438,22 +434,17 @@ def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
     """load_final_dets by columns; None when a check fails."""
     if type(doc) is not list or not _typed(doc, _DICT):
         return None
-    iids = [d["image_id"] for d in doc]
     cids = [d["category_id"] for d in doc]
     scores = [d["score"] for d in doc]
-    if not (_typed(iids + cids, _INT) and _typed(scores, _NUMBER_TYPES)):
+    if not (_typed(cids, _INT) and _typed(scores, _NUMBER_TYPES)):
         return None
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     classes = np.array([class_of[c] for c in cids], dtype=np.intp)  # KeyError: unknown id
-    score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
-    with np.errstate(all="ignore"):
-        in_range = ((score_array >= 0.0) & (score_array <= 1.0)).all()  # NaN fails too
-    if not in_range:
+    score_array = _unit_scores(scores)
+    placed = _placed(doc, dataset.images, xywh=True)
+    if placed is None or score_array is None:
         return None
-    index, sides = _image_rows(iids, dataset.images)
-    corners = _column_corners([d["bbox"] for d in doc], sides, xywh=True)
-    if corners is None:
-        return None
+    _, index, corners = placed
     image_ids = [iid for iid, _, _ in dataset.images]
     return replace(dataset, final_dets=FinalBatch(corners, classes, score_array, index, image_ids))
 

@@ -2,8 +2,8 @@
 
 Raw detections carry a score vector over all classes; the pipeline expands
 them into per-class candidates, prunes, and returns scalar-scored final
-detections sorted by descending score.  An NMS-free mode skips the middle
-step (useful for NMS-free detector outputs).  This module holds that
+detections sorted by descending score.  An NMS IoU of 1 (for NMS-free
+outputs) skips the middle step: no IoU exceeds 1.  This module holds that
 chain only; the detection types and batches it reads and returns live in
 :mod:`corrdet.geometry` (and are re-exported here).
 
@@ -43,10 +43,12 @@ __all__ = ["RawDetection", "RawBatch", "FinalDetection", "FinalBatch", "Pipeline
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Post-processing: the score filter ``score_thr``, the NMS IoU
+    ``nms_iou`` (1 is NMS-free) and the finals kept per image, ``top_k``."""
+
     score_thr: float = 0.05
     nms_iou: float = 0.6
     top_k: int = 100
-    nms_enabled: bool = True
 
     def __post_init__(self) -> None:
         _check_unit_interval("score_thr", self.score_thr)
@@ -62,12 +64,12 @@ def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[i
     Candidate ``i`` is box ``boxes[i]`` (an ``(n, 4)`` array) of class
     ``classes[i]`` scored ``scores[i]``.  One walk visits the candidates
     by descending score, ties by lower position; each one still alive is
-    kept, until ``limit`` are (None: no limit).  Unless ``boxes`` is None
-    (no NMS), a kept box then suppresses every candidate of its class
-    whose IoU with it exceeds ``iou_thr``, from one IoU row over the
-    class's corner columns and areas, which are found the first time the
-    walk reaches the class.  So the IoU work is at most ``limit`` times
-    the largest class.
+    kept, until ``limit`` are (None: no limit).  A kept box then
+    suppresses every candidate of its class whose IoU with it exceeds
+    ``iou_thr``, from one IoU row over the class's corner columns and
+    areas, which are found the first time the walk reaches the class.  So
+    the IoU work is at most ``limit`` times the largest class, and none
+    at an ``iou_thr`` of 1, which no IoU exceeds.
     """
     # Stable: of two equal scores the lower index is kept first, which decides what NMS keeps.
     order = np.argsort(-scores, kind="stable")
@@ -81,7 +83,7 @@ def _greedy(boxes, classes, scores, iou_thr: float, limit: int | None) -> list[i
             kept.append(i)
             if len(kept) == limit:
                 break
-            if boxes is not None:
+            if iou_thr < 1.0:
                 c = int(classes[i])
                 if c not in members:
                     same = np.flatnonzero(classes == c)
@@ -100,7 +102,7 @@ def nms(dets: Sequence[FinalDetection], iou_thr: float) -> list[FinalDetection]:
     by lower index) and removes every remaining one overlapping it with
     IoU > iou_thr.  Returns the kept detections in keep order.  This is
     :func:`postprocess`'s walk with one class and no top-k: one IoU row
-    per kept detection.
+    per kept detection, none at a threshold of 1.
     """
     batch = FinalBatch.of(dets)
     kept = _greedy(batch.boxes, np.zeros(len(dets), dtype=np.intp), batch.scores, iou_thr, None)
@@ -119,7 +121,7 @@ def _postprocess_images(raw_dets: Mapping[int, RawBatch], image_ids: Sequence[in
             # Row-major, so candidates come in (detection index, class index) order.
             rows, cols = np.nonzero(dets.scores > cfg.score_thr)
             scores = dets.scores[rows, cols]
-            kept = _greedy(dets.boxes[rows] if cfg.nms_enabled else None, cols, scores, cfg.nms_iou, cfg.top_k)
+            kept = _greedy(dets.boxes[rows], cols, scores, cfg.nms_iou, cfg.top_k)
             rows, cols = rows[kept], cols[kept]
             columns.append((dets.boxes[rows], cols, scores[kept], np.full(len(kept), k, dtype=np.intp)))
     return FinalBatch(*map(np.concatenate, zip(*columns)), image_ids)
@@ -133,7 +135,7 @@ def postprocess(
     """Standard detector post-processing of one image's raw detections.
 
     (i) every (box, class) candidate with score > score_thr survives the
-    filter, (ii) greedy NMS runs per class when enabled, (iii) the top_k
+    filter, (ii) greedy NMS runs per class unless nms_iou is 1, (iii) the top_k
     highest-scoring candidates overall are kept, sorted by descending
     score.  All ties break by candidate enumeration order (detection
     index, then class index), which makes the output deterministic.

@@ -50,7 +50,7 @@ def postprocess(
     """Standard detector post-processing of one image's raw detections.
 
     (i) every (box, class) candidate with score > score_thr survives the
-    filter, (ii) greedy NMS runs per class when enabled, (iii) the top_k
+    filter, (ii) greedy NMS runs per class, (iii) the top_k
     highest-scoring candidates overall are kept, sorted by descending
     score.  All ties break by candidate enumeration order (detection
     index, then class index), which makes the output deterministic.
@@ -61,20 +61,18 @@ def postprocess(
             if s > cfg.score_thr:
                 candidates.append(FinalDetection(det.box, c, s, image_id))
 
-    if cfg.nms_enabled:
-        survivors: list[tuple[int, FinalDetection]] = []
-        by_class: dict[int, list[int]] = {}
-        for seq, cand in enumerate(candidates):
-            by_class.setdefault(cand.class_id, []).append(seq)
-        for _, seqs in sorted(by_class.items()):
-            kept = _nms_keep(
-                [candidates[s].box for s in seqs],
-                [candidates[s].score for s in seqs],
-                cfg.nms_iou,
-            )
-            survivors.extend((seqs[k], candidates[seqs[k]]) for k in kept)
-    else:
-        survivors = list(enumerate(candidates))
+    # NMS runs at every threshold, 1 too, where it must suppress nothing
+    survivors: list[tuple[int, FinalDetection]] = []
+    by_class: dict[int, list[int]] = {}
+    for seq, cand in enumerate(candidates):
+        by_class.setdefault(cand.class_id, []).append(seq)
+    for _, seqs in sorted(by_class.items()):
+        kept = _nms_keep(
+            [candidates[s].box for s in seqs],
+            [candidates[s].score for s in seqs],
+            cfg.nms_iou,
+        )
+        survivors.extend((seqs[k], candidates[seqs[k]]) for k in kept)
 
     survivors.sort(key=lambda item: (-item[1].score, item[0]))
     return [det for _, det in survivors[: cfg.top_k]]

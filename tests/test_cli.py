@@ -123,13 +123,28 @@ def test_eval_pipeline_and_nms_free(synth_dir, tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     assert cli.main(args + ["--out", str(out_a)]) == 0
-    assert cli.main(args + ["--nms-free", "--out", str(out_b)]) == 0
+    # NMS-free is an NMS threshold of 1
+    assert cli.main(args + ["--nms-iou", "1", "--out", str(out_b)]) == 0
     a = load_report(str(out_a))
     b = load_report(str(out_b))
-    assert a["mode"] == "pipeline"
-    assert b["mode"] == "pipeline-nms-free"
+    assert a["mode"] == b["mode"] == "pipeline"
+    assert (a["nms_iou"], b["nms_iou"]) == (PipelineConfig.nms_iou, 1.0)
+    # the report names the three pipeline values and nothing else of the pipeline
+    assert set(a) == set(b) == {"mode", "n_images", "n_ground_truths", "n_detections", "score_thr", "nms_iou",
+                                "top_k", "ap_c", "iou_thresholds", "per_threshold_ap", "per_class"}
     # duplicates survive without NMS
     assert b["n_detections"] >= a["n_detections"]
+
+
+def test_nms_free_flag_is_gone(tmp_path, capsys):
+    # --nms-iou 1 is the one way to ask for no NMS
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["eval", "--gt", str(tmp_path / "no-gt.json"), "--raw-dets", str(tmp_path / "no-dets.json"),
+                  "--nms-free", "--out", str(out)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --nms-free" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_pr_csv(synth_dir, tmp_path):
@@ -442,6 +457,28 @@ def test_descend_stdout_and_flag(capsys):
     assert out.startswith("step,loss,spearman")
 
 
+_SMALL_RUN = {"gradcheck": ["--n", "6", "--trials", "2"], "descend": ["--n", "6", "--steps", "2"]}
+
+
+@pytest.mark.parametrize("coef", ["pearson", "concordance"])
+@pytest.mark.parametrize("command", ["gradcheck", "descend"])
+def test_epsilon_exits_2_before_any_work_unless_spearman_reads_it(tmp_path, capsys, command, coef):
+    # only the Spearman loss reads epsilon; the refusal comes before any trial or step
+    out = tmp_path / "r.out"
+    assert cli.main([command, "--coef", coef, *_SMALL_RUN[command], "--epsilon", "5", "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.err.splitlines() == [f"error: {command} --coef {coef} does not read --epsilon"]
+    assert got.out == "" and not out.exists()
+    # the same run without --epsilon goes through, and Spearman reads it, at 1 when not given
+    assert cli.main([command, "--coef", coef, *_SMALL_RUN[command], "--out", str(out)]) == 0
+    outputs = []
+    for epsilon in ([], ["--epsilon", "1"], ["--epsilon", "0.001"]):
+        assert cli.main([command, "--coef", "spearman", *_SMALL_RUN[command], *epsilon, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_descend_lr_zero_constant(capsys):
     assert cli.main(["descend", "--n", "6", "--steps", "3", "--lr", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
@@ -519,7 +556,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 # The flags each (command, level, detection source) reads beyond --gt, its
 # detections and its outputs; the CLI refuses any other.
-_PIPELINE_FLAGS = ("--score-thr", "--nms-iou", "--top-k", "--nms-free")
+_PIPELINE_FLAGS = ("--score-thr", "--nms-iou", "--top-k")
 _RUN_READS = {
     ("eval", None, "--dets"): (),
     ("eval", None, "--raw-dets"): _PIPELINE_FLAGS,
@@ -536,7 +573,6 @@ _FLAG_ARGS = {
     "--score-thr": ["0.7"],
     "--nms-iou": ["0.95"],
     "--top-k": ["2"],
-    "--nms-free": [],
     "--tp-iou": ["0.75"],
     "--iou-floor": ["0.75"],
 }
@@ -567,7 +603,6 @@ _FLAG_KEYS = {
     "--score-thr": ("score_thr", PipelineConfig.score_thr, 0.7),
     "--nms-iou": ("nms_iou", PipelineConfig.nms_iou, 0.95),
     "--top-k": ("top_k", PipelineConfig.top_k, 2),
-    "--nms-free": ("nms_enabled", True, False),
     "--tp-iou": ("tp_iou", 0.5, 0.75),
     "--iou-floor": ("iou_floor", 0.5, 0.75),
 }

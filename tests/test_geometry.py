@@ -247,6 +247,33 @@ def test_iou_row_equals_iou_matrix_bitwise(boxes, others):
         assert row.tobytes() == iou_matrix(_corners([b]), _corners(others))[0].tobytes()
 
 
+@st.composite
+def _near_identical_boxes(draw):
+    # one box at a scale of 10**e, and copies of it whose corners lie a few ulps off its own
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    x1, y1, w, h = (scale * draw(st.floats(1.0, 4.0)) for _ in range(4))
+    base = np.array([x1, y1, x1 + w, y1 + h])
+    steps = draw(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=8))
+    # positive floats order as their bits do, so adding k to the bits moves k ulps
+    return (base.view(np.int64) + np.array(steps, dtype=np.int64)).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_identical_boxes())
+def test_iou_never_exceeds_1(boxes):
+    """Rounding is monotone, so no computed IoU exceeds 1.  Each computed
+    intersection side is at most either box's computed side, so the
+    intersection is at most either computed area.  The computed union,
+    area_a + area_b - inter, is then at least 2 * inter - inter = inter,
+    and the quotient at most 1.  Near-identical boxes, at scales from
+    1e-150 to 1e150, come as close to 1 as boxes can; a box with itself
+    gives exactly 1.
+    """
+    ious = iou_matrix(boxes, boxes)
+    assert ((0.0 < ious) & (ious <= 1.0)).all()
+    assert (np.diag(ious) == 1.0).all()
+
+
 def test_iou_row_hand_values():
     boxes = [Box(0, 0, 2, 2), Box(1, 1, 3, 3), Box(2, 0, 4, 2), Box(2, 2, 4, 4), Box(5, 5, 6, 6)]
     columns = _corners(boxes).T.copy()

@@ -13,6 +13,19 @@ IoU and every score order, so no measure may move in any bit:
   rows group by their image's position and their class index, never by
   an id, so only ``per_image``'s ids change, each to its image's new id
   (category ids reach no measure: ``per_class`` names class indices);
+* (d) the images listed in another order, each image's rows moved with
+  it, or the categories listed in another order: every per-image and
+  per-class value, keyed by image id and category id, keeps its bits.
+  Per-class AP counts TPs, integers, and its rows keep their score
+  order; Spearman's centered ranks are multiples of 1/2, so the sums
+  behind a class's coefficient are exact in any row order.  Only the
+  means over the groups that moved may round differently: under an image
+  permutation the ``beta_img`` means, under a category permutation the
+  class means ``per_threshold``, ``ap_c`` and ``beta_cls``.  A mean of n
+  values computed in any order lies within ``γ_n · mean(|x|)`` of the
+  exact mean (γ_n = n·u / (1 − n·u), u = 2**-53: the sum's rounding in
+  any order and the division's), so two orders differ by at most twice
+  that; ``ap_c``, a mean of class means, takes n = classes + thresholds.
 * (e) one raw detection added whose every score is at or below
   ``score_thr``: the strict filter drops all of its candidates, so the
   final detections post-processing makes (``_postprocess_images``, as
@@ -29,8 +42,9 @@ on the raw detections (``CorrelationReport``: ``beta_img``, ``beta_cls``,
 ``per_image``, ``per_class``, ``skipped_images``, ``skipped_classes``), and
 ``bound_report`` for directions +1 and -1 at the class and image levels
 (``BoundReport``: those fields of ``ap_before``, ``ap_after``,
-``corr_before`` and ``corr_after``); (e) compares the class-level ones
-and the final detections' columns.
+``corr_before`` and ``corr_after``); (d) compares the same fields value
+by value, and (e) the class-level ones and the final detections'
+columns.
 """
 
 from dataclasses import replace
@@ -167,6 +181,119 @@ def test_relabeling_image_and_category_ids_keeps_every_measure_but_the_ids(seed,
     original = {image_id(iid): iid for iid, _, _ in ds.images}
     assert len(original) == len(ds.images)  # the map is injective on these ids
     assert _measures(relabeled, image_id=original.__getitem__) == _measures(ds)
+
+
+def _images_permuted(ds: Dataset, perm: list[int]) -> Dataset:
+    """``ds`` with its images listed in the order ``perm`` gives (new image
+    ``k`` is old image ``perm[k]``), as a file that lists them so: each
+    image's GT and final rows move with it, in their order."""
+    position = np.argsort(perm)  # each old image's new position
+
+    def moved(batch):
+        rows = np.argsort(position[batch.images], kind="stable")
+        columns = {name: getattr(batch, name)[rows] for name in batch._COLUMNS}
+        columns["images"] = position[columns["images"]]
+        return type(batch)(*columns.values(), [batch.image_ids[p] for p in perm])
+
+    images = tuple(ds.images[p] for p in perm)
+    raw = {iid: ds.raw_dets[iid] for iid, _, _ in images if iid in ds.raw_dets}
+    return Dataset(ds.categories, images, moved(ds.gts), raw, moved(ds.final_dets))
+
+
+def _categories_permuted(ds: Dataset, perm: list[int]) -> Dataset:
+    """``ds`` with its categories listed in the order ``perm`` gives (new
+    class ``k`` is old class ``perm[k]``): class ids and score columns
+    follow, and every row stays where it is."""
+    index = np.argsort(perm)  # each old class's new index
+
+    def moved(batch):
+        columns = {name: getattr(batch, name) for name in batch._COLUMNS} | {"class_ids": index[batch.class_ids]}
+        return type(batch)(*columns.values(), batch.image_ids)
+
+    raw = {iid: RawBatch(r.boxes, r.scores[:, perm]) for iid, r in ds.raw_dets.items()}
+    return Dataset(tuple(ds.categories[p] for p in perm), ds.images, moved(ds.gts), raw, moved(ds.final_dets))
+
+
+def _gamma(n: int) -> float:
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+def _values(ds: Dataset) -> tuple[dict[str, str], dict[str, tuple[str, float, float]]]:
+    """The compared fields of (d), value by value: the ``repr`` of every
+    per-image and per-class value (keyed by image id and category id) and
+    count, and every mean with its field's name and the bound on its
+    distance from the exact mean of its values (the module docstring's
+    ``γ_n · mean(|x|)``)."""
+    exact: dict[str, str] = {}
+    means: dict[str, tuple[str, float, float]] = {}
+
+    def mean(name, field, value, values, n=None):
+        values = np.abs(np.asarray(values, dtype=np.float64))
+        means[f"{name}.{field}"] = (field, value, _gamma(n or values.size) * values.mean())
+
+    def ap(name, result):
+        matrix = np.array([row for _, row in result.per_class])
+        for c, row in result.per_class:
+            exact[f"{name}.per_class[category {ds.categories[c][0]}]"] = repr(row)
+        for k, (t, value) in enumerate(result.per_threshold):
+            mean(f"{name}[{t}]", "per_threshold", value, matrix[:, k])
+        mean(name, "ap_c", result.ap_c, matrix, sum(matrix.shape))
+
+    def corr(name, report):
+        if report is None:  # every group skipped
+            exact[name] = "None"
+            return
+        exact[f"{name}.skipped"] = repr((report.skipped_images, report.skipped_classes))
+        for i, b in report.per_image:
+            exact[f"{name}.per_image[image {i}]"] = repr(b)
+        for c, b in report.per_class:
+            exact[f"{name}.per_class[category {ds.categories[c][0]}]"] = repr(b)
+        for field, groups in (("beta_img", report.per_image), ("beta_cls", report.per_class)):
+            if getattr(report, field) is None:
+                exact[f"{name}.{field}"] = "None"
+            else:
+                mean(name, field, getattr(report, field), [b for _, b in groups])
+
+    ap("coco_ap", coco_ap(ds.final_dets, ds.gts))
+    corr("beta_cls", beta_cls(ds.final_dets, ds.gts))
+    corr("beta_img", beta_img([(raw, gts) for _, raw, gts in ds.per_image()]))
+    for level in ("class", "image"):
+        for direction in (1, -1):
+            report = bound_report(ds, direction, level, pipeline=PipelineConfig() if level == "image" else None)
+            name = f"bound_report[{level}, {direction:+d}]"
+            ap(f"{name}.ap_before", report.ap_before)
+            ap(f"{name}.ap_after", report.ap_after)
+            corr(f"{name}.corr_before", report.corr_before)
+            corr(f"{name}.corr_after", report.corr_after)
+    return exact, means
+
+
+def _assert_same_but_means(got, want, moving: set[str]) -> None:
+    """Every value of ``got`` keeps its bits from ``want``, except a mean
+    whose field is in ``moving``: it may move by the sum of both bounds."""
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys()
+    for name, (field, a, bound_a) in got[1].items():
+        _, b, bound_b = want[1][name]
+        if field in moving:
+            assert abs(a - b) <= bound_a + bound_b, name
+        else:
+            assert repr(a) == repr(b), name
+
+
+@settings(max_examples=6, deadline=None)
+@given(SEEDS, st.permutations(range(60)))
+def test_permuting_the_images_keeps_every_per_image_and_per_class_value(seed, perm):
+    ds = _dataset(seed)
+    _assert_same_but_means(_values(_images_permuted(ds, perm)), _values(ds), {"beta_img"})
+
+
+@settings(max_examples=6, deadline=None)
+@given(SEEDS, st.permutations(range(5)))
+def test_permuting_the_categories_keeps_every_per_class_value(seed, perm):
+    ds = _dataset(seed)
+    _assert_same_but_means(_values(_categories_permuted(ds, perm)), _values(ds), {"per_threshold", "ap_c", "beta_cls"})
 
 
 def _with_raw_detection(ds: Dataset, image_id: int, at: int, box: np.ndarray, scores: np.ndarray) -> Dataset:

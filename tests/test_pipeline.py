@@ -190,7 +190,7 @@ def test_postprocess_nms_free_keeps_duplicates():
         RawDetection(box_at(0.5), (0.8,)),
     ]
     cfg_on = PipelineConfig(nms_iou=0.5)
-    cfg_off = PipelineConfig(nms_iou=0.5, nms_enabled=False)
+    cfg_off = PipelineConfig(nms_iou=1.0)
     assert len(postprocess(dets, cfg_on)) == 1
     assert len(postprocess(dets, cfg_off)) == 2
 
@@ -255,9 +255,9 @@ def test_postprocess_equals_oracle(data):
     dets, pool = data.draw(raw_cases())
     cfg = PipelineConfig(
         score_thr=_threshold(data.draw, [s for d in dets for s in d.class_scores]),
-        nms_iou=_threshold(data.draw, _ious(pool)),
+        # half the time NMS-free, which must compute no IoU and suppress nothing
+        nms_iou=1.0 if data.draw(st.booleans()) else _threshold(data.draw, _ious(pool)),
         top_k=data.draw(st.integers(1, 15)),
-        nms_enabled=data.draw(st.booleans()),
     )
     image_id = data.draw(st.integers(0, 3))
     got = postprocess(dets, cfg, image_id)
@@ -274,9 +274,8 @@ def test_postprocess_reads_a_batch_as_its_objects(data):
     dets, pool = data.draw(raw_cases())
     cfg = PipelineConfig(
         score_thr=_threshold(data.draw, [s for d in dets for s in d.class_scores]),
-        nms_iou=_threshold(data.draw, _ious(pool)),
+        nms_iou=1.0 if data.draw(st.booleans()) else _threshold(data.draw, _ious(pool)),
         top_k=data.draw(st.integers(1, 15)),
-        nms_enabled=data.draw(st.booleans()),
     )
     got = postprocess(RawBatch.of(dets), cfg, 2)
     assert got == postprocess(dets, cfg, 2)
@@ -341,11 +340,29 @@ def test_postprocess_equals_oracle_detector_shaped():
         PipelineConfig(),
         PipelineConfig(score_thr=0.0, nms_iou=0.3, top_k=1000),
         PipelineConfig(score_thr=0.1, nms_iou=0.8, top_k=50),
-        PipelineConfig(nms_enabled=False, top_k=400),
+        PipelineConfig(nms_iou=1.0, top_k=400),
     ):
         got = postprocess(dets, cfg, 5)
         assert got == oracle.postprocess(dets, cfg, 5)
         _assert_python_fields(got)
+
+
+def test_nms_free_computes_no_iou(monkeypatch):
+    # No IoU exceeds 1, so at a threshold of 1 no IoU row is computed at all.
+    dets = _detector_shaped()
+    cfg = PipelineConfig(nms_iou=1.0, top_k=400)
+    finals = oracle.postprocess(dets, cfg, 5)
+    assert len(finals) == 400
+
+    def refused(*args):
+        raise RuntimeError("an IoU row was computed")
+
+    monkeypatch.setattr(pipeline, "_iou_of", refused)
+    assert postprocess(dets, cfg, 5) == finals
+    assert nms(finals, 1.0) == oracle.nms(finals, 1.0) == finals
+    # below 1 the rows are computed
+    with pytest.raises(RuntimeError):
+        nms(finals, 0.99)
 
 
 @pytest.mark.parametrize("cfg", [PipelineConfig(score_thr=0.0), PipelineConfig()], ids=["all", "defaults"])
