@@ -16,7 +16,7 @@ bounds measure.  With duplicate candidates above the threshold the 0.50
 matching itself can flip, so the invariance is a property of the usual
 deduplicated regime, not of arbitrary detection sets.
 
-Both levels assign scores through one rule (:func:`_ranked_scores`).  The
+Both levels assign scores through one rule (:func:`_rescored`).  The
 class-level report matches the whole final list once, re-ranks every
 class from that table's arrays, and matches the re-ranked list once more:
 two matching passes per report, whatever the number of classes.
@@ -53,34 +53,32 @@ def _check_direction(direction: int) -> None:
         raise ValueError(f"direction must be +1 or -1, got {direction}")
 
 
-def _ranked_scores(
-    det_idx: np.ndarray, ious: np.ndarray, scores: np.ndarray, classes: np.ndarray, direction: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-ranked scores of positives: ``(positions, new scores)``.
+def _rescored(
+    scores: np.ndarray, at: tuple[np.ndarray, ...], ious: np.ndarray, groups: np.ndarray, direction: int
+) -> np.ndarray:
+    """A copy of ``scores`` in which the entries ``scores[at]`` are
+    re-ranked within each group; ``at`` is a tuple of index arrays whose
+    first holds the detection indices.
 
-    Within each class, the positives sorted by descending IoU (ties by
-    lower detection index) receive the class's score multiset sorted
-    descending (+1) or ascending (-1), equal scores by lower detection
-    index.  Positive ``positions[j]`` (an index into the input arrays)
-    receives ``new scores[j]``.
+    Within each group, the entries sorted by descending IoU (ties by lower
+    detection index) receive the group's score multiset sorted descending
+    (+1) or ascending (-1), equal scores by lower detection index.
     """
-    by_iou = np.lexsort((det_idx, -ious, classes))
-    by_score = np.lexsort((det_idx, -direction * scores, classes))
-    return by_iou, scores[by_score]
+    det_idx, values = at[0], scores[at]
+    by_iou = np.lexsort((det_idx, -ious, groups))
+    by_score = np.lexsort((det_idx, -direction * values, groups))
+    out = scores.copy()
+    out[tuple(i[by_iou] for i in at)] = values[by_score]
+    return out
 
 
-def _rerank_raw(
-    dets: RawBatch, det_idx: np.ndarray, ious: np.ndarray, scores: np.ndarray, classes: np.ndarray, direction: int
-) -> RawBatch:
+def _rerank_raw(dets: RawBatch, det_idx: np.ndarray, ious: np.ndarray, classes: np.ndarray, direction: int) -> RawBatch:
     """:func:`rerank_image_level` of positives given as aligned arrays: the
     same boxes, and a copy of the score array in which only the positives'
     ``classes`` entries change (``dets`` itself for fewer than two)."""
     if det_idx.shape[0] <= 1:
         return dets
-    to, values = _ranked_scores(det_idx, ious, scores, np.zeros_like(det_idx), direction)
-    new_scores = dets.scores.copy()
-    new_scores[det_idx[to], classes[to]] = values
-    return RawBatch(dets.boxes, new_scores)
+    return RawBatch(dets.boxes, _rescored(dets.scores, (det_idx, classes), ious, np.zeros_like(det_idx), direction))
 
 
 def rerank_image_level(
@@ -98,41 +96,33 @@ def rerank_image_level(
     _check_direction(direction)
     det_idx = np.array(matches.detection_indices(), dtype=np.intp)
     classes = np.array([m.class_id for m in matches], dtype=np.intp)
-    ious, scores = np.array(matches.ious()), np.array(matches.scores())
-    return _rerank_raw(RawBatch.of(dets), det_idx, ious, scores, classes, direction)
+    return _rerank_raw(RawBatch.of(dets), det_idx, np.array(matches.ious()), classes, direction)
 
 
 def rerank_class_level(
     dets: Sequence[FinalDetection],
     matches: MatchSet,
     direction: int,
-) -> list[FinalDetection]:
+) -> FinalBatch:
     """Permute TP scores per IoU order; FPs and boxes stay untouched.
 
     ``matches`` must come from match_tp on ``dets`` (single class).
+    Returns the detections as a :class:`~corrdet.geometry.FinalBatch`: the
+    same columns, and a copy of the score array in which only the TPs
+    change.
     """
     _check_direction(direction)
-    if len(matches) <= 1:
-        return list(dets)
+    dets = FinalBatch.of(dets)
     det_idx = np.array(matches.detection_indices(), dtype=np.intp)
-    ious, scores = np.array(matches.ious()), np.array(matches.scores())
-    to, values = _ranked_scores(det_idx, ious, scores, np.zeros_like(det_idx), direction)
-    new_scores = dict(zip(det_idx[to].tolist(), values.tolist()))
-    return [
-        FinalDetection(d.box, d.class_id, new_scores[di], d.image_id) if di in new_scores else d
-        for di, d in enumerate(dets)
-    ]
+    scores = _rescored(dets.scores, (det_idx,), np.array(matches.ious()), np.zeros_like(det_idx), direction)
+    return FinalBatch(dets.boxes, dets.class_ids, scores, dets.images, dets.image_ids)
 
 
 def _reranked(table: _MatchTable, direction: int) -> FinalBatch:
     """The table's detections with every class's TPs at its last threshold
-    re-ranked as :func:`rerank_class_level` does one class: the same
-    columns, and a copy of the score array in which only the TPs change."""
-    dets = table.dets
-    tp = np.flatnonzero(table.gt[-1] >= 0)
-    to, values = _ranked_scores(tp, table.iou[-1, tp], dets.scores[tp], dets.class_ids[tp], direction)
-    scores = dets.scores.copy()
-    scores[tp[to]] = values
+    re-ranked as :func:`rerank_class_level` does one class."""
+    dets, tp = table.dets, np.flatnonzero(table.gt[-1] >= 0)
+    scores = _rescored(dets.scores, (tp,), table.iou[-1, tp], dets.class_ids[tp], direction)
     return FinalBatch(dets.boxes, dets.class_ids, scores, dets.images, dets.image_ids)
 
 
@@ -208,7 +198,7 @@ def bound_report(
     before, after, reranked = [], [], {}
     for image_id, raw, gts in dataset.per_image():
         det_idx, _, ious, scores, classes = _positives(raw, gts, iou_floor)
-        reranked[image_id] = _rerank_raw(raw, det_idx, ious, scores, classes, direction)
+        reranked[image_id] = _rerank_raw(raw, det_idx, ious, classes, direction)
         before.append((image_id, ious, scores))
         after.append((image_id, ious, reranked[image_id].scores[det_idx, classes]))
     image_ids = [iid for iid, _, _ in dataset.images]

@@ -9,9 +9,11 @@ largest magnitude lies outside [2**-100, 2**100] is divided by the power
 of two that brings it into [0.5, 1) before any moment is formed.  That is
 exact, and inside the window every moment of a non-constant series is a
 normal float, so one pass never overflows, underflows to zero or warns.
-The Correlation Loss reads its coefficient and gradient terms from the
-same two kernels; Spearman, coefficient and loss alike, takes its ranks
-centered, with their closed-form variance, from one rank core.
+The coefficients and the Correlation Loss share every step: one series
+check (``_extent``, whose min/max pair gives finiteness, peak and
+constancy), one centering (``_centered``, or for Spearman the rank core's
+centered ranks and closed-form variance), one Pearson step
+(``_pearson_of``) and one Concordance kernel.
 """
 
 from __future__ import annotations
@@ -32,9 +34,15 @@ FloatArray = np.ndarray
 _WINDOW = (2.0**-100, 2.0**100)
 
 
-def _peak(a: FloatArray) -> float:
-    """Largest magnitude in a (0 when empty); non-finite exactly when an entry is."""
-    return float(np.abs(a).max()) if a.size else 0.0
+def _extent(a: FloatArray) -> tuple[float, float]:
+    """``(min, max)`` of a, ``(0.0, 0.0)`` when empty: the one series check.
+
+    Both ends are finite exactly when every entry is (NaN and inf reach an
+    end), the peak magnitude is ``max(-min, max)``, and a is constant
+    exactly when ``min == max``.  Not a variance test: the mean of
+    [0.1] * 3 rounds, which leaves a variance near 1e-34, not 0.
+    """
+    return (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
 
 
 def _scaled(a: FloatArray, peak: float) -> tuple[FloatArray, int]:
@@ -46,32 +54,26 @@ def _scaled(a: FloatArray, peak: float) -> tuple[FloatArray, int]:
     return np.ldexp(a, -e), e
 
 
-def _constant(a: FloatArray) -> bool:
-    """All entries equal.  Not a variance test: the mean of [0.1] * 3 rounds,
-    which leaves a variance near 1e-34, not 0."""
-    return bool(a.min() == a.max())
-
-
 def _clip(r: float) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _as_series(x, name: str) -> tuple[FloatArray, float]:
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    peak = _peak(a)
-    if not math.isfinite(peak):
-        raise DegenerateInput(f"{name} contains non-finite values")
-    return a, peak
-
-
-def _check_pair(x, y) -> tuple[FloatArray, FloatArray, float, float]:
-    a, peak_a = _as_series(x, "x")
-    b, peak_b = _as_series(y, "y")
+def _check_pair(x, y) -> tuple[FloatArray, FloatArray, tuple[float, float], tuple[float, float]]:
+    """``(a, b, extent_a, extent_b)``: x and y as float64 vectors of one
+    length n >= 2 with finite entries, and their ``_extent``."""
+    series = []
+    for v, name in ((x, "x"), (y, "y")):
+        a = np.asarray(v, dtype=np.float64).reshape(-1)
+        lo, hi = _extent(a)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DegenerateInput(f"{name} contains non-finite values")
+        series.append((a, (lo, hi)))
+    (a, extent_a), (b, extent_b) = series
     if a.size != b.size:
         raise DegenerateInput(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise DegenerateInput(f"need at least 2 samples, got {a.size}")
-    return a, b, peak_a, peak_b
+    return a, b, extent_a, extent_b
 
 
 def _centered_ranks(a: FloatArray) -> tuple[FloatArray, float]:
@@ -138,28 +140,15 @@ def _centered(a: FloatArray, peak: float) -> tuple[FloatArray, float, int]:
     return ac, float(np.mean(ac * ac)), e
 
 
-def _pearson_of(ac: FloatArray, var_a: float, bc: FloatArray, var_b: float, e_b: int):
-    """``(r, ac, bc, var_a, var_b, e_b)``: unclipped Pearson r of two
-    centered series from their population variances.  None when a
-    variance is zero: all-tied ranks (callers rule out other constant
-    series first), or soft ranks that round to one value, which the loss
-    guards against though no input is known to produce them."""
+def _pearson_of(ac: FloatArray, var_a: float, bc: FloatArray, var_b: float) -> float | None:
+    """Unclipped Pearson r of two centered series from their population
+    variances: the one Pearson step of the coefficients and the loss.  None
+    when a variance is zero: all-tied ranks (callers rule out other
+    constant series first), or soft ranks that round to one value, which
+    the loss guards against though no input is known to produce them."""
     if var_a == 0.0 or var_b == 0.0:
         return None
-    return float(np.mean(ac * bc)) / math.sqrt(var_a * var_b), ac, bc, var_a, var_b, e_b
-
-
-def _pearson_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
-    """``(r, ac, bc, var_a, var_b, e_b)``: unclipped Pearson r and the
-    centered series and population variances it came from.  Each series
-    goes through ``_scaled`` on its own; b is divided by 2**e_b.
-
-    ``peak_a``/``peak_b`` bound the magnitudes.  None when a variance is
-    zero.  The Spearman paths center their ranks with ``_centered_ranks``
-    and call ``_pearson_of`` themselves.
-    """
-    ac, var_a, _ = _centered(a, peak_a)
-    return _pearson_of(ac, var_a, *_centered(b, peak_b))
+    return float(np.mean(ac * bc)) / math.sqrt(var_a * var_b)
 
 
 def pearson(x, y) -> float:
@@ -169,10 +158,12 @@ def pearson(x, y) -> float:
     series is scaled on its own by a power of two (see the module
     docstring), which is exact and leaves r unchanged.
     """
-    a, b, peak_a, peak_b = _check_pair(x, y)
-    if _constant(a) or _constant(b):
+    a, b, (lo_a, hi_a), (lo_b, hi_b) = _check_pair(x, y)
+    if lo_a == hi_a or lo_b == hi_b:
         raise DegenerateInput("at least one series is constant")
-    return _clip(_pearson_kernel(a, b, peak_a, peak_b)[0])
+    ac, var_a, _ = _centered(a, max(-lo_a, hi_a))
+    bc, var_b, _ = _centered(b, max(-lo_b, hi_b))
+    return _clip(_pearson_of(ac, var_a, bc, var_b))
 
 
 def spearman(x, y) -> float:
@@ -182,22 +173,22 @@ def spearman(x, y) -> float:
     """
     a, b, _, _ = _check_pair(x, y)
     # All-tied ranks center to zeros: their variance is 0.
-    terms = _pearson_of(*_centered_ranks(a), *_centered_ranks(b), 0)
-    if terms is None:
+    r = _pearson_of(*_centered_ranks(a), *_centered_ranks(b))
+    if r is None:
         raise DegenerateInput("all values tie in at least one series")
-    return _clip(terms[0])
+    return _clip(r)
 
 
-def _concordance_kernel(a: FloatArray, b: FloatArray, peak_a: float, peak_b: float):
+def _concordance_kernel(a: FloatArray, b: FloatArray, peak: float):
     """``(gamma, ac, bc, gap, denom, e)``: unclipped Concordance, the
     centered series, mean gap mu_a - mu_b and denominator
     var_a + var_b + gap^2 it came from, both series divided by 2**e.
 
-    e is the ``_scaled`` exponent of the larger peak, so the series stay
-    in proportion.  Callers rule out a constant series first; the larger
-    peak's series then keeps the denominator normal.
+    ``peak`` is the larger of the two peaks, and e its ``_scaled``
+    exponent, so the series stay in proportion.  Callers rule out a
+    constant series first; the larger peak's series then keeps the
+    denominator normal.
     """
-    peak = max(peak_a, peak_b)
     a_s, e = _scaled(a, peak)
     b_s = _scaled(b, peak)[0]
     mu_a = float(a_s.mean())
@@ -218,10 +209,10 @@ def concordance(x, y) -> float:
     gives 0.  Both series are scaled by the same power of two (see the
     module docstring), which is exact and leaves the coefficient unchanged.
     """
-    a, b, peak_a, peak_b = _check_pair(x, y)
-    constant_a, constant_b = _constant(a), _constant(b)
-    if constant_a and constant_b and a[0] == b[0]:
+    a, b, (lo_a, hi_a), (lo_b, hi_b) = _check_pair(x, y)
+    constant_a, constant_b = lo_a == hi_a, lo_b == hi_b
+    if constant_a and constant_b and lo_a == lo_b:
         raise DegenerateInput("both series constant and equal")
     if constant_a or constant_b:
         return 0.0  # cov is 0; a mean that rounds would leave a residue near 1e-32
-    return _clip(_concordance_kernel(a, b, peak_a, peak_b)[0])
+    return _clip(_concordance_kernel(a, b, max(-lo_a, hi_a, -lo_b, hi_b))[0])

@@ -8,11 +8,12 @@ of the scores, so its gradient flows through the soft-rank operator,
 except on a batch whose soft ranks pool into one block: they are the
 scores / epsilon shifted by a constant there, so the loss pairs the ranks
 with the scores themselves and calls no soft-rank code.  The Pearson and
-Concordance variants differentiate their closed forms.  The
-loss reuses the coefficients of :mod:`corrdet.correlation`: rho and the
-terms of its gradient come from the Pearson or Concordance kernel that
-``pearson``/``spearman``/``concordance`` use, so the Pearson and
-Concordance variants' value is ``1 - coefficient`` bit for bit.
+Concordance variants differentiate their closed forms.  The loss runs
+the steps of :mod:`corrdet.correlation`'s coefficients: their series
+check reads finiteness, peaks and constancy, their centering and Pearson
+step or Concordance kernel give rho and the terms of its gradient, so
+the Pearson and Concordance variants' value is ``1 - coefficient`` bit
+for bit.
 
 Degenerate batches (fewer than two positives, or a constant series) yield
 zero loss and zero gradient rather than an error: a training-loop plug-in
@@ -36,7 +37,7 @@ from .correlation import (
     _centered_ranks,
     _clip,
     _concordance_kernel,
-    _pearson_kernel,
+    _extent,
     _pearson_of,
     spearman,
 )
@@ -125,24 +126,24 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     1 - pearson(average_ranks(ious), scores) and its gradient bit for bit,
     at any epsilon.  Either Spearman path takes the IoU ranks centered on
     their mean (n + 1) / 2, which is exact for any finite input, with their
-    variance, (n^2 - 1) / 12 when no IoUs tie: the bits the Pearson kernel
-    computes from ``average_ranks(ious)`` in two ``np.mean`` passes, since
-    those passes are exact while n(n^2 - 1) / 12 < 2**51 (n up to 300,079);
-    a larger or tied batch gets its variance from ``np.mean``.  At n = 2 the Pearson and Spearman gradients are
-    exactly 0, since rho is +-1 for every non-constant pair.  Any other
-    finite input gives a value in [0, 2] and a finite gradient at any
-    magnitude: the coefficient kernels divide a series outside
-    [2**-100, 2**100] by a power of two (exact), and the gradient is
-    scaled back by it, with 0 for an entry that would leave the float
-    range.
+    variance, (n^2 - 1) / 12 when no IoUs tie: the bits that centering
+    ``average_ranks(ious)`` gives in two ``np.mean`` passes, since those
+    passes are exact while n(n^2 - 1) / 12 < 2**51 (n up to 300,079); a
+    larger or tied batch gets its variance from ``np.mean``.  At n = 2 the
+    Pearson and Spearman gradients are exactly 0, since rho is +-1 for
+    every non-constant pair.  Any other finite input gives a value in
+    [0, 2] and a finite gradient at any magnitude: the coefficient kernels
+    divide a series outside [2**-100, 2**100] by a power of two (exact),
+    and the gradient is scaled back by it, with 0 for an entry that would
+    leave the float range.
     """
     x = np.asarray(ious, dtype=np.float64).reshape(-1)
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = x.shape[0]
     if n != y.shape[0]:
         raise ValueError(f"length mismatch: {n} ious vs {y.shape[0]} scores")
-    # One min/max pair per series: finiteness (NaN and inf reach an end), peaks, constancy, spread.
-    lo_x, hi_x, lo_y, hi_y = (float(v) for a in (x, y) for v in (a.min(), a.max())) if n else (0.0,) * 4
+    # The coefficients' series check, one min/max pair per series: finiteness, peaks, constancy, spread.
+    (lo_x, hi_x), (lo_y, hi_y) = _extent(x), _extent(y)
     if not all(map(math.isfinite, (lo_x, hi_x, lo_y, hi_y))):
         raise ValueError("ious and scores must be finite")
     if n < 2 or lo_x == hi_x or lo_y == hi_y:
@@ -150,7 +151,7 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
     peak_x, peak_y = max(-lo_x, hi_x), max(-lo_y, hi_y)
 
     if cfg.coefficient == "concordance":
-        rho, xc, yc, gap, denom, shift = _concordance_kernel(x, y, peak_x, peak_y)
+        rho, xc, yc, gap, denom, shift = _concordance_kernel(x, y, max(peak_x, peak_y))
         grad_rho = (2.0 / (n * denom)) * (xc - rho * (yc - gap))
     else:
         soft = None
@@ -167,12 +168,13 @@ def loss_from_arrays(ious, scores, cfg: LossConfig) -> LossResult:
             if not (hi_y - lo_y) / float(cfg.epsilon) < (n / 2) * (1 - 2.0**-40):
                 soft = soft_rank(y, cfg.epsilon)
                 y, peak_y = soft.ranks, float(n)
-            terms = _pearson_of(*_centered_ranks(x), *_centered(y, peak_y))
+            xc, var_x = _centered_ranks(x)
         else:
-            terms = _pearson_kernel(x, y, peak_x, peak_y)
-        if terms is None:  # soft ranks that all round to one value; no input is known to get here
+            xc, var_x, _ = _centered(x, peak_x)
+        yc, var_y, shift = _centered(y, peak_y)
+        rho = _pearson_of(xc, var_x, yc, var_y)
+        if rho is None:  # soft ranks that all round to one value; no input is known to get here
             return LossResult(0.0, np.zeros(n, dtype=np.float64))
-        rho, xc, yc, var_x, var_y, shift = terms
         if n == 2:  # r is +-1 for every non-constant pair: exactly flat, not rounding residue
             grad_rho = np.zeros(n, dtype=np.float64)
         else:

@@ -80,7 +80,7 @@ def test_rerank_leaves_fps_alone():
     # only dets 0 and 2 are matched
     matches = MatchSet((Match(0, 0, 0.4, 0.2), Match(2, 1, 0.8, 0.5)))
     out = rerank_class_level(dets, matches, 1)
-    assert out[1] is dets[1]
+    assert out[1] == dets[1]
     assert [d.score for d in out] == [0.2, 0.9, 0.5]
 
 

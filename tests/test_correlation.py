@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from corrdet import DegenerateInput, LossConfig, average_ranks, concordance, loss_from_arrays, pearson, spearman
-from corrdet.correlation import _centered_ranks, _clip, _pearson_kernel
+from corrdet.correlation import _centered, _centered_ranks, _clip, _pearson_of
 
 
 def test_average_ranks_handles_ties():
@@ -171,12 +171,14 @@ def assert_spearman_is_the_kernel_on_ranks(x, y):
     """spearman() reads centered ranks and their closed-form variance; the
     two-pass Pearson kernel on the ranks must give the same bits."""
     n = len(x)
-    terms = _pearson_kernel(average_ranks(x), average_ranks(y), n, n)
-    if terms is None:
+    ac, var_a, _ = _centered(average_ranks(x), n)
+    bc, var_b, _ = _centered(average_ranks(y), n)
+    r = _pearson_of(ac, var_a, bc, var_b)
+    if r is None:
         with pytest.raises(DegenerateInput):
             spearman(x, y)
     else:
-        assert_same_bits(np.float64(spearman(x, y)), np.float64(_clip(terms[0])))
+        assert_same_bits(np.float64(spearman(x, y)), np.float64(_clip(r)))
 
 
 # The largest n whose squared centered ranks, without ties, sum below

@@ -16,6 +16,7 @@ from scipy.stats import rankdata
 from corrdet import (
     COEFFICIENTS,
     Box,
+    DegenerateInput,
     GtObject,
     LossConfig,
     LossResult,
@@ -32,7 +33,7 @@ from corrdet import (
     spearman,
     total_loss,
 )
-from corrdet.correlation import _clip, _pearson_kernel
+from corrdet.correlation import _centered, _clip, _pearson_of
 from corrdet.pipeline import RawDetection
 
 
@@ -403,6 +404,43 @@ def test_loss_value_is_one_minus_coefficient(pair, coef):
     assert res.value == 1.0 - coefficient(x, y)
 
 
+# Series of length 0 to 4 at the edges of the series check: constants
+# that mix 0.0 and -0.0, constants whose mean rounds, and entries that may
+# be +-inf or NaN.
+_EDGE = st.sampled_from((0.0, -0.0, 0.1, 1.0, math.inf, -math.inf, math.nan)) | st.floats()
+
+
+def _edge_series(n):
+    return (
+        st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n)
+        | st.sampled_from((0.1, 1e-300, 1e300)).map(lambda v: [v] * n)
+        | st.lists(_EDGE, min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_edge_series(n), _edge_series(n))))
+def test_loss_and_coefficients_read_one_series_check(pair):
+    # The loss and the coefficients read finiteness and constancy from
+    # one rule: a pair pearson() calls degenerate is a zero loss in every
+    # family, and a non-finite entry is refused by all of them.
+    x, y = (np.array(v, dtype=np.float64) for v in pair)
+    cfgs = [LossConfig("spearman", 1.0), LossConfig("spearman", 0.01), LossConfig("pearson"), LossConfig("concordance")]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        for cfg in cfgs:
+            with pytest.raises(ValueError, match="must be finite"):
+                loss_from_arrays(x, y, cfg)
+        for coefficient in (pearson, spearman, concordance):
+            with pytest.raises(DegenerateInput, match="non-finite"):
+                coefficient(x, y)
+        return
+    try:
+        pearson(x, y)
+    except DegenerateInput:
+        for cfg in cfgs:
+            assert_same_loss(loss_from_arrays(x, y, cfg), LossResult(0.0, np.zeros(len(x))))
+
+
 def _one_block(scores, eps):
     # The loss's rule: scores / eps spanning less than n / 2 pool into one
     # soft-rank block (less a margin for the rounding of the spread).
@@ -484,7 +522,9 @@ def test_pav_spearman_loss_is_the_rank_kernel_composition(kind):
         for eps in (0.01, 0.001):
             assert not _one_block(y, eps)
             soft = soft_rank(y, eps)
-            rho, xc, yc, var_x, var_y, shift = _pearson_kernel(average_ranks(x), soft.ranks, float(n), float(n))
+            xc, var_x, _ = _centered(average_ranks(x), float(n))
+            yc, var_y, shift = _centered(soft.ranks, float(n))
+            rho = _pearson_of(xc, var_x, yc, var_y)
             assert shift == 0
             grad = soft_rank_vjp(soft, xc / (n * math.sqrt(var_x * var_y)) - rho * yc / (n * var_y))
             assert_same_loss(loss_from_arrays(x, y, LossConfig("spearman", eps)), LossResult(1.0 - _clip(rho), -grad))

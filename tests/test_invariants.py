@@ -45,14 +45,26 @@ on the raw detections (``CorrelationReport``: ``beta_img``, ``beta_cls``,
 ``corr_before`` and ``corr_after``); (d) compares the same fields value
 by value, and (e) the class-level ones and the final detections'
 columns.
+
+(a) and (b) also hold through the CLI's bytes, on a small synth dataset
+and on detector-shaped raw detections from ``bench/rawgen.py`` (with the
+finals that post-processing makes of them): ``eval`` (with
+``--pr-csv``), ``corr`` and ``bounds`` +-1 at both levels, from
+``--dets`` and ``--raw-dets``.  Under (a) every report and CSV line keeps
+its bytes; under (b), with ``--score-thr`` halved too, only the
+``"score_thr"`` line of the runs that read the pipeline changes.
 """
 
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrdet.cli as cli
 from corrdet import (
     Dataset,
     FinalBatch,
@@ -65,6 +77,7 @@ from corrdet import (
     coco_ap,
     synth,
 )
+from corrdet.ingest import emit_final_dets, emit_gt, emit_raw_dets
 from corrdet.pipeline import _postprocess_images
 
 AP_FIELDS = ("ap_c", "per_threshold", "per_class")
@@ -325,3 +338,80 @@ def test_a_raw_detection_at_or_below_score_thr_changes_no_class_level_measure(se
     n_classes = len(ds.categories)
     scores = np.array(data.draw(st.lists(st.sampled_from((0.0, thr / 2, thr)), min_size=n_classes, max_size=n_classes)))
     assert _pipeline_measures(_with_raw_detection(ds, image_id, at, box, scores)) == _pipeline_measures(ds)
+
+
+def _cli_datasets() -> dict[str, Dataset]:
+    """A small synth dataset, and detector-shaped raw detections from the
+    benchmark's generator (imported read-only) with the finals that
+    post-processing makes of them, so both sources exist for each."""
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        import rawgen
+    finally:
+        sys.path.remove(bench)
+    raw = rawgen.raw_detector(2, n_images=2, n_classes=10, n_boxes=200)
+    finals = _postprocess_images(raw.raw_dets, [iid for iid, _, _ in raw.images], PipelineConfig())
+    return {"synth": synth(0, n_images=20, n_classes=5, knob=0.3), "rawgen": replace(raw, final_dets=finals)}
+
+
+CLI_DATASETS = _cli_datasets()
+
+
+def _cli_runs():
+    """``(argv, reads the pipeline)`` of ``eval`` (with ``--pr-csv``),
+    ``corr`` and ``bounds`` +-1 at both levels, from both sources."""
+    for source, path in (("--dets", "dets.json"), ("--raw-dets", "raw.json")):
+        files = ["--gt", "gt.json", source, path, "--out", "out.json"]
+        yield ["eval", *files, "--pr-csv", "pr.csv"], source == "--raw-dets"
+        for level in ("class",) if source == "--dets" else ("class", "image"):
+            yield ["corr", *files, "--level", level], source == "--raw-dets" and level == "class"
+            for direction in ("+1", "-1"):
+                yield ["bounds", *files, "--level", level, f"--direction={direction}"], source == "--raw-dets"
+
+
+def _cli_outputs(ds: Dataset, score_thr: float | None = None) -> dict[tuple[str, str], list[bytes]]:
+    """The lines of every report and PR CSV that the runs write, keyed by
+    the run; ``score_thr``, when given, goes to the runs that read it.
+    Runs in the current directory."""
+    emit_gt(ds, "gt.json")
+    emit_final_dets(ds, "dets.json")
+    emit_raw_dets(ds, "raw.json")
+    outputs = {}
+    for argv, piped in _cli_runs():
+        thr = ["--score-thr", repr(score_thr)] if piped and score_thr is not None else []
+        assert cli.main(argv + thr) == 0
+        for name in ("out.json", "pr.csv"):
+            if os.path.exists(name):
+                with open(name, "rb") as f:
+                    outputs[(" ".join(argv), name)] = f.read().splitlines()
+                os.remove(name)
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DATASETS))
+@pytest.mark.parametrize("k", (2.0, 0.5))
+def test_resizing_by_a_power_of_two_keeps_every_cli_byte(name, k, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ds = CLI_DATASETS[name]
+    assert all(w * k == int(w * k) and h * k == int(h * k) for _, w, h in ds.images)
+    assert _cli_outputs(_resized(ds, k)) == _cli_outputs(ds)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DATASETS))
+def test_halving_scores_and_score_thr_changes_only_the_score_thr_line(name, tmp_path, monkeypatch):
+    # --dets reports stay byte-identical; a run that reads the pipeline
+    # reports its score_thr, the one line that changes.
+    monkeypatch.chdir(tmp_path)
+    ds = CLI_DATASETS[name]
+    thr = PipelineConfig().score_thr
+    got, want = _cli_outputs(_halved_scores(ds), thr / 2), _cli_outputs(ds, thr)
+    assert got.keys() == want.keys()
+    changed = set()
+    for key in want:
+        assert len(got[key]) == len(want[key])
+        for a, b in zip(got[key], want[key]):
+            if a != b:
+                assert a.lstrip().startswith(b'"score_thr": ') and b.lstrip().startswith(b'"score_thr": ')
+                changed.add(key[0])
+    assert changed == {" ".join(argv) for argv, piped in _cli_runs() if piped}

@@ -79,3 +79,30 @@ def test_every_private_module_name_is_used():
             if all(id(n) in inside for n in uses.get(name, [])):
                 unused.append(f"{file_name}: {name}")
     assert unused == []
+
+
+def _exported(tree):
+    """Names listed in a module's top-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_used():
+    # used: read as a name somewhere in the importing module, or listed in
+    # its __all__ (a re-export)
+    unused = []
+    for path in sorted(Path(corrdet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
