@@ -29,8 +29,8 @@ def main():
 
     same = base.per_threshold[0][1] == plus.ap_after.per_threshold[0][1] == minus.ap_after.per_threshold[0][1]
     print(f"\n  ap_50 identical across all three: {same}")
-    print(f"  beta_cls moves {minus.corr_after.beta_cls:+.2f} <= "
-          f"{plus.corr_before.beta_cls:+.2f} <= {plus.corr_after.beta_cls:+.2f}")
+    print(f"  beta_cls moves {minus.corr_after.beta:+.2f} <= "
+          f"{plus.corr_before.beta:+.2f} <= {plus.corr_after.beta:+.2f}")
     print("\nthe +1/-1 gap at ap_75 is the headroom a correlation-aware")
     print("training signal can actually compete for.")
 

@@ -28,8 +28,8 @@ def main():
         bis, bcs = [], []
         for seed in range(10):
             ds = synth(seed, knob=knob)
-            bis.append(beta_img([(raw, gts) for _, raw, gts in ds.per_image()]).beta_img)
-            bcs.append(beta_cls(ds.final_dets, ds.gts).beta_cls)
+            bis.append(beta_img(ds.per_image()).beta)
+            bcs.append(beta_cls(ds.final_dets, ds.gts).beta)
         print(f"  {knob:+5.1f}  {sum(bis) / len(bis):+9.3f}  {sum(bcs) / len(bcs):+9.3f}")
     print("\nknob = +1 wires scores to IoU, knob = -1 inverts them;")
     print("real detectors sit somewhere in the weak middle.")

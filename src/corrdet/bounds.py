@@ -37,10 +37,10 @@ from .metrics import (
     ApResult,
     CorrelationReport,
     _beta_cls_from,
-    _beta_img_from,
     _coco_ap_from,
     _match_classes,
     _MatchTable,
+    _spearman_mean,
     coco_ap,
 )
 from .pipeline import PipelineConfig, _postprocess_images
@@ -208,6 +208,6 @@ def bound_report(
         level,
         ap_before=coco_ap(_postprocess_images(dataset.raw_dets, image_ids, cfg), dataset.gts),
         ap_after=coco_ap(_postprocess_images(reranked, image_ids, cfg), dataset.gts),
-        corr_before=_or_none(_beta_img_from, before),
-        corr_after=_or_none(_beta_img_from, after),
+        corr_before=_or_none(_spearman_mean, before, "image"),
+        corr_after=_or_none(_spearman_mean, after, "image"),
     )

@@ -147,28 +147,22 @@ def _cmd_corr(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args, pcfg)
 
     if args.level == "image":
-        pairs = [(raw, gts) for _, raw, gts in dataset.per_image()]
-        report = beta_img(pairs, iou_floor=args.iou_floor)
+        report = beta_img(dataset.per_image(), iou_floor=args.iou_floor)
         payload = {
             "level": "image",
             "iou_floor": args.iou_floor,
-            "beta": report.beta_img,
-            "per_image": [
-                {"image_id": i, "spearman": b} for i, b in report.per_image
-            ],
-            "skipped_images": report.skipped_images,
+            "beta": report.beta,
+            "per_image": [{"image_id": i, "spearman": b} for i, b in report.per_group],
+            "skipped_images": report.skipped,
         }
     else:
         report = beta_cls(dataset.final_dets, dataset.gts, tp_iou=args.tp_iou)
         payload = {
             "level": "class",
             "tp_iou": args.tp_iou,
-            "beta": report.beta_cls,
-            "per_class": [
-                {"category_id": dataset.categories[c][0], "spearman": b}
-                for c, b in report.per_class
-            ],
-            "skipped_classes": report.skipped_classes,
+            "beta": report.beta,
+            "per_class": [{"category_id": dataset.categories[c][0], "spearman": b} for c, b in report.per_group],
+            "skipped_classes": report.skipped,
             **_pipeline_payload(pcfg),
         }
     _write_text(render_report(payload), args.out)
@@ -189,11 +183,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         pipeline=pcfg,
     )
 
-    def beta_of(corr):
-        if corr is None:
-            return None
-        return corr.beta_img if args.level == "image" else corr.beta_cls
-
     payload = {
         "direction": args.direction,
         "level": args.level,
@@ -201,8 +190,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         **_pipeline_payload(pcfg),
         "ap_before": _ap_payload(report.ap_before, dataset),
         "ap_after": _ap_payload(report.ap_after, dataset),
-        "beta_before": beta_of(report.corr_before),
-        "beta_after": beta_of(report.corr_after),
+        "beta_before": None if report.corr_before is None else report.corr_before.beta,
+        "beta_after": None if report.corr_after is None else report.corr_after.beta,
     }
     if report.corr_before is None:
         payload["warning"] = "no positives to rerank; report is an identity comparison"

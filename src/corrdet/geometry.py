@@ -258,9 +258,8 @@ class RawBatch(_Batch[RawDetection]):
     form, and ``scores``, ``(n, C)``.
 
     A read-only ``Sequence[RawDetection]`` that builds objects on demand;
-    see :class:`_Batch`.  Built from objects, a shorter score vector is
-    padded with 0, which no filter lets through (score_thr >= 0,
-    comparison strict).
+    see :class:`_Batch`.  Built from objects, every score vector must
+    have one width: ValueError names the widths found otherwise.
     """
 
     _COLUMNS = ("boxes", "scores")
@@ -272,13 +271,10 @@ class RawBatch(_Batch[RawDetection]):
     @classmethod
     def _from_objects(cls, items: Sequence[RawDetection]) -> "RawBatch":
         rows = [d.class_scores for d in items]
-        width = max(map(len, rows), default=0)
-        if all(len(r) == width for r in rows):
-            scores = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-        else:
-            scores = np.zeros((len(rows), width))
-            for i, r in enumerate(rows):
-                scores[i, : len(r)] = r
+        widths = sorted(set(map(len, rows))) or [0]
+        if len(widths) > 1:
+            raise ValueError(f"raw detections of one image need one score width, found {widths}")
+        scores = np.array(rows, dtype=np.float64).reshape(len(rows), widths[0])
         return cls(_box_array([d.box for d in items]), scores)
 
 
@@ -454,8 +450,7 @@ def match_positives(
     above ``iou_floor``; ties break by (lower detection index, lower gt
     index).  For each pair the detection's confidence for the gt's class is
     recorded alongside the IoU, read from the detections' score array
-    (:class:`RawBatch`), where a score vector shorter than the others
-    reads 0 past its end.  Detections and gts must come from the same
+    (:class:`RawBatch`).  Detections and gts must come from the same
     image.  Returns the matches in detection-index order, or an empty
     MatchSet when nothing clears the floor.
     """

@@ -102,7 +102,8 @@ class Dataset:
     def per_image(self) -> list[tuple[int, RawBatch, GtBatch]]:
         """``(image id, raw detections, GTs)`` for every image in file order,
         with an empty batch where an image has no detections or no GTs.
-        Each image's GTs are in file order.
+        Each image's GTs are in file order.  :func:`~corrdet.metrics.beta_img`
+        reads these triples as they come.
 
         Raises ValueError when the dataset holds no raw detections.
         """

@@ -9,8 +9,9 @@ Two correlation levels exist:
   positives pooled over the whole dataset (evaluation-style matching on
   final detections), averaged over classes.
 
-Groups with fewer than two samples, or with degenerate ranks, are skipped
-and counted; the averages cover the rest.
+Both levels report a :class:`CorrelationReport`.  Groups with fewer than
+two samples, or with degenerate ranks, are skipped and counted; the mean
+covers the rest.
 
 The class-level measures and AP read one matching table per detection
 list (:func:`_match_classes`): the matched gt and IoU of every detection
@@ -49,14 +50,12 @@ _RECALL_GRID = np.arange(101) / 100.0
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation summary; image- and class-level halves fill separately."""
+    """``beta``, the mean Spearman over ``per_group``, its ``(image id or
+    class index, value)`` pairs, and the number of groups ``skipped``."""
 
-    beta_img: float | None = None
-    beta_cls: float | None = None
-    per_image: tuple[tuple[int, float], ...] = ()
-    per_class: tuple[tuple[int, float], ...] = ()
-    skipped_images: int = 0
-    skipped_classes: int = 0
+    beta: float
+    per_group: tuple[tuple[int, float], ...]
+    skipped: int
 
 
 @dataclass(frozen=True)
@@ -73,16 +72,13 @@ class ApResult:
     per_class: tuple[tuple[int, tuple[float, ...]], ...]
 
 
-def _spearman_mean(
-    groups: Iterable[tuple[int, Sequence[float], Sequence[float]]], unit: str
-) -> tuple[float, tuple[tuple[int, float], ...], int]:
+def _spearman_mean(groups: Iterable[tuple[int, Sequence[float], Sequence[float]]], unit: str) -> CorrelationReport:
     """Mean Spearman between IoUs and scores over ``(group id, ious, scores)``.
 
-    Returns the mean, the per-group values and the number of groups
-    skipped: those where :func:`spearman` raises DegenerateInput (fewer
-    than two matches or degenerate ranks).
-    Raises EmptyEvaluation when every group is skipped (``unit`` names a
-    group in the message).
+    A group where :func:`spearman` raises DegenerateInput (fewer than two
+    matches or degenerate ranks) is skipped and counted.  Raises
+    EmptyEvaluation when every group is skipped (``unit`` names a group in
+    the message).
     """
     per_group: list[tuple[int, float]] = []
     skipped = 0
@@ -94,33 +90,27 @@ def _spearman_mean(
 
     if not per_group:
         raise EmptyEvaluation(f"no {unit} yielded a correlation ({skipped} skipped)")
-    return float(np.mean([b for _, b in per_group])), tuple(per_group), skipped
-
-
-def _beta_img_from(groups: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> CorrelationReport:
-    """beta_img over ``(image id, positives' IoUs, their scores)`` triples."""
-    mean, per_image, skipped = _spearman_mean(groups, "image")
-    return CorrelationReport(beta_img=mean, per_image=per_image, skipped_images=skipped)
+    return CorrelationReport(float(np.mean([b for _, b in per_group])), tuple(per_group), skipped)
 
 
 def beta_img(
-    images: Sequence[tuple[Sequence[RawDetection], Sequence[GtObject]]],
+    images: Iterable[tuple[int, Sequence[RawDetection], Sequence[GtObject]]],
     iou_floor: float = 0.5,
 ) -> CorrelationReport:
     """Mean per-image Spearman between positives' IoUs and GT-class scores.
 
-    Each image contributes one coefficient over its positives (greedy
-    one-to-one matching at ``iou_floor``), named by its GTs' image id (by
-    its position in ``images`` when it has no GTs).  Images with fewer than
-    two positives or degenerate ranks are skipped and counted.  Raises
-    EmptyEvaluation when every image is skipped.
+    ``images`` holds ``(image id, raw detections, GTs)`` triples, as
+    :meth:`Dataset.per_image` yields them.  Each image contributes one
+    coefficient over its positives (greedy one-to-one matching at
+    ``iou_floor``), under its id.  Images with fewer than two positives or
+    degenerate ranks are skipped and counted.  Raises EmptyEvaluation when
+    every image is skipped.
     """
     groups = []
-    for idx, (dets, gts) in enumerate(images):
-        gts = GtBatch.of(gts)
-        _, _, ious, scores, _ = _positives(RawBatch.of(dets), gts, iou_floor)
-        groups.append((gts.image_ids[gts.images[0]] if len(gts) else idx, ious, scores))
-    return _beta_img_from(groups)
+    for image_id, dets, gts in images:
+        _, _, ious, scores, _ = _positives(RawBatch.of(dets), GtBatch.of(gts), iou_floor)
+        groups.append((image_id, ious, scores))
+    return _spearman_mean(groups, "image")
 
 
 @dataclass(frozen=True)
@@ -170,8 +160,7 @@ def _beta_cls_from(table: _MatchTable, k: int) -> CorrelationReport:
         members = np.sort(ranked)
         tp = members[table.gt[k, members] >= 0]
         groups.append((c, table.iou[k, tp], table.dets.scores[tp]))
-    mean, per_class, skipped = _spearman_mean(groups, "class")
-    return CorrelationReport(beta_cls=mean, per_class=per_class, skipped_classes=skipped)
+    return _spearman_mean(groups, "class")
 
 
 def beta_cls(

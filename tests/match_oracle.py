@@ -133,7 +133,7 @@ def beta_cls_oracle(dets, gts, tp_iou=0.5):
     if not per_class:
         raise EmptyEvaluation(f"no class yielded a correlation ({skipped} skipped)")
     mean = float(np.mean([b for _, b in per_class]))
-    return CorrelationReport(beta_cls=mean, per_class=tuple(per_class), skipped_classes=skipped)
+    return CorrelationReport(mean, tuple(per_class), skipped)
 
 
 def _or_none(fn, *args):
@@ -167,8 +167,8 @@ def image_corr_oracle(dataset, direction, iou_floor=0.5):
     for image_id, _, _ in dataset.images:
         raw = list(dataset.raw_dets.get(image_id, ()))
         gts = [g for g in dataset.gts if g.image_id == image_id]
-        before.append((raw, gts))
-        after.append((rerank_image_level(raw, match_positives(raw, gts, iou_floor), direction), gts))
+        before.append((image_id, raw, gts))
+        after.append((image_id, rerank_image_level(raw, match_positives(raw, gts, iou_floor), direction), gts))
     return _or_none(beta_img, before, iou_floor), _or_none(beta_img, after, iou_floor)
 
 

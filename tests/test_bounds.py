@@ -152,23 +152,23 @@ def test_bound_report_class_level_on_synth():
     rep = bound_report(ds, 1, level="class")
     assert rep.direction == 1
     assert rep.level == "class"
-    base = beta_cls(ds.final_dets, ds.gts).beta_cls
-    assert rep.corr_before.beta_cls == base
-    assert rep.corr_after.beta_cls == 1.0
+    base = beta_cls(ds.final_dets, ds.gts).beta
+    assert rep.corr_before.beta == base
+    assert rep.corr_after.beta == 1.0
     assert rep.ap_after.per_threshold[0][1] == rep.ap_before.per_threshold[0][1]
 
     rep_minus = bound_report(ds, -1, level="class")
-    assert rep_minus.corr_after.beta_cls == -1.0
-    assert rep_minus.corr_before.beta_cls == base
+    assert rep_minus.corr_after.beta == -1.0
+    assert rep_minus.corr_before.beta == base
 
 
 def test_bound_report_image_level_on_synth():
     ds = synth(22, knob=0.0)
     rep = bound_report(ds, 1, level="image")
-    assert rep.corr_after.beta_img == 1.0
-    assert rep.corr_before.beta_img < 1.0
+    assert rep.corr_after.beta == 1.0
+    assert rep.corr_before.beta < 1.0
     rep_minus = bound_report(ds, -1, level="image")
-    assert rep_minus.corr_after.beta_img == -1.0
+    assert rep_minus.corr_after.beta == -1.0
 
 
 def test_bound_report_image_level_equals_rematching_on_synth():

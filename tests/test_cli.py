@@ -266,17 +266,17 @@ def test_class_level_from_raw_dets_post_processes_each_image(synth_dir, tmp_path
     assert cli.main(["corr", *io, "--out", str(out)]) == 0
     rep = load_report(str(out))
     want = beta_cls(dataset.final_dets, dataset.gts, tp_iou=0.5)
-    assert rep["beta"] == want.beta_cls
+    assert rep["beta"] == want.beta
     assert [(c["category_id"], c["spearman"]) for c in rep["per_class"]] == [
-        (dataset.categories[c][0], b) for c, b in want.per_class
+        (dataset.categories[c][0], b) for c, b in want.per_group
     ]
 
     out = tmp_path / "bounds.json"
     assert cli.main(["bounds", *io, "--direction", "+1", "--out", str(out)]) == 0
     rep = load_report(str(out))
     want = bound_report(dataset, 1, level="class")
-    assert rep["beta_before"] == want.corr_before.beta_cls
-    assert rep["beta_after"] == want.corr_after.beta_cls
+    assert rep["beta_before"] == want.corr_before.beta
+    assert rep["beta_after"] == want.corr_after.beta
     assert rep["ap_before"]["ap_c"] == want.ap_before.ap_c
     assert rep["ap_after"]["per_threshold_ap"] == [v for _, v in want.ap_after.per_threshold]
 

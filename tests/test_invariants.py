@@ -11,8 +11,9 @@ IoU and every score order, so no measure may move in any bit:
 * (c) image ids relabeled by an injective map (``7 * id + 3``, or one that
   reverses their order) and category ids reversed over the categories:
   rows group by their image's position and their class index, never by
-  an id, so only ``per_image``'s ids change, each to its image's new id
-  (category ids reach no measure: ``per_class`` names class indices);
+  an id, so only the image-level ``per_group`` ids change, each to its
+  image's new id (category ids reach no measure: ``per_class`` and the
+  class-level ``per_group`` name class indices);
 * (d) the images listed in another order, each image's rows moved with
   it, or the categories listed in another order: every per-image and
   per-class value, keyed by image id and category id, keeps its bits.
@@ -38,13 +39,12 @@ IoU and every score order, so no measure may move in any bit:
 Compared, field by field (``repr`` tells every bit, and -0.0 from 0.0):
 ``coco_ap`` on the final detections (``ApResult``: ``ap_c``,
 ``per_threshold``, ``per_class``), ``beta_cls`` on them and ``beta_img``
-on the raw detections (``CorrelationReport``: ``beta_img``, ``beta_cls``,
-``per_image``, ``per_class``, ``skipped_images``, ``skipped_classes``), and
-``bound_report`` for directions +1 and -1 at the class and image levels
-(``BoundReport``: those fields of ``ap_before``, ``ap_after``,
-``corr_before`` and ``corr_after``); (d) compares the same fields value
-by value, and (e) the class-level ones and the final detections'
-columns.
+on the raw detections (``CorrelationReport``: ``beta``, ``per_group``,
+``skipped``), and ``bound_report`` for directions +1 and -1 at the class
+and image levels (``BoundReport``: those fields of ``ap_before``,
+``ap_after``, ``corr_before`` and ``corr_after``); (d) compares the same
+fields value by value, and (e) the class-level ones and the final
+detections' columns.
 
 (a) and (b) also hold through the CLI's bytes, on a small synth dataset
 and on detector-shaped raw detections from ``bench/rawgen.py`` (with the
@@ -81,7 +81,7 @@ from corrdet.ingest import emit_final_dets, emit_gt, emit_raw_dets
 from corrdet.pipeline import _postprocess_images
 
 AP_FIELDS = ("ap_c", "per_threshold", "per_class")
-CORR_FIELDS = ("beta_img", "beta_cls", "per_image", "per_class", "skipped_images", "skipped_classes")
+CORR_FIELDS = ("beta", "per_group", "skipped")
 BOUND_FIELDS = {"ap_before": AP_FIELDS, "ap_after": AP_FIELDS, "corr_before": CORR_FIELDS, "corr_after": CORR_FIELDS}
 
 # Small synth datasets: 60 images x 5 classes with a partial score-IoU
@@ -94,22 +94,24 @@ def _dataset(seed: int) -> Dataset:
 
 
 def _fields(prefix: str, result, names, image_id=None) -> dict[str, str]:
-    """The ``repr`` of each field ``names`` of ``result``; ``per_image``'s
-    ids go through ``image_id`` first, when given."""
+    """The ``repr`` of each field ``names`` of ``result``; ``per_group``'s
+    ids, image ids at the image level, go through ``image_id`` first, when
+    given."""
     if result is None:  # a correlation half whose groups were all skipped
         return {prefix: "None"}
     out = {f"{prefix}.{name}": repr(getattr(result, name)) for name in names}
-    if image_id is not None and "per_image" in names:
-        out[f"{prefix}.per_image"] = repr(tuple((image_id(i), v) for i, v in result.per_image))
+    if image_id is not None and "per_group" in names:
+        out[f"{prefix}.per_group"] = repr(tuple((image_id(i), v) for i, v in result.per_group))
     return out
 
 
 def _measures(ds: Dataset, score_thr: float = PipelineConfig().score_thr, image_id=None) -> dict[str, str]:
     """Every compared field, keyed by the measure and field it comes from;
-    ``image_id`` maps the image ids that ``per_image`` fields name."""
+    ``image_id`` maps the image ids that image-level ``per_group`` fields
+    name."""
     out = {
         **_class_measures(ds),
-        **_fields("beta_img", beta_img([(raw, gts) for _, raw, gts in ds.per_image()]), CORR_FIELDS, image_id),
+        **_fields("beta_img", beta_img(ds.per_image()), CORR_FIELDS, image_id),
     }
     pipeline = PipelineConfig(score_thr=score_thr)
     for direction in (1, -1):
@@ -253,32 +255,27 @@ def _values(ds: Dataset) -> tuple[dict[str, str], dict[str, tuple[str, float, fl
             mean(f"{name}[{t}]", "per_threshold", value, matrix[:, k])
         mean(name, "ap_c", result.ap_c, matrix, sum(matrix.shape))
 
-    def corr(name, report):
+    def corr(name, report, level):
         if report is None:  # every group skipped
             exact[name] = "None"
             return
-        exact[f"{name}.skipped"] = repr((report.skipped_images, report.skipped_classes))
-        for i, b in report.per_image:
-            exact[f"{name}.per_image[image {i}]"] = repr(b)
-        for c, b in report.per_class:
-            exact[f"{name}.per_class[category {ds.categories[c][0]}]"] = repr(b)
-        for field, groups in (("beta_img", report.per_image), ("beta_cls", report.per_class)):
-            if getattr(report, field) is None:
-                exact[f"{name}.{field}"] = "None"
-            else:
-                mean(name, field, getattr(report, field), [b for _, b in groups])
+        exact[f"{name}.skipped"] = repr(report.skipped)
+        for g, b in report.per_group:
+            group = f"image {g}" if level == "image" else f"category {ds.categories[g][0]}"
+            exact[f"{name}.per_group[{group}]"] = repr(b)
+        mean(name, "beta_img" if level == "image" else "beta_cls", report.beta, [b for _, b in report.per_group])
 
     ap("coco_ap", coco_ap(ds.final_dets, ds.gts))
-    corr("beta_cls", beta_cls(ds.final_dets, ds.gts))
-    corr("beta_img", beta_img([(raw, gts) for _, raw, gts in ds.per_image()]))
+    corr("beta_cls", beta_cls(ds.final_dets, ds.gts), "class")
+    corr("beta_img", beta_img(ds.per_image()), "image")
     for level in ("class", "image"):
         for direction in (1, -1):
             report = bound_report(ds, direction, level, pipeline=PipelineConfig() if level == "image" else None)
             name = f"bound_report[{level}, {direction:+d}]"
             ap(f"{name}.ap_before", report.ap_before)
             ap(f"{name}.ap_after", report.ap_after)
-            corr(f"{name}.corr_before", report.corr_before)
-            corr(f"{name}.corr_after", report.corr_after)
+            corr(f"{name}.corr_before", report.corr_before, level)
+            corr(f"{name}.corr_after", report.corr_after, level)
     return exact, means
 
 

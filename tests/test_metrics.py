@@ -150,12 +150,12 @@ def test_beta_img_signs_on_synthetic_knob():
         by_image = {image_id: [] for image_id, _, _ in ds.images}
         for g in ds.gts:
             by_image[g.image_id].append(g)
-        pairs = [
-            (ds.raw_dets.get(i, ()), tuple(by_image[i])) for i, _, _ in ds.images
+        triples = [
+            (i, ds.raw_dets.get(i, ()), tuple(by_image[i])) for i, _, _ in ds.images
         ]
-        rep = beta_img(pairs)
-        assert rep.beta_img == expected
-        assert all(b == expected for _, b in rep.per_image)
+        rep = beta_img(triples)
+        assert rep.beta == expected
+        assert all(b == expected for _, b in rep.per_group)
 
 
 def test_beta_img_skips_small_images():
@@ -164,24 +164,24 @@ def test_beta_img_skips_small_images():
     d2, g2 = make_image([(0.9, 0.8)], cell=1, image_id=2)
     raw1 = [RawDetection(d.box, (d.score,)) for d in d1]
     raw2 = [RawDetection(d.box, (d.score,)) for d in d2]
-    rep = beta_img([(raw1, g1), (raw2, g2)])
-    assert rep.skipped_images == 1
-    assert [i for i, _ in rep.per_image] == [1]
-    assert rep.beta_img == 1.0
+    rep = beta_img([(1, raw1, g1), (2, raw2, g2)])
+    assert rep.skipped == 1
+    assert [i for i, _ in rep.per_group] == [1]
+    assert rep.beta == 1.0
 
 
 def test_beta_img_raises_when_all_skipped():
     d, g = make_image([(0.9, 0.8)])
     raw = [RawDetection(det.box, (det.score,)) for det in d]
     with pytest.raises(EmptyEvaluation):
-        beta_img([(raw, g)])
+        beta_img([(1, raw, g)])
 
 
 def test_beta_cls_signs_on_synthetic_knob():
     for knob, expected in ((1.0, 1.0), (-1.0, -1.0)):
         ds = synth(3, knob=knob)
         rep = beta_cls(ds.final_dets, ds.gts)
-        assert rep.beta_cls == expected
+        assert rep.beta == expected
 
 
 def test_beta_cls_pools_across_images():
@@ -189,16 +189,36 @@ def test_beta_cls_pools_across_images():
     d1, g1 = make_image([(0.9, 0.9)], image_id=1)
     d2, g2 = make_image([(0.5, 0.4)], cell=1, image_id=2)
     rep = beta_cls(d1 + d2, g1 + g2)
-    assert rep.beta_cls == 1.0
-    assert rep.per_class == ((0, 1.0),)
+    assert rep.beta == 1.0
+    assert rep.per_group == ((0, 1.0),)
 
 
 def test_beta_cls_counts_skipped_classes():
     d1, g1 = make_image([(0.9, 0.9), (0.5, 0.4)], class_id=0)
     d2, g2 = make_image([(0.8, 0.7)], cell=1, class_id=1)
     rep = beta_cls(d1 + d2, g1 + g2)
-    assert rep.skipped_classes == 1
-    assert [c for c, _ in rep.per_class] == [0]
+    assert rep.skipped == 1
+    assert [c for c, _ in rep.per_group] == [0]
+
+
+@pytest.mark.parametrize("knob", (-1.0, 0.3, 1.0))
+@pytest.mark.parametrize("seed", range(4))
+def test_correlation_report_accounts_for_every_group(seed, knob):
+    # every group given is reported or skipped, in input order for images
+    # and by class index for classes, and beta is the mean of the values;
+    # 12 classes make some classes skip, and seed 3 has one with no GTs
+    ds = synth(seed, n_classes=12, knob=knob)
+    triples = ds.per_image()
+    classes = set(ds.gts.class_ids.tolist()) | set(ds.final_dets.class_ids.tolist())
+    for rep, n_groups, order in (
+        (beta_img(triples), len(triples), [i for i, _, _ in triples]),
+        (beta_cls(ds.final_dets, ds.gts), len(classes), sorted(classes)),
+    ):
+        ids = [g for g, _ in rep.per_group]
+        assert len(ids) + rep.skipped == n_groups
+        assert ids == [g for g in order if g in set(ids)]
+        assert len(set(ids)) == len(ids)
+        assert repr(rep.beta) == repr(float(np.mean([b for _, b in rep.per_group])))
 
 
 def outcome(fn, *args):

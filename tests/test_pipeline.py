@@ -7,6 +7,7 @@ import pipeline_oracle as oracle
 import corrdet.pipeline as pipeline
 from corrdet import (
     Box,
+    Dataset,
     FinalBatch,
     FinalDetection,
     GtBatch,
@@ -34,6 +35,15 @@ def test_raw_detection_validation():
         RawDetection(box_at(0), (-0.1, 0.5))
     d = RawDetection(box_at(0), [0.2, 0.3])
     assert d.class_scores == (0.2, 0.3)
+
+
+def test_raw_batch_refuses_mixed_score_widths():
+    dets = [RawDetection(box_at(0), (0.5, 0.25)), RawDetection(box_at(20), (0.5,))]
+    with pytest.raises(ValueError, match=r"one score width, found \[1, 2\]"):
+        RawBatch.of(dets)
+    with pytest.raises(ValueError, match=r"one score width, found \[1, 2\]"):
+        Dataset(((1, "a"), (2, "b")), ((7, 100, 100),), (), raw_dets={7: dets})
+    assert RawBatch.of([]).scores.shape == (0, 0)
 
 
 def test_raw_batch_is_a_read_only_sequence_of_raw_detections():
@@ -228,12 +238,8 @@ def _box_pools(draw):
 def raw_cases(draw):
     pool = draw(_box_pools())
     n_classes = draw(st.integers(1, 3))
-    # a few score vectors are shorter than the rest: the old loop accepted them
-    width = st.integers(1, n_classes) if draw(st.booleans()) else st.just(n_classes)
-    dets = [
-        RawDetection(draw(st.sampled_from(pool)), draw(st.lists(_SCORES, min_size=w, max_size=w)))
-        for w in draw(st.lists(width, max_size=12))
-    ]
+    scores = st.lists(_SCORES, min_size=n_classes, max_size=n_classes)
+    dets = draw(st.lists(st.builds(RawDetection, st.sampled_from(pool), scores), max_size=12))
     return dets, pool
 
 
@@ -269,8 +275,8 @@ def test_postprocess_equals_oracle(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_postprocess_reads_a_batch_as_its_objects(data):
-    # a batch of the same arrays, short score vectors padded with 0, gives
-    # the same finals, with Boxes equal to the input's
+    # a batch of the same arrays gives the same finals, with Boxes equal
+    # to the input's
     dets, pool = data.draw(raw_cases())
     cfg = PipelineConfig(
         score_thr=_threshold(data.draw, [s for d in dets for s in d.class_scores]),

@@ -25,6 +25,7 @@ from corrdet import (
     soft_rank,
     soft_rank_vjp,
 )
+import corrdet.gradcheck as gradcheck
 from corrdet.gradcheck import _blocks_stable
 
 
@@ -183,6 +184,24 @@ def test_gradcheck_sees_scores_closer_than_its_step_as_unstable():
     # changes and finite differences would straddle the kink between orders
     assert not _blocks_stable(np.array([0.5, 0.5 + 4e-6, 0.1]), 1.0, 1e-5)
     assert _blocks_stable(np.array([0.5, 0.5 + 4e-5, 0.1]), 1.0, 1e-5)
+
+
+def test_gradcheck_redraws_scores_whose_blocks_move(monkeypatch):
+    # seed 191 at n = 3 and epsilon 0.5: a step of h moves the blocks of the
+    # first score draw, so the Spearman trial draws the scores again
+    real, draws = gradcheck._gapped, []
+
+    def counted(rng, n):
+        draws.append(real(rng, n))
+        return draws[-1]
+
+    monkeypatch.setattr(gradcheck, "_gapped", counted)
+    result = gradcheck.run_gradcheck("spearman", 3, 1, 191, epsilon=0.5)
+    h = gradcheck._FD_STEPS["spearman"]
+    assert len(draws) == 3  # x, the refused scores, the compared scores
+    assert not _blocks_stable(draws[1], 0.5, h)
+    assert _blocks_stable(draws[2], 0.5, h)
+    assert result.passed and [r.status for r in result.rows] == ["pass"]
 
 
 def test_invalid_inputs():
