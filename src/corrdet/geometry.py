@@ -32,9 +32,9 @@ Two flavours of matching exist side by side:
 the library's own paths read the array cores behind them.
 
 :func:`iou`, :func:`iou_matrix`, the matching pass and post-processing's
-NMS rows share one IoU formula with the same float operations
-(:func:`_corner_iou` on Python floats, :func:`_iou_of` in numpy), so a
-threshold compares the same way on all four.
+NMS rows share one IoU formula with the same float operations (:func:`iou`
+on Python floats, :func:`_iou_of` in numpy), so a threshold compares the
+same way on all four.
 
 Each batch holds its objects as row-aligned numpy columns, which the
 loaders make and the matchers and post-processing read as they are;
@@ -344,20 +344,12 @@ class MatchSet:
 
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes, in [0, 1]; 0 when disjoint, symmetric."""
-    return _corner_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
-
-
-def _corner_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
-    """:func:`iou` of two boxes given as corner tuples ``(x1, y1, x2, y2)``
-    of Python floats, each area computed as ``Box.area`` computes it."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    ix = min(ax2, bx2) - max(ax1, bx1)
-    iy = min(ay2, by2) - max(ay1, by1)
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+    return inter / (a.area + b.area - inter)
 
 
 def _box_array(boxes: Sequence[Box]) -> np.ndarray:
@@ -452,9 +444,14 @@ def match_positives(
     recorded alongside the IoU, read from the detections' score array
     (:class:`RawBatch`).  Detections and gts must come from the same
     image.  Returns the matches in detection-index order, or an empty
-    MatchSet when nothing clears the floor.
+    MatchSet when nothing clears the floor.  ValueError when there are
+    detections and a gt's class has no entry in their score vectors.
     """
-    columns = _positives(RawBatch.of(dets), GtBatch.of(gts), iou_floor)
+    dets, gts = RawBatch.of(dets), GtBatch.of(gts)
+    width = dets.scores.shape[1]
+    if len(dets) and len(gts) and not 0 <= gts.class_ids.min() <= gts.class_ids.max() < width:
+        raise ValueError(f"gt classes must lie in [0, {width}), the detections' score width")
+    columns = _positives(dets, gts, iou_floor)
     return MatchSet(tuple(map(Match, *(c.tolist() for c in columns))))
 
 

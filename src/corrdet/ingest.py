@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -54,7 +56,7 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .errors import DimensionError, ParseError, ReferenceError, SchemaError
-from .geometry import Box, FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _corner_iou
+from .geometry import Box, FinalBatch, FinalDetection, GtBatch, GtObject, RawBatch, RawDetection, _iou
 
 __all__ = [
     "Dataset",
@@ -84,6 +86,11 @@ class Dataset:
     each a :class:`~corrdet.geometry.RawBatch` (or None for no map).  The
     loaders and :func:`synth` make batches; a sequence of objects given in
     their place is turned into its batch once, here.
+
+    Construction also checks the references across batches: every GT and
+    final class index lies in ``[0, len(categories))`` and every
+    ``raw_dets`` key is an image id (else ReferenceError), and every
+    non-empty raw batch has one score per category (else DimensionError).
     """
 
     categories: tuple[tuple[int, str], ...]
@@ -98,6 +105,19 @@ class Dataset:
             object.__setattr__(self, "raw_dets", {iid: RawBatch.of(d) for iid, d in self.raw_dets.items()})
         if self.final_dets is not None:
             object.__setattr__(self, "final_dets", FinalBatch.of(self.final_dets))
+        n_classes = len(self.categories)
+        for what, batch in (("ground truth", self.gts), ("final detections", self.final_dets)):
+            outside = () if batch is None else batch.class_ids[(batch.class_ids < 0) | (batch.class_ids >= n_classes)]
+            if len(outside):
+                raise ReferenceError(f"{what}: class index {outside[0]} outside [0, {n_classes})")
+        if self.raw_dets is not None:
+            unknown = set(self.raw_dets).difference(iid for iid, _, _ in self.images)
+            if unknown:
+                raise ReferenceError(f"raw detections: unknown image id {min(unknown)}")
+            for iid, raw in self.raw_dets.items():
+                width = raw.scores.shape[1]
+                if len(raw) and width != n_classes:
+                    raise DimensionError(f"raw detections of image {iid}: got {width} scores for {n_classes} categories")
 
     def per_image(self) -> list[tuple[int, RawBatch, GtBatch]]:
         """``(image id, raw detections, GTs)`` for every image in file order,
@@ -590,8 +610,7 @@ def load_report(path: str) -> Any:
 
 def _check_image_ids(dataset: Dataset, image_ids: Iterable[int], what: str) -> None:
     """ValueError naming an image id of ``image_ids`` that ``dataset.images``
-    lacks: the loaders would refuse the file, or, for raw detections,
-    the writer would drop them."""
+    lacks: the loaders would refuse the file."""
     unknown = set(image_ids).difference(iid for iid, _, _ in dataset.images)
     if unknown:
         raise ValueError(f"cannot emit {what} of unknown image id {min(unknown)}")
@@ -632,8 +651,6 @@ def emit_gt(dataset: Dataset, path: str) -> None:
 def emit_raw_dets(dataset: Dataset, path: str) -> None:
     """Write raw detections in the schema load_raw_dets reads, as
     :func:`emit_gt` writes: each image's rows through one template."""
-    if dataset.raw_dets is not None:
-        _check_image_ids(dataset, dataset.raw_dets, "raw detections")
     sep = f",\n{'  ' * 4}"
     records: list[str] = []
     for iid, raw, _ in dataset.per_image():
@@ -664,49 +681,18 @@ _MAX_RAW_FPS = 2
 _MAX_FINAL_FPS = 2
 
 
-def _quant(v: float) -> float:
-    """Snap to 1/64 px so corner<->xywh conversions round-trip exactly."""
-    return round(v * 64.0) / 64.0
+def _unwritten(n: int) -> np.ndarray:
+    """``n`` float64 slots in an anonymous map, where a page never written
+    takes no memory.  ``np.empty`` asks for huge pages from 4 MiB on, which
+    would hold up to 2 MiB of pages that synth's upper bounds never reach."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
 
 
-# The box helpers draw by synth's rule, ``lo + (hi - lo) * random()`` with
-# ``random`` the generator's bound ``random`` method.
-
-
-def _jittered(random: Callable[[], float], box: tuple, magnitude: float) -> tuple:
-    """``box`` with each corner moved by its own draw in [-magnitude,
-    magnitude), quantized."""
-    lo = -magnitude
-    span = magnitude - lo
-    x1, y1, x2, y2 = box
-    return (
-        _quant(x1 + (lo + span * random())),
-        _quant(y1 + (lo + span * random())),
-        _quant(x2 + (lo + span * random())),
-        _quant(y2 + (lo + span * random())),
-    )
-
-
-def _translated(random: Callable[[], float], box: tuple, magnitude: float) -> tuple:
-    """Shift a quantized box rigidly; side lengths are preserved exactly."""
-    lo = -magnitude
-    span = magnitude - lo
-    dx = _quant(lo + span * random())
-    dy = _quant(lo + span * random())
-    x1, y1, x2, y2 = box
-    return (x1 + dx, y1 + dy, x2 + dx, y2 + dy)
-
-
-def _cell_box(random: Callable[[], float], cell: int, min_side: float, max_side: float) -> tuple:
-    """A quantized box inside one grid cell, >= 8 px from the cell border."""
-    ox = (cell % _GRID) * _CELL
-    oy = (cell // _GRID) * _CELL
-    w = _quant(min_side + (max_side - min_side) * random())
-    h = _quant(min_side + (max_side - min_side) * random())
-    lo_x, lo_y = ox + 8.1, oy + 8.1
-    x1 = _quant(lo_x + (ox + _CELL - 8.1 - w - lo_x) * random())
-    y1 = _quant(lo_y + (oy + _CELL - 8.1 - h - lo_y) * random())
-    return (x1, y1, x1 + w, y1 + h)
+def _quant(v: np.ndarray) -> np.ndarray:
+    """Snap to 1/64 px so corner<->xywh conversions round-trip exactly; one
+    new array, rounded and divided in place."""
+    v = v * 64.0
+    return np.divide(np.round(v, out=v), 64.0, out=v)
 
 
 def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) -> Dataset:
@@ -729,104 +715,134 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
     coordinates are quantized to 1/64 px, making emit/load a bit-exact
     round trip.
 
-    Draws: each scalar uniform draw in [lo, hi) is ``lo + (hi - lo) *
-    rng.random()`` with ``rng.random`` bound once.  ``Generator.uniform``
-    computes that same formula from the same one 64-bit output, so every
-    value, and the stream after it, is what ``rng.uniform(lo, hi)`` gives,
-    for about a quarter of its per-call cost.  The ``integers`` and
-    ``permutation`` calls between the draws take buffered 32-bit outputs,
-    so every call keeps its place and arguments: drawing the scalars in
-    bulk would change the dataset.  No box or detection object is built:
-    boxes stay corner tuples, rows go to column lists, and the result
-    holds one :class:`~corrdet.geometry.GtBatch`, one
+    Draws: the loop only calls the generator, in the order the rows use
+    the values.  Each ``integers`` and ``permutation`` call stays its own
+    call; each run of double draws between two of them is one
+    ``rng.random(out=...)``, into one float64 buffer or, for a raw
+    detection's class scores, into its row of the score array.  That is
+    the stream of one scalar draw after another: ``random`` and
+    ``uniform`` both draw each double from one 64-bit output, while
+    ``integers`` takes buffered 32-bit outputs, so only bulk draws across
+    an ``integers`` call would change the dataset.  Array code then builds
+    every box, IoU and score with the scalar draws' float operations, in
+    their order: ``lo + (hi - lo) * r``, as ``rng.uniform(lo, hi)``
+    computes it, and ``0.04 * r`` for ``rng.uniform(0, 0.04, n)``.  No box
+    or detection object is built; the result holds one
+    :class:`~corrdet.geometry.GtBatch`, one
     :class:`~corrdet.geometry.FinalBatch` and one
-    :class:`~corrdet.geometry.RawBatch` per image, as the loaders make.
+    :class:`~corrdet.geometry.RawBatch` per image, views of two arrays, as
+    the loaders make.
     """
     if not -1.0 <= knob <= 1.0:
         raise ValueError(f"knob must lie in [-1, 1], got {knob}")
     if n_images < 0 or n_classes < 1:
         raise ValueError(f"need n_images >= 0 and n_classes >= 1, got {n_images} and {n_classes}")
     rng = np.random.default_rng(seed)
-    random, integers = rng.random, rng.integers
+    draw, integers = rng.random, rng.integers
+    # Doubles per record: a cell box takes 4 (w, h, x1, y1) and a GT's anchor
+    # shift 2 more; a jittered copy takes its magnitude, 4 corners and the
+    # noise of its score, a background box its score.  A raw detection's
+    # n_classes scores go to its row of ``score_rows``, never to be copied.
+    # The extra image and row keep both maps non-empty with no images.
+    most = _MAX_GTS * (12 + _MAX_DUPS * 6) + _MAX_RAW_FPS * 5 + _MAX_FINAL_FPS * 5
+    buf = _unwritten((n_images + 1) * most)
+    score_rows = _unwritten((n_images * (_MAX_GTS * _MAX_DUPS + _MAX_RAW_FPS) + 1) * n_classes).reshape(-1, n_classes)
+    done = at = 0  # buf[:done] is drawn; buf[done:at] is drawn at the next flush
 
-    def gt_class_score(iou_value: float) -> float:
-        noise = random()  # uniform(0, 1): 0 + 1 * x is x
-        z = knob * iou_value + (1.0 - abs(knob)) * noise + max(0.0, -knob)
-        return 0.1 + 0.8 * z
+    def flush() -> None:
+        nonlocal done
+        draw(out=buf[done:at])
+        done = at
 
-    def score_vector(class_id: int, score: float) -> np.ndarray:
-        vec = rng.uniform(0.0, 0.04, size=n_classes)
-        vec[class_id] = score
-        return vec
+    def integer(lo: int, hi: int) -> int:
+        flush()
+        return int(integers(lo, hi))
 
-    categories = tuple((c + 1, f"class_{c + 1}") for c in range(n_classes))
-    images = tuple((i + 1, _IMAGE_SIZE, _IMAGE_SIZE) for i in range(n_images))
-    gt_boxes: list[tuple] = []
-    gt_classes: list[int] = []
-    gt_images: list[int] = []
-    fin_boxes: list[tuple] = []
-    fin_classes: list[int] = []
-    fin_scores: list[float] = []
-    fin_images: list[int] = []
-    raw_dets: dict[int, RawBatch] = {}
+    def draw_scores() -> None:
+        flush()
+        draw(out=score_rows[len(raws) // 5 - 1])
 
-    for image, (image_id, _, _) in enumerate(images):
-        n_g = int(integers(1, _MAX_GTS + 1))
-        n_rf = int(integers(0, _MAX_RAW_FPS + 1))
-        n_ff = int(integers(0, _MAX_FINAL_FPS + 1))
+    # (buffer start, GT row or -1 for background, cell, class, image) of each record
+    gts, raws, fins = array("q"), array("q"), array("q")
+    for image in range(n_images):
+        n_g, n_rf, n_ff = integer(1, _MAX_GTS + 1), integer(0, _MAX_RAW_FPS + 1), integer(0, _MAX_FINAL_FPS + 1)
         cells = rng.permutation(_GRID * _GRID)[: n_g + n_rf + n_ff].tolist()
-
-        raw_boxes: list[tuple] = []
-        raw_scores: list[np.ndarray] = []
         for cell in cells[:n_g]:
-            gt_box = _cell_box(random, cell, 24.0, 40.0)
-            c = int(integers(0, n_classes))
-            gt_boxes.append(gt_box)
-            gt_classes.append(c)
-
-            # a rigid shift up to 6 px spreads the cluster's IoU against
-            # the GT over roughly [0.4, 1.0]; 6 + 1.25 + rounding stays
-            # inside the 8 px cell margin
-            anchor = _translated(random, gt_box, 6.0)
-            for _ in range(int(integers(1, _MAX_DUPS + 1))):
-                # <= 1.25 px jitter on >= 24 px sides keeps pairwise
-                # duplicate IoU >= (21.5/26.5)^2 > 0.6, so default NMS
-                # always collapses one GT's duplicates to a single final
-                det_box = _jittered(random, anchor, 0.5 + (1.25 - 0.5) * random())
-                raw_boxes.append(det_box)
-                raw_scores.append(score_vector(c, gt_class_score(_corner_iou(det_box, gt_box))))
-
-            fin_box = _jittered(random, gt_box, 0.5 + (8.0 - 0.5) * random())
-            fin_boxes.append(fin_box)
-            fin_classes.append(c)
-            fin_scores.append(gt_class_score(_corner_iou(fin_box, gt_box)))
-
+            at += 4
+            gt, c = len(gts) // 5, integer(0, n_classes)
+            gts.extend((at - 4, gt, cell, c, image))
+            at += 2
+            for _ in range(integer(1, _MAX_DUPS + 1)):
+                raws.extend((at, gt, cell, c, image))
+                at += 6
+                draw_scores()
+            fins.extend((at, gt, cell, c, image))
+            at += 6
         for cell in cells[n_g : n_g + n_rf]:
-            raw_boxes.append(_cell_box(random, cell, 16.0, 40.0))
-            c = int(integers(0, n_classes))
-            raw_scores.append(score_vector(c, 0.06 + (0.45 - 0.06) * random()))
-
+            at += 4
+            raws.extend((at - 4, -1, cell, integer(0, n_classes), image))
+            at += 1
+            draw_scores()
         for cell in cells[n_g + n_rf :]:
-            fin_boxes.append(_cell_box(random, cell, 16.0, 40.0))
-            fin_classes.append(int(integers(0, n_classes)))
-            fin_scores.append(0.05 + (0.9 - 0.05) * random())
+            at += 4
+            fins.extend((at - 4, -1, cell, integer(0, n_classes), image))
+            at += 1
+    flush()
 
-        gt_images.extend([image] * n_g)
-        fin_images.extend([image] * (n_g + n_ff))
-        raw_dets[image_id] = RawBatch(np.array(raw_boxes, dtype=np.float64), np.array(raw_scores))
+    def columns(records: array) -> np.ndarray:
+        return np.frombuffer(records, dtype=np.int64).reshape(-1, 5).T.astype(np.intp, copy=False)
 
+    def cell_boxes(start: np.ndarray, cell: np.ndarray, min_side: float) -> np.ndarray:
+        """A box inside each cell, >= 8 px from the cell border."""
+        ox, oy = (cell % _GRID) * _CELL, (cell // _GRID) * _CELL
+        w = _quant(min_side + (40.0 - min_side) * buf[start])
+        h = _quant(min_side + (40.0 - min_side) * buf[start + 1])
+        lo_x, lo_y = ox + 8.1, oy + 8.1
+        x1 = _quant(lo_x + (ox + _CELL - 8.1 - w - lo_x) * buf[start + 2])
+        y1 = _quant(lo_y + (oy + _CELL - 8.1 - h - lo_y) * buf[start + 3])
+        return np.stack((x1, y1, x1 + w, y1 + h), axis=1)
+
+    def detections(records: np.ndarray, bases: np.ndarray, top: float, lo: float, hi: float) -> tuple:
+        """Boxes and class scores of ``records``: each GT's base box with
+        every corner moved by its own draw in [-m, m), m in [0.5, top),
+        scored by its IoU with the GT, or a background box scored in [lo, hi)."""
+        start, gt, cell = records[:3]
+        fg = gt >= 0
+        at, gt = start[fg], gt[fg]
+        m = (0.5 + (top - 0.5) * buf[at])[:, None]
+        jittered = buf[at[:, None] + (1, 2, 3, 4)]
+        jittered *= m - -m  # in place: lo + span * r, then the base plus that
+        jittered += -m
+        jittered += bases[gt]
+        boxes, scores = np.empty((len(start), 4)), np.empty(len(start))
+        boxes[fg] = jittered = _quant(jittered)
+        boxes[~fg] = cell_boxes(start[~fg], cell[~fg], 16.0)
+        iou = _iou(jittered, gt_boxes[gt])
+        scores[fg] = 0.1 + 0.8 * (knob * iou + (1.0 - abs(knob)) * buf[at + 5] + max(0.0, -knob))
+        scores[~fg] = lo + (hi - lo) * buf[start[~fg] + 4]
+        return boxes, scores
+
+    gt_rows, raw_rows, fin_rows = columns(gts), columns(raws), columns(fins)
+    gt_boxes = cell_boxes(gt_rows[0], gt_rows[2], 24.0)
+    # a rigid shift up to 6 px spreads a cluster's IoU against its GT over
+    # roughly [0.4, 1.0]; 6 + 1.25 + rounding stays inside the 8 px cell
+    # margin.  <= 1.25 px jitter on >= 24 px sides keeps pairwise duplicate
+    # IoU >= (21.5/26.5)^2 > 0.6, so default NMS always collapses one GT's
+    # duplicates to a single final.
+    anchors = gt_boxes + _quant(-6.0 + 12.0 * buf[gt_rows[0, :, None] + (4, 5, 4, 5)])
+    raw_boxes, raw_class_scores = detections(raw_rows, anchors, 1.25, 0.06, 0.45)
+    fin_boxes, fin_scores = detections(fin_rows, gt_boxes, 8.0, 0.05, 0.9)
+    gt_classes, gt_images, raw_classes, raw_images, fin_classes, fin_images = map(
+        np.ascontiguousarray, (*gt_rows[3:], *raw_rows[3:], *fin_rows[3:])
+    )
+    raw_scores = score_rows[: len(raw_classes)]
+    raw_scores *= 0.04
+    raw_scores[np.arange(len(raw_scores)), raw_classes] = raw_class_scores
+
+    images = tuple((i + 1, _IMAGE_SIZE, _IMAGE_SIZE) for i in range(n_images))
     image_ids = [iid for iid, _, _ in images]
-    gts = GtBatch(
-        np.array(gt_boxes, dtype=np.float64).reshape(-1, 4),
-        np.array(gt_classes, dtype=np.intp),
-        np.array(gt_images, dtype=np.intp),
-        image_ids,
-    )
-    finals = FinalBatch(
-        np.array(fin_boxes, dtype=np.float64).reshape(-1, 4),
-        np.array(fin_classes, dtype=np.intp),
-        np.array(fin_scores, dtype=np.float64),
-        np.array(fin_images, dtype=np.intp),
-        image_ids,
-    )
-    return Dataset(categories, images, gts, raw_dets, finals)
+    ends = np.cumsum(np.bincount(raw_images, minlength=n_images)).tolist()
+    raw_dets = {iid: RawBatch(raw_boxes[a:b], raw_scores[a:b]) for iid, a, b in zip(image_ids, [0] + ends, ends)}
+    categories = tuple((c + 1, f"class_{c + 1}") for c in range(n_classes))
+    finals = FinalBatch(fin_boxes, fin_classes, fin_scores, fin_images, image_ids)
+    return Dataset(categories, images, GtBatch(gt_boxes, gt_classes, gt_images, image_ids), raw_dets, finals)

@@ -84,6 +84,15 @@ def test_match_positives_empty_inputs():
     assert len(match_positives([], [GtObject(Box(0, 0, 1, 1), 0)], 0.5)) == 0
 
 
+@pytest.mark.parametrize("class_id", [1, 2, -1])
+def test_match_positives_refuses_a_gt_class_beyond_the_score_width(class_id):
+    # the gt's class would index no entry of the score vectors
+    dets = [RawDetection(Box(0, 0, 10, 10), (0.5,))]
+    with pytest.raises(ValueError, match=r"^gt classes must lie in \[0, 1\), the detections' score width$"):
+        match_positives(dets, [GtObject(Box(0, 0, 10, 10), class_id, 1)])
+    assert len(match_positives([], [GtObject(Box(0, 0, 10, 10), class_id, 1)])) == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_detection_sets())
 def test_match_positives_equals_oracle(case):

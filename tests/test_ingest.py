@@ -552,7 +552,7 @@ def _raw_no_categories(draw, raw, ds):
     if draw(st.booleans()):  # each score list then has the length the walk checks
         for record in _raw_records(raw):
             record["scores"] = []
-    return replace(ds, categories=())
+    return replace(ds, categories=(), gts=ds.gts[:0])  # a GT class would name no category
 
 
 def _raw_no_detections(draw, raw, ds):
@@ -738,22 +738,79 @@ def test_raw_round_trip_is_byte_identical(tmp_path):
         assert list(loaded.raw_dets[iid]) == list(dets)
 
 
-@pytest.mark.parametrize("emit", [emit_gt, emit_raw_dets, emit_final_dets])
+@pytest.mark.parametrize("emit", [emit_gt, emit_final_dets])
 def test_emitters_refuse_unknown_image_ids(tmp_path, emit):
-    # the writer would drop such raw detections, and load_gt and
-    # load_final_dets would refuse the file it wrote
+    # load_gt and load_final_dets would refuse the file the writer wrote;
+    # Dataset itself refuses raw detections of an unknown image id
     ds = synth(7, n_images=2)
     stray = 7
     if emit is emit_gt:
         ds = replace(ds, gts=(*ds.gts, replace(ds.gts[0], image_id=stray)))
-    elif emit is emit_raw_dets:
-        ds = replace(ds, raw_dets={**ds.raw_dets, stray: ds.raw_dets[1]})
     else:
         ds = replace(ds, final_dets=(*ds.final_dets, replace(ds.final_dets[0], image_id=stray)))
     path = tmp_path / "out.json"
     with pytest.raises(ValueError, match=f"unknown image id {stray}$"):
         emit(ds, str(path))
     assert not path.exists()
+
+
+def _with_column(batch, name, value):
+    """``batch`` with its column ``name`` replaced by ``value``."""
+    columns = [value if n == name else getattr(batch, n) for n in batch._COLUMNS]
+    return type(batch)(*columns, *(getattr(batch, n) for n in batch._SHARED))
+
+
+def _raw_scores_of_image_4(ds, scores):
+    return {"raw_dets": {**ds.raw_dets, 4: _with_column(ds.raw_dets[4], "scores", scores)}}
+
+
+# fault: (the changed fields of synth(0, 6, 3, 0.3), the error, its message)
+_CROSS_BATCH_FAULTS = {
+    "gt-class-7": (
+        lambda ds: {"gts": _with_column(ds.gts, "class_ids", np.full_like(ds.gts.class_ids, 7))},
+        DanglingReference,
+        r"ground truth: class index 7 outside \[0, 3\)",
+    ),
+    "gt-class-negative": (
+        lambda ds: {"gts": _with_column(ds.gts, "class_ids", ds.gts.class_ids - 1)},
+        DanglingReference,
+        r"ground truth: class index -1 outside \[0, 3\)",
+    ),
+    "final-class-3": (
+        lambda ds: {"final_dets": _with_column(ds.final_dets, "class_ids", ds.final_dets.class_ids + 1)},
+        DanglingReference,
+        r"final detections: class index 3 outside \[0, 3\)",
+    ),
+    "raw-width-2": (
+        lambda ds: _raw_scores_of_image_4(ds, ds.raw_dets[4].scores[:, :2]),
+        DimensionError,
+        "raw detections of image 4: got 2 scores for 3 categories",
+    ),
+    "raw-width-4": (
+        lambda ds: _raw_scores_of_image_4(ds, np.pad(ds.raw_dets[4].scores, ((0, 0), (0, 1)))),
+        DimensionError,
+        "raw detections of image 4: got 4 scores for 3 categories",
+    ),
+    "raw-unknown-image": (
+        lambda ds: {"raw_dets": {**ds.raw_dets, 99: ds.raw_dets[1]}},
+        DanglingReference,
+        "raw detections: unknown image id 99",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", _CROSS_BATCH_FAULTS)
+def test_dataset_refuses_references_across_batches(fault):
+    # each fault once ended in a bare IndexError inside beta_img or the
+    # image-level bounds, or let coco_ap or the class-level bounds return a
+    # value; now the dataset is not built
+    ds = synth(0, 6, 3, 0.3)
+    changed, error, message = _CROSS_BATCH_FAULTS[fault]
+    with pytest.raises(error, match=f"^{message}$"):
+        replace(ds, **changed(ds))
+    # an empty raw batch reads no scores, whatever its width
+    empty = RawBatch(np.empty((0, 4)), np.empty((0, 0)))
+    assert replace(ds, raw_dets={**ds.raw_dets, 4: empty}).raw_dets[4] is empty
 
 
 def test_emit_without_detections_is_an_error(tmp_path):

@@ -1,12 +1,15 @@
 """``synth`` against its object-building oracle, and the batch contract its
 rows keep.
 
-``synth`` draws every scalar as ``lo + (hi - lo) * rng.random()`` and
-builds columns; ``synth_oracle`` draws with ``rng.uniform(lo, hi)`` and
-builds objects.  The two must give the same columns and the same file
-bytes.  Nothing is skipped where numpy's ``uniform`` rounds differently
-(a build that fuses its multiply-add, say): the draw rule and the
-differential tests then fail.
+``synth`` draws with one ``rng.random(out=...)`` per run of doubles
+between two ``integers`` or ``permutation`` calls, into one buffer or, for
+a raw detection's class scores, into its row of the score array, and
+builds its columns from the draws with array code, ``lo + (hi - lo) * r``
+for each scalar draw; ``synth_oracle`` draws with ``rng.uniform(lo, hi)``
+one value at a time and builds objects.  The two must give the same
+columns and the same file bytes.  Nothing is skipped where numpy's
+``uniform`` rounds differently (a build that fuses its multiply-add, say):
+the draw rules and the differential tests then fail.
 
 No object checks synth's rows, so the contract ``Box`` and the detection
 types enforce on objects is checked here on the columns.
@@ -67,7 +70,33 @@ def test_the_draw_rule_is_uniform():
         assert by_uniform.uniform(a, a + s) == a + (a + s - a) * by_random.random()
 
 
+def test_chunked_draws_keep_the_stream():
+    # one rng.random(out=buf[a:b]) per run between integers/permutation calls
+    # gives the bits and stream position of b - a scalar random() calls
+    chunked, scalar = np.random.default_rng(3), np.random.default_rng(3)
+    buf, at = np.empty(100), 0
+    for n in (4, 0, 2, 27, 6, 1, 45, 5):
+        chunked.random(out=buf[at : at + n])
+        assert buf[at : at + n].tobytes() == np.array([scalar.random() for _ in range(n)]).tobytes()
+        at += n
+        assert chunked.integers(0, 7) == scalar.integers(0, 7)
+        assert chunked.permutation(64).tolist() == scalar.permutation(64).tolist()
+    assert chunked.bit_generator.state == scalar.bit_generator.state
+
+
+def test_uniform_score_vectors_are_scaled_draws():
+    # rng.uniform(0.0, 0.04, size=n) is 0.04 * rng.random(n), bit for bit
+    by_uniform, by_random = np.random.default_rng(4), np.random.default_rng(4)
+    for n in (0, 1, 3, 20, 80, 1000):
+        assert by_uniform.uniform(0.0, 0.04, size=n).tobytes() == (0.04 * by_random.random(n)).tobytes()
+        assert by_uniform.integers(0, n + 1) == by_random.integers(0, n + 1)
+    assert by_uniform.bit_generator.state == by_random.bit_generator.state
+
+
 @settings(max_examples=40, deadline=None)
+@example(0, 0, 3, 0.3)  # no images
+@example(0, 12, 1, 0.3)  # one class
+@example(2, 1, 3, 0.3)  # the image has no raw and no final false positive
 @example(0, 12, 3, -1.0)
 @example(0, 12, 3, 0.0)
 @example(0, 12, 3, 1.0)
