@@ -38,7 +38,7 @@ same way on all four.
 
 Each batch holds its objects as row-aligned numpy columns, which the
 loaders make and the matchers and post-processing read as they are;
-:class:`_Batch` is the sequence code the three batches share.
+:class:`_Batch` is the code the three share, and checks every value.
 """
 
 from __future__ import annotations
@@ -163,9 +163,13 @@ class _Batch(Sequence[_T]):
     Indexing or iterating builds the objects on demand (``_row`` makes one
     from a row's Python values), a slice is a batch of views of the same
     columns, and a batch equals any sequence of equal objects, element by
-    element.  It is not hashable.  The columns are taken as they are: every
-    box must be a valid ``Box`` and every score lie in [0, 1], as the
-    loaders check.
+    element.  It is not hashable.  The constructor checks each row by the
+    objects' rules, with a ValueError naming the class, the column and
+    the first bad row: ``boxes`` ``(n, 4)`` float64 of positive, finite
+    area, as a :class:`Box` has; ``scores`` float64 in [0, 1]; ``images``
+    integer positions in the distinct ``image_ids``; ``n`` rows in every
+    column.  (A :class:`~corrdet.ingest.Dataset` bounds the class ids.)
+    ``_take``, so a slice, takes rows of a checked batch unchecked.
     """
 
     __slots__ = ()
@@ -177,6 +181,24 @@ class _Batch(Sequence[_T]):
         names = self._COLUMNS + self._SHARED
         if len(args) != len(names):
             raise TypeError(f"{type(self).__name__}({', '.join(names)}) takes {len(names)} arguments, got {len(args)}")
+        self._store(args)
+        n, boxes = len(self), self.boxes
+        for name in self._COLUMNS:
+            self._refuse(name, getattr(self, name).shape[:1] != (n,), f"must have {n} rows")
+        self._refuse("boxes", boxes.dtype != np.float64 or boxes.shape[1:] != (4,), "must be (n, 4) float64")
+        with np.errstate(all="ignore"):
+            x1, y1, x2, y2, area = *boxes.T, _area(boxes.T)  # a NaN or infinite corner fails too
+            self._refuse("boxes", ~((x2 > x1) & (y2 > y1) & (area > 0.0) & (area < math.inf)), "has no finite area > 0")
+        if "scores" in self._COLUMNS:
+            self._refuse("scores", self.scores.dtype != np.float64, "must be float64")
+            self._refuse("scores", ~((self.scores >= 0.0) & (self.scores <= 1.0)), "lies outside [0, 1]")
+        if "images" in self._COLUMNS:
+            self._refuse("images", self.images.dtype.kind not in "iu", "must hold integers")
+            self._refuse("images", (self.images < 0) | (self.images >= len(self.image_ids)), "indexes no image id")
+            first = {iid: k for k, iid in reversed(list(enumerate(self.image_ids)))}
+            self._refuse("image_ids", np.array([first[i] != k for k, i in enumerate(self.image_ids)], bool), "repeats")
+
+    def _store(self, args: Sequence[Any]) -> None:
         for name, column in zip(self._COLUMNS, args):
             column = column.view()
             column.flags.writeable = False
@@ -184,13 +206,20 @@ class _Batch(Sequence[_T]):
         for name, value in zip(self._SHARED, args[len(self._COLUMNS) :]):
             setattr(self, name, tuple(value))
 
+    def _refuse(self, name: str, bad, fault: str) -> None:
+        """ValueError naming column ``name`` and the first row ``bad`` marks (or one flag), if any."""
+        if np.any(bad):
+            row = f" row {np.nonzero(bad)[0][0]}" if np.ndim(bad) else ""
+            raise ValueError(f"{type(self).__name__}.{name}:{row} {fault}")
+
     def _row(self, *values: Any) -> _T:
         raise NotImplementedError
 
     def _take(self, rows) -> "_Batch[_T]":
-        """The batch of ``rows``, a slice or an index array."""
-        columns = (getattr(self, name)[rows] for name in self._COLUMNS)
-        return type(self)(*columns, *(getattr(self, name) for name in self._SHARED))
+        """The batch of ``rows`` (a slice or an index array), not checked again."""
+        batch = object.__new__(type(self))
+        batch._store([getattr(self, name)[rows] for name in self._COLUMNS] + [getattr(self, s) for s in self._SHARED])
+        return batch
 
     @classmethod
     def of(cls, items: Sequence[_T]):
@@ -409,7 +438,11 @@ def iou_matrix(a, b) -> np.ndarray:
 
 def _positives(dets: RawBatch, gts: GtBatch, iou_floor: float) -> tuple[np.ndarray, ...]:
     """:func:`match_positives` as five aligned arrays, in detection-index
-    order: detection index, gt index, IoU, score and class (the gt's)."""
+    order: detection index, gt index, IoU, score and class (the gt's).
+    Its ValueError on a gt class beyond the score width holds for all callers."""
+    width = dets.scores.shape[1]
+    if len(dets) and len(gts) and not 0 <= gts.class_ids.min() <= gts.class_ids.max() < width:
+        raise ValueError(f"gt classes must lie in [0, {width}), the detections' score width")
     ious = iou_matrix(dets.boxes, gts.boxes)
     det_idx, gt_idx = np.nonzero(ious >= iou_floor)
     order = np.lexsort((gt_idx, det_idx, -ious[det_idx, gt_idx]))  # by (-IoU, det index, gt index)
@@ -447,11 +480,7 @@ def match_positives(
     MatchSet when nothing clears the floor.  ValueError when there are
     detections and a gt's class has no entry in their score vectors.
     """
-    dets, gts = RawBatch.of(dets), GtBatch.of(gts)
-    width = dets.scores.shape[1]
-    if len(dets) and len(gts) and not 0 <= gts.class_ids.min() <= gts.class_ids.max() < width:
-        raise ValueError(f"gt classes must lie in [0, {width}), the detections' score width")
-    columns = _positives(dets, gts, iou_floor)
+    columns = _positives(RawBatch.of(dets), GtBatch.of(gts), iou_floor)
     return MatchSet(tuple(map(Match, *(c.tolist() for c in columns))))
 
 

@@ -15,27 +15,27 @@ Formats:
 
 All three loaders check by column: each field of every record is pulled
 into one list, and each list is checked as a whole (element types,
-finiteness, clipping, box area, score range and count, known ids) with
-the clip and area arithmetic done in numpy, bit for bit as on Python
-floats, by one helper for all three.  A document that fails any column
-check goes to the record walk, which checks one record at a time and is
-the one place where errors are worded: it raises the error of the first
-bad record.  What the column checks pass stays arrays, read as they are
-from there on: ground truth becomes one :class:`~corrdet.geometry.GtBatch`
-(boxes ``(n, 4)``, class indices, and each row's image as a position in
-the image list) and final detections one
-:class:`~corrdet.geometry.FinalBatch` (the same plus scores), which the
-class-level matcher, AP, beta_cls and the class-level re-rank read;
-raw detections become one :class:`~corrdet.geometry.RawBatch` (boxes
-``(n, 4)``, scores ``(n, C)``) per image, which post-processing, positive
-matching and the image-level re-rank read.  Each batch reads as a
-sequence of the objects its rows stand for, built on demand; the record
-walk still builds the objects, which :class:`Dataset` turns into batches
-once.  The writers read the columns too: each record is one ``%`` of a
-fixed template, its floats formatted in one ``"%.17g"`` pass per row
-(:func:`_float_texts`), and the text is the one :func:`render_report`
-writes of the same records as dicts.  Every writer builds its text before
-it opens the file.
+finiteness, score count, known ids) with the clip done in numpy, bit for
+bit as on Python floats, by one helper for all three; the batches built
+of the columns check box areas and score ranges, as every batch does.  A
+document that fails any column check goes to the record walk, which
+checks one record at a time and is the one place where errors are
+worded: it raises the error of the first bad record.  What the column
+checks pass stays arrays, read as they are from there on: ground truth
+becomes one :class:`~corrdet.geometry.GtBatch` (boxes ``(n, 4)``, class
+indices, and each row's image as a position in the image list) and final
+detections one :class:`~corrdet.geometry.FinalBatch` (the same plus
+scores), which the class-level matcher, AP, beta_cls and the class-level
+re-rank read; raw detections become one
+:class:`~corrdet.geometry.RawBatch` (boxes ``(n, 4)``, scores
+``(n, C)``) per image, which post-processing, positive matching and the
+image-level re-rank read.  Each batch reads as a sequence of the objects
+its rows stand for, built on demand; the record walk still builds the
+objects, which :class:`Dataset` turns into batches once.  The writers
+read the columns too: each record is one ``%`` of a fixed template, its
+floats formatted in one ``"%.17g"`` pass per row (:func:`_float_texts`),
+and the text is the one :func:`render_report` writes of the same records
+as dicts.  Every writer builds its text before it opens the file.
 
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
@@ -87,8 +87,9 @@ class Dataset:
     loaders and :func:`synth` make batches; a sequence of objects given in
     their place is turned into its batch once, here.
 
-    Construction also checks the references across batches: every GT and
-    final class index lies in ``[0, len(categories))`` and every
+    Each batch checks its own values; construction checks the references
+    across batches: every GT and final class index lies in ``[0,
+    len(categories))``, and every GT and final row's image id and every
     ``raw_dets`` key is an image id (else ReferenceError), and every
     non-empty raw batch has one score per category (else DimensionError).
     """
@@ -105,13 +106,18 @@ class Dataset:
             object.__setattr__(self, "raw_dets", {iid: RawBatch.of(d) for iid, d in self.raw_dets.items()})
         if self.final_dets is not None:
             object.__setattr__(self, "final_dets", FinalBatch.of(self.final_dets))
-        n_classes = len(self.categories)
+        n_classes, known = len(self.categories), {iid for iid, _, _ in self.images}
         for what, batch in (("ground truth", self.gts), ("final detections", self.final_dets)):
-            outside = () if batch is None else batch.class_ids[(batch.class_ids < 0) | (batch.class_ids >= n_classes)]
+            if batch is None:
+                continue
+            outside = batch.class_ids[(batch.class_ids < 0) | (batch.class_ids >= n_classes)]
             if len(outside):
                 raise ReferenceError(f"{what}: class index {outside[0]} outside [0, {n_classes})")
+            rows = np.flatnonzero(~np.array([iid in known for iid in batch.image_ids], dtype=bool)[batch.images])
+            if len(rows):
+                raise ReferenceError(f"{what}: row {rows[0]} has unknown image id {batch[rows[0]].image_id}")
         if self.raw_dets is not None:
-            unknown = set(self.raw_dets).difference(iid for iid, _, _ in self.images)
+            unknown = set(self.raw_dets).difference(known)
             if unknown:
                 raise ReferenceError(f"raw detections: unknown image id {min(unknown)}")
             for iid, raw in self.raw_dets.items():
@@ -254,11 +260,11 @@ def _typed(column: Iterable, types: frozenset) -> bool:
 
 
 def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
-    """``columns()``, or ``walk()`` when a column check fails (None) or a
-    record lacks a field or has the wrong shape while columns are pulled."""
+    """``columns()``, or ``walk()`` when a column check fails (None, or a
+    batch's ValueError) or a record lacks a field or has the wrong shape."""
     try:
         result = columns()
-    except (KeyError, TypeError, OverflowError):
+    except (KeyError, TypeError, OverflowError, ValueError):
         result = None
     return walk() if result is None else result
 
@@ -268,7 +274,7 @@ def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -
     array (KeyError: an unknown id), and the corners the walk makes of
     their bboxes, ``[x, y, w, h]`` (``xywh``) or ``[x1, y1, x2, y2]``,
     clipped to their images, as an ``(n, 4)`` array; None when an id or a
-    box would fail a check.
+    corner is ill-typed or, before the clip hides it, not finite.
 
     The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
     stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
@@ -292,18 +298,7 @@ def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -
         if xywh:
             corners[:, 2:] += corners[:, :2]
         corners = np.where(0.0 > corners, 0.0, corners)
-        corners = np.where(sides < corners, sides, corners)
-        x1, y1, x2, y2 = corners.T
-        area = (x2 - x1) * (y2 - y1)
-        ok = (x2 > x1) & (y2 > y1) & (area > 0.0) & (area < math.inf)
-    return (iids, index, corners) if ok.all() else None
-
-
-def _unit_scores(values: list) -> np.ndarray | None:
-    """``values`` as a float array; None unless each lies in [0, 1] (NaN does not)."""
-    scores = np.array(values, dtype=np.float64)  # OverflowError beyond the float range
-    with np.errstate(all="ignore"):
-        return scores if ((scores >= 0.0) & (scores <= 1.0)).all() else None
+    return iids, index, np.where(sides < corners, sides, corners)
 
 
 def _gt_columns(doc: Any) -> Dataset | None:
@@ -396,23 +391,18 @@ def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
         return None
     if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
         return None
-    placed = _placed(dets, dataset.images, xywh=False)
-    score_array = _unit_scores(scores)
-    if placed is None or score_array is None:
+    if (placed := _placed(dets, dataset.images, xywh=False)) is None:
         return None
     iids, _, corners = placed
-    score_array = score_array.reshape(len(dets), n_classes)
+    score_array = np.array(scores, dtype=np.float64).reshape(len(dets), n_classes)  # OverflowError: out of range
 
     slot: dict[int, int] = {}
     image_of = np.array([slot.setdefault(i, len(slot)) for i in iids], dtype=np.intp)
     # Stable: each image's detections keep file order, so NMS ties break as in the file.
     order = np.argsort(image_of, kind="stable")
     ends = np.cumsum(np.bincount(image_of, minlength=len(slot))).tolist()
-    boxes, score_array = corners[order], score_array[order]
-    return replace(
-        dataset,
-        raw_dets={iid: RawBatch(boxes[a:b], score_array[a:b]) for iid, a, b in zip(slot, [0] + ends, ends)},
-    )
+    batch = RawBatch(corners[order], score_array[order])  # ValueError: a box with no area or a score outside [0, 1]
+    return replace(dataset, raw_dets={iid: batch[a:b] for iid, a, b in zip(slot, [0] + ends, ends)})
 
 
 def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
@@ -461,11 +451,10 @@ def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
         return None
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     classes = np.array([class_of[c] for c in cids], dtype=np.intp)  # KeyError: unknown id
-    score_array = _unit_scores(scores)
-    placed = _placed(doc, dataset.images, xywh=True)
-    if placed is None or score_array is None:
+    if (placed := _placed(doc, dataset.images, xywh=True)) is None:
         return None
     _, index, corners = placed
+    score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
     image_ids = [iid for iid, _, _ in dataset.images]
     return replace(dataset, final_dets=FinalBatch(corners, classes, score_array, index, image_ids))
 
@@ -608,20 +597,10 @@ def load_report(path: str) -> Any:
         raise ParseError(f"{path} nests too deeply to parse") from e
 
 
-def _check_image_ids(dataset: Dataset, image_ids: Iterable[int], what: str) -> None:
-    """ValueError naming an image id of ``image_ids`` that ``dataset.images``
-    lacks: the loaders would refuse the file."""
-    unknown = set(image_ids).difference(iid for iid, _, _ in dataset.images)
-    if unknown:
-        raise ValueError(f"cannot emit {what} of unknown image id {min(unknown)}")
-
-
-def _rows_of(batch: GtBatch | FinalBatch, what: str, dataset: Dataset, indent: int) -> tuple[list[str], list, list]:
+def _rows_of(batch: GtBatch | FinalBatch, dataset: Dataset, indent: int) -> tuple[list[str], list, list]:
     """The ``[x, y, w, h]`` texts (as :func:`_float_texts` joins them for a
-    list at ``indent``), category ids and image ids of the rows of ``batch``,
-    after :func:`_check_image_ids` on the image ids its rows name."""
+    list at ``indent``), category ids and image ids of the rows of ``batch``."""
     image_ids = [batch.image_ids[k] for k in batch.images.tolist()]
-    _check_image_ids(dataset, image_ids, what)
     category_ids = [cid for cid, _ in dataset.categories]
     xywh = np.concatenate((batch.boxes[:, :2], batch.boxes[:, 2:] - batch.boxes[:, :2]), axis=1)  # Box.to_xywh
     bboxes = _float_texts(xywh, f",\n{'  ' * (indent + 1)}")
@@ -635,7 +614,7 @@ def emit_gt(dataset: Dataset, path: str) -> None:
     and the text is the one :func:`write_report` writes of the same
     document as dicts.  It is built before the file is opened.
     """
-    bboxes, category_ids, image_ids = _rows_of(dataset.gts, "ground truth", dataset, 3)
+    bboxes, category_ids, image_ids = _rows_of(dataset.gts, dataset, 3)
     fields = [("bbox", _list_template(4, 3)), ("category_id", "%d"), ("id", "%d"), ("image_id", "%d"), ("iscrowd", "0")]
     annotations = map(_dict_text(fields, 2).__mod__, zip(bboxes, category_ids, range(1, len(bboxes) + 1), image_ids))
     category = _dict_text([("id", "%d"), ("name", "%s")], 2)
@@ -665,7 +644,7 @@ def emit_final_dets(dataset: Dataset, path: str) -> None:
     writes."""
     if dataset.final_dets is None:
         raise ValueError("dataset has no final detections to emit")
-    bboxes, category_ids, image_ids = _rows_of(dataset.final_dets, "final detections", dataset, 2)
+    bboxes, category_ids, image_ids = _rows_of(dataset.final_dets, dataset, 2)
     scores = _float_texts(dataset.final_dets.scores.reshape(-1, 1), "")
     fields = [("bbox", _list_template(4, 2)), ("category_id", "%d"), ("image_id", "%d"), ("score", "%s")]
     records = map(_dict_text(fields, 1).__mod__, zip(bboxes, category_ids, image_ids, scores))
@@ -842,7 +821,8 @@ def synth(seed: int, n_images: int = 16, n_classes: int = 3, knob: float = 0.0) 
     images = tuple((i + 1, _IMAGE_SIZE, _IMAGE_SIZE) for i in range(n_images))
     image_ids = [iid for iid, _, _ in images]
     ends = np.cumsum(np.bincount(raw_images, minlength=n_images)).tolist()
-    raw_dets = {iid: RawBatch(raw_boxes[a:b], raw_scores[a:b]) for iid, a, b in zip(image_ids, [0] + ends, ends)}
+    raw = RawBatch(raw_boxes, raw_scores)
+    raw_dets = {iid: raw[a:b] for iid, a, b in zip(image_ids, [0] + ends, ends)}
     categories = tuple((c + 1, f"class_{c + 1}") for c in range(n_classes))
     finals = FinalBatch(fin_boxes, fin_classes, fin_scores, fin_images, image_ids)
     return Dataset(categories, images, GtBatch(gt_boxes, gt_classes, gt_images, image_ids), raw_dets, finals)

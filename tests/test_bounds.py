@@ -125,6 +125,25 @@ def test_image_rerank_returns_a_batch_with_a_new_score_array():
     assert rerank_image_level(batch, MatchSet(matches.entries[:1]), 1).scores.base is batch.scores.base
 
 
+@pytest.mark.parametrize("direction, want", [(1, [0.8, 0.5, 0.0, -0.0]), (-1, [0.0, -0.0, 0.5, 0.8])])
+def test_rerank_breaks_iou_and_score_ties_by_lower_detection_index(direction, want):
+    # dets 1 and 2 tie at IoU 0.7, and dets 0 and 1 at a score of 0 (0.0
+    # and -0.0, which sort as equal); the matches come in no index order.
+    # The earlier detection of a tie goes first on either side, which only
+    # the bits of the returned scores show: AP and beta read no sign of 0.
+    ious, scores = [0.9, 0.7, 0.7, 0.6], [0.0, -0.0, 0.5, 0.8]
+    order = (3, 1, 2, 0)
+    finals = [final(s, 30.0 * i) for i, s in enumerate(scores)]
+    matches = MatchSet(tuple(Match(i, i, ious[i], scores[i]) for i in order))
+    got = rerank_class_level(finals, matches, direction).scores
+    raws = [RawDetection(Box(30.0 * i, 0, 30.0 * i + 10, 10), (0.25, s)) for i, s in enumerate(scores)]
+    matches = MatchSet(tuple(Match(i, i, ious[i], scores[i], 1) for i in order))
+    got_raw = rerank_image_level(raws, matches, direction).scores
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert [v.hex() for v in got_raw[:, 1].tolist()] == [v.hex() for v in want]
+    assert got_raw[:, 0].tolist() == [0.25] * 4
+
+
 def test_bound_report_image_level_reads_batches_as_objects():
     for seed, knob in ((22, 0.0), (24, 0.3)):
         ds = synth(seed, knob=knob)

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ import corrdet.cli as cli
 import corrdet.ingest as ingest
 from corrdet import (
     Box,
+    CorrdetError,
     Dataset,
     DimensionError,
     FinalBatch,
@@ -566,12 +568,14 @@ def _raw_unknown_image(draw, raw, ds):
 
 
 def _raw_sparse_ids(draw, raw, ds):
-    # image ids far apart, out of order, negative or beyond 64 bits
+    # image ids far apart, out of order, negative or beyond 64 bits; the
+    # GTs' image ids follow, as a dataset refuses a GT of an unknown image
     new_id = dict(zip((iid for iid, _, _ in ds.images), (7, -5, 10**30, 3)))
     for record in _raw_records(raw):
         if record.get("image_id") in new_id:
             record["image_id"] = new_id[record["image_id"]]
-    return replace(ds, images=tuple((new_id[iid], w, h) for iid, w, h in ds.images))
+    gts = _with_column(ds.gts, "image_ids", [new_id[iid] for iid in ds.gts.image_ids])
+    return replace(ds, images=tuple((new_id[iid], w, h) for iid, w, h in ds.images), gts=gts)
 
 
 def _raw_interleaved(draw, raw, ds):
@@ -738,26 +742,9 @@ def test_raw_round_trip_is_byte_identical(tmp_path):
         assert list(loaded.raw_dets[iid]) == list(dets)
 
 
-@pytest.mark.parametrize("emit", [emit_gt, emit_final_dets])
-def test_emitters_refuse_unknown_image_ids(tmp_path, emit):
-    # load_gt and load_final_dets would refuse the file the writer wrote;
-    # Dataset itself refuses raw detections of an unknown image id
-    ds = synth(7, n_images=2)
-    stray = 7
-    if emit is emit_gt:
-        ds = replace(ds, gts=(*ds.gts, replace(ds.gts[0], image_id=stray)))
-    else:
-        ds = replace(ds, final_dets=(*ds.final_dets, replace(ds.final_dets[0], image_id=stray)))
-    path = tmp_path / "out.json"
-    with pytest.raises(ValueError, match=f"unknown image id {stray}$"):
-        emit(ds, str(path))
-    assert not path.exists()
-
-
 def _with_column(batch, name, value):
-    """``batch`` with its column ``name`` replaced by ``value``."""
-    columns = [value if n == name else getattr(batch, n) for n in batch._COLUMNS]
-    return type(batch)(*columns, *(getattr(batch, n) for n in batch._SHARED))
+    """``batch`` with its column or shared argument ``name`` replaced by ``value``."""
+    return type(batch)(*(value if n == name else getattr(batch, n) for n in batch._COLUMNS + batch._SHARED))
 
 
 def _raw_scores_of_image_4(ds, scores):
@@ -796,14 +783,25 @@ _CROSS_BATCH_FAULTS = {
         DanglingReference,
         "raw detections: unknown image id 99",
     ),
+    # the writers would write these rows, and the loaders refuse the file
+    "gt-unknown-image": (
+        lambda ds: {"gts": (*ds.gts, replace(ds.gts[0], image_id=7))},
+        DanglingReference,
+        r"ground truth: row \d+ has unknown image id 7",
+    ),
+    "final-unknown-image": (
+        lambda ds: {"final_dets": (*ds.final_dets, replace(ds.final_dets[0], image_id=7))},
+        DanglingReference,
+        r"final detections: row \d+ has unknown image id 7",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", _CROSS_BATCH_FAULTS)
 def test_dataset_refuses_references_across_batches(fault):
     # each fault once ended in a bare IndexError inside beta_img or the
-    # image-level bounds, or let coco_ap or the class-level bounds return a
-    # value; now the dataset is not built
+    # image-level bounds, let coco_ap or the class-level bounds return a
+    # value, or was left to the writers; now the dataset is not built
     ds = synth(0, 6, 3, 0.3)
     changed, error, message = _CROSS_BATCH_FAULTS[fault]
     with pytest.raises(error, match=f"^{message}$"):
@@ -811,6 +809,120 @@ def test_dataset_refuses_references_across_batches(fault):
     # an empty raw batch reads no scores, whatever its width
     empty = RawBatch(np.empty((0, 4)), np.empty((0, 0)))
     assert replace(ds, raw_dets={**ds.raw_dets, 4: empty}).raw_dets[4] is empty
+
+
+# Faults for test_batches_and_datasets_refuse_a_bad_value.  Each takes
+# hypothesis' draw and a batch of synth(0, 6, 3, 0.3), and returns the
+# column or shared argument it replaces, the replacement, the start of
+# the error message and the row the message must name (None: a fault of
+# the column's shape or type, which no row holds).
+def _row(draw, batch):
+    return draw(st.integers(0, len(batch) - 1))
+
+
+def _in(batch, column):
+    return f"{type(batch).__name__}.{column}"
+
+
+def _box_value(draw, batch):
+    boxes, row = batch.boxes.copy(), _row(draw, batch)
+    value = draw(st.sampled_from((math.nan, math.inf, -math.inf, "zero-area")))
+    if value == "zero-area":
+        boxes[row, 2] = boxes[row, 0]
+    else:
+        boxes[row, draw(st.integers(0, 3))] = value
+    return "boxes", boxes, _in(batch, "boxes"), row
+
+
+def _box_form(draw, batch):
+    wide = np.pad(batch.boxes, ((0, 0), (0, 1)))
+    return "boxes", wide if draw(st.booleans()) else batch.boxes.astype(np.float32), _in(batch, "boxes"), None
+
+
+def _score_value(draw, batch):
+    scores, row = batch.scores.copy(), _row(draw, batch)
+    at = (row, draw(st.integers(0, scores.shape[1] - 1))) if scores.ndim == 2 else row
+    scores[at] = draw(st.sampled_from((1.5, -1e-300, math.nan)))
+    return "scores", scores, _in(batch, "scores"), row
+
+
+def _image_index(draw, batch):
+    images, row = batch.images.copy(), _row(draw, batch)
+    images[row] = draw(st.sampled_from((-1, len(batch.image_ids))))
+    return "images", images, _in(batch, "images"), row
+
+
+def _image_repeat(draw, batch):
+    ids, k = list(batch.image_ids), draw(st.integers(1, len(batch.image_ids) - 1))
+    ids[k] = ids[draw(st.integers(0, k - 1))]
+    return "image_ids", ids, _in(batch, "image_ids"), k
+
+
+def _misaligned(draw, batch):
+    name = draw(st.sampled_from(batch._COLUMNS))
+    # the box column sets the row count, so a short one makes the next column the long one
+    return name, getattr(batch, name)[:-1], _in(batch, batch._COLUMNS[1] if name == "boxes" else name), None
+
+
+def _unknown_image(draw, batch):
+    # the batch is sound; the dataset refuses the rows of an image id it lacks
+    ids, row = list(batch.image_ids), _row(draw, batch)
+    ids[batch.images[row]] = 10**6
+    what = "ground truth" if isinstance(batch, GtBatch) else "final detections"
+    return "image_ids", ids, what, int(np.flatnonzero(batch.images == batch.images[row])[0])
+
+
+# fault: (the batches it may hit, the change)
+_VALUE_FAULTS = {
+    "box-value": (("gts", "final_dets", "raw_dets"), _box_value),
+    "box-form": (("gts", "final_dets", "raw_dets"), _box_form),
+    "score-value": (("final_dets", "raw_dets"), _score_value),
+    "image-index": (("gts", "final_dets"), _image_index),
+    "image-repeat": (("gts", "final_dets"), _image_repeat),
+    "misaligned": (("gts", "final_dets", "raw_dets"), _misaligned),
+    "unknown-image": (("gts", "final_dets"), _unknown_image),
+}
+
+
+def _some_batch(draw, ds, kinds):
+    """One batch of ``ds`` of the kinds named, with rows, and a function
+    that gives the changed fields of ``ds`` holding a batch in its place."""
+    kind = draw(st.sampled_from(kinds))
+    if kind != "raw_dets":
+        return getattr(ds, kind), lambda batch: {kind: batch}
+    iid = draw(st.sampled_from([iid for iid, raw in ds.raw_dets.items() if len(raw)]))
+    return ds.raw_dets[iid], lambda batch: {"raw_dets": {**ds.raw_dets, iid: batch}}
+
+
+@pytest.mark.parametrize("fault", _VALUE_FAULTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batches_and_datasets_refuse_a_bad_value(fault, data):
+    # A batch or dataset built in memory is refused when built, with a
+    # ValueError (a batch) or a CorrdetError (a dataset) naming the column
+    # and the row, so no measure ever reads it: none can return a value or
+    # end in an IndexError or KeyError.
+    ds = synth(0, 6, 3, 0.3)
+    kinds, change = _VALUE_FAULTS[fault]
+    batch, place = _some_batch(data.draw, ds, kinds)
+    name, value, start, row = change(data.draw, batch)
+    with pytest.raises((ValueError, CorrdetError)) as refused:
+        replace(ds, **place(_with_column(batch, name, value)))
+    assert str(refused.value).startswith(f"{start}: ")
+    assert row is None or re.search(rf"\brow {row}\b", str(refused.value))
+
+    # a batch's rows taken unchecked equal the same rows built and checked, bit for bit
+    batch, _ = _some_batch(data.draw, ds, ("gts", "final_dets", "raw_dets"))
+    n = len(batch)
+    rows = data.draw(st.slices(n) | st.lists(st.integers(-n, n - 1), max_size=8).map(lambda r: np.array(r, np.intp)))
+    taken = batch._take(rows)
+    built = type(batch)(*(getattr(batch, c)[rows] for c in batch._COLUMNS), *(getattr(batch, s) for s in batch._SHARED))
+    for c in batch._COLUMNS:
+        a, b = getattr(taken, c), getattr(built, c)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable and not b.flags.writeable
+    for s in batch._SHARED:
+        assert getattr(taken, s) is getattr(batch, s) and getattr(built, s) == getattr(batch, s)
 
 
 def test_emit_without_detections_is_an_error(tmp_path):
@@ -994,6 +1106,8 @@ def _oracle_documents(dataset):
 # integral coordinates (which get ".0"), -0.0, and the 1e16/1e17 edges
 _COORDS = st.integers(-700, 700).map(float) | _EDGE_FLOATS | st.floats(-1e6, 1e6)
 _SCORES = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+# sides of 16 or more, so a corner up to 1e17 in size plus a side is a larger float
+_SIDES = st.integers(16, 700).map(float) | st.floats(16.0, 1e6)
 
 
 @st.composite
@@ -1010,8 +1124,12 @@ def _column_datasets(draw):
     def rows(lo, hi):
         return draw(st.integers(lo, hi)) if iids and n_classes else 0
 
+    def valid_boxes(n):  # a corner plus a positive width and height
+        corner = draw(arrays(np.float64, (n, 2), elements=_COORDS.filter(lambda v: abs(v) < 1e300)))
+        return np.concatenate((corner, corner + draw(arrays(np.float64, (n, 2), elements=_SIDES))), axis=1)
+
     def columns(n):
-        boxes = draw(arrays(np.float64, (n, 4), elements=_COORDS))
+        boxes = valid_boxes(n)
         classes = np.array(draw(st.lists(st.integers(0, max(n_classes - 1, 0)), min_size=n, max_size=n)), dtype=np.intp)
         images = np.array(draw(st.lists(st.integers(0, max(len(iids) - 1, 0)), min_size=n, max_size=n)), dtype=np.intp)
         return boxes, classes, images
@@ -1023,9 +1141,7 @@ def _column_datasets(draw):
     raw = {}
     for iid in draw(st.lists(st.sampled_from(iids), unique=True)) if iids else []:
         m = draw(st.integers(0, 3))
-        raw[iid] = RawBatch(
-            draw(arrays(np.float64, (m, 4), elements=_COORDS)), draw(arrays(np.float64, (m, n_classes), elements=_SCORES))
-        )
+        raw[iid] = RawBatch(valid_boxes(m), draw(arrays(np.float64, (m, n_classes), elements=_SCORES)))
     return Dataset(tuple(zip(cids, names)), images, gts, raw, finals)
 
 
@@ -1041,8 +1157,9 @@ def test_emitters_write_what_render_report_writes_of_their_records(tmp_path_fact
 @settings(max_examples=60, deadline=None)
 @given(_column_datasets(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
 def test_emitters_refuse_a_non_finite_column_value_as_fmt_float_does(tmp_path_factory, dataset, bad, data):
-    # batches take their columns as they are; a non-finite value leaves
-    # the existing file as it was, with fmt_float's error
+    # a value written into a batch's base array after the batch checked it
+    # is not checked again; a non-finite one leaves the existing file as
+    # it was, with fmt_float's error
     columns = [(emit_gt, dataset.gts.boxes), (emit_final_dets, dataset.final_dets.boxes),
                (emit_final_dets, dataset.final_dets.scores)]
     columns += [(emit_raw_dets, c) for raw in dataset.raw_dets.values() for c in (raw.boxes, raw.scores)]

@@ -17,6 +17,7 @@ from corrdet import (
     GtBatch,
     GtObject,
     NoGroundTruth,
+    RawBatch,
     RawDetection,
     average_precision,
     beta_cls,
@@ -175,6 +176,16 @@ def test_beta_img_raises_when_all_skipped():
     raw = [RawDetection(det.box, (det.score,)) for det in d]
     with pytest.raises(EmptyEvaluation):
         beta_img([(1, raw, g)])
+
+
+def test_beta_img_refuses_a_gt_class_beyond_the_score_width():
+    # triples built in code, not by a Dataset: image 1 has a gt of class 2
+    # and its detections one score each; the check ends the call, where a
+    # positive of class 2 once ended it in a bare IndexError
+    iid, raw, gts = synth(0, 2, 3, 0.3).per_image()[0]
+    assert iid == 1 and gts.class_ids.max() == 2
+    with pytest.raises(ValueError, match=r"gt classes must lie in \[0, 1\)"):
+        beta_img([(iid, RawBatch(raw.boxes, raw.scores[:, :1]), gts)])
 
 
 def test_beta_cls_signs_on_synthetic_knob():
