@@ -37,6 +37,22 @@ floats formatted in one ``"%.17g"`` pass per row (:func:`_float_texts`),
 and the text is the one :func:`render_report` writes of the same records
 as dicts.  Every writer builds its text before it opens the file.
 
+Raw detections are the one file whose parse dominates a run (80 scores a
+box), so :func:`load_raw_dets` caches what a regular file alone decides:
+its image ids, unclipped corners and scores, in
+``<dir>/.corrdet-cache/<name>.npz`` beside it, about 26% of the JSON's
+size (5.4 MB for 20.7 MB).  The key is the SHA-256 of the file's bytes
+with :data:`_CACHE_VERSION`, so a file rewritten in the same second at
+the same size is read afresh; the cache is read without pickle and
+written through a temporary file and ``os.replace``.  A load of the same
+bytes skips the JSON parse, and every step that reads the dataset runs
+on every load.  Results and errors never depend on the cache: a missing,
+foreign or unreadable cache file, or a hit the dataset refuses, loads as
+the first time does, and a place that cannot be written is skipped in
+silence.  Deleting the directory is always safe.  Image ids beyond 64
+bits are not cached, and ground truth and final detections, whose parse
+is a small part of a run, are not cached either.
+
 All numbers are serialized with 17 significant digits, so emitted files
 parse back to bit-identical values and identical inputs produce
 byte-identical outputs.
@@ -44,11 +60,15 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import mmap
+import os
+import stat
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Any, TypeVar
@@ -269,17 +289,10 @@ def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
     return walk() if result is None else result
 
 
-def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -> tuple | None:
-    """The records' image ids, their images' positions in ``images`` as an
-    array (KeyError: an unknown id), and the corners the walk makes of
-    their bboxes, ``[x, y, w, h]`` (``xywh``) or ``[x1, y1, x2, y2]``,
-    clipped to their images, as an ``(n, 4)`` array; None when an id or a
-    corner is ill-typed or, before the clip hides it, not finite.
-
-    The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
-    stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
-    to the side, as in the walk.
-    """
+def _corners(records: list) -> tuple[list, np.ndarray] | None:
+    """The records' image ids and their bbox numbers as the file holds
+    them, an ``(n, 4)`` array; None when an id or a number is ill-typed or
+    not finite."""
     iids = [r["image_id"] for r in records]
     bboxes = [r["bbox"] for r in records]
     if not (_typed(iids, _INT) and _typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4}):
@@ -290,6 +303,20 @@ def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -
     corners = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
     if not np.isfinite(corners).all():
         return None
+    return iids, corners
+
+
+def _clipped(iids: list, corners: np.ndarray, images: Sequence[tuple[int, int, int]], xywh: bool) -> tuple:
+    """The images' positions in ``images`` of the records with ids
+    ``iids`` as an array (KeyError: an unknown id), and the corners the
+    walk makes of their bbox numbers ``corners``, ``[x, y, w, h]``
+    (``xywh``, summed in place) or ``[x1, y1, x2, y2]``, clipped to their
+    images, as an ``(n, 4)`` array.
+
+    The clip follows ``min(max(v, 0.0), side)`` exactly, so a -0.0 corner
+    stays -0.0; ``x + w`` may overflow to inf, which the clip brings back
+    to the side, as in the walk.
+    """
     position = {iid: k for k, (iid, _, _) in enumerate(images)}
     index = np.array([position[i] for i in iids], dtype=np.intp)
     # OverflowError: a side beyond the float range
@@ -298,7 +325,7 @@ def _placed(records: list, images: Sequence[tuple[int, int, int]], xywh: bool) -
         if xywh:
             corners[:, 2:] += corners[:, :2]
         corners = np.where(0.0 > corners, 0.0, corners)
-    return iids, index, np.where(sides < corners, sides, corners)
+    return index, np.where(sides < corners, sides, corners)
 
 
 def _gt_columns(doc: Any) -> Dataset | None:
@@ -327,9 +354,9 @@ def _gt_columns(doc: Any) -> Dataset | None:
     if not _typed([a["id"] for a in anns] + ann_cids + crowd, _INT) or any(crowd):
         return None
     classes = np.array([class_of[c] for c in ann_cids], dtype=np.intp)  # KeyError: unknown id
-    if (placed := _placed(anns, image_list, xywh=True)) is None:
+    if (found := _corners(anns)) is None:
         return None
-    _, index, corners = placed
+    index, corners = _clipped(*found, image_list, xywh=True)
     return Dataset(tuple(zip(cids, names)), image_list, GtBatch(corners, classes, index, iids))
 
 
@@ -374,35 +401,105 @@ def _raw_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
     return replace(dataset, raw_dets=grouped)
 
 
-def _raw_columns(doc: Any, dataset: Dataset) -> Dataset | None:
-    """load_raw_dets by columns, one :class:`RawBatch` per image; None when
-    a check fails.
+def _raw_columns(doc: Any) -> tuple[list, np.ndarray, np.ndarray] | None:
+    """What a raw detections document alone decides, by columns: the
+    detections' image ids, their corners as the file holds them, ``(n,
+    4)``, and their scores, ``(n, C)`` for the one score count ``C`` of
+    every record; None when a check fails."""
+    dets = doc["detections"]
+    if type(dets) is not list or not _typed(dets, _DICT):
+        return None
+    scores = [d["scores"] for d in dets]
+    if not _typed(scores, _LIST) or len(widths := set(map(len, scores))) > 1:
+        return None
+    if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
+        return None
+    if (found := _corners(dets)) is None:
+        return None
+    # OverflowError: out of range
+    score_array = np.array(scores, dtype=np.float64).reshape(len(dets), max(widths, default=0))
+    return *found, score_array
+
+
+def _raw_batches(iids: list, corners: np.ndarray, scores: np.ndarray, dataset: Dataset) -> Dataset | None:
+    """load_raw_dets's steps that read ``dataset``, on the columns of
+    :func:`_raw_columns`: one :class:`RawBatch` per image; None when a
+    check fails.
 
     Images come in order of their first detection and each image's rows
     in file order, as in the walk.  The boxes and scores are gathered once
     in that order, so every batch holds views of the same two arrays.
     """
-    dets = doc["detections"]
     n_classes = len(dataset.categories)
-    if type(dets) is not list or not _typed(dets, _DICT) or (n_classes == 0 and len(dets) > 0):
+    if len(iids) and (n_classes == 0 or scores.shape[1] != n_classes):
         return None  # with no categories, every detection fails the walk
-    scores = [d["scores"] for d in dets]
-    if not (_typed(scores, _LIST) and set(map(len, scores)) <= {n_classes}):
-        return None
-    if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
-        return None
-    if (placed := _placed(dets, dataset.images, xywh=False)) is None:
-        return None
-    iids, _, corners = placed
-    score_array = np.array(scores, dtype=np.float64).reshape(len(dets), n_classes)  # OverflowError: out of range
+    _, corners = _clipped(iids, corners, dataset.images, xywh=False)
 
     slot: dict[int, int] = {}
     image_of = np.array([slot.setdefault(i, len(slot)) for i in iids], dtype=np.intp)
     # Stable: each image's detections keep file order, so NMS ties break as in the file.
     order = np.argsort(image_of, kind="stable")
     ends = np.cumsum(np.bincount(image_of, minlength=len(slot))).tolist()
-    batch = RawBatch(corners[order], score_array[order])  # ValueError: a box with no area or a score outside [0, 1]
+    scores = scores.reshape(len(iids), n_classes)  # no detections: no score count in the file
+    batch = RawBatch(corners[order], scores[order])  # ValueError: a box with no area or a score outside [0, 1]
     return replace(dataset, raw_dets={iid: batch[a:b] for iid, a, b in zip(slot, [0] + ends, ends)})
+
+
+_CACHE_DIR = ".corrdet-cache"
+# Stored in every cache file and checked with its key: a change to what the
+# cache holds or to how the loader reads it must raise this, so that no
+# older file is read.
+_CACHE_VERSION = 1
+
+
+def _cache_path(path: str) -> str:
+    """Where the columns of the raw file ``path`` are cached:
+    ``<dir>/.corrdet-cache/<name>.npz``, beside it."""
+    head, name = os.path.split(path)
+    return os.path.join(head, _CACHE_DIR, name + ".npz")
+
+
+def _cached(cache: str, key: str) -> tuple[list, np.ndarray, np.ndarray] | None:
+    """The columns :func:`_store` wrote to ``cache`` for the bytes of
+    digest ``key``; None when it holds no such columns."""
+    try:
+        # no pickle, so a cache file runs no code; np.load is given the file
+        # because it leaves a file it opened open when the zip is broken
+        with open(cache, "rb") as f, np.load(f, allow_pickle=False) as npz:
+            if npz["version"].tolist() != _CACHE_VERSION or npz["key"].tolist() != key:
+                return None
+            ids, corners, scores = npz["image_ids"], npz["corners"], npz["scores"]
+    except Exception:  # missing, truncated or foreign: whatever the fault, a miss
+        return None
+    if not (ids.dtype == np.int64 and corners.dtype == scores.dtype == np.float64):
+        return None
+    if not (ids.ndim == 1 and corners.shape == (len(ids), 4) and scores.ndim == 2 and len(scores) == len(ids)):
+        return None
+    return (ids.tolist(), corners, scores) if np.isfinite(corners).all() else None
+
+
+def _store(cache: str, key: str, iids: list, corners: np.ndarray, scores: np.ndarray) -> None:
+    """Cache the columns of :func:`_raw_columns` under ``key`` at
+    ``cache``, through a temporary file, so a reader finds the old file or
+    the new one.  Nothing is written when an id does not fit int64 or the
+    place cannot be written."""
+    try:
+        ids = np.array(iids, dtype=np.int64)
+    except OverflowError:  # ids beyond 64 bits are read from the JSON each time
+        return
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(cache), exist_ok=True)
+        f = open(tmp, "xb")
+    except OSError:  # a read-only place, a file by the directory's name, another writer's file
+        return
+    try:
+        with f:
+            np.savez(f, version=_CACHE_VERSION, key=key, image_ids=ids, corners=corners, scores=scores)
+        os.replace(tmp, cache)
+    except OSError:
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
@@ -411,9 +508,39 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
 
     Every detection's score vector must have exactly one entry per
     category (else DimensionError) and reference a known image id.
+
+    What a regular file alone decides (:func:`_raw_columns`) is cached
+    beside it, as the module docstring says; the steps that read
+    ``dataset`` (:func:`_raw_batches`) run on every load, and a hit they
+    refuse loads as a miss does.
     """
-    doc = load_report(path)
-    return _by_columns(lambda: _raw_columns(doc, dataset), lambda: _raw_walk(doc, path, dataset))
+    # imported here, so that only a raw load pays for OpenSSL: about 4 ms
+    # and 3.7 MB of peak RSS in every process that imports corrdet
+    import hashlib
+
+    with _reading(path), open(path, "rb") as f:
+        data = f.read()
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)  # not a pipe or a device
+    key = hashlib.sha256(data).hexdigest()
+    cache = _cache_path(path)
+    cached = _cached(cache, key) if regular else None
+    if cached is not None and (hit := _by_columns(lambda: _raw_batches(*cached, dataset), lambda: None)) is not None:
+        return hit
+    with _reading(path):
+        # the text open(path, encoding="utf-8") reads, so a ParseError's position is the same
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data  # the parse peaks the load's memory, without the bytes
+        doc = json.loads(text)
+        del text
+
+    def columns() -> Dataset | None:
+        if (found := _raw_columns(doc)) is None:
+            return None
+        if regular and cached is None:
+            _store(cache, key, *found)
+        return _raw_batches(*found, dataset)
+
+    return _by_columns(columns, lambda: _raw_walk(doc, path, dataset))
 
 
 def _final_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
@@ -451,9 +578,9 @@ def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
         return None
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     classes = np.array([class_of[c] for c in cids], dtype=np.intp)  # KeyError: unknown id
-    if (placed := _placed(doc, dataset.images, xywh=True)) is None:
+    if (found := _corners(doc)) is None:
         return None
-    _, index, corners = placed
+    index, corners = _clipped(*found, dataset.images, xywh=True)
     score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
     image_ids = [iid for iid, _, _ in dataset.images]
     return replace(dataset, final_dets=FinalBatch(corners, classes, score_array, index, image_ids))
@@ -584,17 +711,24 @@ def write_report(report: Any, path: str) -> None:
     _write([render_report(report)], path)
 
 
-def load_report(path: str) -> Any:
-    """Parse a report (or any JSON document); ParseError if unreadable."""
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Raise what reading and parsing the file ``path`` raises as its
+    ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        yield
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise ParseError(f"{path} nests too deeply to parse") from e
+
+
+def load_report(path: str) -> Any:
+    """Parse a report (or any JSON document); ParseError if unreadable."""
+    with _reading(path), open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
 
 
 def _rows_of(batch: GtBatch | FinalBatch, dataset: Dataset, indent: int) -> tuple[list[str], list, list]:

@@ -1,10 +1,14 @@
 """Loaders, writers, the deterministic JSON form, synthetic data."""
 
 import copy
+import hashlib
 import json
 import math
+import os
 import re
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -685,18 +689,39 @@ def synth_raw(tmp_path_factory):
     return root, replace(ds, raw_dets=None, final_dets=None), load_report(str(root / "raw.json"))
 
 
+def _raw_by_columns(doc, ds):
+    """The raw loader's column path on a parsed document: the file's
+    columns, then the steps that read the dataset; None when a check fails."""
+    found = ingest._raw_columns(doc)
+    return None if found is None else ingest._raw_batches(*found, ds)
+
+
+def _cache_of(path):
+    """The columns cached for the raw file ``path`` as it now reads, or None."""
+    key = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return ingest._cached(ingest._cache_path(path), key)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_RAW_FAULTS), min_size=1, max_size=2), st.data())
 def test_raw_column_loader_equals_the_record_walk(synth_raw, faults, data):
+    # a cold load, with no cache, and a warm one, which reads the cache the
+    # cold one wrote; a fault in the dataset alone fails a hit over to the walk
     root, ds, raw = synth_raw
     raw = copy.deepcopy(raw)
     for fault in faults:
         ds = fault(data.draw, raw, ds)
     path = write(root, "raw_case.json", raw)
-    got = _raw_outcome(load_raw_dets, path, ds)
-    assert got == _raw_outcome(ingest._raw_walk, load_report(path), path, ds)
-    if isinstance(got, list):  # the walk loaded it, so the columns must too
-        assert isinstance(ingest._raw_columns(load_report(path), ds), Dataset)
+    walked = _raw_outcome(ingest._raw_walk, load_report(path), path, ds)
+    shutil.rmtree(root / ".corrdet-cache", ignore_errors=True)
+    cold = _raw_outcome(load_raw_dets, path, ds)
+    assert cold == walked
+    assert _raw_outcome(load_raw_dets, path, ds) == walked
+    if isinstance(cold, list):  # the walk loaded it, so the columns must too
+        assert isinstance(_raw_by_columns(load_report(path), ds), Dataset)
+        iids = [d["image_id"] for d in raw["detections"]]
+        # a file the walk loads is cached unless an image id needs more than 64 bits
+        assert (_cache_of(path) is None) == any(not -(2**63) <= i < 2**63 for i in iids)
 
 
 def test_raw_loader_reads_no_detections_without_categories(tmp_path):
@@ -704,11 +729,132 @@ def test_raw_loader_reads_no_detections_without_categories(tmp_path):
     ds = load_gt(write(tmp_path, "gt.json", gt_doc(categories=[], annotations=[])))
     doc = {"detections": []}
     assert load_raw_dets(write(tmp_path, "raw.json", doc), ds).raw_dets == {}
-    assert ingest._raw_columns(doc, ds).raw_dets == {}
+    assert _raw_by_columns(doc, ds).raw_dets == {}
     bad = {"detections": [{"image_id": 1, "bbox": [0.0, 0.0, 5.0, 5.0], "scores": []}]}
-    assert ingest._raw_columns(bad, ds) is None
+    assert _raw_by_columns(bad, ds) is None
     with pytest.raises(SchemaError, match="at least one entry"):
         load_raw_dets(write(tmp_path, "bad.json", bad), ds)
+
+
+def _raw_two_boxes(score):
+    """A raw document of two boxes of image 1, its first score ``score``."""
+    return {"detections": [{"image_id": 1, "bbox": [0.0, 0.0, 10.0, 10.0], "scores": [score, 0.25]},
+                           {"image_id": 1, "bbox": [20.0, 0.0, 40.0, 10.0], "scores": [0.1, 0.9]}]}
+
+
+def test_raw_cache_follows_the_bytes_not_the_file_stamp(tmp_path):
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    path = write(tmp_path, "raw.json", _raw_two_boxes(0.5))
+    assert load_raw_dets(path, ds).raw_dets[1].scores[0, 0] == 0.5
+    assert _cache_of(path) is not None
+    before = os.stat(path)
+    write(tmp_path, "raw.json", _raw_two_boxes(0.7))  # the same size
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size and os.stat(path).st_mtime_ns == before.st_mtime_ns
+    assert load_raw_dets(path, ds).raw_dets[1].scores[0, 0] == 0.7
+    # one cache file per input name, now holding the new bytes' columns
+    assert os.listdir(tmp_path / ".corrdet-cache") == ["raw.json.npz"]
+    assert _cache_of(path)[2][0, 0] == 0.7
+
+
+def _savez(path, **fields):
+    with open(path, "wb") as f:
+        np.savez(f, **fields)
+
+
+def _pickle(path, value):
+    with open(path, "wb") as f:
+        np.save(f, np.array([value], dtype=object), allow_pickle=True)
+
+
+# Ways to spoil a cache file, given its path, its bytes and its fields; each
+# that leaves columns names a first score of 0.75 where the file holds 0.5.
+_SPOILED_CACHES = {
+    "truncated": lambda cache, good, fields: cache.write_bytes(good[: len(good) // 2]),
+    "garbage": lambda cache, good, fields: cache.write_bytes(b"PK\x03\x04 not a zip file"),
+    "empty": lambda cache, good, fields: cache.write_bytes(b""),
+    "old-version": lambda cache, good, fields: _savez(cache, **{**fields, "version": ingest._CACHE_VERSION - 1}),
+    "wrong-digest": lambda cache, good, fields: _savez(cache, **{**fields, "key": hashlib.sha256(b"x").hexdigest()}),
+    "pickled": lambda cache, good, fields: _pickle(cache, fields),
+    "bad-shape": lambda cache, good, fields: _savez(cache, **{**fields, "corners": np.zeros((2, 3))}),
+    "a-directory": lambda cache, good, fields: (cache.unlink(), cache.mkdir()),
+}
+
+
+@pytest.mark.parametrize("fault", _SPOILED_CACHES)
+def test_raw_loader_reads_past_a_bad_cache_file(tmp_path, capfd, fault):
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    path = write(tmp_path, "raw.json", _raw_two_boxes(0.5))
+    expected = _raw_outcome(load_raw_dets, path, ds)
+    cache = Path(ingest._cache_path(path))
+    with np.load(cache, allow_pickle=False) as npz:
+        fields = {**npz, "scores": np.array([[0.75, 0.25], [0.1, 0.9]])}
+    _SPOILED_CACHES[fault](cache, cache.read_bytes(), fields)
+    assert _cache_of(path) is None
+    assert _raw_outcome(load_raw_dets, path, ds) == expected
+    assert capfd.readouterr() == ("", "")
+    if fault != "a-directory":  # the miss wrote the file again, and it now hits
+        assert _cache_of(path) is not None
+
+
+def test_raw_loader_loads_where_no_cache_can_be_written(tmp_path, capfd):
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    (tmp_path / ".corrdet-cache").write_text("a file, not a directory")
+    path = write(tmp_path, "raw.json", _raw_two_boxes(0.5))
+    for _ in range(2):
+        assert load_raw_dets(path, ds).raw_dets[1].scores[0, 0] == 0.5
+    assert (tmp_path / ".corrdet-cache").read_text() == "a file, not a directory"
+    assert capfd.readouterr() == ("", "")
+
+
+def test_raw_loader_caches_no_image_id_beyond_64_bits(tmp_path):
+    big = 2**64 + 1
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc(images=[{"id": big, "width": 100, "height": 80}],
+                                                    annotations=[])))
+    doc = _raw_two_boxes(0.5)
+    for record in doc["detections"]:
+        record["image_id"] = big
+    path = write(tmp_path, "raw.json", doc)
+    for _ in range(2):
+        assert list(load_raw_dets(path, ds).raw_dets) == [big]
+        assert not os.path.exists(ingest._cache_path(path))
+
+
+def test_raw_loader_leaves_its_input_as_it_was(tmp_path):
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    path = write(tmp_path, "raw.json", _raw_two_boxes(0.5))
+    before, stamp = Path(path).read_bytes(), os.stat(path).st_mtime_ns
+    for _ in range(2):  # cold, then warm
+        load_raw_dets(path, ds)
+        assert Path(path).read_bytes() == before and os.stat(path).st_mtime_ns == stamp
+
+
+# (file bytes, the ParseError's text after the path)
+_UNREADABLE_RAW = {
+    # json counts positions in the text a text-mode read makes, "\r\n" read as "\n"
+    "crlf": (b'{\r\n  "detections": [\r\n    {"image_id": 1, "bbox": [0.0, 0.0, 10.0, 10.0], '
+             b'"scores": [0.5, 0.25]},\r\n    oops\r\n  ]\r\n}\r\n',
+             " is not valid JSON: Expecting value: line 4 column 5 (char 100)"),
+    "cr": (b'{\r"detections":\r[1,\r,]}', " is not valid JSON: Expecting value: line 4 column 1 (char 20)"),
+    "not-utf-8": (b'{"detections": ["\xff"]}',
+                  " is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+    "too-deep": (b"[" * 200_000, " nests too deeply to parse"),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE_RAW)
+def test_raw_loader_words_a_parse_error_as_a_text_read_does(tmp_path, case):
+    data, message = _UNREADABLE_RAW[case]
+    ds = load_gt(write(tmp_path, "gt.json", gt_doc()))
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            load_raw_dets(str(path), ds)
+        assert str(e.value) == f"{path}{message}"
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {missing}: [Errno 2] No such file or directory")):
+        load_raw_dets(missing, ds)
 
 
 def test_raw_loader_reads_one_batch_per_image(tmp_path):
