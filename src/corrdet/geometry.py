@@ -165,17 +165,19 @@ class _Batch(Sequence[_T]):
     columns, and a batch equals any sequence of equal objects, element by
     element.  It is not hashable.  The constructor checks each row by the
     objects' rules, with a ValueError naming the class, the column and
-    the first bad row: ``boxes`` ``(n, 4)`` float64 of positive, finite
-    area, as a :class:`Box` has; ``scores`` float64 in [0, 1]; ``images``
-    integer positions in the distinct ``image_ids``; ``n`` rows in every
-    column.  (A :class:`~corrdet.ingest.Dataset` bounds the class ids.)
-    ``_take``, so a slice, takes rows of a checked batch unchecked.
+    the first bad row: ``n`` rows in every column, 2-d in ``_MATRICES``
+    and 1-d in the others; ``boxes`` ``(n, 4)`` float64 of positive,
+    finite area, as a :class:`Box` has; ``scores`` float64 in [0, 1], at
+    least one per row; ``images`` integer positions in the distinct
+    ``image_ids``.  (A :class:`~corrdet.ingest.Dataset` bounds the class
+    ids.)  ``_take``, so a slice, takes rows of a checked batch unchecked.
     """
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
     _COLUMNS: tuple[str, ...] = ()
     _SHARED: tuple[str, ...] = ()
+    _MATRICES: tuple[str, ...] = ("boxes",)
 
     def __init__(self, *args: Any) -> None:
         names = self._COLUMNS + self._SHARED
@@ -184,7 +186,9 @@ class _Batch(Sequence[_T]):
         self._store(args)
         n, boxes = len(self), self.boxes
         for name in self._COLUMNS:
-            self._refuse(name, getattr(self, name).shape[:1] != (n,), f"must have {n} rows")
+            column, ndim = getattr(self, name), 1 + (name in self._MATRICES)
+            self._refuse(name, column.shape[:1] != (n,), f"must have {n} rows")
+            self._refuse(name, column.ndim != ndim, f"must be {ndim}-d")
         self._refuse("boxes", boxes.dtype != np.float64 or boxes.shape[1:] != (4,), "must be (n, 4) float64")
         with np.errstate(all="ignore"):
             x1, y1, x2, y2, area = *boxes.T, _area(boxes.T)  # a NaN or infinite corner fails too
@@ -192,6 +196,7 @@ class _Batch(Sequence[_T]):
         if "scores" in self._COLUMNS:
             self._refuse("scores", self.scores.dtype != np.float64, "must be float64")
             self._refuse("scores", ~((self.scores >= 0.0) & (self.scores <= 1.0)), "lies outside [0, 1]")
+            self._refuse("scores", np.full(n, self.scores.shape[1:] == (0,)), "holds no score")
         if "images" in self._COLUMNS:
             self._refuse("images", self.images.dtype.kind not in "iu", "must hold integers")
             self._refuse("images", (self.images < 0) | (self.images >= len(self.image_ids)), "indexes no image id")
@@ -292,6 +297,7 @@ class RawBatch(_Batch[RawDetection]):
     """
 
     _COLUMNS = ("boxes", "scores")
+    _MATRICES = _COLUMNS
     __slots__ = _COLUMNS
 
     def _row(self, box: list[float], scores: list[float]) -> RawDetection:

@@ -15,12 +15,12 @@ Formats:
 
 All three loaders check by column: each field of every record is pulled
 into one list, and each list is checked as a whole (element types,
-finiteness, score count, known ids) with the clip done in numpy, bit for
-bit as on Python floats, by one helper for all three; the batches built
-of the columns check box areas and score ranges, as every batch does.  A
-document that fails any column check goes to the record walk, which
-checks one record at a time and is the one place where errors are
-worded: it raises the error of the first bad record.  What the column
+finiteness, known ids) with the clip done in numpy, bit for bit as on
+Python floats, by one helper for all three; the batches and the dataset
+built of the columns check the rest, as they check every one.  A
+document that fails any column check, all by raising ValueError, goes
+to the record walk, which checks one record at a time and is the one
+place where errors are worded, the first bad record's.  What the column
 checks pass stays arrays, read as they are from there on: ground truth
 becomes one :class:`~corrdet.geometry.GtBatch` (boxes ``(n, 4)``, class
 indices, and each row's image as a position in the image list) and final
@@ -107,10 +107,12 @@ class Dataset:
     loaders and :func:`synth` make batches; a sequence of objects given in
     their place is turned into its batch once, here.
 
-    Each batch checks its own values; construction checks the references
-    across batches: every GT and final class index lies in ``[0,
-    len(categories))``, and every GT and final row's image id and every
-    ``raw_dets`` key is an image id (else ReferenceError), and every
+    Each batch checks its own values; construction checks the rest, as the
+    loaders check a file: category and image ids are distinct integers,
+    names strings and sides integers >= 1 that ``float()`` converts (else
+    ValueError, naming the field and its first bad entry); GT and final
+    class indices lie in ``[0, len(categories))``, GT and final image ids
+    and ``raw_dets`` keys are image ids (else ReferenceError), and every
     non-empty raw batch has one score per category (else DimensionError).
     """
 
@@ -121,12 +123,24 @@ class Dataset:
     final_dets: FinalBatch | None = None
 
     def __post_init__(self) -> None:
+        ids: set[int] = set()
+        for k, (cid, name) in enumerate(self.categories):
+            if not (_integral(cid) and cid not in ids and isinstance(name, str)):
+                raise ValueError(f"Dataset.categories: entry {k} {(cid, name)!r} needs a new integer id, a string name")
+            ids.add(cid)
+        known: set[int] = set()
+        for k, (iid, w, h) in enumerate(self.images):
+            if not (_integral(iid) and iid not in known and _integral(w) and _integral(h)
+                    and 1 <= w < _NO_FLOAT and 1 <= h < _NO_FLOAT):
+                raise ValueError(f"Dataset.images: entry {k} {(iid, w, h)!r} needs a new integer id, integer sides"
+                                 " >= 1 that float() converts")
+            known.add(iid)
         object.__setattr__(self, "gts", GtBatch.of(self.gts))
         if self.raw_dets is not None:
             object.__setattr__(self, "raw_dets", {iid: RawBatch.of(d) for iid, d in self.raw_dets.items()})
         if self.final_dets is not None:
             object.__setattr__(self, "final_dets", FinalBatch.of(self.final_dets))
-        n_classes, known = len(self.categories), {iid for iid, _, _ in self.images}
+        n_classes = len(self.categories)
         for what, batch in (("ground truth", self.gts), ("final detections", self.final_dets)):
             if batch is None:
                 continue
@@ -171,6 +185,8 @@ def _field(obj: Any, key: str, where: str) -> Any:
 
 # What json.load makes of a JSON number; bool is a subclass of int, not listed.
 _NUMBER_TYPES = frozenset((int, float))
+# The least integer that float() refuses (OverflowError): it rounds to 2**1024.
+_NO_FLOAT = 2**1024 - 2**970
 
 
 def _number(v: Any, where: str) -> float:
@@ -195,8 +211,13 @@ def _bbox(record: Any, where: str, form: str) -> list[float]:
     return coords
 
 
+def _integral(v: Any) -> bool:
+    """``v`` is an integer, not a bool: the rule of every id in a file."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _integer(v: Any, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _integral(v):
         raise SchemaError(f"{where}: expected an integer, got {v!r}")
     return v
 
@@ -271,7 +292,6 @@ _T = TypeVar("_T")
 _DICT = frozenset((dict,))
 _LIST = frozenset((list,))
 _INT = frozenset((int,))
-_STR = frozenset((str,))
 
 
 def _typed(column: Iterable, types: frozenset) -> bool:
@@ -279,30 +299,33 @@ def _typed(column: Iterable, types: frozenset) -> bool:
     return set(map(type, column)) <= types
 
 
-def _by_columns(columns: Callable[[], _T | None], walk: Callable[[], _T]) -> _T:
-    """``columns()``, or ``walk()`` when a column check fails (None, or a
-    batch's ValueError) or a record lacks a field or has the wrong shape."""
+def _require(ok: bool) -> None:
+    """ValueError, a column check's refusal, unless ``ok``."""
+    if not ok:
+        raise ValueError("a column check failed")
+
+
+def _by_columns(columns: Callable[[], _T], walk: Callable[[], _T]) -> _T:
+    """``columns()``, or ``walk()`` when a column check fails (ValueError or
+    a dataset's DimensionError) or a record lacks a field or has the wrong shape."""
     try:
-        result = columns()
-    except (KeyError, TypeError, OverflowError, ValueError):
-        result = None
-    return walk() if result is None else result
+        return columns()
+    except (KeyError, TypeError, OverflowError, ValueError, DimensionError):
+        pass
+    return walk()
 
 
-def _corners(records: list) -> tuple[list, np.ndarray] | None:
+def _corners(records: list) -> tuple[list, np.ndarray]:
     """The records' image ids and their bbox numbers as the file holds
-    them, an ``(n, 4)`` array; None when an id or a number is ill-typed or
-    not finite."""
+    them, an ``(n, 4)`` array; ValueError when an id or a number is
+    ill-typed or not finite."""
     iids = [r["image_id"] for r in records]
     bboxes = [r["bbox"] for r in records]
-    if not (_typed(iids, _INT) and _typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4}):
-        return None
+    _require(_typed(iids, _INT) and _typed(bboxes, _LIST) and set(map(len, bboxes)) <= {4})
     flat = [v for b in bboxes for v in b]
-    if not _typed(flat, _NUMBER_TYPES):
-        return None
+    _require(_typed(flat, _NUMBER_TYPES))
     corners = np.array(flat, dtype=np.float64).reshape(-1, 4)  # OverflowError beyond the float range
-    if not np.isfinite(corners).all():
-        return None
+    _require(np.isfinite(corners).all())
     return iids, corners
 
 
@@ -328,36 +351,19 @@ def _clipped(iids: list, corners: np.ndarray, images: Sequence[tuple[int, int, i
     return index, np.where(sides < corners, sides, corners)
 
 
-def _gt_columns(doc: Any) -> Dataset | None:
-    """load_gt by columns; None when a check fails."""
+def _gt_columns(doc: Any) -> Dataset:
+    """load_gt by columns; ValueError when a check, or the dataset's, fails."""
     cats, images, anns = doc["categories"], doc["images"], doc["annotations"]
-    if not (_typed([cats, images, anns], _LIST) and all(_typed(x, _DICT) for x in (cats, images, anns))):
-        return None
-
-    cids = [c["id"] for c in cats]
-    names = [c["name"] for c in cats]
-    iids = [im["id"] for im in images]
-    widths = [im["width"] for im in images]
-    heights = [im["height"] for im in images]
-    if not (_typed(cids + iids + widths + heights, _INT) and _typed(names, _STR)):
-        return None
-    if len(set(cids)) < len(cids) or len(set(iids)) < len(iids):
-        return None
-    if min(widths + heights, default=1) <= 0:
-        return None
-    float(max(widths + heights, default=0))  # OverflowError: a side beyond the float range
-    class_of = {cid: k for k, cid in enumerate(cids)}
-    image_list = tuple(zip(iids, widths, heights))
-
+    _require(_typed([cats, images, anns], _LIST) and all(_typed(x, _DICT) for x in (cats, images, anns)))
+    categories = tuple((c["id"], c["name"]) for c in cats)
+    image_list = tuple((im["id"], im["width"], im["height"]) for im in images)
+    class_of = {cid: k for k, (cid, _) in enumerate(categories)}
     ann_cids = [a["category_id"] for a in anns]
     crowd = [a.get("iscrowd", 0) for a in anns]
-    if not _typed([a["id"] for a in anns] + ann_cids + crowd, _INT) or any(crowd):
-        return None
+    _require(_typed([a["id"] for a in anns] + ann_cids + crowd, _INT) and not any(crowd))
     classes = np.array([class_of[c] for c in ann_cids], dtype=np.intp)  # KeyError: unknown id
-    if (found := _corners(anns)) is None:
-        return None
-    index, corners = _clipped(*found, image_list, xywh=True)
-    return Dataset(tuple(zip(cids, names)), image_list, GtBatch(corners, classes, index, iids))
+    index, corners = _clipped(*_corners(anns), image_list, xywh=True)
+    return Dataset(categories, image_list, GtBatch(corners, classes, index, [iid for iid, _, _ in image_list]))
 
 
 def load_gt(path: str) -> Dataset:
@@ -401,38 +407,31 @@ def _raw_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
     return replace(dataset, raw_dets=grouped)
 
 
-def _raw_columns(doc: Any) -> tuple[list, np.ndarray, np.ndarray] | None:
+def _raw_columns(doc: Any) -> tuple[list, np.ndarray, np.ndarray]:
     """What a raw detections document alone decides, by columns: the
     detections' image ids, their corners as the file holds them, ``(n,
     4)``, and their scores, ``(n, C)`` for the one score count ``C`` of
-    every record; None when a check fails."""
+    every record; ValueError when a check fails."""
     dets = doc["detections"]
-    if type(dets) is not list or not _typed(dets, _DICT):
-        return None
+    _require(type(dets) is list and _typed(dets, _DICT))
     scores = [d["scores"] for d in dets]
-    if not _typed(scores, _LIST) or len(widths := set(map(len, scores))) > 1:
-        return None
-    if not _typed(chain.from_iterable(scores), _NUMBER_TYPES):
-        return None
-    if (found := _corners(dets)) is None:
-        return None
+    _require(_typed(scores, _LIST) and len(widths := set(map(len, scores))) <= 1)
+    _require(_typed(chain.from_iterable(scores), _NUMBER_TYPES))
+    iids, corners = _corners(dets)
     # OverflowError: out of range
     score_array = np.array(scores, dtype=np.float64).reshape(len(dets), max(widths, default=0))
-    return *found, score_array
+    return iids, corners, score_array
 
 
-def _raw_batches(iids: list, corners: np.ndarray, scores: np.ndarray, dataset: Dataset) -> Dataset | None:
+def _raw_batches(iids: list, corners: np.ndarray, scores: np.ndarray, dataset: Dataset) -> Dataset:
     """load_raw_dets's steps that read ``dataset``, on the columns of
-    :func:`_raw_columns`: one :class:`RawBatch` per image; None when a
-    check fails.
+    :func:`_raw_columns`: one :class:`RawBatch` per image; ValueError or
+    the dataset's DimensionError when a check fails.
 
     Images come in order of their first detection and each image's rows
     in file order, as in the walk.  The boxes and scores are gathered once
     in that order, so every batch holds views of the same two arrays.
     """
-    n_classes = len(dataset.categories)
-    if len(iids) and (n_classes == 0 or scores.shape[1] != n_classes):
-        return None  # with no categories, every detection fails the walk
     _, corners = _clipped(iids, corners, dataset.images, xywh=False)
 
     slot: dict[int, int] = {}
@@ -440,8 +439,7 @@ def _raw_batches(iids: list, corners: np.ndarray, scores: np.ndarray, dataset: D
     # Stable: each image's detections keep file order, so NMS ties break as in the file.
     order = np.argsort(image_of, kind="stable")
     ends = np.cumsum(np.bincount(image_of, minlength=len(slot))).tolist()
-    scores = scores.reshape(len(iids), n_classes)  # no detections: no score count in the file
-    batch = RawBatch(corners[order], scores[order])  # ValueError: a box with no area or a score outside [0, 1]
+    batch = RawBatch(corners[order], scores[order])  # ValueError: a box with no area, a score outside [0, 1] or none
     return replace(dataset, raw_dets={iid: batch[a:b] for iid, a, b in zip(slot, [0] + ends, ends)})
 
 
@@ -533,9 +531,8 @@ def load_raw_dets(path: str, dataset: Dataset) -> Dataset:
         doc = json.loads(text)
         del text
 
-    def columns() -> Dataset | None:
-        if (found := _raw_columns(doc)) is None:
-            return None
+    def columns() -> Dataset:
+        found = _raw_columns(doc)
         if regular and cached is None:
             _store(cache, key, *found)
         return _raw_batches(*found, dataset)
@@ -568,19 +565,15 @@ def _final_walk(doc: Any, path: str, dataset: Dataset) -> Dataset:
     return replace(dataset, final_dets=finals)
 
 
-def _final_columns(doc: Any, dataset: Dataset) -> Dataset | None:
-    """load_final_dets by columns; None when a check fails."""
-    if type(doc) is not list or not _typed(doc, _DICT):
-        return None
+def _final_columns(doc: Any, dataset: Dataset) -> Dataset:
+    """load_final_dets by columns; ValueError when a check fails."""
+    _require(type(doc) is list and _typed(doc, _DICT))
     cids = [d["category_id"] for d in doc]
     scores = [d["score"] for d in doc]
-    if not (_typed(cids, _INT) and _typed(scores, _NUMBER_TYPES)):
-        return None
+    _require(_typed(cids, _INT) and _typed(scores, _NUMBER_TYPES))
     class_of = {cid: idx for idx, (cid, _) in enumerate(dataset.categories)}
     classes = np.array([class_of[c] for c in cids], dtype=np.intp)  # KeyError: unknown id
-    if (found := _corners(doc)) is None:
-        return None
-    index, corners = _clipped(*found, dataset.images, xywh=True)
+    index, corners = _clipped(*_corners(doc), dataset.images, xywh=True)
     score_array = np.array(scores, dtype=np.float64)  # OverflowError beyond the float range
     image_ids = [iid for iid, _, _ in dataset.images]
     return replace(dataset, final_dets=FinalBatch(corners, classes, score_array, index, image_ids))

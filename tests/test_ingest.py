@@ -422,11 +422,20 @@ def _duplicate_id(draw, gt, fin):
 
 
 def _extra_image(draw, gt, fin):
-    # an image no record refers to, so only the image checks can refuse it
+    # an image no record refers to, so only the image checks can refuse it;
+    # float() converts the largest integer side but one more fails
     images = gt.get("images")
     if isinstance(images, list):
-        side = draw(st.sampled_from((0, -3, _HUGE_INT, 10**308, True, 64)))
+        sides = (0, -3, _HUGE_INT, 10**308, True, 64, 64.0, 2**1024 - 2**970 - 1, 2**1024 - 2**970)
+        side = draw(st.sampled_from(sides))
         images.append({"id": 10**6 + len(images), "width": side, "height": 64})
+
+
+def _id_type(draw, gt, fin):
+    # a category or image id that is no integer, though references to it still resolve
+    record = _pick(draw, gt.get(draw(st.sampled_from(("categories", "images")))))
+    if isinstance(record.get("id"), int):
+        record["id"] = draw(st.sampled_from((float(record["id"]), True)))
 
 
 def _category_name(draw, gt, fin):
@@ -462,6 +471,7 @@ _LOADER_FAULTS = [
     _unknown_id,
     _duplicate_id,
     _extra_image,
+    _id_type,
     _category_name,
     _crowd,
     _score,
@@ -692,8 +702,7 @@ def synth_raw(tmp_path_factory):
 def _raw_by_columns(doc, ds):
     """The raw loader's column path on a parsed document: the file's
     columns, then the steps that read the dataset; None when a check fails."""
-    found = ingest._raw_columns(doc)
-    return None if found is None else ingest._raw_batches(*found, ds)
+    return ingest._by_columns(lambda: ingest._raw_batches(*ingest._raw_columns(doc), ds), lambda: None)
 
 
 def _cache_of(path):
@@ -897,6 +906,9 @@ def _raw_scores_of_image_4(ds, scores):
     return {"raw_dets": {**ds.raw_dets, 4: _with_column(ds.raw_dets[4], "scores", scores)}}
 
 
+_NEEDS_ID_NAME = "needs a new integer id, a string name"
+_NEEDS_ID_SIDES = "needs a new integer id, integer sides >= 1 that float() converts"
+
 # fault: (the changed fields of synth(0, 6, 3, 0.3), the error, its message)
 _CROSS_BATCH_FAULTS = {
     "gt-class-7": (
@@ -929,7 +941,58 @@ _CROSS_BATCH_FAULTS = {
         DanglingReference,
         "raw detections: unknown image id 99",
     ),
-    # the writers would write these rows, and the loaders refuse the file
+    # a batch's column with one axis too few or too many
+    "raw-scores-1d": (
+        lambda ds: _raw_scores_of_image_4(ds, ds.raw_dets[4].scores[:, 0]),
+        ValueError,
+        "RawBatch.scores: must be 2-d",
+    ),
+    "final-scores-n-by-1": (
+        lambda ds: {"final_dets": _with_column(ds.final_dets, "scores", ds.final_dets.scores[:, None])},
+        ValueError,
+        "FinalBatch.scores: must be 1-d",
+    ),
+    "final-images-n-by-1": (
+        lambda ds: {"final_dets": _with_column(ds.final_dets, "images", ds.final_dets.images[:, None])},
+        ValueError,
+        "FinalBatch.images: must be 1-d",
+    ),
+    "gt-class-ids-n-by-1": (
+        lambda ds: {"gts": _with_column(ds.gts, "class_ids", ds.gts.class_ids[:, None])},
+        ValueError,
+        "GtBatch.class_ids: must be 1-d",
+    ),
+    # the writers would write these, and the loaders refuse the file
+    "raw-no-scores": (
+        lambda ds: {"categories": (), "gts": ds.gts[:0], "final_dets": None,
+                    "raw_dets": {4: RawBatch(ds.raw_dets[4].boxes, np.empty((len(ds.raw_dets[4]), 0)))}},
+        ValueError,
+        "RawBatch.scores: row 0 holds no score",
+    ),
+    "category-id-repeats": (
+        lambda ds: {"categories": (*ds.categories, (2, "again"))},
+        ValueError,
+        re.escape(f"Dataset.categories: entry 3 (2, 'again') {_NEEDS_ID_NAME}"),
+    ),
+    "category-name-5": (
+        lambda ds: {"categories": ((1, 5), *ds.categories[1:])},
+        ValueError,
+        re.escape(f"Dataset.categories: entry 0 (1, 5) {_NEEDS_ID_NAME}"),
+    ),
+    "image-id-repeats": (
+        lambda ds: {"images": (*ds.images, ds.images[2])},
+        ValueError,
+        re.escape(f"Dataset.images: entry 6 (3, 512, 512) {_NEEDS_ID_SIDES}"),
+    ),
+    **{
+        f"image-side-{label}": (
+            lambda ds, side=side: {"images": (*ds.images[:1], (2, 512, side), *ds.images[2:])},
+            ValueError,
+            re.escape(f"Dataset.images: entry 1 {(2, 512, side)!r} {_NEEDS_ID_SIDES}"),
+        )
+        # 2**1024 - 2**970 is the least integer that float() refuses
+        for label, side in {"0": 0, "-3": -3, "True": True, "512.5": 512.5, "2**1024-2**970": 2**1024 - 2**970}.items()
+    },
     "gt-unknown-image": (
         lambda ds: {"gts": (*ds.gts, replace(ds.gts[0], image_id=7))},
         DanglingReference,
@@ -1010,6 +1073,13 @@ def _misaligned(draw, batch):
     return name, getattr(batch, name)[:-1], _in(batch, batch._COLUMNS[1] if name == "boxes" else name), None
 
 
+def _axes(draw, batch):
+    # an (n, k) column made (n,), or an (n,) one (n, 1)
+    name = draw(st.sampled_from(batch._COLUMNS))
+    column = getattr(batch, name)
+    return name, column[:, 0] if column.ndim == 2 else column[:, None], _in(batch, name), None
+
+
 def _unknown_image(draw, batch):
     # the batch is sound; the dataset refuses the rows of an image id it lacks
     ids, row = list(batch.image_ids), _row(draw, batch)
@@ -1026,6 +1096,7 @@ _VALUE_FAULTS = {
     "image-index": (("gts", "final_dets"), _image_index),
     "image-repeat": (("gts", "final_dets"), _image_repeat),
     "misaligned": (("gts", "final_dets", "raw_dets"), _misaligned),
+    "axes": (("gts", "final_dets", "raw_dets"), _axes),
     "unknown-image": (("gts", "final_dets"), _unknown_image),
 }
 
@@ -1286,7 +1357,7 @@ def _column_datasets(draw):
     finals = FinalBatch(boxes, classes, draw(arrays(np.float64, (n,), elements=_SCORES)), at, batch_ids)
     raw = {}
     for iid in draw(st.lists(st.sampled_from(iids), unique=True)) if iids else []:
-        m = draw(st.integers(0, 3))
+        m = rows(0, 3)  # a raw row holds at least one score
         raw[iid] = RawBatch(valid_boxes(m), draw(arrays(np.float64, (m, n_classes), elements=_SCORES)))
     return Dataset(tuple(zip(cids, names)), images, gts, raw, finals)
 
